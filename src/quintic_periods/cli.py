@@ -339,6 +339,7 @@ def scan_json_payload(table: ScanTable) -> dict:
                 "exponents": list(r.exponents),
                 "totals": [[t.real, t.imag] for t in r.totals],
                 "vanish_scales": r.vanish_scales,
+                "max_backend_disagreements": r.max_backend_disagreements,
                 "vanishes": r.vanishes,
             }
             for r in table.rows

@@ -280,28 +280,24 @@ def pair_wedges(jet: CurveJet) -> dict[tuple[int, int], tuple[UniPoly, float]]:
     return out
 
 
-def pair_numerator(
-    P: MultiPoly,
+def pair_inner(
     jet: CurveJet,
     j0: int,
     j1: int,
     wedges: dict[tuple[int, int], tuple[UniPoly, float]] | None = None,
-    p_chart: UniPoly | None = None,
 ) -> tuple[UniPoly, float]:
-    """Numerator polynomial and its pre-cancellation scale for one pair.
+    """Class-independent factor of the pair numerator and its scale.
 
-    numerator = sign(j0, j1) * P(x(t)) *
-        sum_{j2 not in {j0, j1}} (-1)^(j2*) x_{j2}(t) W[j3, j4](t)
+    inner = sign(j0, j1) * sum_{j2 not in {j0, j1}} (-1)^(j2*) x_{j2}(t) W[j3, j4](t)
 
     with (j3 < j4) the complement of {j0, j1, j2} and sign the contraction
-    sign (-1)^(j0 + j1 + 3) of the pair.
+    sign (-1)^(j0 + j1 + 3) of the pair.  The scale is the largest summand
+    coefficient before cancellation; a sum that cancels to 1e-12 of it is
+    returned as the zero polynomial.
     """
     n = jet.ncoords
     if wedges is None:
         wedges = pair_wedges(jet)
-    if p_chart is None:
-        p_chart = P.compose_unipoly(jet.x_chart())
-    xc = jet.x_chart()
     # the numerator is symmetric in (j0, j1); orientation lives in the
     # caller's choice of residue coordinate
     pair_sign = contraction_sign(tuple(sorted((j0, j1))), n - 2).sign
@@ -315,14 +311,29 @@ def pair_numerator(
         if w.is_zero() and w_scale == 0.0:
             continue
         sgn = -1 if j2star(j2, j0, j1, n) % 2 else 1
-        term = xc[j2] * w
-        term_scale = max(term_scale, xc[j2].scale() * w_scale)
+        x = jet.x[j2].dehomogenized()
+        term = x * w
+        term_scale = max(term_scale, x.scale() * w_scale)
         inner = inner + (float(sgn) * term)
-    scale = term_scale * max(p_chart.scale(), 1e-300)
     if inner.scale() <= NUMERATOR_ZERO_REL_TOL * max(term_scale, 1e-300):
-        return UniPoly.zero(), scale
-    num = (float(pair_sign) * p_chart) * inner
-    return num, scale
+        return UniPoly.zero(), term_scale
+    return float(pair_sign) * inner, term_scale
+
+
+def pair_numerator(
+    P: MultiPoly,
+    jet: CurveJet,
+    j0: int,
+    j1: int,
+    wedges: dict[tuple[int, int], tuple[UniPoly, float]] | None = None,
+    p_chart: UniPoly | None = None,
+) -> tuple[UniPoly, float]:
+    """Numerator P(x(t)) * inner (see ``pair_inner``) of one pair and its
+    pre-cancellation scale."""
+    if p_chart is None:
+        p_chart = P.compose_unipoly(jet.x_chart())
+    inner, term_scale = pair_inner(jet, j0, j1, wedges)
+    return p_chart * inner, term_scale * max(p_chart.scale(), 1e-300)
 
 
 def pair_integrand(

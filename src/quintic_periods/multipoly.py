@@ -8,7 +8,10 @@ keeps printed output and scan tables byte-stable.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .numkernel.unipoly import UniPoly
 
@@ -243,3 +246,45 @@ def monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
 def monomial_text(exponents: Iterable[int]) -> str:
     factors = [f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(exponents) if e > 0]
     return "*".join(factors) if factors else "1"
+
+
+@lru_cache(maxsize=None)
+def _monomial_plan(nvars: int, degree: int) -> tuple:
+    """For each degree k = 1..degree and variable i: the rows of the
+    degree-k monomials whose first nonzero exponent is i, and the rows of
+    their degree-(k-1) quotients by x_i."""
+    plan = []
+    prev = {(0,) * nvars: 0}
+    for k in range(1, degree + 1):
+        monos = monomials_of_degree(nvars, k)
+        steps = []
+        for i in range(nvars):
+            rows = [r for r, e in enumerate(monos) if next(j for j, v in enumerate(e) if v) == i]
+            parents = [prev[tuple(v - (j == i) for j, v in enumerate(monos[r]))] for r in rows]
+            if rows:
+                steps.append((i, np.array(rows), np.array(parents)))
+        plan.append((len(monos), steps))
+        prev = {e: r for r, e in enumerate(monos)}
+    return tuple(plan)
+
+
+def monomial_charts(polys: Sequence[UniPoly], degree: int, width: int) -> np.ndarray:
+    """Chart coefficients of x^e under x_i -> polys[i] for every exponent
+    vector e of the given degree, one row each in ``monomials_of_degree``
+    order, zero-padded to ``width`` columns.
+
+    Each degree is built from the one below by one multiplication per
+    variable, over all rows at once; exact zero coefficients stay exact.
+    """
+    charts = np.zeros((1, width), dtype=complex)
+    charts[0, 0] = 1.0
+    for count, steps in _monomial_plan(len(polys), degree):
+        nxt = np.zeros((count, width), dtype=complex)
+        for i, rows, parents in steps:
+            base = charts[parents]
+            acc = np.zeros_like(base)
+            for k, c in enumerate(polys[i].coeffs):
+                acc[:, k:] += c * base[:, : width - k]
+            nxt[rows] = acc
+        charts = nxt
+    return charts

@@ -17,7 +17,7 @@ import numpy as np
 
 
 def _as_complex_tuple(coeffs: Iterable[complex]) -> tuple[complex, ...]:
-    return tuple(complex(c) for c in coeffs)
+    return tuple(map(complex, coeffs))
 
 
 class UniPoly:
@@ -30,7 +30,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[complex] = ()):
-        cs = list(_as_complex_tuple(coeffs))
+        cs = list(map(complex, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -70,7 +70,7 @@ class UniPoly:
 
     def scale(self) -> float:
         """max |coefficient|; every relative tolerance refers to this."""
-        return max((abs(c) for c in self.coeffs), default=0.0)
+        return max(map(abs, self.coeffs), default=0.0)
 
     def trimmed(self, rel_tol: float = 1e-12) -> UniPoly:
         """Drop leading coefficients with |c| <= rel_tol * scale."""

@@ -10,25 +10,46 @@ Diagnostics carried per pair: both residue backends at every site, a
 residue-theorem check (all finite residues of the integrand plus its residue
 at infinity), and, where its preconditions hold, the dual sum combining the
 zeros of x_{j1} with the residue at infinity.
+
+Only the factor P(x(t)) of a pair numerator depends on the class, so one
+assembly takes a matrix of class charts: ``period_of_jet`` passes one row,
+``monomial_scan`` every monomial of a sample at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import (
     BaseLocusCollisionError,
     DegreeError,
     DimensionMismatchError,
+    NonConvergenceError,
+    PoleMismatchError,
+    RadiusCollisionError,
     ReferenceZeroError,
     UnsupportedShapeError,
 )
 from .geometry import CurveFamily, CurveJet, Hypersurface
-from .griffiths import pair_numerator, pair_wedges, required_degree
-from .multipoly import MultiPoly, monomial_text, monomials_of_degree
+# pair_numerator is not called here; it stays importable from this module,
+# where perfbench/tracer.py looks it up
+from .griffiths import (  # noqa: F401
+    NUMERATOR_ZERO_REL_TOL,
+    pair_inner,
+    pair_numerator,
+    pair_wedges,
+    required_degree,
+)
+from .multipoly import MultiPoly, monomial_charts, monomial_text, monomials_of_degree
 from .numkernel.residues import (
+    FiniteSiteMap,
+    InfinitySiteMap,
     RationalFunction,
+    SiteRows,
     ZeroResidueSum,
     ZeroSiteReport,
     residue_at_infinity_analytic,
@@ -98,17 +119,76 @@ def _pair_order(n: int):
             yield (j0, j1)
 
 
+_PAIR_ERRORS = (
+    BaseLocusCollisionError,
+    NonConvergenceError,
+    PoleMismatchError,
+    RadiusCollisionError,
+)
+
+
+def _named(exc: Exception, jet: CurveJet, j0: int, j1: int) -> Exception:
+    """The same error with the pair and s in front of its message."""
+    return type(exc)(f"pair ({j0},{j1}) at s = {jet.s:.6g}: {exc}")
+
+
+class _Pair:
+    """The class-independent part of one covering pair at one sample: the
+    inner factor of its numerator and, built on first use, its denominator
+    and the residue maps at the zeros of x_{j0}."""
+
+    def __init__(self, ctx: _SampleContext, j0: int, j1: int):
+        self.ctx = ctx
+        self.j0, self.j1 = j0, j1
+        inner, self.term_scale = pair_inner(ctx.jet, j0, j1, ctx.wedges)
+        self.inner = inner.coeffs
+
+    @cached_property
+    def den(self) -> UniPoly:
+        ctx, j0, j1 = self.ctx, self.j0, self.j1
+        d0, d1 = ctx.partial_charts[j0], ctx.partial_charts[j1]
+        if d0.is_zero() or d1.is_zero():
+            which = j0 if d0.is_zero() else j1
+            raise BaseLocusCollisionError(
+                f"covering chart {which} misses the curve "
+                f"(F_{which}(x(t)) vanishes identically)"
+            )
+        return d0 * d1
+
+    @cached_property
+    def den_sites(self) -> list[tuple[complex, int]]:
+        return _merge_sites(self.ctx.chart_roots(self.j0), self.ctx.chart_roots(self.j1))
+
+    @cached_property
+    def sites(self) -> list[FiniteSiteMap | InfinitySiteMap]:
+        ctx, den = self.ctx, self.den
+        width = ctx.width + len(self.inner) - 1
+        z, guard = ctx.jet.x[self.j0], ctx.jet.x[self.j1]
+        if z.is_zero():
+            raise ValueError("zero form has no isolated zero locus")
+        sites: list[FiniteSiteMap | InfinitySiteMap] = [
+            FiniteSiteMap(den, loc, mult, self.den_sites, width, guard, ctx.nodes)
+            for loc, mult in ctx.zeros(self.j0)
+        ]
+        if (inf_mult := z.infinity_order()) > 0:
+            sites.append(InfinitySiteMap(den, inf_mult, self.den_sites, width, ctx.nodes))
+        return sites
+
+
 class _SampleContext:
     """Per-(jet, hypersurface) data shared by all classes P at one sample."""
 
-    def __init__(self, X: Hypersurface, jet: CurveJet):
+    def __init__(self, X: Hypersurface, jet: CurveJet, quadrature: bool, nodes: int):
         self.X = X
         self.jet = jet
+        self.nodes = nodes if quadrature else None
         self.wedges = pair_wedges(jet)
         self.xs = jet.x_chart()
         self.partial_charts = [Fi.compose_unipoly(self.xs) for Fi in X.partials]
+        # coefficients of P(x(t)) for a class of the period degree
+        self.width = required_degree(X.degree, X.m, 1) * jet.d_curve + 1
         self._roots: dict[int, list[tuple[complex, int]]] = {}
-        self._xpowers: dict[tuple[int, int], UniPoly] = {}
+        self._zeros: dict[int, list[tuple[complex, int]]] = {}
 
     def chart_roots(self, j: int) -> list[tuple[complex, int]]:
         if j not in self._roots:
@@ -116,21 +196,12 @@ class _SampleContext:
             self._roots[j] = poly_roots(pj) if pj.degree >= 1 else []
         return self._roots[j]
 
-    def xpow(self, i: int, e: int) -> UniPoly:
-        key = (i, e)
-        if key not in self._xpowers:
-            self._xpowers[key] = self.xs[i] ** e
-        return self._xpowers[key]
-
-    def compose(self, P: MultiPoly) -> UniPoly:
-        acc = UniPoly.zero()
-        for exps, c in P.terms.items():
-            term = UniPoly.constant(c)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * self.xpow(i, e)
-            acc = acc + term
-        return acc
+    def zeros(self, j: int) -> list[tuple[complex, int]]:
+        """Finite zeros of the coordinate x_j with multiplicities."""
+        if j not in self._zeros:
+            chart = self.jet.x[j].dehomogenized().trimmed()
+            self._zeros[j] = poly_roots(chart) if chart.degree >= 1 else []
+        return self._zeros[j]
 
     def min_pole_separation(self) -> float:
         locs: list[complex] = []
@@ -145,60 +216,59 @@ class _SampleContext:
         return best
 
 
-def _assemble(
-    ctx: _SampleContext,
-    P: MultiPoly,
-    p_chart: UniPoly,
-    quadrature: bool,
-    nodes: int,
-    deep_diagnostics: bool,
-) -> PeriodReport:
-    jet = ctx.jet
-    per_pair: dict[tuple[int, int], PairContribution] = {}
-    total = 0j
-    for j0, j1 in _pair_order(jet.ncoords):
-        num, num_scale = pair_numerator(P, jet, j0, j1, ctx.wedges, p_chart)
-        if num.is_zero() or num.scale() <= 1e-12 * max(num_scale, 1e-300):
-            per_pair[(j0, j1)] = PairContribution(j0, j1, 0j, [], numerator_zero=True)
-            continue
-        d0, d1 = ctx.partial_charts[j0], ctx.partial_charts[j1]
-        if d0.is_zero() or d1.is_zero():
-            which = j0 if d0.is_zero() else j1
-            raise BaseLocusCollisionError(
-                f"pair ({j0},{j1}): covering chart {which} misses the curve at "
-                f"s = {jet.s} (F_{which}(x(t)) vanishes identically)"
-            )
-        rf = RationalFunction(num, d0 * d1)
-        den_sites = _merge_sites(ctx.chart_roots(j0), ctx.chart_roots(j1))
-        try:
-            zr = residues_at_zeros(
-                rf,
-                jet.x[j0],
-                guard=jet.x[j1],
-                quadrature=quadrature,
-                nodes=nodes,
-                den_sites=den_sites,
-            )
-        except BaseLocusCollisionError as exc:
-            raise BaseLocusCollisionError(f"pair ({j0},{j1}): {exc}") from None
-        contrib = PairContribution(j0, j1, zr.total, zr.sites)
-        if deep_diagnostics:
-            contrib.residue_theorem_check = residue_sum_check(rf)
-            contrib.dual_sum_check = _dual_sum(rf, zr, jet.x[j1], den_sites)
-        per_pair[(j0, j1)] = contrib
-        total += zr.total
+@dataclass
+class _PairRows:
+    """One pair assembled for every class row: which rows have a live
+    numerator, the numerator rows, and the residues at each site."""
 
-    vanish_scale = max((abs(c.residue_sum) for c in per_pair.values()), default=0.0)
-    return PeriodReport(
-        s=jet.s,
-        total=total,
-        per_pair=per_pair,
-        min_pole_separation=ctx.min_pole_separation() if deep_diagnostics else float("inf"),
-        max_backend_disagreement=max(
-            (c.max_backend_disagreement for c in per_pair.values()), default=0.0
-        ),
-        vanish_scale=vanish_scale,
-    )
+    pair: _Pair
+    live: np.ndarray
+    num: np.ndarray | None = None
+    sites: list[SiteRows] = field(default_factory=list)
+
+    @property
+    def residue_sum(self) -> np.ndarray:
+        zero = np.zeros(len(self.live), dtype=complex)
+        return sum((site.residue for site in self.sites), zero)
+
+
+def _convolve_rows(rows: np.ndarray, coeffs: tuple[complex, ...]) -> np.ndarray:
+    """Each row times the polynomial with the given coefficients."""
+    width = rows.shape[1]
+    out = np.zeros((len(rows), width + len(coeffs) - 1), dtype=complex)
+    for k, c in enumerate(coeffs):
+        out[:, k : k + width] += c * rows
+    return out
+
+
+def _assemble(ctx: _SampleContext, p_rows: np.ndarray) -> list[_PairRows]:
+    """Every pair's residues for a matrix of class charts, one row of
+    P(x(t)) coefficients per class.
+
+    The class enters last: each pair's inner factor, denominator, sites and
+    quadrature weights are built once, from the charts and roots ``ctx``
+    shares between pairs; each row then costs matrix products.  A row's
+    numerator is zero when it cancels to 1e-12 of its pre-cancellation
+    scale, the rule of ``PairIntegrand.numerator_is_zero``.
+    """
+    p_scale = np.maximum(np.abs(p_rows).max(axis=1), 1e-300)
+    out = []
+    for j0, j1 in _pair_order(ctx.jet.ncoords):
+        pair = _Pair(ctx, j0, j1)
+        if not pair.inner:
+            out.append(_PairRows(pair, np.zeros(len(p_rows), dtype=bool)))
+            continue
+        num = _convolve_rows(p_rows, pair.inner)
+        num_scale = np.maximum(pair.term_scale * p_scale, 1e-300)
+        live = np.abs(num).max(axis=1) > NUMERATOR_ZERO_REL_TOL * num_scale
+        rows = _PairRows(pair, live, num)
+        if live.any():
+            try:
+                rows.sites = [site.apply(num, live) for site in pair.sites]
+            except _PAIR_ERRORS as exc:
+                raise _named(exc, ctx.jet, j0, j1) from exc
+        out.append(rows)
+    return out
 
 
 def period_of_jet(
@@ -217,8 +287,39 @@ def period_of_jet(
     want = required_degree(X.degree, X.m, 1)
     if P.is_zero() or not P.is_homogeneous() or P.total_degree() != want:
         raise DegreeError(f"P must be homogeneous of degree {want}")
-    ctx = _SampleContext(X, jet)
-    return _assemble(ctx, P, ctx.compose(P), quadrature, nodes, deep_diagnostics=True)
+    ctx = _SampleContext(X, jet, quadrature, nodes)
+    p_row = np.zeros((1, ctx.width), dtype=complex)
+    chart = P.compose_unipoly(ctx.xs).coeffs
+    p_row[0, : len(chart)] = chart
+    per_pair: dict[tuple[int, int], PairContribution] = {}
+    total = 0j
+    for rows in _assemble(ctx, p_row):
+        pair = rows.pair
+        j0, j1 = pair.j0, pair.j1
+        if not rows.live[0]:
+            per_pair[(j0, j1)] = PairContribution(j0, j1, 0j, [], numerator_zero=True)
+            continue
+        zr = ZeroResidueSum(complex(rows.residue_sum[0]), [s.report(0) for s in rows.sites])
+        contrib = PairContribution(j0, j1, zr.total, zr.sites)
+        rf = RationalFunction(UniPoly(rows.num[0]), pair.den)
+        try:
+            contrib.residue_theorem_check = residue_sum_check(rf)
+            contrib.dual_sum_check = _dual_sum(rf, zr, jet.x[j1], pair.den_sites)
+        except _PAIR_ERRORS as exc:
+            raise _named(exc, jet, j0, j1) from exc
+        per_pair[(j0, j1)] = contrib
+        total += zr.total
+
+    return PeriodReport(
+        s=jet.s,
+        total=total,
+        per_pair=per_pair,
+        min_pole_separation=ctx.min_pole_separation(),
+        max_backend_disagreement=max(
+            (c.max_backend_disagreement for c in per_pair.values()), default=0.0
+        ),
+        vanish_scale=max((abs(c.residue_sum) for c in per_pair.values()), default=0.0),
+    )
 
 
 def period_at(
@@ -374,6 +475,7 @@ class ScanRow:
     monomial: str
     totals: list[complex]
     vanish_scales: list[float]
+    max_backend_disagreements: list[float] = field(default_factory=list)
 
     @property
     def vanishes(self) -> bool:
@@ -402,8 +504,10 @@ def monomial_scan(
     """Period of every degree-``degree`` monomial class at every sample.
 
     One row per exponent vector in graded-lex (descending) order; 126 rows
-    for degree 5 in five variables.  Pair sites and denominators are shared
-    across monomials at a fixed sample.
+    for degree 5 in five variables.  At each sample all monomial charts go
+    through one assembly, so everything that does not depend on the class
+    (inner factors, pole sites, denominators, quadrature circles) is built
+    once per sample.
     """
     if not s_list:
         raise ValueError("sample list must be nonempty")
@@ -413,14 +517,19 @@ def monomial_scan(
     monos = monomials_of_degree(X.nvars, degree)
     rows = [ScanRow(exps, monomial_text(exps), [], []) for exps in monos]
     for s in s_list:
-        ctx = _SampleContext(X, fam.jet_at(s))
-        for row in rows:
-            P = MultiPoly.monomial(X.nvars, 1.0, row.exponents)
-            rep = _assemble(
-                ctx, P, ctx.compose(P), quadrature, nodes, deep_diagnostics=False
-            )
-            row.totals.append(rep.total)
-            row.vanish_scales.append(rep.vanish_scale)
+        ctx = _SampleContext(X, fam.jet_at(s), quadrature, nodes)
+        pairs = _assemble(ctx, monomial_charts(ctx.xs, degree, ctx.width))
+        sums = [p.residue_sum for p in pairs]
+        totals = sum(sums)
+        scales = np.max(np.abs(sums), axis=0)
+        disagreement = np.zeros(len(rows))
+        for p in pairs:
+            for site in p.sites:
+                disagreement = np.maximum(disagreement, site.disagreement())
+        for row, t, sc, d in zip(rows, totals.tolist(), scales.tolist(), disagreement.tolist()):
+            row.totals.append(t)
+            row.vanish_scales.append(sc)
+            row.max_backend_disagreements.append(d)
     return ScanTable(
         rows=rows,
         s_list=[complex(s) for s in s_list],

@@ -164,6 +164,9 @@ class TestCommands:
         assert lines[0].startswith("monomial,abs_0,phase_0")
         payload = json.loads(json_path.read_text())
         assert len(payload["rows"]) == 126
+        for row in payload["rows"]:
+            assert len(row["max_backend_disagreements"]) == 2
+            assert max(row["max_backend_disagreements"]) < 1e-8
         # byte-stable rerun
         first = csv_path.read_bytes()
         assert main(["scan", "--config", str(cfg), "--degree", "5", "--out-csv", str(csv_path)]) == 0

@@ -1,8 +1,10 @@
 import pytest
 
+from quintic_periods import period
 from quintic_periods.catalog import (
     STANDARD_PERIOD_SAMPLES,
     ClosedFormRef,
+    line_families,
     mobius_null_family,
     root5_neg1_minus_s5,
     zeta_value,
@@ -10,9 +12,10 @@ from quintic_periods.catalog import (
 from quintic_periods.errors import (
     BaseLocusCollisionError,
     DegreeError,
+    PoleMismatchError,
     ReferenceZeroError,
 )
-from quintic_periods.geometry import CurveJet, MobiusMap, mobius_reparam
+from quintic_periods.geometry import CurveFamily, CurveJet, MobiusMap, mobius_reparam
 from quintic_periods.multipoly import MultiPoly
 from quintic_periods.numkernel.unipoly import BinaryForm
 from quintic_periods.period import (
@@ -23,6 +26,7 @@ from quintic_periods.period import (
     period_of_jet,
     sweep,
 )
+from quintic_periods.verification import reference_period
 
 ZETA = zeta_value(1)
 
@@ -115,8 +119,29 @@ class TestDiagnostics:
         ys = (zero, zero, zero, y, y)
         jet = CurveJet(0.1 + 0j, xs, ys, 1)
         P = MultiPoly.monomial(5, 1.0, (5, 0, 0, 0, 0))
-        with pytest.raises(BaseLocusCollisionError):
+        with pytest.raises(BaseLocusCollisionError, match=r"^pair \(0,1\) at s = 0\.1\+0j: "):
             period_of_jet(fermat, P, jet)
+        # the scan's batched assembly names the same pair and sample
+        fam = CurveFamily("shared-pole", lambda s: jet)
+        with pytest.raises(BaseLocusCollisionError, match=r"^pair \(0,1\) at s = 0\.1\+0j: "):
+            monomial_scan(fermat, fam, [0.1], 5)
+
+    def test_pole_mismatch_names_pair_and_s(
+        self, fermat, corrected_slice, p_x1cubed_x2sq, monkeypatch
+    ):
+        # a chart root declaring one more than its true multiplicity: the
+        # denominator's local multiplicity then disagrees at the first live
+        # pair with a pole there
+        true_roots = period._SampleContext.chart_roots
+
+        def inflated(ctx, j):
+            return [(loc, mult + 1) for loc, mult in true_roots(ctx, j)]
+
+        monkeypatch.setattr(period._SampleContext, "chart_roots", inflated)
+        with pytest.raises(PoleMismatchError, match=r"^pair \(0,2\) at s = 0\.1\+0j: "):
+            period_at(fermat, p_x1cubed_x2sq, corrected_slice, 0.1)
+        with pytest.raises(PoleMismatchError, match=r"^pair \(0,2\) at s = 0\.1\+0j: "):
+            monomial_scan(fermat, corrected_slice, [0.1], 5)
 
     def test_degenerate_sample_skips_dead_pairs(self, fermat, corrected_slice, p_x1cubed_x2sq):
         # at s = 0 the b-slot coordinate is the zero form; every pair meeting
@@ -275,3 +300,39 @@ class TestScan:
         direct = period_at(fermat, P, corrected_slice, 0.17).total
         combo = 2.0 * rows[(0, 3, 2, 0, 0)] - 3j * rows[(2, 0, 1, 1, 1)]
         assert abs(direct - combo) < 1e-9 * max(abs(direct), 1e-30)
+
+    # The batched assembly against the per-class reference path
+    # (pair_integrand, then residues_at_zeros); the scan runs its quadrature
+    # backend too, so its disagreement is checked as well.
+
+    @staticmethod
+    def _check_against_reference(fermat, fam, samples):
+        table = monomial_scan(fermat, fam, samples, 5)
+        for k, s in enumerate(samples):
+            jet = fam.jet_at(s)
+            for row in table.rows:
+                P = MultiPoly.monomial(5, 1.0, row.exponents)
+                ref = reference_period(fermat, P, jet)
+                assert abs(row.totals[k] - ref) <= 1e-12 * row.vanish_scales[k], row.monomial
+                # rows without any pole keep their exact zero
+                assert (row.totals[k] == 0) == (ref == 0), row.monomial
+                assert row.max_backend_disagreements[k] < 1e-8, row.monomial
+        return table
+
+    def test_corrected_slice_matches_reference(self, fermat, corrected_slice):
+        table = self._check_against_reference(fermat, corrected_slice, [0.13 + 0.04j])
+        assert any(not r.vanishes for r in table.rows)
+
+    def test_seeded_catalog_line_matches_reference(self, fermat):
+        import numpy as np
+
+        rng = np.random.default_rng(5)
+        descriptors = line_families()
+        fam = descriptors[int(rng.integers(len(descriptors)))].family()
+        samples = [complex(0.06 + 0.2 * rng.random(), 0.2 * rng.random() - 0.1) for _ in range(2)]
+        table = self._check_against_reference(fermat, fam, samples)
+        assert any(not r.vanishes for r in table.rows)
+
+    def test_null_family_matches_reference(self, fermat):
+        table = self._check_against_reference(fermat, mobius_null_family(2, 4), [0.09j])
+        assert all(r.vanishes for r in table.rows)
