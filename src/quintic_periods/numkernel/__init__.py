@@ -19,7 +19,6 @@ from .residues import (
     quadrature_radius,
     residue_analytic,
     residue_at_infinity_analytic,
-    residue_at_infinity_quadrature,
     residue_quadrature,
     residue_sum_check,
     residues_at_zeros,
@@ -46,7 +45,6 @@ __all__ = [
     "quadrature_radius",
     "residue_analytic",
     "residue_at_infinity_analytic",
-    "residue_at_infinity_quadrature",
     "residue_quadrature",
     "residue_sum_check",
     "residues_at_zeros",

@@ -78,21 +78,12 @@ class RationalFunction:
             den_u = den_rev * UniPoly([0.0] * (-shift) + [1.0])
         return RationalFunction(-1.0 * num_u, den_u)
 
-    def pole_sites(
-        self, residues: bool = True, den_sites: list[tuple[complex, int]] | None = None
-    ) -> list[PoleSite]:
-        """Finite poles (den roots surviving numerator cancellation).
-
-        ``den_sites`` may carry the clustered denominator roots, as for
-        ``residues_at_zeros``; without them the expanded denominator is
-        rooted.
-        """
+    def pole_sites(self, residues: bool = True) -> list[PoleSite]:
+        """Finite poles (den roots surviving numerator cancellation)."""
         if self.num.is_zero():
             return []
-        if den_sites is None:
-            den_sites = poly_roots(self.den)
         sites = []
-        for loc, mult in den_sites:
+        for loc, mult in poly_roots(self.den):
             if self.num.vanishing_order(loc) >= mult:
                 continue
             res = residue_analytic(self, loc, mult) if residues else 0j
@@ -197,16 +188,6 @@ def _quadrature(f, center: complex, radius: float, nodes: int) -> tuple[complex,
     return complex(np.mean(vals)), float(np.max(np.abs(vals)))
 
 
-def residue_at_infinity_quadrature(
-    f: RationalFunction, nodes: int = DEFAULT_QUAD_NODES
-) -> complex:
-    g = f.at_infinity_chart()
-    finite = [loc for loc, _ in poly_roots(g.den)] if not g.den.is_zero() else []
-    others = [u for u in finite if abs(u) > 1e-12]
-    radius = quadrature_radius(0j, others)
-    return residue_quadrature(lambda u: g(u), 0j, radius, nodes)
-
-
 def quadrature_radius(center: complex, other_points: list[complex]) -> float:
     """Half the distance to the nearest other singular point, capped at 0.5."""
     dists = [abs(p - center) for p in other_points if abs(p - center) > 0]
@@ -259,7 +240,6 @@ def residues_at_zeros(
     guard: BinaryForm | None = None,
     quadrature: bool = True,
     nodes: int = DEFAULT_QUAD_NODES,
-    den_sites: list[tuple[complex, int]] | None = None,
 ) -> ZeroResidueSum:
     """Sum of residues of f dt over the distinct zeros of the binary form z.
 
@@ -272,10 +252,6 @@ def residues_at_zeros(
     of z is also a zero of guard *and* f genuinely has a pole there, the local
     pole order mixes both denominator factors and a BaseLocusCollisionError is
     raised instead of silently splitting it.
-
-    ``den_sites`` may carry precomputed clustered denominator roots (the
-    caller often knows the factored denominator, whose roots are better
-    conditioned than the product's).
     """
     if z.is_zero():
         raise ValueError("zero form has no isolated zero locus")
@@ -291,8 +267,7 @@ def residues_at_zeros(
     if inf_mult > 0:
         zeros.append((None, inf_mult))
 
-    if den_sites is None:
-        den_sites = poly_roots(f.den)
+    den_sites = poly_roots(f.den)
     den_locs = [loc for loc, _ in den_sites]
     total = 0j
     site_reports: list[ZeroSiteReport] = []
@@ -366,16 +341,13 @@ def _infinity_site(f, zmult, guard, quadrature, nodes, den_locs) -> ZeroSiteRepo
     return ZeroSiteReport(0j, True, zmult, order, res, resq, qscale)
 
 
-def residue_sum_check(
-    f: RationalFunction, den_sites: list[tuple[complex, int]] | None = None
-) -> float:
+def residue_sum_check(f: RationalFunction) -> float:
     """|sum of all residues, including the one at infinity|.
 
     The residue theorem makes this 0 for every rational 1-form; the returned
-    magnitude is a global consistency diagnostic for the engine.  The poles
-    are taken from ``den_sites`` when given (see ``RationalFunction.pole_sites``).
+    magnitude is a global consistency diagnostic for the engine.
     """
-    total = sum((s.residue for s in f.pole_sites(den_sites=den_sites)), 0j)
+    total = sum((s.residue for s in f.pole_sites()), 0j)
     total += residue_at_infinity_analytic(f)
     return abs(total)
 

@@ -7,9 +7,11 @@ period value.  It is unnormalized: no 2*pi*i, no global cocycle constant --
 every downstream comparison is projective.
 
 Diagnostics carried per pair: both residue backends at every site, a
-residue-theorem check (all finite residues of the integrand plus its residue
-at infinity), and, where its preconditions hold, the dual sum combining the
-zeros of x_{j1} with the residue at infinity.
+residue-theorem check, and, where its preconditions hold, the dual sum over
+the zeros of x_{j0} and x_{j1} and the point at infinity.  Both checks sum
+the residues the period itself summed plus those of further site maps, built
+on the same denominator, at the remaining poles of the integrand; so they
+check the engine that produced the reported number.
 
 Only the factor P(x(t)) of a pair numerator depends on the class, so one
 assembly takes a matrix of class charts: ``period_of_jet`` passes one row,
@@ -45,19 +47,18 @@ from .griffiths import (  # noqa: F401
     required_degree,
 )
 from .multipoly import MultiPoly, monomial_charts, monomial_text, monomials_of_degree
-from .numkernel.residues import (
+# residue_sum_check, residues_at_zeros, residue_at_infinity_analytic: as pair_numerator
+from .numkernel.residues import (  # noqa: F401
     FiniteSiteMap,
     InfinitySiteMap,
-    RationalFunction,
     SiteRows,
-    ZeroResidueSum,
     ZeroSiteReport,
     residue_at_infinity_analytic,
     residue_sum_check,
     residues_at_zeros,
 )
 from .numkernel.roots import poly_roots
-from .numkernel.unipoly import BinaryForm, UniPoly
+from .numkernel.unipoly import UniPoly
 
 VANISH_REL_TOL = 1e-9
 
@@ -134,14 +135,16 @@ def _named(exc: Exception, jet: CurveJet, j0: int, j1: int) -> Exception:
 
 class _Pair:
     """The class-independent part of one covering pair at one sample: the
-    inner factor of its numerator and, built on first use, its denominator
-    and the residue maps at the zeros of x_{j0}."""
+    inner factor of its numerator and, built on first use, its denominator,
+    the residue maps at the zeros of x_{j0} and those at its other poles."""
 
     def __init__(self, ctx: _SampleContext, j0: int, j1: int):
         self.ctx = ctx
         self.j0, self.j1 = j0, j1
         inner, self.term_scale = pair_inner(ctx.jet, j0, j1, ctx.wedges)
         self.inner = inner.coeffs
+        # coefficients of a numerator row P(x(t)) * inner
+        self.width = ctx.width + len(self.inner) - 1
 
     @cached_property
     def den(self) -> UniPoly:
@@ -161,11 +164,13 @@ class _Pair:
 
     @cached_property
     def sites(self) -> list[FiniteSiteMap | InfinitySiteMap]:
-        ctx, den = self.ctx, self.den
-        width = ctx.width + len(self.inner) - 1
+        ctx, den, width = self.ctx, self.den, self.width
         z, guard = ctx.jet.x[self.j0], ctx.jet.x[self.j1]
         if z.is_zero():
-            raise ValueError("zero form has no isolated zero locus")
+            raise BaseLocusCollisionError(
+                f"the curve lies in the hyperplane x_{self.j0} = 0, so the residue "
+                "coordinate has no isolated zeros"
+            )
         sites: list[FiniteSiteMap | InfinitySiteMap] = [
             FiniteSiteMap(den, loc, mult, self.den_sites, width, guard, ctx.nodes)
             for loc, mult in ctx.zeros(self.j0)
@@ -173,6 +178,34 @@ class _Pair:
         if (inf_mult := z.infinity_order()) > 0:
             sites.append(InfinitySiteMap(den, inf_mult, self.den_sites, width, ctx.nodes))
         return sites
+
+    @cached_property
+    def check_sites(self) -> list[FiniteSiteMap | InfinitySiteMap]:
+        """Maps without quadrature at the poles ``sites`` leaves out: the
+        denominator's roots away from the zeros of x_{j0}, and [1:0] when
+        x_{j0} does not vanish there.  With ``sites`` they cover every pole
+        of the pair integrand."""
+        zeros = [loc for loc, _ in self.ctx.zeros(self.j0)]
+        checks: list[FiniteSiteMap | InfinitySiteMap] = [
+            FiniteSiteMap(self.den, loc, 0, self.den_sites, self.width)
+            for loc, _ in self.den_sites
+            if not _near(loc, zeros)
+        ]
+        if self.ctx.jet.x[self.j0].infinity_order() == 0:
+            checks.append(InfinitySiteMap(self.den, 0, self.den_sites, self.width))
+        return checks
+
+    def dual_sum_holds(self, checks: list[SiteRows]) -> bool:
+        """Whether the dual sum -- residues at the zeros of x_{j0} and of
+        x_{j1}, plus the one at infinity -- adds up the same residues as the
+        residue theorem: neither coordinate vanishes at [1:0], x_{j1} has
+        finite zeros, and every pole off the zeros of x_{j0} lies at one."""
+        x = self.ctx.jet.x
+        if x[self.j0].infinity_order() > 0 or x[self.j1].infinity_order() > 0:
+            return False
+        zeros = [loc for loc, _ in self.ctx.zeros(self.j1)]
+        poles = [c.site.location for c in checks if c.order[0] and not c.site.at_infinity]
+        return bool(zeros) and all(_near(loc, zeros) for loc in poles)
 
 
 class _SampleContext:
@@ -316,16 +349,18 @@ def period_of_jet(
         if not rows.live[0]:
             per_pair[(j0, j1)] = PairContribution(j0, j1, 0j, [], numerator_zero=True)
             continue
-        zr = ZeroResidueSum(complex(rows.residue_sum[0]), [s.report(0) for s in rows.sites])
-        contrib = PairContribution(j0, j1, zr.total, zr.sites)
-        rf = RationalFunction(UniPoly(rows.num[0]), pair.den)
+        residue_sum = complex(rows.residue_sum[0])
         try:
-            contrib.residue_theorem_check = residue_sum_check(rf, pair.den_sites)
-            contrib.dual_sum_check = _dual_sum(rf, zr, jet.x[j1], pair.den_sites)
+            checks = [site.apply(rows.num, rows.live) for site in pair.check_sites]
         except _PAIR_ERRORS as exc:
             raise _named(exc, jet, j0, j1) from exc
+        contrib = PairContribution(j0, j1, residue_sum, [site.report(0) for site in rows.sites])
+        others = sum(complex(c.residue[0]) for c in checks)
+        contrib.residue_theorem_check = abs(residue_sum + others)
+        if pair.dual_sum_holds(checks):
+            contrib.dual_sum_check = contrib.residue_theorem_check
         per_pair[(j0, j1)] = contrib
-        total += zr.total
+        total += residue_sum
 
     return PeriodReport(
         s=jet.s,
@@ -357,7 +392,8 @@ def period_at(
     ------
     BaseLocusCollisionError
         If a zero of x_{j0} is a genuine pole shared with the x_{j1} factor,
-        or a covering chart misses the curve entirely.
+        a covering chart misses the curve entirely, or the curve of a live
+        pair lies in the hyperplane x_{j0} = 0.
     DegreeError
         If deg(P) != d(q+1) - m - 2 for q = 1.
     """
@@ -377,29 +413,10 @@ def _merge_sites(*site_lists):
     return merged
 
 
-def _dual_sum(rf, zr: ZeroResidueSum, other: BinaryForm, den_sites) -> float | None:
-    """|residues at zeros of x_{j0} + residues at zeros of x_{j1} + residue
-    of the integrand at infinity|; None when the preconditions fail (a site
-    at infinity, or a pole off both zero loci)."""
-    if any(site.at_infinity for site in zr.sites):
-        return None
-    other_chart = other.dehomogenized().trimmed()
-    if other.infinity_order() > 0 or other_chart.degree < 1:
-        return None
-    zero_locs = [site.location for site in zr.sites]
-    other_locs = [loc for loc, _ in poly_roots(other_chart)]
-    for loc, mult in den_sites:
-        if rf.num.vanishing_order(loc) >= mult:
-            continue
-        near = any(abs(loc - z) <= 1e-7 * (1 + abs(loc)) for z in zero_locs + other_locs)
-        if not near:
-            return None
-    try:
-        dual = residues_at_zeros(rf, other, guard=None, quadrature=False, den_sites=den_sites)
-    except BaseLocusCollisionError:
-        return None
-    inf_res = residue_at_infinity_analytic(rf)
-    return abs(zr.total + dual.total + inf_res)
+def _near(loc: complex, locs: list[complex]) -> bool:
+    """Whether loc coincides with one of locs, by the clustering rule of the
+    site maps."""
+    return any(abs(loc - z) <= 1e-7 * (1.0 + abs(loc)) for z in locs)
 
 
 def sweep(

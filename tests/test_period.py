@@ -7,6 +7,7 @@ from quintic_periods.catalog import (
     line_families,
     mobius_null_family,
     root5_neg1_minus_s5,
+    shioda_quintic,
     zeta_value,
 )
 from quintic_periods.errors import (
@@ -17,6 +18,7 @@ from quintic_periods.errors import (
 )
 from quintic_periods.geometry import CurveFamily, CurveJet, MobiusMap, mobius_reparam
 from quintic_periods.multipoly import MultiPoly
+from quintic_periods.numkernel.residues import FiniteSiteMap
 from quintic_periods.numkernel.unipoly import BinaryForm
 from quintic_periods.period import (
     compare_closed_form,
@@ -109,6 +111,76 @@ class TestDiagnostics:
         ]
         assert applicable, "expected at least one pair with a defined dual sum"
         assert max(applicable) < 1e-8
+        # where it applies, the dual sum adds up the residue theorem's residues
+        for c in rep.per_pair.values():
+            if c.dual_sum_check is not None:
+                assert abs(c.dual_sum_check - c.residue_theorem_check) <= 1e-15 * max(
+                    c.residue_theorem_check, 1e-300
+                )
+
+    def test_residue_theorem_sees_the_reported_residues(
+        self, fermat, corrected_slice, p_x1cubed_x2sq, monkeypatch
+    ):
+        # a relative error of 1e-6 in the residues the period sums, at the
+        # zeros of x_{j0}, must show in each pair's residue-theorem check
+        apply = FiniteSiteMap.apply
+
+        def skewed(site, num, live):
+            rows = apply(site, num, live)
+            if site.zero_multiplicity > 0:
+                rows.residue = rows.residue * (1 + 1e-6)
+            return rows
+
+        monkeypatch.setattr(FiniteSiteMap, "apply", skewed)
+        A = MobiusMap(1.1 + 0.3j, 0.4, -0.2 + 0.1j, 0.9 - 0.2j)
+        rep = period_at(fermat, p_x1cubed_x2sq, mobius_reparam(corrected_slice, A), 0.1)
+        live = [c for c in rep.per_pair.values() if not c.numerator_zero]
+        assert live
+        for c in live:
+            assert c.residue_theorem_check >= 1e-7 * abs(c.residue_sum)
+
+    @staticmethod
+    def _line_jet(seed: int, zero: int | None = None) -> CurveJet:
+        """A seeded jet of degree 1; coordinate ``zero``, if given, is
+        identically 0."""
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
+
+        def form():
+            return BinaryForm(1, tuple(complex(*rng.uniform(-1, 1, 2)) for _ in range(2)))
+
+        xs, ys = [form() for _ in range(5)], [form() for _ in range(5)]
+        if zero is not None:
+            xs[zero] = BinaryForm(1, (0.0, 0.0))
+        return CurveJet(0.1 + 0j, tuple(xs), tuple(ys), 1)
+
+    def test_no_dual_sum_without_its_preconditions(
+        self, fermat, corrected_slice, p_x1cubed_x2sq
+    ):
+        # the partials F_1..F_4 of the cyclic quintic are not monomials, so
+        # every pair has poles at neither coordinate's zeros
+        rep = period_of_jet(shioda_quintic(), p_x1cubed_x2sq, self._line_jet(5))
+        live = [c for c in rep.per_pair.values() if not c.numerator_zero]
+        assert live
+        assert all(c.dual_sum_check is None for c in live)
+        # under t -> 1/t the zero of x_0 = t moves to [1:0], while x_2 = 1
+        # gains a finite zero
+        fam = mobius_reparam(corrected_slice, MobiusMap(0, 1, 1, 0))
+        pair = period_at(fermat, p_x1cubed_x2sq, fam, 0.1).pair(0, 2)
+        assert not pair.numerator_zero
+        assert pair.dual_sum_check is None
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_zero_residue_coordinate_is_a_collision(self, k):
+        # x_k identically zero: the curve lies in the hyperplane x_k = 0, and
+        # the live pair (k, k+1) has no zeros of x_k to sum residues over
+        exps = [0] * 5
+        exps[k + 1] = 5
+        P = MultiPoly.monomial(5, 1.0, tuple(exps))
+        named = rf"^pair \({k},{k + 1}\) at s = 0\.1\+0j: "
+        with pytest.raises(BaseLocusCollisionError, match=named):
+            period_of_jet(shioda_quintic(), P, self._line_jet(5, zero=k))
 
     def test_collision_raised_for_shared_pole(self, fermat):
         # x0 and x1 share the zero t=0 while the numerator keeps a pole there

@@ -7,11 +7,12 @@ from quintic_periods.errors import (
     RadiusCollisionError,
 )
 from quintic_periods.numkernel.residues import (
+    FiniteSiteMap,
+    InfinitySiteMap,
     RationalFunction,
     quadrature_radius,
     residue_analytic,
     residue_at_infinity_analytic,
-    residue_at_infinity_quadrature,
     residue_quadrature,
     residue_sum_check,
     residues_at_zeros,
@@ -111,17 +112,18 @@ class TestResidueTheorem:
             assert abs(ra - rq) <= 1e-8 * max(abs(ra), abs(rq))
 
     def test_infinity_backends_agree(self):
+        # the analytic and contour residues of the engine's site map at [1:0]
         rng = np.random.default_rng(818)
         for _ in range(20):
-            den = UniPoly.from_roots(
-                [complex(*rng.uniform(-2, 2, 2)) for _ in range(4)]
-            )
+            roots = [complex(*rng.uniform(-2, 2, 2)) for _ in range(4)]
+            den = UniPoly.from_roots(roots)
             num = UniPoly([complex(*rng.uniform(-1, 1, 2)) for _ in range(4)])
             if num.is_zero():
                 num = UniPoly.one()
-            f = RationalFunction(num, den)
-            ra = residue_at_infinity_analytic(f)
-            rq = residue_at_infinity_quadrature(f)
+            site = InfinitySiteMap(den, 1, [(r, 1) for r in roots], len(num.coeffs), nodes=256)
+            rows = site.apply(np.array([num.coeffs]), np.array([True]))
+            assert rows.order[0] > 0
+            ra, rq = rows.residue[0], rows.quadrature[0]
             assert abs(ra - rq) <= 1e-8 * max(abs(ra), abs(rq), 1e-10)
 
     def test_seeded_global_sums(self):
@@ -142,20 +144,24 @@ class TestResidueTheorem:
     def test_factored_sites_of_fourth_powers(self):
         # the shape of a degree-2 pair on the Fermat quintic: a numerator of
         # degree 15 over 5 q0^4 * 5 q1^4.  Re-rooting the expanded degree-16
-        # denominator splits its 4-fold roots on this seed; the factored
-        # sites (roots of q0 and q1, each of multiplicity 4) do not.
+        # denominator splits its 4-fold roots on this seed; the site maps at
+        # the factored sites (roots of q0 and q1, each of multiplicity 4),
+        # plus the one at infinity, cover every pole.
         rng = np.random.default_rng(36)
 
         def c():
             return complex(*rng.uniform(-1, 1, 2))
 
         qs = [UniPoly([c(), c(), c()]) for _ in range(2)]
-        f = RationalFunction(UniPoly([c() for _ in range(16)]), 5 * qs[0] ** 4 * (5 * qs[1] ** 4))
+        num = np.array([[c() for _ in range(16)]])
+        den = 5 * qs[0] ** 4 * (5 * qs[1] ** 4)
         sites = [(complex(r), 4) for q in qs for r in np.roots(q.coeffs[::-1])]
-        poles = f.pole_sites(den_sites=sites)
-        assert [p.order for p in poles] == [4, 4, 4, 4]
-        scale = max([abs(p.residue) for p in poles] + [abs(residue_at_infinity_analytic(f))])
-        assert residue_sum_check(f, sites) < 1e-8 * scale
+        maps = [FiniteSiteMap(den, loc, 0, sites, 16) for loc, _ in sites]
+        maps.append(InfinitySiteMap(den, 0, sites, 16))
+        rows = [site.apply(num, np.array([True])) for site in maps]
+        assert [int(r.order[0]) for r in rows[:4]] == [4, 4, 4, 4]
+        residues = [r.residue[0] for r in rows]
+        assert abs(sum(residues)) < 1e-8 * max(map(abs, residues))
 
 
 class TestResiduesAtZeros:
