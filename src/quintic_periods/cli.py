@@ -8,7 +8,8 @@ Subcommands::
     quintic-periods catalog
 
 Exit codes: 0 success, 1 check failure, 2 configuration error, 3 numerical
-non-convergence.
+non-convergence or a sample that breaks a declared tolerance (its outputs
+are still written).
 
 Config files are JSON.  Numbers may be written as plain floats, as
 ``[re, im]`` pairs, or as exact rational strings ``"p/q"``; normalization
@@ -311,6 +312,50 @@ def period_json_payload(reports: Sequence[PeriodReport], tolerances: dict) -> di
     return {"samples": out, "tolerances": {**DEFAULT_TOLERANCES, **tolerances}}
 
 
+def _tolerance(tolerances: dict, name: str) -> float:
+    value = {**DEFAULT_TOLERANCES, **tolerances}[name]
+    return _parse_number(value, f"tolerances.{name}").real
+
+
+def period_breach(r: PeriodReport, tolerances: dict) -> str | None:
+    """The declared tolerances one period sample breaks, as one line.
+
+    Backend agreement bounds the sample's largest backend disagreement.  The
+    residue theorem bounds each live pair's check relative to the largest
+    |residue| summed into it; a check over no nonzero residue holds.
+    """
+    backend = _tolerance(tolerances, "backend_agreement")
+    theorem = _tolerance(tolerances, "residue_theorem")
+    found = []
+    pairs = r.per_pair.values()
+    worst = max(pairs, key=lambda c: c.max_backend_disagreement, default=None)
+    if worst is not None and worst.max_backend_disagreement >= backend:
+        found.append(
+            f"backend_agreement {backend:g} in pair ({worst.j0},{worst.j1}): "
+            f"disagreement {worst.max_backend_disagreement:.3g}"
+        )
+    for c in pairs:
+        scale = c.residue_theorem_scale
+        if not c.numerator_zero and scale > 0 and c.residue_theorem_check >= theorem * scale:
+            found.append(
+                f"residue_theorem {theorem:g} in pair ({c.j0},{c.j1}): "
+                f"check {c.residue_theorem_check:.3g} of residue scale {scale:.3g}"
+            )
+    return f"tolerance breached at s = {r.s:.6g}: " + "; ".join(found) if found else None
+
+
+def scan_breaches(table: ScanTable, tolerances: dict) -> list[str]:
+    """One line per sample whose largest backend disagreement breaks the
+    declared backend agreement."""
+    backend = _tolerance(tolerances, "backend_agreement")
+    return [
+        f"tolerance breached at s = {s:.6g}: backend_agreement {backend:g} in pair "
+        f"({pair[0]},{pair[1]}), monomial {monomial}: disagreement {worst:.3g}"
+        for s, (worst, pair, monomial) in zip(table.s_list, table.worst_backend)
+        if pair is not None and worst >= backend
+    ]
+
+
 def scan_csv_lines(table: ScanTable) -> list[str]:
     header = ["monomial"]
     for k in range(len(table.s_list)):
@@ -374,7 +419,8 @@ def cmd_period(args) -> int:
     _write(args.out_csv or cfg.output.get("csv"), csv_text)
     _write(args.out_json or cfg.output.get("json"), json_text)
     sys.stdout.write(csv_text)
-    return 0
+    breaches = [line for r in reports if (line := period_breach(r, cfg.tolerances))]
+    return _report_breaches(breaches)
 
 
 def cmd_scan(args) -> int:
@@ -391,7 +437,13 @@ def cmd_scan(args) -> int:
         f"{len(table.rows)} monomials x {len(table.s_list)} samples; "
         f"{nonzero} non-vanishing rows\n"
     )
-    return 0
+    return _report_breaches(scan_breaches(table, cfg.tolerances))
+
+
+def _report_breaches(lines: list[str]) -> int:
+    for line in lines:
+        sys.stderr.write(line + "\n")
+    return 3 if lines else 0
 
 
 def cmd_catalog(_args) -> int:

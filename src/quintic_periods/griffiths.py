@@ -27,8 +27,12 @@ are projective.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import (
     BaseLocusCollisionError,
@@ -40,7 +44,7 @@ from .errors import (
 from .geometry import CurveJet, Hypersurface
 from .multipoly import MultiPoly
 from .numkernel.residues import RationalFunction
-from .numkernel.unipoly import UniPoly
+from .numkernel.unipoly import UniPoly, coeff_product
 
 
 def j2star(j2: int, j0: int, j1: int, n_coords: int) -> int:
@@ -197,8 +201,6 @@ def residue_cocycle(P: MultiPoly, X: Hypersurface, q: int) -> CechCocycle:
 
 
 def _increasing_tuples(n: int, k: int):
-    import itertools
-
     return itertools.combinations(range(n), k)
 
 
@@ -318,6 +320,65 @@ def pair_inner(
     if inner.scale() <= NUMERATOR_ZERO_REL_TOL * max(term_scale, 1e-300):
         return UniPoly.zero(), term_scale
     return float(pair_sign) * inner, term_scale
+
+
+@lru_cache(maxsize=None)
+def _inner_plan(n: int) -> tuple[tuple[tuple[int, int], ...], tuple, np.ndarray]:
+    """The summands of ``pair_inner`` for every pair (j0 < j1) at once: the
+    pairs in order; per summand, pair by pair, its pair's row, j2 and the
+    row of W[j3, j4] among the pairs; and per pair and summand its sign with
+    the pair's contraction sign folded in."""
+    pairs = tuple(itertools.combinations(range(n), 2))
+    row = {ab: r for r, ab in enumerate(pairs)}
+    summands, signs = [], []
+    for p, (j0, j1) in enumerate(pairs):
+        pair_sign = contraction_sign((j0, j1), n - 2).sign
+        for j2 in range(n):
+            if j2 in (j0, j1):
+                continue
+            summands.append((p, j2, row[tuple(i for i in range(n) if i not in (j0, j1, j2))]))
+            signs.append(-pair_sign if j2star(j2, j0, j1, n) % 2 else pair_sign)
+    sign = np.array(signs, dtype=float).reshape(len(pairs), n - 2)
+    sign.flags.writeable = False
+    return pairs, tuple(summands), sign
+
+
+def pair_inners(
+    jet: CurveJet,
+    wedges: dict[tuple[int, int], tuple[UniPoly, float]] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``pair_inner`` of every pair (j0 < j1), in ``itertools.combinations``
+    order: one row of inner coefficients per pair, zero-padded to a common
+    width, and the term scales.  A row that cancels to 1e-12 of its term
+    scale is exactly zero, as ``pair_inner`` returns the zero polynomial.
+
+    The summands are multiplied as UniPoly multiplies them, and their signs
+    and sums are exact or taken in pair_inner's order, so each row holds
+    pair_inner's coefficients bit for bit: at clustered poles the period
+    engine amplifies a last-bit change of them far beyond rounding.
+    """
+    n = jet.ncoords
+    if n != 5:
+        raise UnsupportedShapeError(f"pair inner factors need 5 coordinates, got {n}")
+    if wedges is None:
+        wedges = pair_wedges(jet)
+    pairs, summands, sign = _inner_plan(n)
+    xs = [x.dehomogenized() for x in jet.x]
+    x_scale = [x.scale() for x in xs]
+    ws = [wedges[ab] for ab in pairs]
+    term_scale = [0.0] * len(pairs)
+    products = []
+    for p, j2, r in summands:
+        w, w_scale = ws[r]
+        term_scale[p] = max(term_scale[p], x_scale[j2] * w_scale)
+        products.append(coeff_product(xs[j2].coeffs, w.coeffs))
+    width = max(map(len, products)) or 1
+    terms = np.array([prod + [0j] * (width - len(prod)) for prod in products])
+    inner = (terms.reshape(*sign.shape, width) * sign[..., None]).sum(axis=1)
+    term_scale = np.array(term_scale)
+    zero = np.abs(inner).max(axis=1) <= NUMERATOR_ZERO_REL_TOL * np.maximum(term_scale, 1e-300)
+    inner[zero] = 0.0
+    return inner, term_scale
 
 
 def pair_numerator(

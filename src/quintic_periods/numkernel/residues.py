@@ -363,6 +363,12 @@ def residue_sum_check(f: RationalFunction) -> float:
 # that depend on the numerator stay per row and are those of _finite_site
 # and _infinity_site: the vanishing order against the row's own shifted
 # scale, and at infinity the row's leading coefficients.
+#
+# The trapezoid rule is linear in the numerator too: the site folds 1/den
+# and the circle into a covector once (_Contour.weigh), so a row's contour
+# value is one dot product.  Only its contour magnitude, max |num_r * f| on
+# the circle, evaluates the row at the nodes.  Both run on the rows with a
+# pole at the site; the others report 0 and no backend disagreement.
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -385,12 +391,22 @@ def _unit_powers(first: int, step: int, count: int, nodes: int) -> tuple[np.ndar
     return _frozen(k.astype(float)), _frozen(_unit_circle(nodes)[turns])
 
 
-_CONTOUR_BLOCK = 16  # rows per block: bounds the rows x nodes temporaries
+# Rows per block of the contour magnitude.  The blocks bound the rows x
+# nodes temporaries, and keep each zgemm small enough that OpenBLAS runs it
+# on one thread: a single 126 x 6 @ 6 x 256 product took its threaded path
+# and ran about 5x slower on a 2-core host.
+_CONTOUR_BLOCK = 16
 
 
 class _Contour:
-    """Power sums sum_j c_j u^(first + step j) on the circle |u| = radius,
-    for rows of coefficients c of at most ``count`` entries."""
+    """Trapezoid rule on the circle |u| = radius for integrands
+    p(u) * factor(u), with p a power sum sum_j c_j u^(first + step j) of at
+    most ``count`` terms and the factor fixed per site by ``weigh``.
+
+    The trapezoid value is linear in c, so ``weigh`` folds the factor into a
+    covector q_j = r^k_j mean_n(e^(i k_j theta_n) factor_n) once; a row's
+    value is then c @ q.  Its magnitude max_n |p(u_n)| |factor_n| still
+    needs p on the circle: one matrix product per block of rows."""
 
     def __init__(self, radius: float, first: int, step: int, count: int, nodes: int):
         k, self.powers = _unit_powers(first, step, count, nodes)
@@ -401,16 +417,21 @@ class _Contour:
         w = rows.shape[-1]
         return (rows * self.radius_powers[:w]) @ self.powers[:w]
 
-    def trapezoid(self, rows: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def weigh(self, factor: np.ndarray) -> None:
+        self.covector = self.radius_powers * (self.powers @ factor) / len(factor)
+        self.factor_abs = np.abs(factor)
+
+    def trapezoid(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per row, the trapezoid value and the contour magnitude of
         values(row) * factor, as _quadrature returns them."""
-        value = np.empty(len(rows), dtype=complex)
+        w = rows.shape[-1]
+        value = rows @ self.covector[:w]
+        scaled, powers = rows * self.radius_powers[:w], self.powers[:w]
         scale = np.empty(len(rows))
         for b in range(0, len(rows), _CONTOUR_BLOCK):
-            vals = self.values(rows[b : b + _CONTOUR_BLOCK])
-            vals *= factor
-            value[b : b + _CONTOUR_BLOCK] = vals.sum(axis=1) / vals.shape[1]
-            scale[b : b + _CONTOUR_BLOCK] = np.abs(vals).max(axis=1)
+            mag = np.abs(scaled[b : b + _CONTOUR_BLOCK] @ powers)
+            mag *= self.factor_abs
+            scale[b : b + _CONTOUR_BLOCK] = mag.max(axis=1)
         return value, scale
 
 
@@ -459,6 +480,19 @@ class SiteRows:
     quadrature: np.ndarray | None = None
     quadrature_scale: np.ndarray | None = None
 
+    def fill_quadrature(
+        self, contour: _Contour, coeffs: np.ndarray, has_pole: np.ndarray
+    ) -> None:
+        """The quadrature backend on the rows with a pole; 0 on the rest."""
+        if has_pole.all():
+            self.quadrature, self.quadrature_scale = contour.trapezoid(coeffs)
+            return
+        self.quadrature = np.zeros(len(coeffs), dtype=complex)
+        self.quadrature_scale = np.zeros(len(coeffs))
+        self.quadrature[has_pole], self.quadrature_scale[has_pole] = contour.trapezoid(
+            coeffs[has_pole]
+        )
+
     def disagreement(self) -> np.ndarray:
         """ZeroSiteReport.backend_disagreement of every row; 0 without a pole."""
         if self.quadrature is None:
@@ -489,7 +523,9 @@ class FiniteSiteMap:
 
     The collision and multiplicity errors are decided here but raised by
     ``apply`` only when some row has a pole at the site.  ``nodes`` None
-    skips the quadrature backend.
+    skips the quadrature backend.  ``shift_matrix`` builds the Taylor-shift
+    matrix of the numerator rows; a caller with several maps at one
+    location passes a builder that shares it.
     """
 
     at_infinity = False
@@ -503,6 +539,7 @@ class FiniteSiteMap:
         width: int,
         guard: BinaryForm | None = None,
         nodes: int | None = None,
+        shift_matrix: Callable[[complex, int], np.ndarray] = _shift_matrix,
     ):
         self.location = location
         self.zero_multiplicity = zero_multiplicity
@@ -512,7 +549,7 @@ class FiniteSiteMap:
         self.contour = None
         if order == 0:
             return
-        self.shift = None if location == 0 else _shift_matrix(location, width)
+        self.shift = None if location == 0 else shift_matrix(location, width)
         den_sh = den.shifted(location).coeffs
         local = _local_multiplicity(den_sh)
         if local != order:
@@ -524,7 +561,7 @@ class FiniteSiteMap:
             radius = quadrature_radius(location, _other_poles(location, den_sites))
             self.contour = _Contour(radius, 0, 1, max(width, len(den_sh)), nodes)
             # num(loc + u) / den(loc + u) * u, both factors as shifted power sums
-            self.factor = self.contour.u / self.contour.values(np.array(den_sh))
+            self.contour.weigh(self.contour.u / self.contour.values(np.array(den_sh)))
 
     def apply(self, num: np.ndarray, live: np.ndarray) -> SiteRows:
         if self.order == 0:
@@ -540,7 +577,7 @@ class FiniteSiteMap:
         residue = np.where(has_pole, sh[:, : self.order] @ self.series, 0j)
         rows = SiteRows(self, has_pole * self.order, residue)
         if self.contour is not None:
-            rows.quadrature, rows.quadrature_scale = self.contour.trapezoid(sh, self.factor)
+            rows.fill_quadrature(self.contour, sh, has_pole)
         return rows
 
 
@@ -579,7 +616,7 @@ class InfinitySiteMap:
             radius = quadrature_radius(0j, others)
             self.contour = _Contour(radius, m - 2, -1, max(width, m + 1), nodes)
             # g(u) u = -sum_j num_j u^(m-2-j) / (u sum_i den_i u^(m-2-i))
-            self.factor = -1.0 / (self.contour.u * self.contour.values(np.array(den.coeffs)))
+            self.contour.weigh(-1.0 / (self.contour.u * self.contour.values(np.array(den.coeffs))))
 
     def apply(self, num: np.ndarray, live: np.ndarray) -> SiteRows:
         top = num.shape[1] - 1
@@ -592,5 +629,5 @@ class InfinitySiteMap:
         residue = np.where(has_pole, -(num[:, self.first :] @ self.series), 0j)
         rows = SiteRows(self, order, residue)
         if self.contour is not None:
-            rows.quadrature, rows.quadrature_scale = self.contour.trapezoid(num, self.factor)
+            rows.fill_quadrature(self.contour, num, has_pole)
         return rows

@@ -109,15 +109,7 @@ class UniPoly:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> UniPoly:
-        other = _coerce(other)
-        if self.is_zero() or other.is_zero():
-            return UniPoly.zero()
-        if other.degree == 0:
-            return UniPoly(c * other.coeffs[0] for c in self.coeffs)
-        if self.degree == 0:
-            return UniPoly(self.coeffs[0] * c for c in other.coeffs)
-        out = np.convolve(np.asarray(self.coeffs), np.asarray(other.coeffs))
-        return UniPoly(out.tolist())
+        return UniPoly(coeff_product(self.coeffs, _coerce(other).coeffs))
 
     __rmul__ = __mul__
 
@@ -192,6 +184,15 @@ class UniPoly:
             if abs(c) > rel_tol * s:
                 return k
         return len(sh.coeffs)
+
+
+def coeff_product(a: Sequence[complex], b: Sequence[complex]) -> list[complex]:
+    """Coefficients of the product of two polynomials given by their
+    coefficients: scalar products when a factor is constant, np.convolve
+    otherwise."""
+    if len(a) < 2 or len(b) < 2:
+        return [u * v for u in a for v in b]
+    return np.convolve(np.asarray(a), np.asarray(b)).tolist()
 
 
 def _coerce(v) -> UniPoly:

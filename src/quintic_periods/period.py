@@ -21,7 +21,7 @@ assembly takes a matrix of class charts: ``period_of_jet`` passes one row,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,7 +41,7 @@ from .geometry import CurveFamily, CurveJet, Hypersurface
 # where perfbench/tracer.py looks it up
 from .griffiths import (  # noqa: F401
     NUMERATOR_ZERO_REL_TOL,
-    pair_inner,
+    pair_inners,
     pair_numerator,
     pair_wedges,
     required_degree,
@@ -53,6 +53,7 @@ from .numkernel.residues import (  # noqa: F401
     InfinitySiteMap,
     SiteRows,
     ZeroSiteReport,
+    _shift_matrix,
     residue_at_infinity_analytic,
     residue_sum_check,
     residues_at_zeros,
@@ -71,6 +72,8 @@ class PairContribution:
     sites: list[ZeroSiteReport] = field(default_factory=list)
     numerator_zero: bool = False
     residue_theorem_check: float = 0.0
+    # the largest |residue| summed into residue_theorem_check
+    residue_theorem_scale: float = 0.0
     dual_sum_check: float | None = None
 
     @property
@@ -138,11 +141,12 @@ class _Pair:
     inner factor of its numerator and, built on first use, its denominator,
     the residue maps at the zeros of x_{j0} and those at its other poles."""
 
-    def __init__(self, ctx: _SampleContext, j0: int, j1: int):
+    def __init__(self, ctx: _SampleContext, index: int, j0: int, j1: int):
         self.ctx = ctx
         self.j0, self.j1 = j0, j1
-        inner, self.term_scale = pair_inner(ctx.jet, j0, j1, ctx.wedges)
-        self.inner = inner.coeffs
+        inner, self.term_scale = ctx.inners[index], ctx.term_scales[index]
+        # without its exact zero top coefficients, as pair_inner returns it
+        self.inner = inner[: np.flatnonzero(inner)[-1] + 1] if inner.any() else inner[:0]
         # coefficients of a numerator row P(x(t)) * inner
         self.width = ctx.width + len(self.inner) - 1
 
@@ -172,7 +176,9 @@ class _Pair:
                 "coordinate has no isolated zeros"
             )
         sites: list[FiniteSiteMap | InfinitySiteMap] = [
-            FiniteSiteMap(den, loc, mult, self.den_sites, width, guard, ctx.nodes)
+            FiniteSiteMap(
+                den, loc, mult, self.den_sites, width, guard, ctx.nodes, ctx.shift_matrix
+            )
             for loc, mult in ctx.zeros(self.j0)
         ]
         if (inf_mult := z.infinity_order()) > 0:
@@ -187,7 +193,9 @@ class _Pair:
         of the pair integrand."""
         zeros = [loc for loc, _ in self.ctx.zeros(self.j0)]
         checks: list[FiniteSiteMap | InfinitySiteMap] = [
-            FiniteSiteMap(self.den, loc, 0, self.den_sites, self.width)
+            FiniteSiteMap(
+                self.den, loc, 0, self.den_sites, self.width, shift_matrix=self.ctx.shift_matrix
+            )
             for loc, _ in self.den_sites
             if not _near(loc, zeros)
         ]
@@ -216,6 +224,10 @@ class _SampleContext:
         self.jet = jet
         self.nodes = nodes if quadrature else None
         self.wedges = pair_wedges(jet)
+        # inner factors of all pairs, one row each in _pair_order
+        self.inners, self.term_scales = pair_inners(jet, self.wedges)
+        # Taylor-shift matrices, shared by the site maps of all pairs
+        self.shift_matrix = lru_cache(maxsize=None)(_shift_matrix)
         self.xs = jet.x_chart()
         self.partial_charts = [Fi.compose_unipoly(self.xs) for Fi in X.partials]
         # coefficients of P(x(t)) for a class of the period degree
@@ -282,7 +294,7 @@ class _PairRows:
         return sum((site.residue for site in self.sites), zero)
 
 
-def _convolve_rows(rows: np.ndarray, coeffs: tuple[complex, ...]) -> np.ndarray:
+def _convolve_rows(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Each row times the polynomial with the given coefficients."""
     width = rows.shape[1]
     out = np.zeros((len(rows), width + len(coeffs) - 1), dtype=complex)
@@ -303,9 +315,9 @@ def _assemble(ctx: _SampleContext, p_rows: np.ndarray) -> list[_PairRows]:
     """
     p_scale = np.maximum(np.abs(p_rows).max(axis=1), 1e-300)
     out = []
-    for j0, j1 in _pair_order(ctx.jet.ncoords):
-        pair = _Pair(ctx, j0, j1)
-        if not pair.inner:
+    for index, (j0, j1) in enumerate(_pair_order(ctx.jet.ncoords)):
+        pair = _Pair(ctx, index, j0, j1)
+        if not len(pair.inner):
             out.append(_PairRows(pair, np.zeros(len(p_rows), dtype=bool)))
             continue
         num = _convolve_rows(p_rows, pair.inner)
@@ -355,8 +367,11 @@ def period_of_jet(
         except _PAIR_ERRORS as exc:
             raise _named(exc, jet, j0, j1) from exc
         contrib = PairContribution(j0, j1, residue_sum, [site.report(0) for site in rows.sites])
-        others = sum(complex(c.residue[0]) for c in checks)
-        contrib.residue_theorem_check = abs(residue_sum + others)
+        others = [complex(c.residue[0]) for c in checks]
+        contrib.residue_theorem_check = abs(residue_sum + sum(others))
+        contrib.residue_theorem_scale = max(
+            [abs(site.residue) for site in contrib.sites] + list(map(abs, others)), default=0.0
+        )
         if pair.dual_sum_holds(checks):
             contrib.dual_sum_check = contrib.residue_theorem_check
         per_pair[(j0, j1)] = contrib
@@ -527,6 +542,15 @@ class ScanTable:
     s_list: list[complex]
     family_name: str
     degree: int
+    # per sample: the largest backend disagreement of any row, with its pair
+    # and monomial (None and "" when no pair has a site)
+    worst_backend: list[tuple[float, tuple[int, int] | None, str]] = field(default_factory=list)
+
+
+@lru_cache(maxsize=None)
+def _scan_labels(nvars: int, degree: int) -> tuple[tuple[tuple[int, ...], str], ...]:
+    """Exponents and text of every scan row, in ``monomials_of_degree`` order."""
+    return tuple((exps, monomial_text(exps)) for exps in monomials_of_degree(nvars, degree))
 
 
 def monomial_scan(
@@ -550,18 +574,24 @@ def monomial_scan(
     want = required_degree(X.degree, X.m, 1)
     if degree != want:
         raise DegreeError(f"scan degree must be {want} for this hypersurface, got {degree}")
-    monos = monomials_of_degree(X.nvars, degree)
-    rows = [ScanRow(exps, monomial_text(exps), [], []) for exps in monos]
+    rows = [ScanRow(exps, text, [], []) for exps, text in _scan_labels(X.nvars, degree)]
+    worst_backend = []
     for s in s_list:
         ctx = _SampleContext(X, fam.jet_at(s), quadrature, nodes)
         pairs = _assemble(ctx, monomial_charts(ctx.xs, degree, ctx.width))
         sums = [p.residue_sum for p in pairs]
         totals = sum(sums)
         scales = np.max(np.abs(sums), axis=0)
-        disagreement = np.zeros(len(rows))
-        for p in pairs:
-            for site in p.sites:
-                disagreement = np.maximum(disagreement, site.disagreement())
+        site_pairs = [(p.pair.j0, p.pair.j1) for p in pairs for _ in p.sites]
+        per_site = np.reshape(
+            [site.disagreement() for p in pairs for site in p.sites], (-1, len(rows))
+        )
+        disagreement = per_site.max(axis=0, initial=0.0)
+        if per_site.size:
+            k, r = np.unravel_index(np.argmax(per_site), per_site.shape)
+            worst_backend.append((float(per_site[k, r]), site_pairs[k], rows[r].monomial))
+        else:
+            worst_backend.append((0.0, None, ""))
         for row, t, sc, d in zip(rows, totals.tolist(), scales.tolist(), disagreement.tolist()):
             row.totals.append(t)
             row.vanish_scales.append(sc)
@@ -571,4 +601,5 @@ def monomial_scan(
         s_list=[complex(s) for s in s_list],
         family_name=fam.name,
         degree=degree,
+        worst_backend=worst_backend,
     )

@@ -107,6 +107,54 @@ class TestExpressionFamilies:
         assert abs(a - b) < 1e-7 * abs(b)
 
 
+class TestDeclaredTolerances:
+    """period and scan write their outputs, then exit 3 with one stderr line
+    per sample that breaks a declared tolerance."""
+
+    SAMPLES = ("0.1+0j", "0+0.12j", "0.15+0.05j")
+    PREFIX = "tolerance breached at s = "
+
+    def test_readme_config_holds(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["period", "--config", str(cfg)]) == 0
+        assert main(["scan", "--config", str(cfg), "--degree", "5"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_backend_agreement_breach(self, tmp_path, capsys):
+        out = {"csv": str(tmp_path / "p.csv"), "json": str(tmp_path / "p.json")}
+        cfg = write_config(tmp_path, tolerances={"backend_agreement": 1e-30}, output=out)
+        assert main(["period", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3
+        for line, s in zip(err, self.SAMPLES):
+            assert line.startswith(f"{self.PREFIX}{s}: backend_agreement 1e-30 in pair (")
+        assert len((tmp_path / "p.csv").read_text().splitlines()) == 4
+        payload = json.loads((tmp_path / "p.json").read_text())
+        assert payload["tolerances"]["backend_agreement"] == 1e-30
+        assert main(["scan", "--config", str(cfg), "--degree", "5"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3
+        for line, s in zip(err, self.SAMPLES):
+            assert line.startswith(f"{self.PREFIX}{s}: backend_agreement 1e-30 in pair (")
+            assert ", monomial x" in line
+
+    def test_residue_theorem_breach(self, tmp_path, capsys):
+        # on a catalog line every pair's check is exactly 0
+        cfg = write_config(tmp_path, tolerances={"residue_theorem": 1e-30})
+        assert main(["period", "--config", str(cfg)]) == 0
+        # a line off the quintic has rounding-sized checks
+        family = {"coordinates": ["t", "1+s*t", "2-t", "s+3*t", "1+2*t"]}
+        cfg = write_config(tmp_path, family=family, tolerances={"residue_theorem": 1e-30})
+        assert main(["period", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3
+        for line, s in zip(err, self.SAMPLES):
+            assert line.startswith(f"{self.PREFIX}{s}: residue_theorem 1e-30 in pair (")
+            assert "backend_agreement" not in line
+        cfg = write_config(tmp_path, family=family)
+        assert main(["period", "--config", str(cfg)]) == 0
+
+
 class TestCommands:
     def test_period_command_writes_deterministic_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path, output={"csv": str(tmp_path / "a.csv")})

@@ -330,6 +330,49 @@ class TestDegreeTwoJets:
         assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), 1e-30)
 
 
+class TestInnerTable:
+    """griffiths.pair_inners, the table of inner factors the assembly reads,
+    against the scalar pair_inner of each pair.  Both multiply and sum with
+    the same arithmetic, so the coefficients must agree exactly: the engine
+    turns a last-bit change of them into oracle flips on reparametrized
+    lines."""
+
+    @staticmethod
+    def _agree(jet) -> int:
+        """Asserts agreement on every pair; returns the number of zero pairs."""
+        import itertools
+
+        import numpy as np
+
+        from quintic_periods.griffiths import pair_inner, pair_inners
+
+        inners, scales = pair_inners(jet)
+        zeros = 0
+        for k, (j0, j1) in enumerate(itertools.combinations(range(5), 2)):
+            ref, ref_scale = pair_inner(jet, j0, j1)
+            assert scales[k] == ref_scale
+            assert inners[k].any() != ref.is_zero()
+            row = np.zeros_like(inners[k])
+            row[: len(ref.coeffs)] = ref.coeffs
+            assert np.array_equal(inners[k], row)
+            zeros += ref.is_zero()
+        return zeros
+
+    def test_random_jets(self):
+        for seed in range(8):
+            self._agree(TestDegreeTwoJets._random_jet(seed))
+            # degree 1; seed 5 is the jet of the Shioda-quintic tests
+            self._agree(TestDiagnostics._line_jet(seed))
+
+    def test_fermat_catalog_lines(self):
+        for d in line_families():
+            assert self._agree(d.family().jet_at(0.1 + 0.05j)) == 4, d.identifier
+
+    def test_null_family_is_all_zero(self):
+        fam = mobius_null_family(1, 7)
+        assert self._agree(fam.jet_at(0.2)) == 10
+
+
 class TestSweep:
     def test_corrected_sweep_not_vanishing(self, fermat, corrected_slice, p_x1cubed_x2sq):
         sw = sweep(fermat, p_x1cubed_x2sq, corrected_slice, STANDARD_PERIOD_SAMPLES[:4])

@@ -221,3 +221,70 @@ class TestResiduesAtZeros:
         assert site.pole_order == 1
         assert site.residue_quadrature is not None
         assert site.backend_disagreement < 1e-10
+
+
+class TestContourBackend:
+    """The site maps' trapezoid rule, folded into a covector per site, against
+    the scalar rule _quadrature on each row's own rational function at the
+    same centre, radius and nodes."""
+
+    NODES = 256
+
+    @staticmethod
+    def _rows(rng, width, count):
+        g = rng.uniform(-1, 1, (count, width, 2))
+        return g[..., 0] + 1j * g[..., 1]
+
+    def _check(self, rows, out, has_pole, scalar):
+        assert (out.order > 0).tolist() == has_pole
+        for r, pole in enumerate(has_pole):
+            if not pole:
+                assert out.quadrature[r] == 0 and out.quadrature_scale[r] == 0
+                continue
+            value, magnitude = scalar(rows[r])
+            assert abs(out.quadrature[r] - value) <= 1e-13 * magnitude
+            assert abs(out.quadrature_scale[r] - magnitude) <= 1e-13 * magnitude
+
+    @pytest.mark.parametrize("location", [0.3 - 0.2j, 0j])
+    def test_finite_site_matches_scalar_rule(self, location):
+        from quintic_periods.numkernel.residues import _quadrature
+
+        rng = np.random.default_rng(1414)
+        others = [1.1 + 0.4j, -0.7 - 0.9j]
+        den = UniPoly.from_roots([location, location] + others, lead=0.8 - 0.3j)
+        sites = [(location, 2)] + [(p, 1) for p in others]
+        site = FiniteSiteMap(den, location, 1, sites, 6, nodes=self.NODES)
+        radius = quadrature_radius(location, others)
+        rows = self._rows(rng, 6, 20)
+        # rows divisible by (t - location)^2 have no pole at the site
+        square = UniPoly.from_roots([location, location])
+        for r in range(0, 20, 3):
+            rows[r] = (UniPoly(rows[r][:4]) * square).coeffs
+        has_pole = [r % 3 != 0 for r in range(20)]
+        out = site.apply(rows, np.ones(20, dtype=bool))
+
+        def scalar(row):
+            f = RationalFunction(UniPoly(row), den)
+            return _quadrature(f, location, radius, self.NODES)
+
+        self._check(rows, out, has_pole, scalar)
+
+    def test_infinity_site_matches_scalar_rule(self):
+        from quintic_periods.numkernel.residues import _quadrature
+
+        rng = np.random.default_rng(1515)
+        roots = [0.4 + 0.1j, -0.8 + 0.6j, 1.3 - 0.2j, -0.3 - 1.1j]
+        den = UniPoly.from_roots(roots, lead=1.2 + 0.5j)
+        site = InfinitySiteMap(den, 1, [(p, 1) for p in roots], 6, nodes=self.NODES)
+        radius = quadrature_radius(0j, [1.0 / p for p in roots])
+        rows = self._rows(rng, 6, 20)
+        # below degree deg(den) - 1 the form is regular at [1:0]
+        rows[::4, 3:] = 0
+        has_pole = [r % 4 != 0 for r in range(20)]
+        out = site.apply(rows, np.ones(20, dtype=bool))
+
+        def scalar(row):
+            g = RationalFunction(UniPoly(row), den).at_infinity_chart()
+            return _quadrature(g, 0j, radius, self.NODES)
+
+        self._check(rows, out, has_pole, scalar)
