@@ -41,7 +41,7 @@ from .numkernel.parser import (
     parse_expression,
 )
 from .numkernel.unipoly import UniPoly
-from .period import PeriodReport, ScanTable, monomial_scan, period_at
+from .period import VANISH_REL_TOL, PeriodReport, ScanTable, monomial_scan, period_at, vanishes
 
 
 def _fmt(x: float) -> str:
@@ -274,11 +274,12 @@ def period_csv_lines(reports: Sequence[PeriodReport]) -> list[str]:
 DEFAULT_TOLERANCES = {
     "backend_agreement": 1e-8,
     "residue_theorem": 1e-8,
-    "vanish_rel": 1e-9,
+    "vanish_rel": VANISH_REL_TOL,
 }
 
 
 def period_json_payload(reports: Sequence[PeriodReport], tolerances: dict) -> dict:
+    vanish_rel = _tolerance(tolerances, "vanish_rel")
     out = []
     for r in reports:
         pairs = {}
@@ -304,7 +305,7 @@ def period_json_payload(reports: Sequence[PeriodReport], tolerances: dict) -> di
                 "s": [r.s.real, r.s.imag],
                 "total": [r.total.real, r.total.imag],
                 "vanish_scale": r.vanish_scale,
-                "vanishes": r.vanishes,
+                "vanishes": vanishes([r.total], [r.vanish_scale], vanish_rel),
                 "max_backend_disagreement": r.max_backend_disagreement,
                 "per_pair": pairs,
             }
@@ -356,7 +357,7 @@ def scan_breaches(table: ScanTable, tolerances: dict) -> list[str]:
     ]
 
 
-def scan_csv_lines(table: ScanTable) -> list[str]:
+def scan_csv_lines(table: ScanTable, vanish_rel: float = VANISH_REL_TOL) -> list[str]:
     header = ["monomial"]
     for k in range(len(table.s_list)):
         header += [f"abs_{k}", f"phase_{k}"]
@@ -367,17 +368,19 @@ def scan_csv_lines(table: ScanTable) -> list[str]:
         for t in row.totals:
             cells.append(_fmt(abs(t)))
             cells.append(_fmt(cmath.phase(t) if t != 0 else 0.0))
-        cells.append("VANISHES" if row.vanishes else "NONZERO")
+        cells.append(
+            "VANISHES" if vanishes(row.totals, row.vanish_scales, vanish_rel) else "NONZERO"
+        )
         lines.append(",".join(cells))
     return lines
 
 
-def scan_json_payload(table: ScanTable) -> dict:
+def scan_json_payload(table: ScanTable, vanish_rel: float) -> dict:
     return {
         "family": table.family_name,
         "degree": table.degree,
         "samples": [[s.real, s.imag] for s in table.s_list],
-        "tolerances": {"vanish_rel": DEFAULT_TOLERANCES["vanish_rel"]},
+        "tolerances": {"vanish_rel": vanish_rel},
         "rows": [
             {
                 "monomial": r.monomial,
@@ -385,7 +388,7 @@ def scan_json_payload(table: ScanTable) -> dict:
                 "totals": [[t.real, t.imag] for t in r.totals],
                 "vanish_scales": r.vanish_scales,
                 "max_backend_disagreements": r.max_backend_disagreements,
-                "vanishes": r.vanishes,
+                "vanishes": vanishes(r.totals, r.vanish_scales, vanish_rel),
             }
             for r in table.rows
         ],
@@ -428,11 +431,12 @@ def cmd_scan(args) -> int:
     X = build_hypersurface(cfg)
     fam = build_family(cfg)
     table = monomial_scan(X, fam, cfg.samples, args.degree)
-    csv_text = "\n".join(scan_csv_lines(table)) + "\n"
-    json_text = json.dumps(scan_json_payload(table), sort_keys=True, indent=2) + "\n"
+    vanish_rel = _tolerance(cfg.tolerances, "vanish_rel")
+    csv_text = "\n".join(scan_csv_lines(table, vanish_rel)) + "\n"
+    json_text = json.dumps(scan_json_payload(table, vanish_rel), sort_keys=True, indent=2) + "\n"
     _write(args.out_csv or cfg.output.get("csv"), csv_text)
     _write(args.out_json or cfg.output.get("json"), json_text)
-    nonzero = sum(1 for r in table.rows if not r.vanishes)
+    nonzero = sum(1 for r in table.rows if not vanishes(r.totals, r.vanish_scales, vanish_rel))
     sys.stdout.write(
         f"{len(table.rows)} monomials x {len(table.s_list)} samples; "
         f"{nonzero} non-vanishing rows\n"

@@ -41,11 +41,6 @@ class Hypersurface:
             raise ValueError(f"Euler identity violated (residual {err:.3e})")
 
     @property
-    def ambient_dim(self) -> int:
-        """Dimension m+1 of the ambient projective space."""
-        return self.nvars - 1
-
-    @property
     def m(self) -> int:
         """Dimension of the hypersurface itself."""
         return self.nvars - 2
@@ -191,18 +186,6 @@ class MobiusMap:
             and abs(self.c) <= tol
             and abs(self.a - self.d) <= tol * max(abs(self.a), 1.0)
         )
-
-    def composed(self, other: MobiusMap) -> MobiusMap:
-        """self after other (matrix product self @ other)."""
-        return MobiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> MobiusMap:
-        return MobiusMap(self.d, -self.b, -self.c, self.a)
 
     def __call__(self, t: complex) -> complex:
         den = self.c * t + self.d

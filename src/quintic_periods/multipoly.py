@@ -8,6 +8,7 @@ keeps printed output and scan tables byte-stable.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -166,11 +167,8 @@ class MultiPoly:
             raise ValueError("point dimension mismatch")
         acc = 0j
         for exps, c in self.terms.items():
-            term = c
-            for v, e in zip(point, exps):
-                if e:
-                    term *= v**e
-            acc += term
+            # repeated products: numpy's power of a complex array is slower
+            acc += math.prod((v for v, e in zip(point, exps) for _ in range(e)), start=c)
         return acc
 
     def compose_unipoly(self, polys: Sequence[UniPoly]) -> UniPoly:

@@ -2,14 +2,16 @@
 
 Two independent backends are kept side by side on purpose:
 
-* analytic  -- Taylor shift of numerator and denominator at the pole followed
-  by a truncated power-series division (for a simple pole this collapses to
-  num(t0)/den'(t0));
+* analytic  -- the numerator in a local coordinate u at the pole, divided as
+  a truncated power series by the rest of the denominator (for a simple pole
+  this collapses to num(t0)/den'(t0));
 * quadrature -- a uniform trapezoid rule on a circle around the pole, which
   converges exponentially for the analytic integrands handled here.
 
-The point at infinity is handled through u = 1/t with dt = -du/u^2, at the
-level of the rational function itself, so both backends apply there too.
+``SiteMap`` runs both on a matrix of numerator rows, with the denominator
+known by its declared roots; the scalar ``RationalFunction`` path, which
+Taylor-shifts an expanded denominator, is the oracle.  The point at infinity
+is handled through u = 1/t with dt = -du/u^2, so both backends apply there.
 """
 
 from __future__ import annotations
@@ -286,8 +288,9 @@ def _site_order(loc: complex, den_sites) -> int:
     return sum(m for dloc, m in den_sites if abs(dloc - loc) <= 1e-7 * (1.0 + abs(dloc)))
 
 
-def _other_poles(loc: complex, den_sites) -> list[complex]:
-    return [p for p, _ in den_sites if abs(p - loc) > 1e-7 * (1.0 + abs(p))]
+def _other_sites(loc: complex, den_sites) -> list[tuple[complex, int]]:
+    """The denominator sites not clustered at loc."""
+    return [(p, m) for p, m in den_sites if abs(p - loc) > 1e-7 * (1.0 + abs(p))]
 
 
 def _guard_collides(guard: BinaryForm | None, loc: complex) -> bool:
@@ -317,7 +320,7 @@ def _finite_site(f, loc, zmult, guard, quadrature, nodes, den_sites) -> ZeroSite
     resq = None
     qscale = 0.0
     if quadrature:
-        radius = quadrature_radius(loc, _other_poles(loc, den_sites))
+        radius = quadrature_radius(loc, [p for p, _ in _other_sites(loc, den_sites)])
         resq, qscale = _quadrature(lambda t: f(t), loc, radius, nodes)
     return ZeroSiteReport(loc, False, zmult, order, res, resq, qscale)
 
@@ -353,22 +356,23 @@ def residue_sum_check(f: RationalFunction) -> float:
 
 
 # ---------------------------------------------------------------------------
-# one denominator, a matrix of numerator rows
+# one declared denominator, a matrix of numerator rows
 #
-# With the denominator fixed, every residue is a linear functional of the
-# numerator's coefficients.  A site map does the denominator's work once
-# (Taylor shift, multiplicity check, the series of its reciprocal, the
-# quadrature circle) and then takes the residues of num_r / den dt for every
-# row num_r of a coefficient matrix with a few matrix products.  The rules
-# that depend on the numerator stay per row and are those of _finite_site
-# and _infinity_site: the vanishing order against the row's own shifted
-# scale, and at infinity the row's leading coefficients.
+# A pair denominator is known by its declared structure den = lead *
+# prod (t - r)^m over its finite sites (r, m); it is never expanded.  With it
+# fixed, every residue is a linear functional of the numerator: a site map
+# reads the form in a local coordinate u as R(u) du / (u^order g(u)), takes
+# the order and the first ``order`` coefficients of g from the declared
+# sites, and then the residues of all rows of a coefficient matrix with a few
+# matrix products.  Whether a row has a pole stays a per-row rule, that of
+# _finite_site and _infinity_site.
 #
-# The trapezoid rule is linear in the numerator too: the site folds 1/den
-# and the circle into a covector once (_Contour.weigh), so a row's contour
-# value is one dot product.  Only its contour magnitude, max |num_r * f| on
-# the circle, evaluates the row at the nodes.  Both run on the rows with a
-# pole at the site; the others report 0 and no backend disagreement.
+# The trapezoid rule is linear in the numerator too, so a site folds the rest
+# of the integrand on its circle into a covector once (_Contour).  That rest
+# holds the denominator as it stands, evaluated by the caller at the nodes:
+# a wrong declaration shows as a backend disagreement.  Only a row's contour
+# magnitude evaluates the row at the nodes.  Both run on the rows with a pole
+# at the site; the others report 0 and no backend disagreement.
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -383,12 +387,17 @@ def _unit_circle(nodes: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _unit_powers(first: int, step: int, count: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exponents k = first + step * j and e^(i k theta_n), one row per j and
-    one column per node."""
-    k = first + step * np.arange(count)
-    turns = np.outer(k, np.arange(nodes)) % nodes
-    return _frozen(k.astype(float)), _frozen(_unit_circle(nodes)[turns])
+def _unit_powers(count: int, nodes: int) -> np.ndarray:
+    """e^(i k theta_n), one row per exponent k < count, one column per node."""
+    turns = np.outer(np.arange(count), np.arange(nodes)) % nodes
+    return _frozen(_unit_circle(nodes)[turns])
+
+
+def circle_points(location: complex | None, radius: float, nodes: int) -> np.ndarray:
+    """The nodes t of a site's quadrature circle |u| = radius: t = location
+    + u, or t = 1/u at [1:0] (location None)."""
+    u = radius * _unit_circle(nodes)
+    return 1.0 / u if location is None else location + u
 
 
 # Rows per block of the contour magnitude.  The blocks bound the rows x
@@ -400,36 +409,28 @@ _CONTOUR_BLOCK = 16
 
 class _Contour:
     """Trapezoid rule on the circle |u| = radius for integrands
-    p(u) * factor(u), with p a power sum sum_j c_j u^(first + step j) of at
-    most ``count`` terms and the factor fixed per site by ``weigh``.
+    p(u) * factor(u), with p = sum_k c_k u^k of ``count`` terms and the
+    factor given at the nodes.
 
-    The trapezoid value is linear in c, so ``weigh`` folds the factor into a
-    covector q_j = r^k_j mean_n(e^(i k_j theta_n) factor_n) once; a row's
-    value is then c @ q.  Its magnitude max_n |p(u_n)| |factor_n| still
-    needs p on the circle: one matrix product per block of rows."""
+    The trapezoid value is linear in c, so the factor folds into a covector
+    q_k = r^k mean_n(e^(i k theta_n) factor_n) once; a row's value is then
+    c @ q.  Its magnitude max_n |p(u_n)| |factor_n| still needs p on the
+    circle: one matrix product per block of rows."""
 
-    def __init__(self, radius: float, first: int, step: int, count: int, nodes: int):
-        k, self.powers = _unit_powers(first, step, count, nodes)
-        self.radius_powers = radius**k
-        self.u = radius * _unit_circle(nodes)
-
-    def values(self, rows: np.ndarray) -> np.ndarray:
-        w = rows.shape[-1]
-        return (rows * self.radius_powers[:w]) @ self.powers[:w]
-
-    def weigh(self, factor: np.ndarray) -> None:
+    def __init__(self, radius: float, count: int, factor: np.ndarray):
+        self.powers = _unit_powers(count, len(factor))
+        self.radius_powers = radius ** np.arange(count)
         self.covector = self.radius_powers * (self.powers @ factor) / len(factor)
         self.factor_abs = np.abs(factor)
 
     def trapezoid(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per row, the trapezoid value and the contour magnitude of
-        values(row) * factor, as _quadrature returns them."""
-        w = rows.shape[-1]
-        value = rows @ self.covector[:w]
-        scaled, powers = rows * self.radius_powers[:w], self.powers[:w]
+        p(u) * factor(u), as _quadrature returns them."""
+        value = rows @ self.covector
+        scaled = rows * self.radius_powers
         scale = np.empty(len(rows))
         for b in range(0, len(rows), _CONTOUR_BLOCK):
-            mag = np.abs(scaled[b : b + _CONTOUR_BLOCK] @ powers)
+            mag = np.abs(scaled[b : b + _CONTOUR_BLOCK] @ self.powers)
             mag *= self.factor_abs
             scale[b : b + _CONTOUR_BLOCK] = mag.max(axis=1)
         return value, scale
@@ -447,6 +448,16 @@ def _shift_matrix(t0: complex, width: int) -> np.ndarray:
     table, gap = _binomials(width)
     powers = np.cumprod(np.concatenate(([1.0 + 0j], np.full(width - 1, t0))))
     return table * powers[gap]
+
+
+def _truncated_product(lead: complex, factors, n: int) -> list[complex]:
+    """First n Taylor coefficients of lead * prod (a + b u)^m over the
+    factors (a, b, m)."""
+    g = [complex(lead)] + [0j] * (n - 1)
+    for a, b, m in factors:
+        for _ in range(m):
+            g = [a * g[0]] + [a * g[k] + b * g[k - 1] for k in range(1, n)]
+    return g
 
 
 def _reciprocal_series(d, n: int) -> np.ndarray:
@@ -474,7 +485,7 @@ class SiteRows:
     Rows without a pole there carry order 0 and an exact 0j residue.
     """
 
-    site: FiniteSiteMap | InfinitySiteMap
+    site: SiteMap
     order: np.ndarray
     residue: np.ndarray
     quadrature: np.ndarray | None = None
@@ -517,117 +528,86 @@ def _no_pole(site, rows: int) -> SiteRows:
     return SiteRows(site, np.zeros(rows, dtype=int), np.zeros(rows, dtype=complex))
 
 
-class FiniteSiteMap:
-    """Residues of num_r / den dt at a finite zero of the residue coordinate,
-    for numerator rows of ``width`` coefficients; the batched _finite_site.
+class SiteMap:
+    """Residues of num_r / den dt at one site, for numerator rows of
+    ``width`` coefficients, with den = lead * prod (t - r)^m over the
+    declared finite sites (r, m).
 
-    The collision and multiplicity errors are decided here but raised by
-    ``apply`` only when some row has a pole at the site.  ``nodes`` None
-    skips the quadrature backend.  ``shift_matrix`` builds the Taylor-shift
-    matrix of the numerator rows; a caller with several maps at one
-    location passes a builder that shares it.
+    At a finite ``location`` u = t - location, the rows are Taylor-shifted
+    (not at 0), the order is the multiplicity declared there and g(u) =
+    lead * prod (u + location - r)^m over the other sites.  ``location``
+    None is [1:0]: u = 1/t, the rows reversed are R(u) = u^(width-1)
+    num(1/u), and the form -R(u) du / (u^(width+1) den(1/u)) has order
+    width + 1 - sum m and g(u) = -lead * prod (1 - r u)^m.  A row's
+    reported order there is its own, deg + 2 - sum m.
+
+    ``den_on_circle(location, radius)``, den at the ``circle_points`` of the
+    site's quadrature circle (as many as its nodes), adds the quadrature
+    backend.  The collision error is raised by ``apply`` only when some row
+    has a pole at the site.  ``shift_matrix`` builds the Taylor-shift matrix
+    of the numerator rows; a caller with several maps at one location passes
+    a builder that shares it.
     """
-
-    at_infinity = False
 
     def __init__(
         self,
-        den: UniPoly,
-        location: complex,
+        location: complex | None,
         zero_multiplicity: int,
+        lead: complex,
         den_sites: list[tuple[complex, int]],
         width: int,
         guard: BinaryForm | None = None,
-        nodes: int | None = None,
+        den_on_circle: Callable[[complex | None, float], np.ndarray] | None = None,
         shift_matrix: Callable[[complex, int], np.ndarray] = _shift_matrix,
     ):
-        self.location = location
+        self.at_infinity = location is None
+        self.location = 0j if location is None else location
         self.zero_multiplicity = zero_multiplicity
-        self.order = order = _site_order(location, den_sites)
         self.guard = guard
-        self.mismatch: PoleMismatchError | None = None
-        self.contour = None
-        if order == 0:
+        self.shift = self.contour = None
+        if self.at_infinity:
+            self.order = width + 1 - sum(m for _, m in den_sites)
+            factors = [(1.0, -r, m) for r, m in den_sites]
+            lead = -lead
+            others = [1.0 / r for r, _ in den_sites if abs(r) > 1e-12]
+        else:
+            self.order = _site_order(location, den_sites)
+            far = _other_sites(location, den_sites)
+            factors = [(location - r, 1.0, m) for r, m in far]
+            others = [r for r, _ in far]
+            if self.order > 0 and location != 0:
+                self.shift = shift_matrix(location, width)
+        if self.order <= 0:
             return
-        self.shift = None if location == 0 else shift_matrix(location, width)
-        den_sh = den.shifted(location).coeffs
-        local = _local_multiplicity(den_sh)
-        if local != order:
-            self.mismatch = _mismatch(local, location, order)
-            return
-        # residue = sum_{i < order} num_sh[i] * inv[order - 1 - i]
-        self.series = _reciprocal_series(den_sh[order:], order)[::-1]
-        if nodes:
-            radius = quadrature_radius(location, _other_poles(location, den_sites))
-            self.contour = _Contour(radius, 0, 1, max(width, len(den_sh)), nodes)
-            # num(loc + u) / den(loc + u) * u, both factors as shifted power sums
-            self.contour.weigh(self.contour.u / self.contour.values(np.array(den_sh)))
+        # residue = sum_{i < order} local[i] * inv[order - 1 - i], inv = 1/g,
+        # over the row's width coefficients
+        g = _truncated_product(lead, factors, self.order)
+        self.series = _reciprocal_series(g, self.order)[::-1][:width]
+        if den_on_circle is not None:
+            radius = quadrature_radius(self.location, others)
+            den = den_on_circle(location, radius)
+            u = radius * _unit_circle(len(den))
+            # the integrand times u, over the local power sum of a row
+            factor = -1.0 / (u**width * den) if self.at_infinity else u / den
+            self.contour = _Contour(radius, width, factor)
 
     def apply(self, num: np.ndarray, live: np.ndarray) -> SiteRows:
-        if self.order == 0:
+        if self.order <= 0:
             return _no_pole(self, len(num))
-        sh = num if self.shift is None else num @ self.shift
-        has_pole = live & (np.argmax(_big(sh, 1e-9), axis=1) < self.order)
+        if self.at_infinity:
+            local = num[:, ::-1]
+        else:
+            local = num if self.shift is None else num @ self.shift
+        has_pole = live & (np.argmax(_big(local, 1e-9), axis=1) < self.order)
         if not has_pole.any():
             return _no_pole(self, len(num))
         if _guard_collides(self.guard, self.location):
             raise _collision(self.location)
-        if self.mismatch is not None:
-            raise self.mismatch
-        residue = np.where(has_pole, sh[:, : self.order] @ self.series, 0j)
-        rows = SiteRows(self, has_pole * self.order, residue)
+        residue = np.where(has_pole, local[:, : len(self.series)] @ self.series, 0j)
+        order = self.order
+        if self.at_infinity:
+            order = order - np.argmax(local != 0, axis=1)
+        rows = SiteRows(self, has_pole * order, residue)
         if self.contour is not None:
-            rows.fill_quadrature(self.contour, sh, has_pole)
-        return rows
-
-
-class InfinitySiteMap:
-    """Residues of num_r / den dt at [1:0] through u = 1/t, for numerator rows
-    of ``width`` coefficients; the batched _infinity_site.
-
-    With m = deg den and rev(u) = u^m den(1/u) vanishing to order v at u = 0,
-    the chart at infinity g(u) = -sum_j num_j u^(m-2-j) / rev(u) has a pole
-    iff the row's highest coefficient above 1e-9 of its scale sits above
-    m - 2 - v, and its residue is -sum_j num_j inv_(j+v+1-m), inv the series
-    of u^v / rev(u).  Neither depends on the row's degree n, which only sets
-    the reported order v + max(n + 2 - m, 0).
-    """
-
-    at_infinity = True
-    location = 0j
-
-    def __init__(
-        self,
-        den: UniPoly,
-        zero_multiplicity: int,
-        den_sites: list[tuple[complex, int]],
-        width: int,
-        nodes: int | None = None,
-    ):
-        self.zero_multiplicity = zero_multiplicity
-        self.m = m = den.degree
-        rev = den.reversed_coeffs().coeffs
-        self.rev_order = v = _local_multiplicity(rev)
-        self.first = first = max(0, m - 1 - v)
-        self.series = _reciprocal_series(rev[v:], width + v + 1 - m)[first + v + 1 - m :]
-        self.contour = None
-        if nodes:
-            others = [1.0 / t for t, _ in den_sites if abs(t) > 1e-12]
-            radius = quadrature_radius(0j, others)
-            self.contour = _Contour(radius, m - 2, -1, max(width, m + 1), nodes)
-            # g(u) u = -sum_j num_j u^(m-2-j) / (u sum_i den_i u^(m-2-i))
-            self.contour.weigh(-1.0 / (self.contour.u * self.contour.values(np.array(den.coeffs))))
-
-    def apply(self, num: np.ndarray, live: np.ndarray) -> SiteRows:
-        top = num.shape[1] - 1
-        top_big = top - np.argmax(_big(num, 1e-9)[:, ::-1], axis=1)
-        has_pole = live & (top_big > self.m - 2 - self.rev_order)
-        if not has_pole.any():
-            return _no_pole(self, len(num))
-        deg = top - np.argmax(num[:, ::-1] != 0, axis=1)
-        order = has_pole * (self.rev_order + np.maximum(deg + 2 - self.m, 0))
-        residue = np.where(has_pole, -(num[:, self.first :] @ self.series), 0j)
-        rows = SiteRows(self, order, residue)
-        if self.contour is not None:
-            rows.fill_quadrature(self.contour, num, has_pole)
+            rows.fill_quadrature(self.contour, local, has_pole)
         return rows

@@ -148,8 +148,8 @@ class UniPoly:
     def __call__(self, t):
         """Horner evaluation; accepts scalars or numpy arrays."""
         if isinstance(t, np.ndarray):
-            out = np.zeros_like(t, dtype=complex)
-            for c in reversed(self.coeffs):
+            out = np.full_like(t, self.coeffs[-1] if self.coeffs else 0j, dtype=complex)
+            for c in reversed(self.coeffs[:-1]):
                 out = out * t + c
             return out
         acc = 0j

@@ -10,8 +10,9 @@ Diagnostics carried per pair: both residue backends at every site, a
 residue-theorem check, and, where its preconditions hold, the dual sum over
 the zeros of x_{j0} and x_{j1} and the point at infinity.  Both checks sum
 the residues the period itself summed plus those of further site maps, built
-on the same denominator, at the remaining poles of the integrand; so they
-check the engine that produced the reported number.
+on the same declared pole structure, at the remaining poles of the integrand;
+so they check the engine that produced the reported number.  The quadrature
+backend integrates the integrand as it stands, so it checks that structure.
 
 Only the factor P(x(t)) of a pair numerator depends on the class, so one
 assembly takes a matrix of class charts: ``period_of_jet`` passes one row,
@@ -49,19 +50,23 @@ from .griffiths import (  # noqa: F401
 from .multipoly import MultiPoly, monomial_charts, monomial_text, monomials_of_degree
 # residue_sum_check, residues_at_zeros, residue_at_infinity_analytic: as pair_numerator
 from .numkernel.residues import (  # noqa: F401
-    FiniteSiteMap,
-    InfinitySiteMap,
+    SiteMap,
     SiteRows,
     ZeroSiteReport,
     _shift_matrix,
+    circle_points,
     residue_at_infinity_analytic,
     residue_sum_check,
     residues_at_zeros,
 )
 from .numkernel.roots import poly_roots
-from .numkernel.unipoly import UniPoly
 
 VANISH_REL_TOL = 1e-9
+
+
+def vanishes(totals: Sequence[complex], scales: Sequence[float], rel=VANISH_REL_TOL) -> bool:
+    """The VANISHES rule: each total below ``rel`` times its scale, or 0 if that is 0."""
+    return all(t == 0 if sc == 0.0 else abs(t) < rel * sc for t, sc in zip(totals, scales))
 
 
 @dataclass
@@ -95,9 +100,7 @@ class PeriodReport:
 
     @property
     def vanishes(self) -> bool:
-        if self.vanish_scale == 0.0:
-            return self.total == 0
-        return abs(self.total) < VANISH_REL_TOL * self.vanish_scale
+        return vanishes([self.total], [self.vanish_scale])
 
 
 @dataclass
@@ -138,8 +141,8 @@ def _named(exc: Exception, jet: CurveJet, j0: int, j1: int) -> Exception:
 
 class _Pair:
     """The class-independent part of one covering pair at one sample: the
-    inner factor of its numerator and, built on first use, its denominator,
-    the residue maps at the zeros of x_{j0} and those at its other poles."""
+    inner factor of its numerator, its declared denominator lead * prod
+    (t - r)^m over ``den_sites``, and the residue maps at its poles."""
 
     def __init__(self, ctx: _SampleContext, index: int, j0: int, j1: int):
         self.ctx = ctx
@@ -151,56 +154,71 @@ class _Pair:
         self.width = ctx.width + len(self.inner) - 1
 
     @cached_property
-    def den(self) -> UniPoly:
-        ctx, j0, j1 = self.ctx, self.j0, self.j1
-        d0, d1 = ctx.partial_charts[j0], ctx.partial_charts[j1]
-        if d0.is_zero() or d1.is_zero():
-            which = j0 if d0.is_zero() else j1
-            raise BaseLocusCollisionError(
-                f"covering chart {which} misses the curve "
-                f"(F_{which}(x(t)) vanishes identically)"
-            )
-        return d0 * d1
+    def lead(self) -> complex:
+        """Product of each partial chart's coefficient at the degree its
+        declared multiplicities sum to."""
+        lead = 1.0 + 0j
+        for j in (self.j0, self.j1):
+            chart, declared = self.ctx.partial_charts[j], sum(m for _, m in self.ctx.chart_roots(j))
+            if chart.is_zero():
+                raise BaseLocusCollisionError(
+                    f"covering chart {j} misses the curve (F_{j}(x(t)) vanishes identically)"
+                )
+            if declared > chart.degree:
+                raise PoleMismatchError(
+                    f"F_{j}(x(t)) has degree {chart.degree} but {declared} declared zeros"
+                )
+            lead *= chart.coeffs[declared]
+        return lead
 
     @cached_property
     def den_sites(self) -> list[tuple[complex, int]]:
         return _merge_sites(self.ctx.chart_roots(self.j0), self.ctx.chart_roots(self.j1))
 
+    def den_on_circle(self, location: complex | None, radius: float) -> np.ndarray:
+        """F_j0(x(t)) * F_j1(x(t)) at the nodes of a site's circle."""
+        on_circle = self.ctx.partial_on_circle
+        return on_circle(self.j0, location, radius) * on_circle(self.j1, location, radius)
+
+    def site_map(self, location, zero_multiplicity, guard=None, on_circle=None) -> SiteMap:
+        """The map at one site of the declared denominator; ``on_circle``
+        adds the contour backend."""
+        return SiteMap(
+            location,
+            zero_multiplicity,
+            self.lead,
+            self.den_sites,
+            self.width,
+            guard,
+            on_circle,
+            self.ctx.shift_matrix,
+        )
+
     @cached_property
-    def sites(self) -> list[FiniteSiteMap | InfinitySiteMap]:
-        ctx, den, width = self.ctx, self.den, self.width
+    def sites(self) -> list[SiteMap]:
+        ctx = self.ctx
         z, guard = ctx.jet.x[self.j0], ctx.jet.x[self.j1]
+        on_circle = self.den_on_circle if ctx.nodes else None
         if z.is_zero():
             raise BaseLocusCollisionError(
                 f"the curve lies in the hyperplane x_{self.j0} = 0, so the residue "
                 "coordinate has no isolated zeros"
             )
-        sites: list[FiniteSiteMap | InfinitySiteMap] = [
-            FiniteSiteMap(
-                den, loc, mult, self.den_sites, width, guard, ctx.nodes, ctx.shift_matrix
-            )
-            for loc, mult in ctx.zeros(self.j0)
-        ]
+        sites = [self.site_map(loc, mult, guard, on_circle) for loc, mult in ctx.zeros(self.j0)]
         if (inf_mult := z.infinity_order()) > 0:
-            sites.append(InfinitySiteMap(den, inf_mult, self.den_sites, width, ctx.nodes))
+            sites.append(self.site_map(None, inf_mult, None, on_circle))
         return sites
 
     @cached_property
-    def check_sites(self) -> list[FiniteSiteMap | InfinitySiteMap]:
+    def check_sites(self) -> list[SiteMap]:
         """Maps without quadrature at the poles ``sites`` leaves out: the
         denominator's roots away from the zeros of x_{j0}, and [1:0] when
         x_{j0} does not vanish there.  With ``sites`` they cover every pole
         of the pair integrand."""
         zeros = [loc for loc, _ in self.ctx.zeros(self.j0)]
-        checks: list[FiniteSiteMap | InfinitySiteMap] = [
-            FiniteSiteMap(
-                self.den, loc, 0, self.den_sites, self.width, shift_matrix=self.ctx.shift_matrix
-            )
-            for loc, _ in self.den_sites
-            if not _near(loc, zeros)
-        ]
+        checks = [self.site_map(loc, 0) for loc, _ in self.den_sites if not _near(loc, zeros)]
         if self.ctx.jet.x[self.j0].infinity_order() == 0:
-            checks.append(InfinitySiteMap(self.den, 0, self.den_sites, self.width))
+            checks.append(self.site_map(None, 0))
         return checks
 
     def dual_sum_holds(self, checks: list[SiteRows]) -> bool:
@@ -234,6 +252,23 @@ class _SampleContext:
         self.width = required_degree(X.degree, X.m, 1) * jet.d_curve + 1
         self._roots: dict[int, list[tuple[complex, int]]] = {}
         self._zeros: dict[int, list[tuple[complex, int]]] = {}
+        # per quadrature circle: its nodes, and the coordinates and partials
+        # evaluated there so far
+        self._circles: dict[tuple, tuple[np.ndarray, dict, dict]] = {}
+
+    def partial_on_circle(self, j: int, location: complex | None, radius: float) -> np.ndarray:
+        """F_j(x(t)) at the nodes of the circle ``circle_points(location,
+        radius)``, from the coordinates' values there."""
+        key = (location, radius)
+        if key not in self._circles:
+            self._circles[key] = (circle_points(location, radius, self.nodes), {}, {})
+        t, coords, partials = self._circles[key]
+        if j not in partials:
+            F = self.X.partials[j]
+            for i in {i for exps in F.terms for i, e in enumerate(exps) if e} - coords.keys():
+                coords[i] = self.xs[i](t)
+            partials[j] = F.evaluate([coords.get(i) for i in range(len(self.xs))])
+        return partials[j]
 
     def chart_roots(self, j: int) -> list[tuple[complex, int]]:
         """Finite zeros of the partial chart F_j(x(t)) with multiplicities:
@@ -530,10 +565,7 @@ class ScanRow:
 
     @property
     def vanishes(self) -> bool:
-        return all(
-            t == 0 if sc == 0.0 else abs(t) < VANISH_REL_TOL * sc
-            for t, sc in zip(self.totals, self.vanish_scales)
-        )
+        return vanishes(self.totals, self.vanish_scales)
 
 
 @dataclass

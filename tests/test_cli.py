@@ -155,6 +155,29 @@ class TestDeclaredTolerances:
         assert main(["period", "--config", str(cfg)]) == 0
 
 
+    def test_vanish_rel_sets_the_verdict(self, tmp_path):
+        # on the corrected slice six pairs contribute equally, so each total
+        # is six times its vanish scale: NONZERO at the default vanish_rel,
+        # VANISHES at 10, in the period JSON and the scan CSV and JSON
+        out = {"csv": str(tmp_path / "out.csv"), "json": str(tmp_path / "out.json")}
+        for tolerances, rel, verdict in (({}, 1e-9, False), ({"vanish_rel": 10}, 10, True)):
+            cfg = write_config(tmp_path, tolerances=tolerances, output=out)
+            assert main(["period", "--config", str(cfg)]) == 0
+            payload = json.loads((tmp_path / "out.json").read_text())
+            assert [s["vanishes"] for s in payload["samples"]] == [verdict] * 3
+            assert main(["scan", "--config", str(cfg), "--degree", "5"]) == 0
+            payload = json.loads((tmp_path / "out.json").read_text())
+            assert payload["tolerances"] == {"vanish_rel": rel}
+            (row,) = [r for r in payload["rows"] if r["monomial"] == "x1^3*x2^2"]
+            assert row["vanishes"] is verdict
+            (line,) = [
+                line
+                for line in (tmp_path / "out.csv").read_text().splitlines()
+                if line.startswith("x1^3*x2^2,")
+            ]
+            assert line.endswith(",VANISHES" if verdict else ",NONZERO")
+
+
 class TestCommands:
     def test_period_command_writes_deterministic_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path, output={"csv": str(tmp_path / "a.csv")})

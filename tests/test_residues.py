@@ -7,9 +7,9 @@ from quintic_periods.errors import (
     RadiusCollisionError,
 )
 from quintic_periods.numkernel.residues import (
-    FiniteSiteMap,
-    InfinitySiteMap,
     RationalFunction,
+    SiteMap,
+    circle_points,
     quadrature_radius,
     residue_analytic,
     residue_at_infinity_analytic,
@@ -22,6 +22,17 @@ from quintic_periods.numkernel.unipoly import BinaryForm, UniPoly
 
 def rf(num, den):
     return RationalFunction(UniPoly(num), UniPoly(den))
+
+
+def site_map(den, location, zero_multiplicity, sites, width, nodes=None):
+    """The SiteMap of den, declared by its leading coefficient and sites;
+    with ``nodes``, its contour backend evaluates den as it stands."""
+
+    def on_circle(loc, radius):
+        return den(circle_points(loc, radius, nodes))
+
+    on_circle = on_circle if nodes else None
+    return SiteMap(location, zero_multiplicity, den.coeffs[-1], sites, width, None, on_circle)
 
 
 class TestAnalytic:
@@ -120,7 +131,7 @@ class TestResidueTheorem:
             num = UniPoly([complex(*rng.uniform(-1, 1, 2)) for _ in range(4)])
             if num.is_zero():
                 num = UniPoly.one()
-            site = InfinitySiteMap(den, 1, [(r, 1) for r in roots], len(num.coeffs), nodes=256)
+            site = site_map(den, None, 1, [(r, 1) for r in roots], len(num.coeffs), nodes=256)
             rows = site.apply(np.array([num.coeffs]), np.array([True]))
             assert rows.order[0] > 0
             ra, rq = rows.residue[0], rows.quadrature[0]
@@ -156,8 +167,8 @@ class TestResidueTheorem:
         num = np.array([[c() for _ in range(16)]])
         den = 5 * qs[0] ** 4 * (5 * qs[1] ** 4)
         sites = [(complex(r), 4) for q in qs for r in np.roots(q.coeffs[::-1])]
-        maps = [FiniteSiteMap(den, loc, 0, sites, 16) for loc, _ in sites]
-        maps.append(InfinitySiteMap(den, 0, sites, 16))
+        maps = [site_map(den, loc, 0, sites, 16) for loc, _ in sites]
+        maps.append(site_map(den, None, 0, sites, 16))
         rows = [site.apply(num, np.array([True])) for site in maps]
         assert [int(r.order[0]) for r in rows[:4]] == [4, 4, 4, 4]
         residues = [r.residue[0] for r in rows]
@@ -253,7 +264,7 @@ class TestContourBackend:
         others = [1.1 + 0.4j, -0.7 - 0.9j]
         den = UniPoly.from_roots([location, location] + others, lead=0.8 - 0.3j)
         sites = [(location, 2)] + [(p, 1) for p in others]
-        site = FiniteSiteMap(den, location, 1, sites, 6, nodes=self.NODES)
+        site = site_map(den, location, 1, sites, 6, nodes=self.NODES)
         radius = quadrature_radius(location, others)
         rows = self._rows(rng, 6, 20)
         # rows divisible by (t - location)^2 have no pole at the site
@@ -275,7 +286,7 @@ class TestContourBackend:
         rng = np.random.default_rng(1515)
         roots = [0.4 + 0.1j, -0.8 + 0.6j, 1.3 - 0.2j, -0.3 - 1.1j]
         den = UniPoly.from_roots(roots, lead=1.2 + 0.5j)
-        site = InfinitySiteMap(den, 1, [(p, 1) for p in roots], 6, nodes=self.NODES)
+        site = site_map(den, None, 1, [(p, 1) for p in roots], 6, nodes=self.NODES)
         radius = quadrature_radius(0j, [1.0 / p for p in roots])
         rows = self._rows(rng, 6, 20)
         # below degree deg(den) - 1 the form is regular at [1:0]
