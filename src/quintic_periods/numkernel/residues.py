@@ -8,10 +8,12 @@ Two independent backends are kept side by side on purpose:
 * quadrature -- a uniform trapezoid rule on a circle around the pole, which
   converges exponentially for the analytic integrands handled here.
 
-``SiteMap`` runs both on a matrix of numerator rows, with the denominator
-known by its declared roots; the scalar ``RationalFunction`` path, which
-Taylor-shifts an expanded denominator, is the oracle.  The point at infinity
-is handled through u = 1/t with dt = -du/u^2, so both backends apply there.
+``SiteMap`` runs both at one pole location for every integrand with a site
+there (a ``SiteEntry`` each), on matrices of numerator rows, with each
+denominator known by its declared roots; the scalar ``RationalFunction``
+path, which Taylor-shifts an expanded denominator, is the oracle.  The point
+at infinity is handled through u = 1/t with dt = -du/u^2, so both backends
+apply there.
 """
 
 from __future__ import annotations
@@ -293,12 +295,12 @@ def _other_sites(loc: complex, den_sites) -> list[tuple[complex, int]]:
     return [(p, m) for p, m in den_sites if abs(p - loc) > 1e-7 * (1.0 + abs(p))]
 
 
-def _guard_collides(guard: BinaryForm | None, loc: complex) -> bool:
-    """Whether the companion coordinate also vanishes at loc."""
-    if guard is None:
+def _guard_collides(gchart: UniPoly | None, loc: complex) -> bool:
+    """Whether the companion coordinate, given by its chart, also vanishes
+    at loc."""
+    if gchart is None:
         return False
-    gchart = guard.dehomogenized()
-    gs = guard.scale()
+    gs = gchart.scale()
     return gs > 0 and abs(gchart(loc)) <= 1e-8 * gs * max(1.0, abs(loc)) ** max(gchart.degree, 0)
 
 
@@ -314,7 +316,7 @@ def _finite_site(f, loc, zmult, guard, quadrature, nodes, den_sites) -> ZeroSite
     has_pole = order > 0 and f.num.vanishing_order(loc) < order
     if not has_pole:
         return ZeroSiteReport(loc, False, zmult, 0, 0j)
-    if _guard_collides(guard, loc):
+    if guard is not None and _guard_collides(guard.dehomogenized(), loc):
         raise _collision(loc)
     res = residue_analytic(f, loc, order)
     resq = None
@@ -356,23 +358,31 @@ def residue_sum_check(f: RationalFunction) -> float:
 
 
 # ---------------------------------------------------------------------------
-# one declared denominator, a matrix of numerator rows
+# declared denominators, stacked by pole location
 #
-# A pair denominator is known by its declared structure den = lead *
-# prod (t - r)^m over its finite sites (r, m); it is never expanded.  With it
-# fixed, every residue is a linear functional of the numerator: a site map
-# reads the form in a local coordinate u as R(u) du / (u^order g(u)), takes
-# the order and the first ``order`` coefficients of g from the declared
-# sites, and then the residues of all rows of a coefficient matrix with a few
-# matrix products.  Whether a row has a pole stays a per-row rule, that of
+# An integrand num/den is known by its declared structure den = lead *
+# prod (t - r)^m over its finite sites (r, m); den is never expanded.  With
+# it fixed, every residue is a linear functional of the numerator: at a site
+# (SiteEntry) the form reads R(u) du / (u^order g(u)) in a local coordinate
+# u, the order and the first ``order`` coefficients of 1/g come from the
+# declared sites, and the residues of all rows of a coefficient matrix take
+# one matrix product.  Whether a row has a pole stays a per-row rule, that of
 # _finite_site and _infinity_site.
 #
-# The trapezoid rule is linear in the numerator too, so a site folds the rest
-# of the integrand on its circle into a covector once (_Contour).  That rest
-# holds the denominator as it stands, evaluated by the caller at the nodes:
-# a wrong declaration shows as a backend disagreement.  Only a row's contour
-# magnitude evaluates the row at the nodes.  Both run on the rows with a pole
-# at the site; the others report 0 and no backend disagreement.
+# A SiteMap runs every entry at one pole location -- the sites of all pairs
+# of a sample there -- in one pass.  Entries of equal exact location, width
+# and order form a block, stacked along a leading axis.  numpy's stacked
+# matmul runs the same kernel on each slice, so a stacked product is
+# bit-identical to that of the entry alone; padding the contraction to a
+# common width, or merging rows into one product, is not.
+#
+# The trapezoid rule is linear in the numerator too, so an entry folds the
+# rest of the integrand on its circle into a covector once (_Contour).  That
+# rest holds the denominator as it stands, evaluated by the caller at the
+# nodes: a wrong declaration shows as a backend disagreement.  Only a row's
+# contour magnitude evaluates the row at the nodes, in blocks of rows over
+# all entries of a block.  Both run on the rows with a pole at the site; the
+# others report 0 and no backend disagreement.
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -408,31 +418,50 @@ _CONTOUR_BLOCK = 16
 
 
 class _Contour:
-    """Trapezoid rule on the circle |u| = radius for integrands
-    p(u) * factor(u), with p = sum_k c_k u^k of ``count`` terms and the
-    factor given at the nodes.
+    """Trapezoid rule on the circles |u| = radius_b of a block's entries,
+    for integrands p(u) * factor_b(u), with p = sum_k c_k u^k of ``width``
+    terms and factor_b = u / den_b(t(u)), or -1 / (u^width den_b(1/u)) at
+    [1:0], from den_b given at the nodes.
 
-    The trapezoid value is linear in c, so the factor folds into a covector
-    q_k = r^k mean_n(e^(i k theta_n) factor_n) once; a row's value is then
-    c @ q.  Its magnitude max_n |p(u_n)| |factor_n| still needs p on the
-    circle: one matrix product per block of rows."""
+    The trapezoid value is linear in c, so each factor folds into a
+    covector q_k = r^k mean_n(e^(i k theta_n) factor_n) once; a row's value
+    is then c @ q.  Its magnitude max_n |p(u_n)| |factor_n| still needs p on
+    the circle: one matrix product per block of rows, over all entries."""
 
-    def __init__(self, radius: float, count: int, factor: np.ndarray):
-        self.powers = _unit_powers(count, len(factor))
-        self.radius_powers = radius ** np.arange(count)
-        self.covector = self.radius_powers * (self.powers @ factor) / len(factor)
+    def __init__(self, radii: list[float], width: int, den: np.ndarray, at_infinity: bool):
+        nodes = den.shape[1]
+        # entries mostly share a radius: u, and u^width, once per radius
+        distinct = list(dict.fromkeys(radii))
+        which = [distinct.index(r) for r in radii]
+        u = np.array(distinct)[:, None] * _unit_circle(nodes)
+        factor = -1.0 / ((u**width)[which] * den) if at_infinity else u[which] / den
+        radii = np.array(radii)[:, None]
+        self.powers = _unit_powers(width, nodes)
+        self.radius_powers = radii ** np.arange(width)
+        self.covector = self.radius_powers * (self.powers @ factor[:, :, None])[..., 0] / nodes
         self.factor_abs = np.abs(factor)
 
-    def trapezoid(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per row, the trapezoid value and the contour magnitude of
-        p(u) * factor(u), as _quadrature returns them."""
-        value = rows @ self.covector
-        scaled = rows * self.radius_powers
-        scale = np.empty(len(rows))
-        for b in range(0, len(rows), _CONTOUR_BLOCK):
-            mag = np.abs(scaled[b : b + _CONTOUR_BLOCK] @ self.powers)
-            mag *= self.factor_abs
-            scale[b : b + _CONTOUR_BLOCK] = mag.max(axis=1)
+    def trapezoid(self, rows: np.ndarray, has_pole: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per entry b and row r of ``rows[b, r]``, the trapezoid value and the
+        contour magnitude of p(u) * factor_b(u), as _quadrature returns them;
+        0 where ``has_pole`` is False.
+
+        An entry's values are one product over its rows with a pole: over
+        fewer or more rows the kernel may round a row differently."""
+        value = (rows @ self.covector[:, :, None])[..., 0]
+        if not has_pole.all():
+            for b in np.flatnonzero(~has_pole.all(axis=1)):
+                hit = has_pole[b]
+                value[b] = 0
+                value[b, hit] = rows[b, hit] @ self.covector[b]
+        entry, row = np.nonzero(has_pole)
+        scaled = rows[entry, row] * self.radius_powers[entry]
+        scale = np.zeros(has_pole.shape)
+        for k in range(0, len(entry), _CONTOUR_BLOCK):
+            part = slice(k, k + _CONTOUR_BLOCK)
+            mag = np.abs(scaled[part] @ self.powers)
+            mag *= self.factor_abs[entry[part]]
+            scale[entry[part], row[part]] = mag.max(axis=1)
         return value, scale
 
 
@@ -460,7 +489,7 @@ def _truncated_product(lead: complex, factors, n: int) -> list[complex]:
     return g
 
 
-def _reciprocal_series(d, n: int) -> np.ndarray:
+def _reciprocal_series(d, n: int) -> list[complex]:
     """First n Taylor coefficients of 1 / sum_k d[k] t^k, d[0] != 0."""
     inv: list[complex] = []
     for k in range(n):
@@ -468,41 +497,88 @@ def _reciprocal_series(d, n: int) -> np.ndarray:
         for i in range(1, min(k, len(d) - 1) + 1):
             acc -= d[i] * inv[k - i]
         inv.append(acc / d[0])
-    return np.array(inv, dtype=complex)
+    return inv
+
+
+class SiteEntry:
+    """One integrand at one site: numerator rows of ``width`` coefficients
+    over den = lead * prod (t - r)^m, with (r, m) the declared finite sites.
+
+    At a finite ``location`` u = t - location, the rows are Taylor-shifted
+    (not at 0), the order is the multiplicity declared there and g(u) =
+    lead * prod (u + location - r)^m over the other sites.  ``location``
+    None is [1:0]: u = 1/t, the rows reversed are R(u) = u^(width-1)
+    num(1/u), and the form -R(u) du / (u^(width+1) den(1/u)) has order
+    width + 1 - sum m and g(u) = -lead * prod (1 - r u)^m.  A row's
+    reported order there is its own, deg + 2 - sum m.
+
+    ``guard`` is the chart of the companion coordinate: a pole of some row
+    where it vanishes is a base-locus collision.  With ``contour`` an entry
+    that has a pole gets a quadrature circle of ``radius`` about the site.
+    """
+
+    def __init__(
+        self,
+        location: complex | None,
+        zero_multiplicity: int,
+        lead: complex,
+        den_sites: list[tuple[complex, int]],
+        width: int,
+        guard: UniPoly | None = None,
+        contour: bool = False,
+    ):
+        self.at_infinity = location is None
+        self.location = 0j if location is None else location
+        self.zero_multiplicity = zero_multiplicity
+        self.width = width
+        self.guard = guard
+        self.radius = None
+        if self.at_infinity:
+            self.order = width + 1 - sum(m for _, m in den_sites)
+            factors = [(1.0, -r, m) for r, m in den_sites]
+            lead = -lead
+            others = [1.0 / r for r, _ in den_sites if abs(r) > 1e-12]
+        else:
+            self.order = _site_order(location, den_sites)
+            far = _other_sites(location, den_sites)
+            factors = [(location - r, 1.0, m) for r, m in far]
+            others = [r for r, _ in far]
+        if self.order <= 0:
+            return
+        # the first ``order`` coefficients of 1/g
+        self.inverse = _reciprocal_series(_truncated_product(lead, factors, self.order), self.order)
+        if contour:
+            self.radius = quadrature_radius(self.location, others)
+
+    @property
+    def circle(self) -> tuple[complex | None, float]:
+        """(location, radius) of the quadrature circle, as ``circle_points``
+        takes them."""
+        return (None if self.at_infinity else self.location), self.radius
 
 
 def _big(rows: np.ndarray, rel_tol: float) -> np.ndarray:
     """Entries above rel_tol times their row's largest magnitude: the
     significance rule of UniPoly.vanishing_order."""
     mag = np.abs(rows)
-    return mag > rel_tol * mag.max(axis=1, keepdims=True)
+    return mag > rel_tol * mag.max(axis=-1, keepdims=True)
 
 
 @dataclass
 class SiteRows:
-    """Residues of num_r / den dt at one site, one entry per row r.
+    """Residues of num_r / den dt at one entry's site, one value per row r.
 
     Rows without a pole there carry order 0 and an exact 0j residue.
+    ``collision`` is the base-locus error of an entry whose guard vanishes
+    where some row has a pole; the caller raises it.
     """
 
-    site: SiteMap
+    site: SiteEntry
     order: np.ndarray
     residue: np.ndarray
     quadrature: np.ndarray | None = None
     quadrature_scale: np.ndarray | None = None
-
-    def fill_quadrature(
-        self, contour: _Contour, coeffs: np.ndarray, has_pole: np.ndarray
-    ) -> None:
-        """The quadrature backend on the rows with a pole; 0 on the rest."""
-        if has_pole.all():
-            self.quadrature, self.quadrature_scale = contour.trapezoid(coeffs)
-            return
-        self.quadrature = np.zeros(len(coeffs), dtype=complex)
-        self.quadrature_scale = np.zeros(len(coeffs))
-        self.quadrature[has_pole], self.quadrature_scale[has_pole] = contour.trapezoid(
-            coeffs[has_pole]
-        )
+    collision: BaseLocusCollisionError | None = None
 
     def disagreement(self) -> np.ndarray:
         """ZeroSiteReport.backend_disagreement of every row; 0 without a pole."""
@@ -524,90 +600,93 @@ class SiteRows:
         return report
 
 
-def _no_pole(site, rows: int) -> SiteRows:
-    return SiteRows(site, np.zeros(rows, dtype=int), np.zeros(rows, dtype=complex))
+class _Block:
+    """Entries of one exact location, width and order, stacked; those with
+    a quadrature circle first."""
+
+    def __init__(self, entries: list[SiteEntry], dens, shift_matrix):
+        first = entries[0]
+        self.entries = entries
+        self.at_infinity, self.order = first.at_infinity, first.order
+        self.shift = None
+        if not first.at_infinity and first.location != 0:
+            self.shift = shift_matrix(first.location, first.width)
+        # residue = sum_{i < order} local[i] * inv[order - 1 - i], over the
+        # rows' width coefficients: the reversed series, as a strided view
+        self.series = np.array([e.inverse for e in entries])[:, ::-1][:, : first.width, None]
+        self.guarded = [k for k, e in enumerate(entries) if e.guard is not None]
+        self.circled = sum(e.radius is not None for e in entries)
+        self.contour = None
+        if self.circled:
+            radii = [e.radius for e in entries[: self.circled]]
+            den = np.array(dens[: self.circled])
+            self.contour = _Contour(radii, first.width, den, first.at_infinity)
+
+    def apply(self, nums: list[np.ndarray], lives: list[np.ndarray]) -> list[SiteRows]:
+        num = np.array(nums)
+        if self.at_infinity:
+            local = num[:, :, ::-1]
+        else:
+            local = num if self.shift is None else num @ self.shift
+        has_pole = np.array(lives) & (np.argmax(_big(local, 1e-9), axis=2) < self.order)
+        residue = local[:, :, : self.series.shape[1]] @ self.series
+        residue = np.where(has_pole, residue[..., 0], 0j)
+        order = self.order
+        if self.at_infinity:
+            order = order - np.argmax(local != 0, axis=2)
+        order = has_pole * order
+        out = [SiteRows(e, order[k], residue[k]) for k, e in enumerate(self.entries)]
+        if self.contour is not None:
+            c = self.circled
+            values, scales = self.contour.trapezoid(local[:c], has_pole[:c])
+            for rows, value, scale in zip(out, values, scales):
+                rows.quadrature, rows.quadrature_scale = value, scale
+        for k in self.guarded:
+            site = self.entries[k]
+            if has_pole[k].any() and _guard_collides(site.guard, site.location):
+                out[k].collision = _collision(site.location)
+        return out
 
 
 class SiteMap:
-    """Residues of num_r / den dt at one site, for numerator rows of
-    ``width`` coefficients, with den = lead * prod (t - r)^m over the
-    declared finite sites (r, m).
+    """Residues at one pole location of every entry there.
 
-    At a finite ``location`` u = t - location, the rows are Taylor-shifted
-    (not at 0), the order is the multiplicity declared there and g(u) =
-    lead * prod (u + location - r)^m over the other sites.  ``location``
-    None is [1:0]: u = 1/t, the rows reversed are R(u) = u^(width-1)
-    num(1/u), and the form -R(u) du / (u^(width+1) den(1/u)) has order
-    width + 1 - sum m and g(u) = -lead * prod (1 - r u)^m.  A row's
-    reported order there is its own, deg + 2 - sum m.
-
-    ``den_on_circle(location, radius)``, den at the ``circle_points`` of the
-    site's quadrature circle (as many as its nodes), adds the quadrature
-    backend.  The collision error is raised by ``apply`` only when some row
-    has a pole at the site.  ``shift_matrix`` builds the Taylor-shift matrix
-    of the numerator rows; a caller with several maps at one location passes
-    a builder that shares it.
+    Entries of equal exact location, width and order run as one block.
+    ``dens[i]``, entry i's den at the ``circle_points`` of its circle, is
+    given for the entries with a radius and adds their quadrature backend.
+    ``shift_matrix`` builds the Taylor-shift matrix of the numerator rows;
+    a caller with several maps passes a builder that shares it.
     """
 
     def __init__(
         self,
-        location: complex | None,
-        zero_multiplicity: int,
-        lead: complex,
-        den_sites: list[tuple[complex, int]],
-        width: int,
-        guard: BinaryForm | None = None,
-        den_on_circle: Callable[[complex | None, float], np.ndarray] | None = None,
+        entries: list[SiteEntry],
+        dens: list[np.ndarray | None] | None = None,
         shift_matrix: Callable[[complex, int], np.ndarray] = _shift_matrix,
     ):
-        self.at_infinity = location is None
-        self.location = 0j if location is None else location
-        self.zero_multiplicity = zero_multiplicity
-        self.guard = guard
-        self.shift = self.contour = None
-        if self.at_infinity:
-            self.order = width + 1 - sum(m for _, m in den_sites)
-            factors = [(1.0, -r, m) for r, m in den_sites]
-            lead = -lead
-            others = [1.0 / r for r, _ in den_sites if abs(r) > 1e-12]
-        else:
-            self.order = _site_order(location, den_sites)
-            far = _other_sites(location, den_sites)
-            factors = [(location - r, 1.0, m) for r, m in far]
-            others = [r for r, _ in far]
-            if self.order > 0 and location != 0:
-                self.shift = shift_matrix(location, width)
-        if self.order <= 0:
-            return
-        # residue = sum_{i < order} local[i] * inv[order - 1 - i], inv = 1/g,
-        # over the row's width coefficients
-        g = _truncated_product(lead, factors, self.order)
-        self.series = _reciprocal_series(g, self.order)[::-1][:width]
-        if den_on_circle is not None:
-            radius = quadrature_radius(self.location, others)
-            den = den_on_circle(location, radius)
-            u = radius * _unit_circle(len(den))
-            # the integrand times u, over the local power sum of a row
-            factor = -1.0 / (u**width * den) if self.at_infinity else u / den
-            self.contour = _Contour(radius, width, factor)
+        self.entries = entries
+        blocks: dict[tuple, list[int]] = {}
+        for i, e in sorted(enumerate(entries), key=lambda ie: ie[1].radius is None):
+            if e.order > 0:
+                blocks.setdefault((e.at_infinity, e.location, e.width, e.order), []).append(i)
+        dens = dens or [None] * len(entries)
+        self.blocks = [
+            (idx, _Block([entries[i] for i in idx], [dens[i] for i in idx], shift_matrix))
+            for idx in blocks.values()
+        ]
 
-    def apply(self, num: np.ndarray, live: np.ndarray) -> SiteRows:
-        if self.order <= 0:
-            return _no_pole(self, len(num))
-        if self.at_infinity:
-            local = num[:, ::-1]
-        else:
-            local = num if self.shift is None else num @ self.shift
-        has_pole = live & (np.argmax(_big(local, 1e-9), axis=1) < self.order)
-        if not has_pole.any():
-            return _no_pole(self, len(num))
-        if _guard_collides(self.guard, self.location):
-            raise _collision(self.location)
-        residue = np.where(has_pole, local[:, : len(self.series)] @ self.series, 0j)
-        order = self.order
-        if self.at_infinity:
-            order = order - np.argmax(local != 0, axis=1)
-        rows = SiteRows(self, has_pole * order, residue)
-        if self.contour is not None:
-            rows.fill_quadrature(self.contour, local, has_pole)
-        return rows
+    def apply(self, nums: list[np.ndarray], lives: list[np.ndarray]) -> list[SiteRows]:
+        """SiteRows of each entry i, for the numerator rows ``nums[i]`` (rows
+        x width); rows where ``lives[i]`` is False have no pole.  A
+        base-locus collision is returned on its entry's rows, not raised, so
+        the caller can name the integrand it belongs to."""
+        out = [_no_pole(e, len(n)) if e.order <= 0 else None for e, n in zip(self.entries, nums)]
+        for idx, block in self.blocks:
+            rows = block.apply([nums[i] for i in idx], [lives[i] for i in idx])
+            for i, r in zip(idx, rows):
+                out[i] = r
+        return out
+
+
+def _no_pole(site: SiteEntry, rows: int) -> SiteRows:
+    return SiteRows(site, np.zeros(rows, dtype=int), np.zeros(rows, dtype=complex))

@@ -9,14 +9,18 @@ every downstream comparison is projective.
 Diagnostics carried per pair: both residue backends at every site, a
 residue-theorem check, and, where its preconditions hold, the dual sum over
 the zeros of x_{j0} and x_{j1} and the point at infinity.  Both checks sum
-the residues the period itself summed plus those of further site maps, built
-on the same declared pole structure, at the remaining poles of the integrand;
-so they check the engine that produced the reported number.  The quadrature
-backend integrates the integrand as it stands, so it checks that structure.
+the residues the period itself summed plus those at the pair's check sites,
+the remaining poles of the integrand, taken from the same declared pole
+structure by the same site maps; so they check the engine that produced the
+reported number.  The quadrature backend integrates the integrand as it
+stands, so it checks that structure.
 
 Only the factor P(x(t)) of a pair numerator depends on the class, so one
 assembly takes a matrix of class charts: ``period_of_jet`` passes one row,
-``monomial_scan`` every monomial of a sample at once.
+``monomial_scan`` every monomial of a sample at once.  The sites of all pairs
+run by pole location: one ``SiteMap`` per location holds every pair's site
+and check site there, and the quadrature circles of a sample are evaluated
+in one pass.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .griffiths import (  # noqa: F401
 from .multipoly import MultiPoly, monomial_charts, monomial_text, monomials_of_degree
 # residue_sum_check, residues_at_zeros, residue_at_infinity_analytic: as pair_numerator
 from .numkernel.residues import (  # noqa: F401
+    SiteEntry,
     SiteMap,
     SiteRows,
     ZeroSiteReport,
@@ -142,16 +147,16 @@ def _named(exc: Exception, jet: CurveJet, j0: int, j1: int) -> Exception:
 class _Pair:
     """The class-independent part of one covering pair at one sample: the
     inner factor of its numerator, its declared denominator lead * prod
-    (t - r)^m over ``den_sites``, and the residue maps at its poles."""
+    (t - r)^m over ``den_sites``, and its sites."""
 
     def __init__(self, ctx: _SampleContext, index: int, j0: int, j1: int):
         self.ctx = ctx
-        self.j0, self.j1 = j0, j1
-        inner, self.term_scale = ctx.inners[index], ctx.term_scales[index]
-        # without its exact zero top coefficients, as pair_inner returns it
-        self.inner = inner[: np.flatnonzero(inner)[-1] + 1] if inner.any() else inner[:0]
-        # coefficients of a numerator row P(x(t)) * inner
-        self.width = ctx.width + len(self.inner) - 1
+        self.index, self.j0, self.j1 = index, j0, j1
+        # the inner factor's degree, without its exact zero top coefficients
+        # as pair_inner returns it, fixes the coefficients of a numerator row
+        # P(x(t)) * inner
+        inner = np.flatnonzero(ctx.inners[index])
+        self.width = ctx.width + (inner[-1] if len(inner) else -1)
 
     @cached_property
     def lead(self) -> complex:
@@ -175,50 +180,35 @@ class _Pair:
     def den_sites(self) -> list[tuple[complex, int]]:
         return _merge_sites(self.ctx.chart_roots(self.j0), self.ctx.chart_roots(self.j1))
 
-    def den_on_circle(self, location: complex | None, radius: float) -> np.ndarray:
-        """F_j0(x(t)) * F_j1(x(t)) at the nodes of a site's circle."""
-        on_circle = self.ctx.partial_on_circle
-        return on_circle(self.j0, location, radius) * on_circle(self.j1, location, radius)
-
-    def site_map(self, location, zero_multiplicity, guard=None, on_circle=None) -> SiteMap:
-        """The map at one site of the declared denominator; ``on_circle``
-        adds the contour backend."""
-        return SiteMap(
-            location,
-            zero_multiplicity,
-            self.lead,
-            self.den_sites,
-            self.width,
-            guard,
-            on_circle,
-            self.ctx.shift_matrix,
+    def entry(self, location, zero_multiplicity, guard=None, contour=False) -> SiteEntry:
+        """The pair at one site of its declared denominator."""
+        return SiteEntry(
+            location, zero_multiplicity, self.lead, self.den_sites, self.width, guard, contour
         )
 
-    @cached_property
-    def sites(self) -> list[SiteMap]:
+    def site_entries(self) -> list[SiteEntry]:
+        """The sites whose residues the period sums, with the contour
+        backend: the zeros of x_{j0}, and [1:0] when x_{j0} drops degree."""
         ctx = self.ctx
-        z, guard = ctx.jet.x[self.j0], ctx.jet.x[self.j1]
-        on_circle = self.den_on_circle if ctx.nodes else None
-        if z.is_zero():
+        if ctx.jet.x[self.j0].is_zero():
             raise BaseLocusCollisionError(
                 f"the curve lies in the hyperplane x_{self.j0} = 0, so the residue "
                 "coordinate has no isolated zeros"
             )
-        sites = [self.site_map(loc, mult, guard, on_circle) for loc, mult in ctx.zeros(self.j0)]
-        if (inf_mult := z.infinity_order()) > 0:
-            sites.append(self.site_map(None, inf_mult, None, on_circle))
+        guard, contour = ctx.xs[self.j1], ctx.nodes is not None
+        sites = [self.entry(loc, mult, guard, contour) for loc, mult in ctx.zeros(self.j0)]
+        if (inf_mult := ctx.infinity_orders[self.j0]) > 0:
+            sites.append(self.entry(None, inf_mult, None, contour))
         return sites
 
-    @cached_property
-    def check_sites(self) -> list[SiteMap]:
-        """Maps without quadrature at the poles ``sites`` leaves out: the
-        denominator's roots away from the zeros of x_{j0}, and [1:0] when
-        x_{j0} does not vanish there.  With ``sites`` they cover every pole
-        of the pair integrand."""
+    def check_entries(self) -> list[SiteEntry]:
+        """The poles ``site_entries`` leaves out: the denominator's roots
+        away from the zeros of x_{j0}, and [1:0] when x_{j0} does not vanish
+        there.  With those they cover every pole of the pair integrand."""
         zeros = [loc for loc, _ in self.ctx.zeros(self.j0)]
-        checks = [self.site_map(loc, 0) for loc, _ in self.den_sites if not _near(loc, zeros)]
-        if self.ctx.jet.x[self.j0].infinity_order() == 0:
-            checks.append(self.site_map(None, 0))
+        checks = [self.entry(loc, 0) for loc, _ in self.den_sites if not _near(loc, zeros)]
+        if self.ctx.infinity_orders[self.j0] == 0:
+            checks.append(self.entry(None, 0))
         return checks
 
     def dual_sum_holds(self, checks: list[SiteRows]) -> bool:
@@ -226,8 +216,7 @@ class _Pair:
         x_{j1}, plus the one at infinity -- adds up the same residues as the
         residue theorem: neither coordinate vanishes at [1:0], x_{j1} has
         finite zeros, and every pole off the zeros of x_{j0} lies at one."""
-        x = self.ctx.jet.x
-        if x[self.j0].infinity_order() > 0 or x[self.j1].infinity_order() > 0:
+        if self.ctx.infinity_orders[self.j0] > 0 or self.ctx.infinity_orders[self.j1] > 0:
             return False
         zeros = [loc for loc, _ in self.ctx.zeros(self.j1)]
         poles = [c.site.location for c in checks if c.order[0] and not c.site.at_infinity]
@@ -244,31 +233,54 @@ class _SampleContext:
         self.wedges = pair_wedges(jet)
         # inner factors of all pairs, one row each in _pair_order
         self.inners, self.term_scales = pair_inners(jet, self.wedges)
-        # Taylor-shift matrices, shared by the site maps of all pairs
+        # Taylor-shift matrices, shared by the site maps
         self.shift_matrix = lru_cache(maxsize=None)(_shift_matrix)
         self.xs = jet.x_chart()
+        # each coordinate's chart without negligible top coefficients, and
+        # the multiplicity of its zero at [1:0], the degree it drops
+        self.charts = [x.trimmed() for x in self.xs]
+        self.infinity_orders = [x.degree - c.degree for x, c in zip(jet.x, self.charts)]
         self.partial_charts = [Fi.compose_unipoly(self.xs) for Fi in X.partials]
         # coefficients of P(x(t)) for a class of the period degree
         self.width = required_degree(X.degree, X.m, 1) * jet.d_curve + 1
         self._roots: dict[int, list[tuple[complex, int]]] = {}
         self._zeros: dict[int, list[tuple[complex, int]]] = {}
-        # per quadrature circle: its nodes, and the coordinates and partials
-        # evaluated there so far
-        self._circles: dict[tuple, tuple[np.ndarray, dict, dict]] = {}
 
-    def partial_on_circle(self, j: int, location: complex | None, radius: float) -> np.ndarray:
-        """F_j(x(t)) at the nodes of the circle ``circle_points(location,
-        radius)``, from the coordinates' values there."""
-        key = (location, radius)
-        if key not in self._circles:
-            self._circles[key] = (circle_points(location, radius, self.nodes), {}, {})
-        t, coords, partials = self._circles[key]
-        if j not in partials:
-            F = self.X.partials[j]
-            for i in {i for exps in F.terms for i, e in enumerate(exps) if e} - coords.keys():
-                coords[i] = self.xs[i](t)
-            partials[j] = F.evaluate([coords.get(i) for i in range(len(self.xs))])
-        return partials[j]
+    def dens_on_circles(self, entries: list[SiteEntry], pairs: list[_Pair]) -> list:
+        """F_j0(x(t)) * F_j1(x(t)) of ``pairs[i]`` at the nodes of the
+        circle of ``entries[i]``, None for an entry without one.  The nodes
+        of all circles form one array; each coordinate a partial uses, and
+        each partial, is evaluated on it once."""
+        circled = [i for i, e in enumerate(entries) if e.radius is not None]
+        dens = [None] * len(entries)
+        if not circled:
+            return dens
+        circles = list(dict.fromkeys(entries[i].circle for i in circled))
+        t = np.array([circle_points(loc, radius, self.nodes) for loc, radius in circles])
+        js = list(dict.fromkeys(j for i in circled for j in (pairs[i].j0, pairs[i].j1)))
+        partials = [self.X.partials[j] for j in js]
+        used = {i for F in partials for exps in F.terms for i, e in enumerate(exps) if e}
+        coords = [x(t) if i in used else None for i, x in enumerate(self.xs)]
+        values = np.array([F.evaluate(coords) for F in partials])
+        c = [circles.index(entries[i].circle) for i in circled]
+        a = [js.index(pairs[i].j0) for i in circled]
+        b = [js.index(pairs[i].j1) for i in circled]
+        for i, den in zip(circled, values[a, c] * values[b, c]):
+            dens[i] = den
+        return dens
+
+    def site_rows(self, entries: list[SiteEntry], pairs: list[_PairRows]) -> list[SiteRows]:
+        """The rows of ``pairs[i]`` at the site of ``entries[i]``: one
+        ``SiteMap`` per pole location, [1:0] being one, with the entries
+        there clustered by the rule of ``_near``."""
+        dens = self.dens_on_circles(entries, [rows.pair for rows in pairs])
+        out: list = [None] * len(entries)
+        for idx in _by_location(entries):
+            site_map = SiteMap([entries[i] for i in idx], [dens[i] for i in idx], self.shift_matrix)
+            found = site_map.apply([pairs[i].num for i in idx], [pairs[i].live for i in idx])
+            for i, rows in zip(idx, found):
+                out[i] = rows
+        return out
 
     def chart_roots(self, j: int) -> list[tuple[complex, int]]:
         """Finite zeros of the partial chart F_j(x(t)) with multiplicities:
@@ -296,7 +308,7 @@ class _SampleContext:
     def zeros(self, j: int) -> list[tuple[complex, int]]:
         """Finite zeros of the coordinate x_j with multiplicities."""
         if j not in self._zeros:
-            chart = self.jet.x[j].dehomogenized().trimmed()
+            chart = self.charts[j]
             self._zeros[j] = poly_roots(chart) if chart.degree >= 1 else []
         return self._zeros[j]
 
@@ -316,12 +328,14 @@ class _SampleContext:
 @dataclass
 class _PairRows:
     """One pair assembled for every class row: which rows have a live
-    numerator, the numerator rows, and the residues at each site."""
+    numerator, the numerator rows, and the residues at each site and
+    check site."""
 
     pair: _Pair
     live: np.ndarray
-    num: np.ndarray | None = None
+    num: np.ndarray
     sites: list[SiteRows] = field(default_factory=list)
+    checks: list[SiteRows] = field(default_factory=list)
 
     @property
     def residue_sum(self) -> np.ndarray:
@@ -330,41 +344,61 @@ class _PairRows:
 
 
 def _convolve_rows(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Each row times the polynomial with the given coefficients."""
+    """Each row times each polynomial: out[p, r] holds the coefficients of
+    rows[r] * coeffs[p]."""
     width = rows.shape[1]
-    out = np.zeros((len(rows), width + len(coeffs) - 1), dtype=complex)
-    for k, c in enumerate(coeffs):
-        out[:, k : k + width] += c * rows
+    out = np.zeros((len(coeffs), len(rows), width + coeffs.shape[1] - 1), dtype=complex)
+    for k in range(coeffs.shape[1]):
+        out[:, :, k : k + width] += coeffs[:, k, None, None] * rows
     return out
 
 
-def _assemble(ctx: _SampleContext, p_rows: np.ndarray) -> list[_PairRows]:
+def _assemble(ctx: _SampleContext, p_rows: np.ndarray, checks: bool = False) -> list[_PairRows]:
     """Every pair's residues for a matrix of class charts, one row of
-    P(x(t)) coefficients per class.
+    P(x(t)) coefficients per class; with ``checks`` also those at the check
+    sites of each pair.
 
     The class enters last: each pair's inner factor, denominator, sites and
     quadrature weights are built once, from the charts and roots ``ctx``
-    shares between pairs; each row then costs matrix products.  A row's
-    numerator is zero when it cancels to 1e-12 of its pre-cancellation
-    scale, the rule of ``PairIntegrand.numerator_is_zero``.
+    shares between pairs; the sites of all pairs then run by pole location,
+    and each row costs matrix products.  A row's numerator is zero when it
+    cancels to 1e-12 of its pre-cancellation scale, the rule of
+    ``PairIntegrand.numerator_is_zero``.
+
+    An error names its pair: the first pair, in pair order, whose sites
+    cannot be planned or whose rows have a pole at a base-locus collision.
     """
     p_scale = np.maximum(np.abs(p_rows).max(axis=1), 1e-300)
+    # numerator rows of all pairs at once; a pair's own end at its width
+    nums = _convolve_rows(p_rows, ctx.inners)
+    num_scales = np.maximum(ctx.term_scales[:, None] * p_scale, 1e-300)
+    lives = np.abs(nums).max(axis=2) > NUMERATOR_ZERO_REL_TOL * num_scales
     out = []
     for index, (j0, j1) in enumerate(_pair_order(ctx.jet.ncoords)):
         pair = _Pair(ctx, index, j0, j1)
-        if not len(pair.inner):
-            out.append(_PairRows(pair, np.zeros(len(p_rows), dtype=bool)))
-            continue
-        num = _convolve_rows(p_rows, pair.inner)
-        num_scale = np.maximum(pair.term_scale * p_scale, 1e-300)
-        live = np.abs(num).max(axis=1) > NUMERATOR_ZERO_REL_TOL * num_scale
-        rows = _PairRows(pair, live, num)
-        if live.any():
+        out.append(_PairRows(pair, lives[index], nums[index, :, : pair.width]))
+    errors: dict[int, Exception] = {}
+    planned = []  # per pair with a live row: its rows, sites and check sites
+    for rows in out:
+        if rows.live.any():
             try:
-                rows.sites = [site.apply(num, live) for site in pair.sites]
+                sites = rows.pair.site_entries()
+                planned.append((rows, sites, rows.pair.check_entries() if checks else []))
             except _PAIR_ERRORS as exc:
-                raise _named(exc, ctx.jet, j0, j1) from exc
-        out.append(rows)
+                errors[rows.pair.index] = exc
+    entries = [e for _, sites, more in planned for e in sites + more]
+    owners = [rows for rows, sites, more in planned for _ in sites + more]
+    found = iter(ctx.site_rows(entries, owners))
+    for rows, sites, more in planned:
+        rows.sites = [next(found) for _ in sites]
+        rows.checks = [next(found) for _ in more]
+        collision = next((site.collision for site in rows.sites if site.collision), None)
+        if collision is not None:
+            errors[rows.pair.index] = collision
+    if errors:
+        first = min(errors)
+        pair = out[first].pair
+        raise _named(errors[first], ctx.jet, pair.j0, pair.j1) from errors[first]
     return out
 
 
@@ -390,24 +424,20 @@ def period_of_jet(
     p_row[0, : len(chart)] = chart
     per_pair: dict[tuple[int, int], PairContribution] = {}
     total = 0j
-    for rows in _assemble(ctx, p_row):
+    for rows in _assemble(ctx, p_row, checks=True):
         pair = rows.pair
         j0, j1 = pair.j0, pair.j1
         if not rows.live[0]:
             per_pair[(j0, j1)] = PairContribution(j0, j1, 0j, [], numerator_zero=True)
             continue
         residue_sum = complex(rows.residue_sum[0])
-        try:
-            checks = [site.apply(rows.num, rows.live) for site in pair.check_sites]
-        except _PAIR_ERRORS as exc:
-            raise _named(exc, jet, j0, j1) from exc
         contrib = PairContribution(j0, j1, residue_sum, [site.report(0) for site in rows.sites])
-        others = [complex(c.residue[0]) for c in checks]
+        others = [complex(c.residue[0]) for c in rows.checks]
         contrib.residue_theorem_check = abs(residue_sum + sum(others))
         contrib.residue_theorem_scale = max(
             [abs(site.residue) for site in contrib.sites] + list(map(abs, others)), default=0.0
         )
-        if pair.dual_sum_holds(checks):
+        if pair.dual_sum_holds(rows.checks):
             contrib.dual_sum_check = contrib.residue_theorem_check
         per_pair[(j0, j1)] = contrib
         total += residue_sum
@@ -467,6 +497,22 @@ def _near(loc: complex, locs: list[complex]) -> bool:
     """Whether loc coincides with one of locs, by the clustering rule of the
     site maps."""
     return any(abs(loc - z) <= 1e-7 * (1.0 + abs(loc)) for z in locs)
+
+
+def _by_location(entries: list[SiteEntry]) -> list[list[int]]:
+    """Indices of the entries at each pole location: [1:0], and each
+    cluster of finite locations under ``_near`` of its first entry."""
+    groups: list[tuple[SiteEntry, list[int]]] = []
+    for i, e in enumerate(entries):
+        for first, idx in groups:
+            if e.at_infinity == first.at_infinity and (
+                e.at_infinity or _near(e.location, [first.location])
+            ):
+                idx.append(i)
+                break
+        else:
+            groups.append((e, [i]))
+    return [idx for _, idx in groups]
 
 
 def sweep(

@@ -125,11 +125,12 @@ class TestDiagnostics:
         # zeros of x_{j0}, must show in each pair's residue-theorem check
         apply = SiteMap.apply
 
-        def skewed(site, num, live):
-            rows = apply(site, num, live)
-            if site.zero_multiplicity > 0:
-                rows.residue = rows.residue * (1 + 1e-6)
-            return rows
+        def skewed(site_map, nums, lives):
+            found = apply(site_map, nums, lives)
+            for rows in found:
+                if rows.site.zero_multiplicity > 0:
+                    rows.residue = rows.residue * (1 + 1e-6)
+            return found
 
         monkeypatch.setattr(SiteMap, "apply", skewed)
         A = MobiusMap(1.1 + 0.3j, 0.4, -0.2 + 0.1j, 0.9 - 0.2j)
@@ -513,3 +514,119 @@ class TestScan:
     def test_null_family_matches_reference(self, fermat):
         table = self._check_against_reference(fermat, mobius_null_family(2, 4), [0.09j])
         assert all(r.vanishes for r in table.rows)
+
+
+class TestLocationMaps:
+    """The residue engine runs one SiteMap per pole location, stacking the
+    sites of every pair there."""
+
+    @staticmethod
+    def _counting(monkeypatch) -> list:
+        """Records the entries of every SiteMap the assembly builds."""
+        built = []
+
+        class Counting(SiteMap):
+            def __init__(self, entries, *args, **kwargs):
+                super().__init__(entries, *args, **kwargs)
+                built.append(entries)
+
+        monkeypatch.setattr(period, "SiteMap", Counting)
+        return built
+
+    def test_one_site_map_per_pole_location(self, fermat, monkeypatch):
+        # on a Fermat line every pole of every pair sits at t = 0 or [1:0]:
+        # six live pairs, each with a site and a check site, in two maps
+        built = self._counting(monkeypatch)
+        s = 0.1 + 0.05j
+        scan_maps = {1: 0, 2: 0}
+        for d in line_families():
+            fam = d.family()
+            a = min(k for k in range(5) if k not in d.pair)
+            exps = [0] * 5
+            exps[d.pair[1]], exps[a] = 3, 2
+            built.clear()
+            period_at(fermat, MultiPoly.monomial(5, 1.0, tuple(exps)), fam, s)
+            locations = {None if e.at_infinity else e.location for es in built for e in es}
+            assert len(built) == len(locations) == 2, d.identifier
+            assert sum(map(len, built)) == 12, d.identifier
+            # the scan has no check sites: [1:0] only where a live pair's
+            # x_{j0} drops degree
+            built.clear()
+            monomial_scan(fermat, fam, [s], 5)
+            locations = {None if e.at_infinity else e.location for es in built for e in es}
+            assert len(built) == len(locations) and locations <= {0j, None}, d.identifier
+            scan_maps[len(built)] += 1
+        assert scan_maps[2] > 0
+
+    @staticmethod
+    def _dropped_jet(seed: int) -> CurveJet:
+        """A random degree-2 jet whose x_0 and x_1 drop degree: every pair
+        (0, k) and (1, k) has a site at [1:0]."""
+        jet = TestDegreeTwoJets._random_jet(seed)
+        x = list(jet.x)
+        for j in (0, 1):
+            x[j] = BinaryForm(2, (*x[j].coeffs[:2], 0.0))
+        return CurveJet(jet.s, tuple(x), jet.y, 2)
+
+    def test_mixed_widths_at_infinity_match_the_scalar_oracle(self, fermat, monkeypatch):
+        # pairs whose inner factors differ in degree share the [1:0] map
+        # with different numerator widths; each entry there must give the
+        # scalar oracle's residue (pair_integrand, then its residue at
+        # [1:0]: the path of verification.reference_period), the pole order
+        # deg + 2 - sum m of the pair integrand, and its exact zeros.  x0^3
+        # x1^2 composes to a low degree, so some pairs have no pole there.
+        from quintic_periods.griffiths import pair_integrand
+        from quintic_periods.numkernel.residues import residue_at_infinity_analytic
+
+        built = self._counting(monkeypatch)
+        classes = [MultiPoly.monomial(5, 1.0, e) for e in ((0, 3, 2, 0, 0), (3, 2, 0, 0, 0))]
+        mixed = zeros = 0
+        for seed in range(11, 21):
+            jet = self._dropped_jet(seed)
+            for P in classes:
+                built.clear()
+                rep = period_of_jet(fermat, P, jet, quadrature=False)
+                (at_infinity,) = [es for es in built if es[0].at_infinity]
+                sites = [e for e in at_infinity if e.zero_multiplicity]
+                mixed += len({e.width for e in sites}) > 1
+                for (j0, j1), c in rep.per_pair.items():
+                    if c.numerator_zero or j0 > 1:
+                        continue
+                    rf = pair_integrand(fermat, P, jet, j0, j1).rf
+                    (site,) = [site for site in c.sites if site.at_infinity]
+                    ref = residue_at_infinity_analytic(rf)
+                    assert site.pole_order == max(rf.num.degree + 2 - rf.den.degree, 0)
+                    assert (site.residue == 0) == (ref == 0) == (site.pole_order == 0)
+                    assert abs(site.residue - ref) <= 1e-12 * abs(ref), (seed, j0, j1)
+                    zeros += site.residue == 0
+        assert mixed >= 10 and zeros > 0
+
+    def test_collision_names_its_own_pair(self, fermat, monkeypatch):
+        # the zero of x_0 at t = 0 is a site of pairs (0,1) and (0,2) in one
+        # map; x_2 vanishes there too, so only (0,2) collides, and the error
+        # must name it, not its neighbour in the map
+        import numpy as np
+
+        rng = np.random.default_rng(3)
+
+        def form():
+            return BinaryForm(1, tuple(complex(*rng.uniform(-1, 1, 2)) for _ in range(2)))
+
+        t = BinaryForm(1, (0.0, 1.0))
+        xs = [t, form(), 2.0 * t, form(), form()]
+        ys = tuple(form() for _ in range(5))
+        P = MultiPoly.monomial(5, 1.0, (1, 1, 1, 1, 1))
+        # with x_2 moved off t = 0, pair (0,1) has a pole at the shared site
+        apart = CurveJet(0.1 + 0j, tuple(xs[:2] + [BinaryForm(1, (0.5, 2.0))] + xs[3:]), ys, 1)
+        (site,) = period_of_jet(fermat, P, apart).pair(0, 1).sites
+        assert site.location == 0 and site.pole_order > 0
+        built = self._counting(monkeypatch)
+        jet = CurveJet(0.1 + 0j, tuple(xs), ys, 1)
+        named = r"^pair \(0,2\) at s = 0\.1\+0j: zero of the residue coordinate at 0"
+        with pytest.raises(BaseLocusCollisionError, match=named):
+            period_of_jet(fermat, P, jet)
+        at_zero = [es for es in built if not es[0].at_infinity and es[0].location == 0]
+        assert len(at_zero) == 1 and sum(e.zero_multiplicity > 0 for e in at_zero[0]) >= 2
+        fam = CurveFamily("collision", lambda s: jet)
+        with pytest.raises(BaseLocusCollisionError, match=named):
+            monomial_scan(fermat, fam, [0.1], 5)

@@ -8,6 +8,7 @@ from quintic_periods.errors import (
 )
 from quintic_periods.numkernel.residues import (
     RationalFunction,
+    SiteEntry,
     SiteMap,
     circle_points,
     quadrature_radius,
@@ -25,14 +26,12 @@ def rf(num, den):
 
 
 def site_map(den, location, zero_multiplicity, sites, width, nodes=None):
-    """The SiteMap of den, declared by its leading coefficient and sites;
-    with ``nodes``, its contour backend evaluates den as it stands."""
-
-    def on_circle(loc, radius):
-        return den(circle_points(loc, radius, nodes))
-
-    on_circle = on_circle if nodes else None
-    return SiteMap(location, zero_multiplicity, den.coeffs[-1], sites, width, None, on_circle)
+    """The SiteMap of den alone at one site, declared by its leading
+    coefficient and sites; with ``nodes``, its contour backend evaluates den
+    as it stands."""
+    entry = SiteEntry(location, zero_multiplicity, den.coeffs[-1], sites, width, None, bool(nodes))
+    dens = [den(circle_points(*entry.circle, nodes))] if entry.radius is not None else None
+    return SiteMap([entry], dens)
 
 
 class TestAnalytic:
@@ -132,7 +131,7 @@ class TestResidueTheorem:
             if num.is_zero():
                 num = UniPoly.one()
             site = site_map(den, None, 1, [(r, 1) for r in roots], len(num.coeffs), nodes=256)
-            rows = site.apply(np.array([num.coeffs]), np.array([True]))
+            (rows,) = site.apply([np.array([num.coeffs])], [np.array([True])])
             assert rows.order[0] > 0
             ra, rq = rows.residue[0], rows.quadrature[0]
             assert abs(ra - rq) <= 1e-8 * max(abs(ra), abs(rq), 1e-10)
@@ -169,7 +168,7 @@ class TestResidueTheorem:
         sites = [(complex(r), 4) for q in qs for r in np.roots(q.coeffs[::-1])]
         maps = [site_map(den, loc, 0, sites, 16) for loc, _ in sites]
         maps.append(site_map(den, None, 0, sites, 16))
-        rows = [site.apply(num, np.array([True])) for site in maps]
+        rows = [site.apply([num], [np.array([True])])[0] for site in maps]
         assert [int(r.order[0]) for r in rows[:4]] == [4, 4, 4, 4]
         residues = [r.residue[0] for r in rows]
         assert abs(sum(residues)) < 1e-8 * max(map(abs, residues))
@@ -272,7 +271,7 @@ class TestContourBackend:
         for r in range(0, 20, 3):
             rows[r] = (UniPoly(rows[r][:4]) * square).coeffs
         has_pole = [r % 3 != 0 for r in range(20)]
-        out = site.apply(rows, np.ones(20, dtype=bool))
+        (out,) = site.apply([rows], [np.ones(20, dtype=bool)])
 
         def scalar(row):
             f = RationalFunction(UniPoly(row), den)
@@ -292,10 +291,71 @@ class TestContourBackend:
         # below degree deg(den) - 1 the form is regular at [1:0]
         rows[::4, 3:] = 0
         has_pole = [r % 4 != 0 for r in range(20)]
-        out = site.apply(rows, np.ones(20, dtype=bool))
+        (out,) = site.apply([rows], [np.ones(20, dtype=bool)])
 
         def scalar(row):
             g = RationalFunction(UniPoly(row), den).at_infinity_chart()
             return _quadrature(g, 0j, radius, self.NODES)
 
         self._check(rows, out, has_pole, scalar)
+
+
+class TestStackedEntries:
+    """A SiteMap stacks the entries at its location; every number an entry
+    reports must be the one its own single-entry map gives, to the bit."""
+
+    def test_entries_match_each_alone(self):
+        rng = np.random.default_rng(2024)
+
+        def c():
+            return complex(*rng.uniform(-1, 1, 2))
+
+        nodes = 64
+        location = 0.3 - 0.2j
+        entries, dens, nums, lives = [], [], [], []
+        # widths 6 and 7, poles of order 1 and 2 at the location, with and
+        # without a contour, and one entry without a pole there
+        for width, order, contour in [(6, 2, True), (7, 2, True), (6, 2, False), (6, 1, True),
+                                      (7, 2, True), (6, 0, True), (None, 2, True)]:
+            others = [(c() + 1.5, 1), (c() - 1.5, 2)]
+            sites = ([(location, order)] if order else []) + others
+            den = UniPoly.from_roots([r for r, m in sites for _ in range(m)], lead=c())
+            at = None if width is None else location
+            entry = SiteEntry(at, 1, den.coeffs[-1], sites, width or 6, None, contour)
+            entries.append(entry)
+            dens.append(den(circle_points(*entry.circle, nodes)) if entry.radius else None)
+            rows = rng.uniform(-1, 1, (5, entry.width)) + 1j * rng.uniform(-1, 1, (5, entry.width))
+            rows[0] = 0
+            nums.append(rows)
+            lives.append(np.array([False, True, True, True, True]))
+        stacked = SiteMap(entries, dens).apply(nums, lives)
+        assert len(SiteMap(entries, dens).blocks) == 4
+        for i, rows in enumerate(stacked):
+            (alone,) = SiteMap([entries[i]], [dens[i]]).apply([nums[i]], [lives[i]])
+            assert rows.site is entries[i]
+            for field in ("order", "residue", "quadrature", "quadrature_scale"):
+                a, b = getattr(rows, field), getattr(alone, field)
+                assert (a is None) == (b is None), (i, field)
+                assert a is None or np.array_equal(a, b), (i, field)
+            assert (rows.order > 0).any() == (entries[i].order > 0)
+
+    def test_collision_stays_on_its_entry(self):
+        # two entries in one block, the second with a guard that vanishes at
+        # the site: only that entry carries the collision, and only while
+        # some row has a pole there
+        location = 0.4 + 0.1j
+        sites = [(location, 2), (-1.0 + 0.5j, 1)]
+        den = UniPoly.from_roots([location, location, -1.0 + 0.5j], lead=1.5)
+        guards = [UniPoly([1.0, 2.0]), UniPoly([-location, 1.0])]
+        entries = [SiteEntry(location, 1, 1.5, sites, 5, guard) for guard in guards]
+        site_map = SiteMap(entries)
+        assert len(site_map.blocks) == 1
+        rows = np.array([[0.3, 1.0, -0.5j, 0.2, 1.1]])
+        clean, hit = site_map.apply([rows, rows], [np.array([True])] * 2)
+        assert clean.collision is None
+        assert isinstance(hit.collision, BaseLocusCollisionError)
+        assert np.array_equal(clean.residue, hit.residue) and hit.order[0] == 2
+        # a numerator divisible by (t - location)^2 has no pole: no collision
+        flat = (UniPoly([0.3, 1.0, -0.5j]) * UniPoly.from_roots([location, location])).coeffs
+        _, quiet = site_map.apply([rows, np.array([flat])], [np.array([True])] * 2)
+        assert quiet.order[0] == 0 and quiet.collision is None
