@@ -71,6 +71,14 @@ def _parse_number(v: Any, where: str) -> complex:
     raise ConfigError(f"cannot read {v!r} as a number", where)
 
 
+def _converted(convert, value: Any, where: str, what: str):
+    """convert(value), or a ConfigError naming the field if it cannot."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"cannot read {value!r} as {what}", where) from None
+
+
 @dataclass
 class RunConfig:
     hypersurface: str | dict
@@ -170,7 +178,12 @@ def build_hypersurface(cfg: RunConfig) -> Hypersurface:
         where = f"hypersurface.terms[{i}]"
         if not isinstance(item, dict) or "exponents" not in item or "coeff" not in item:
             raise ConfigError("term needs coeff and exponents", where)
-        exps = tuple(int(e) for e in item["exponents"])
+        exps = _converted(
+            lambda es: tuple(int(e) for e in es),
+            item["exponents"],
+            f"{where}.exponents",
+            "a list of integer exponents",
+        )
         terms[exps] = terms.get(exps, 0j) + _parse_number(item["coeff"], where)
     return Hypersurface(MultiPoly(nvars, terms))
 
@@ -182,11 +195,11 @@ def build_family(cfg: RunConfig) -> CurveFamily:
     coords = fam.get("coordinates")
     if not isinstance(coords, list) or not coords:
         raise ConfigError("family needs a catalog id or coordinate expressions", "family")
-    zeta_index = int(fam.get("zeta_index", 1))
+    zeta_index = _converted(int, fam.get("zeta_index", 1), "family.zeta_index", "an integer")
     zeta = cat.zeta_value(zeta_index)
     exprs = [parse_expression(str(c)) for c in coords]
     jets_mode = fam.get("jets", "analytic")
-    fd_step = float(fam.get("fd_step", 1e-5))
+    fd_step = _converted(float, fam.get("fd_step", 1e-5), "family.fd_step", "a number")
     t_poly = UniPoly.variable()
 
     def coords_at(s: complex) -> list[UniPoly]:
@@ -405,6 +418,11 @@ def _write(path: str | None, text: str) -> None:
 # commands
 
 
+def _parse_s(text: str) -> complex:
+    re_s, im_s = (text.split(",") + ["0"])[:2]
+    return complex(float(re_s), float(im_s))
+
+
 def cmd_period(args) -> int:
     cfg = load_config(args.config)
     X = build_hypersurface(cfg)
@@ -412,8 +430,7 @@ def cmd_period(args) -> int:
     P = build_p(cfg, X)
     samples = cfg.samples
     if args.s:
-        re_s, im_s = (args.s.split(",") + ["0"])[:2]
-        samples = [complex(float(re_s), float(im_s))]
+        samples = [_converted(_parse_s, args.s, "--s", "RE,IM")]
     reports = [period_at(X, P, fam, s) for s in samples]
     csv_text = "\n".join(period_csv_lines(reports)) + "\n"
     json_text = (

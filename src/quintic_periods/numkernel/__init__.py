@@ -11,7 +11,7 @@ from .parser import (
     to_text,
 )
 from .residues import (
-    DEFAULT_QUAD_NODES,
+    QUAD_NODES,
     PoleSite,
     RationalFunction,
     ZeroResidueSum,
@@ -28,7 +28,7 @@ from .unipoly import BinaryForm, UniPoly
 
 __all__ = [
     "BinaryForm",
-    "DEFAULT_QUAD_NODES",
+    "QUAD_NODES",
     "Expr",
     "PoleSite",
     "RationalFunction",

@@ -322,14 +322,18 @@ def _root5_nodes(expr: Expr) -> list[Root5]:
     return out  # inner roots first
 
 
+# a continuation path is cut into this many equal steps, and a step is
+# bisected at most this many times
+_PATH_STEPS = 32
+_MAX_BISECTIONS = 48
+
+
 def eval_on_path(
     expr: Expr,
     var: str,
     value: complex,
     env: dict | None = None,
     anchor: complex = 0j,
-    steps: int = 32,
-    max_depth: int = 48,
 ):
     """Evaluate with every root5 branch continued from the anchor.
 
@@ -371,7 +375,7 @@ def eval_on_path(
             ratio = arg / prev_arg
             if abs(ratio.imag) > abs(ratio.real) or ratio.real <= 0:
                 # argument moved by more than pi/4: refine
-                if depth >= max_depth:
+                if depth >= _MAX_BISECTIONS:
                     raise BranchError("branch continuation failed to resolve the path")
                 mid = prev_sigma[0] + 0.5 * (sigma - prev_sigma[0])
                 advance(mid, depth + 1)
@@ -386,14 +390,14 @@ def eval_on_path(
         prev_sigma[0] = sigma
 
     prev_sigma = [anchor]
-    for k in range(1, steps + 1):
-        advance(anchor + (value - anchor) * (k / steps), 0)
+    for k in range(1, _PATH_STEPS + 1):
+        advance(anchor + (value - anchor) * (k / _PATH_STEPS), 0)
 
     env[var] = value
     return evaluate(expr, env, dict(branch))
 
 
-def continued_root5(radicand_of, value: complex, anchor: complex = 0j, steps: int = 32) -> complex:
+def continued_root5(radicand_of, value: complex, anchor: complex = 0j) -> complex:
     """Branch-continued fifth root of radicand_of(sigma) along anchor -> value."""
     prev = [anchor, complex(radicand_of(anchor))]
     if prev[1] == 0:
@@ -407,7 +411,7 @@ def continued_root5(radicand_of, value: complex, anchor: complex = 0j, steps: in
             raise BranchError("root5 radicand vanishes on the continuation path")
         ratio = arg / prev[1]
         if abs(ratio.imag) > abs(ratio.real) or ratio.real <= 0:
-            if depth >= 48:
+            if depth >= _MAX_BISECTIONS:
                 raise BranchError("branch continuation failed to resolve the path")
             mid = prev[0] + 0.5 * (sigma - prev[0])
             step(mid, depth + 1)
@@ -417,8 +421,8 @@ def continued_root5(radicand_of, value: complex, anchor: complex = 0j, steps: in
         prev[0] = sigma
         prev[1] = arg
 
-    for k in range(1, steps + 1):
-        step(anchor + (value - anchor) * (k / steps), 0)
+    for k in range(1, _PATH_STEPS + 1):
+        step(anchor + (value - anchor) * (k / _PATH_STEPS), 0)
     return val
 
 

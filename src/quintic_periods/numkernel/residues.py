@@ -8,12 +8,12 @@ Two independent backends are kept side by side on purpose:
 * quadrature -- a uniform trapezoid rule on a circle around the pole, which
   converges exponentially for the analytic integrands handled here.
 
-``SiteMap`` runs both at one pole location for every integrand with a site
-there (a ``SiteEntry`` each), on matrices of numerator rows, with each
-denominator known by its declared roots; the scalar ``RationalFunction``
-path, which Taylor-shifts an expanded denominator, is the oracle.  The point
-at infinity is handled through u = 1/t with dt = -du/u^2, so both backends
-apply there.
+``SiteMap`` runs both for every integrand at every one of its sites (a
+``SiteEntry`` each), on matrices of numerator rows, with each denominator
+known by its declared roots; the scalar ``RationalFunction`` path, which
+Taylor-shifts an expanded denominator, is the oracle.  The point at infinity
+is handled through u = 1/t with dt = -du/u^2, so both backends apply there.
+Two finite pole locations count as one site by the rule of ``coincides``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from ..errors import BaseLocusCollisionError, PoleMismatchError, RadiusCollision
 from .roots import poly_roots
 from .unipoly import BinaryForm, UniPoly
 
-DEFAULT_QUAD_NODES = 256
+QUAD_NODES = 256
 MAX_QUAD_RADIUS = 0.5
 
 
@@ -164,7 +164,6 @@ def residue_quadrature(
     f: Callable[[np.ndarray], np.ndarray],
     center: complex,
     radius: float,
-    nodes: int = DEFAULT_QUAD_NODES,
     other_poles: tuple[complex, ...] = (),
 ) -> complex:
     """(1/2 pi i) * contour integral of f on |t - center| = radius.
@@ -179,7 +178,7 @@ def residue_quadrature(
             raise RadiusCollisionError(
                 f"pole at {p:.6g} within 2x radius {radius:.3g} of center {center:.6g}"
             )
-    return _quadrature(f, center, radius, nodes)[0]
+    return _quadrature(f, center, radius, QUAD_NODES)[0]
 
 
 def _quadrature(f, center: complex, radius: float, nodes: int) -> tuple[complex, float]:
@@ -243,7 +242,6 @@ def residues_at_zeros(
     z: BinaryForm,
     guard: BinaryForm | None = None,
     quadrature: bool = True,
-    nodes: int = DEFAULT_QUAD_NODES,
 ) -> ZeroResidueSum:
     """Sum of residues of f dt over the distinct zeros of the binary form z.
 
@@ -277,22 +275,28 @@ def residues_at_zeros(
     site_reports: list[ZeroSiteReport] = []
     for loc, zmult in zeros:
         if loc is None:
-            report = _infinity_site(f, inf_mult, guard, quadrature, nodes, den_locs)
+            report = _infinity_site(f, inf_mult, quadrature, den_locs)
         else:
-            report = _finite_site(f, loc, zmult, guard, quadrature, nodes, den_sites)
+            report = _finite_site(f, loc, zmult, guard, quadrature, den_sites)
         total += report.residue
         site_reports.append(report)
     return ZeroResidueSum(total, site_reports)
 
 
+def coincides(loc: complex, locs) -> bool:
+    """Whether loc lies within 1e-7 * (1 + |loc|) of one of locs: the rule
+    by which two finite pole locations count as one site."""
+    return any(abs(loc - z) <= 1e-7 * (1.0 + abs(loc)) for z in locs)
+
+
 def _site_order(loc: complex, den_sites) -> int:
     """Denominator multiplicity clustered at loc."""
-    return sum(m for dloc, m in den_sites if abs(dloc - loc) <= 1e-7 * (1.0 + abs(dloc)))
+    return sum(m for dloc, m in den_sites if coincides(dloc, [loc]))
 
 
 def _other_sites(loc: complex, den_sites) -> list[tuple[complex, int]]:
     """The denominator sites not clustered at loc."""
-    return [(p, m) for p, m in den_sites if abs(p - loc) > 1e-7 * (1.0 + abs(p))]
+    return [(p, m) for p, m in den_sites if not coincides(p, [loc])]
 
 
 def _guard_collides(gchart: UniPoly | None, loc: complex) -> bool:
@@ -311,7 +315,7 @@ def _collision(loc: complex) -> BaseLocusCollisionError:
     )
 
 
-def _finite_site(f, loc, zmult, guard, quadrature, nodes, den_sites) -> ZeroSiteReport:
+def _finite_site(f, loc, zmult, guard, quadrature, den_sites) -> ZeroSiteReport:
     order = _site_order(loc, den_sites)
     has_pole = order > 0 and f.num.vanishing_order(loc) < order
     if not has_pole:
@@ -323,11 +327,11 @@ def _finite_site(f, loc, zmult, guard, quadrature, nodes, den_sites) -> ZeroSite
     qscale = 0.0
     if quadrature:
         radius = quadrature_radius(loc, [p for p, _ in _other_sites(loc, den_sites)])
-        resq, qscale = _quadrature(lambda t: f(t), loc, radius, nodes)
+        resq, qscale = _quadrature(lambda t: f(t), loc, radius, QUAD_NODES)
     return ZeroSiteReport(loc, False, zmult, order, res, resq, qscale)
 
 
-def _infinity_site(f, zmult, guard, quadrature, nodes, den_locs) -> ZeroSiteReport:
+def _infinity_site(f, zmult, quadrature, den_locs) -> ZeroSiteReport:
     # No collision guard here: at [1:0] the measure dt itself carries a double
     # pole, so a pole of f dt does not imply a denominator-factor overlap, and
     # the residue of a rational 1-form at infinity is always well defined.
@@ -342,7 +346,7 @@ def _infinity_site(f, zmult, guard, quadrature, nodes, den_locs) -> ZeroSiteRepo
     if quadrature:
         others = [1.0 / t for t in den_locs if abs(t) > 1e-12]
         radius = quadrature_radius(0j, others)
-        resq, qscale = _quadrature(lambda u: g(u), 0j, radius, nodes)
+        resq, qscale = _quadrature(lambda u: g(u), 0j, radius, QUAD_NODES)
     return ZeroSiteReport(0j, True, zmult, order, res, resq, qscale)
 
 
@@ -358,7 +362,7 @@ def residue_sum_check(f: RationalFunction) -> float:
 
 
 # ---------------------------------------------------------------------------
-# declared denominators, stacked by pole location
+# declared denominators, stacked by site
 #
 # An integrand num/den is known by its declared structure den = lead *
 # prod (t - r)^m over its finite sites (r, m); den is never expanded.  With
@@ -369,8 +373,8 @@ def residue_sum_check(f: RationalFunction) -> float:
 # one matrix product.  Whether a row has a pole stays a per-row rule, that of
 # _finite_site and _infinity_site.
 #
-# A SiteMap runs every entry at one pole location -- the sites of all pairs
-# of a sample there -- in one pass.  Entries of equal exact location, width
+# A SiteMap runs a list of entries -- every site and check site of every
+# pair of a sample -- in one pass.  Entries of equal exact location, width
 # and order form a block, stacked along a leading axis.  numpy's stacked
 # matmul runs the same kernel on each slice, so a stacked product is
 # bit-identical to that of the entry alone; padding the contraction to a
@@ -649,22 +653,17 @@ class _Block:
 
 
 class SiteMap:
-    """Residues at one pole location of every entry there.
+    """Residues of every entry at its site.
 
-    Entries of equal exact location, width and order run as one block.
+    Entries of equal exact location, width and order run as one block, and
+    blocks of equal location and width share one Taylor-shift matrix.
     ``dens[i]``, entry i's den at the ``circle_points`` of its circle, is
     given for the entries with a radius and adds their quadrature backend.
-    ``shift_matrix`` builds the Taylor-shift matrix of the numerator rows;
-    a caller with several maps passes a builder that shares it.
     """
 
-    def __init__(
-        self,
-        entries: list[SiteEntry],
-        dens: list[np.ndarray | None] | None = None,
-        shift_matrix: Callable[[complex, int], np.ndarray] = _shift_matrix,
-    ):
+    def __init__(self, entries: list[SiteEntry], dens: list[np.ndarray | None] | None = None):
         self.entries = entries
+        shift_matrix = lru_cache(maxsize=None)(_shift_matrix)
         blocks: dict[tuple, list[int]] = {}
         for i, e in sorted(enumerate(entries), key=lambda ie: ie[1].radius is None):
             if e.order > 0:

@@ -23,15 +23,13 @@ _MERGE_FACTOR = 8.0
 _DERIV_REL_TOL = 1e-5
 
 
-def poly_roots(p: UniPoly, max_iter: int = MAX_ITER) -> list[tuple[complex, int]]:
+def poly_roots(p: UniPoly) -> list[tuple[complex, int]]:
     """All roots of p with multiplicities, sorted by (re, im).
 
     Parameters
     ----------
     p : UniPoly
         Nonzero polynomial.
-    max_iter : int
-        Iteration cap for the Aberth stage.
 
     Returns
     -------
@@ -60,14 +58,14 @@ def poly_roots(p: UniPoly, max_iter: int = MAX_ITER) -> list[tuple[complex, int]
     if zero_mult:
         sites.append((0j, zero_mult))
     if q.degree >= 1:
-        approx = _solve(q, max_iter)
+        approx = _solve(q)
         sites.extend(_cluster_sites(approx, q))
     sites.sort(key=lambda s: (s[0].real, s[0].imag))
     _check_residuals(p, sites)
     return sites
 
 
-def _solve(q: UniPoly, max_iter: int) -> np.ndarray:
+def _solve(q: UniPoly) -> np.ndarray:
     n = q.degree
     if n == 1:
         a0, a1 = q.coeffs
@@ -82,7 +80,7 @@ def _solve(q: UniPoly, max_iter: int) -> np.ndarray:
             r1 = (-a1 + disc) / (2 * a2)
         r2 = a0 / (a2 * r1) if r1 != 0 else -a1 / a2
         return np.array([r1, r2])
-    z = _aberth(q, max_iter)
+    z = _aberth(q)
     if z is None:
         z = np.roots(np.asarray(list(reversed(q.coeffs))))
         z = _newton_polish(q, z)
@@ -93,7 +91,7 @@ def _solve(q: UniPoly, max_iter: int) -> np.ndarray:
     return z
 
 
-def _aberth(q: UniPoly, max_iter: int) -> np.ndarray | None:
+def _aberth(q: UniPoly) -> np.ndarray | None:
     n = q.degree
     mon = q.monic()
     dmon = mon.derivative()
@@ -101,7 +99,7 @@ def _aberth(q: UniPoly, max_iter: int) -> np.ndarray | None:
     k = np.arange(n)
     z = radius * np.exp(2j * np.pi * (k + 0.3) / n + 0.25j)
     tol = 1e-14
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         pv = mon(z)
         dv = dmon(z)
         bad = np.abs(dv) < 1e-300

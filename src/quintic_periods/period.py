@@ -17,10 +17,9 @@ stands, so it checks that structure.
 
 Only the factor P(x(t)) of a pair numerator depends on the class, so one
 assembly takes a matrix of class charts: ``period_of_jet`` passes one row,
-``monomial_scan`` every monomial of a sample at once.  The sites of all pairs
-run by pole location: one ``SiteMap`` per location holds every pair's site
-and check site there, and the quadrature circles of a sample are evaluated
-in one pass.
+``monomial_scan`` every monomial of a sample at once.  One ``SiteMap`` holds
+every pair's sites and check sites at a sample, and the quadrature circles
+of a sample are evaluated in one pass.
 """
 
 from __future__ import annotations
@@ -54,12 +53,13 @@ from .griffiths import (  # noqa: F401
 from .multipoly import MultiPoly, monomial_charts, monomial_text, monomials_of_degree
 # residue_sum_check, residues_at_zeros, residue_at_infinity_analytic: as pair_numerator
 from .numkernel.residues import (  # noqa: F401
+    QUAD_NODES,
     SiteEntry,
     SiteMap,
     SiteRows,
     ZeroSiteReport,
-    _shift_matrix,
     circle_points,
+    coincides,
     residue_at_infinity_analytic,
     residue_sum_check,
     residues_at_zeros,
@@ -195,10 +195,10 @@ class _Pair:
                 f"the curve lies in the hyperplane x_{self.j0} = 0, so the residue "
                 "coordinate has no isolated zeros"
             )
-        guard, contour = ctx.xs[self.j1], ctx.nodes is not None
-        sites = [self.entry(loc, mult, guard, contour) for loc, mult in ctx.zeros(self.j0)]
+        guard = ctx.xs[self.j1]
+        sites = [self.entry(loc, mult, guard, True) for loc, mult in ctx.zeros(self.j0)]
         if (inf_mult := ctx.infinity_orders[self.j0]) > 0:
-            sites.append(self.entry(None, inf_mult, None, contour))
+            sites.append(self.entry(None, inf_mult, None, True))
         return sites
 
     def check_entries(self) -> list[SiteEntry]:
@@ -206,7 +206,7 @@ class _Pair:
         away from the zeros of x_{j0}, and [1:0] when x_{j0} does not vanish
         there.  With those they cover every pole of the pair integrand."""
         zeros = [loc for loc, _ in self.ctx.zeros(self.j0)]
-        checks = [self.entry(loc, 0) for loc, _ in self.den_sites if not _near(loc, zeros)]
+        checks = [self.entry(loc, 0) for loc, _ in self.den_sites if not coincides(loc, zeros)]
         if self.ctx.infinity_orders[self.j0] == 0:
             checks.append(self.entry(None, 0))
         return checks
@@ -220,21 +220,18 @@ class _Pair:
             return False
         zeros = [loc for loc, _ in self.ctx.zeros(self.j1)]
         poles = [c.site.location for c in checks if c.order[0] and not c.site.at_infinity]
-        return bool(zeros) and all(_near(loc, zeros) for loc in poles)
+        return bool(zeros) and all(coincides(loc, zeros) for loc in poles)
 
 
 class _SampleContext:
     """Per-(jet, hypersurface) data shared by all classes P at one sample."""
 
-    def __init__(self, X: Hypersurface, jet: CurveJet, quadrature: bool, nodes: int):
+    def __init__(self, X: Hypersurface, jet: CurveJet):
         self.X = X
         self.jet = jet
-        self.nodes = nodes if quadrature else None
         self.wedges = pair_wedges(jet)
         # inner factors of all pairs, one row each in _pair_order
         self.inners, self.term_scales = pair_inners(jet, self.wedges)
-        # Taylor-shift matrices, shared by the site maps
-        self.shift_matrix = lru_cache(maxsize=None)(_shift_matrix)
         self.xs = jet.x_chart()
         # each coordinate's chart without negligible top coefficients, and
         # the multiplicity of its zero at [1:0], the degree it drops
@@ -256,7 +253,7 @@ class _SampleContext:
         if not circled:
             return dens
         circles = list(dict.fromkeys(entries[i].circle for i in circled))
-        t = np.array([circle_points(loc, radius, self.nodes) for loc, radius in circles])
+        t = np.array([circle_points(loc, radius, QUAD_NODES) for loc, radius in circles])
         js = list(dict.fromkeys(j for i in circled for j in (pairs[i].j0, pairs[i].j1)))
         partials = [self.X.partials[j] for j in js]
         used = {i for F in partials for exps in F.terms for i, e in enumerate(exps) if e}
@@ -268,19 +265,6 @@ class _SampleContext:
         for i, den in zip(circled, values[a, c] * values[b, c]):
             dens[i] = den
         return dens
-
-    def site_rows(self, entries: list[SiteEntry], pairs: list[_PairRows]) -> list[SiteRows]:
-        """The rows of ``pairs[i]`` at the site of ``entries[i]``: one
-        ``SiteMap`` per pole location, [1:0] being one, with the entries
-        there clustered by the rule of ``_near``."""
-        dens = self.dens_on_circles(entries, [rows.pair for rows in pairs])
-        out: list = [None] * len(entries)
-        for idx in _by_location(entries):
-            site_map = SiteMap([entries[i] for i in idx], [dens[i] for i in idx], self.shift_matrix)
-            found = site_map.apply([pairs[i].num for i in idx], [pairs[i].live for i in idx])
-            for i, rows in zip(idx, found):
-                out[i] = rows
-        return out
 
     def chart_roots(self, j: int) -> list[tuple[complex, int]]:
         """Finite zeros of the partial chart F_j(x(t)) with multiplicities:
@@ -360,9 +344,9 @@ def _assemble(ctx: _SampleContext, p_rows: np.ndarray, checks: bool = False) -> 
 
     The class enters last: each pair's inner factor, denominator, sites and
     quadrature weights are built once, from the charts and roots ``ctx``
-    shares between pairs; the sites of all pairs then run by pole location,
-    and each row costs matrix products.  A row's numerator is zero when it
-    cancels to 1e-12 of its pre-cancellation scale, the rule of
+    shares between pairs; the sites of all pairs then run through one
+    ``SiteMap``, and each row costs matrix products.  A row's numerator is
+    zero when it cancels to 1e-12 of its pre-cancellation scale, the rule of
     ``PairIntegrand.numerator_is_zero``.
 
     An error names its pair: the first pair, in pair order, whose sites
@@ -388,7 +372,8 @@ def _assemble(ctx: _SampleContext, p_rows: np.ndarray, checks: bool = False) -> 
                 errors[rows.pair.index] = exc
     entries = [e for _, sites, more in planned for e in sites + more]
     owners = [rows for rows, sites, more in planned for _ in sites + more]
-    found = iter(ctx.site_rows(entries, owners))
+    site_map = SiteMap(entries, ctx.dens_on_circles(entries, [rows.pair for rows in owners]))
+    found = iter(site_map.apply([rows.num for rows in owners], [rows.live for rows in owners]))
     for rows, sites, more in planned:
         rows.sites = [next(found) for _ in sites]
         rows.checks = [next(found) for _ in more]
@@ -402,13 +387,7 @@ def _assemble(ctx: _SampleContext, p_rows: np.ndarray, checks: bool = False) -> 
     return out
 
 
-def period_of_jet(
-    X: Hypersurface,
-    P: MultiPoly,
-    jet: CurveJet,
-    quadrature: bool = True,
-    nodes: int = 256,
-) -> PeriodReport:
+def period_of_jet(X: Hypersurface, P: MultiPoly, jet: CurveJet) -> PeriodReport:
     if X.nvars != 5:
         raise UnsupportedShapeError(
             f"period assembly is implemented for 5 coordinates, got {X.nvars}"
@@ -418,7 +397,7 @@ def period_of_jet(
     want = required_degree(X.degree, X.m, 1)
     if P.is_zero() or not P.is_homogeneous() or P.total_degree() != want:
         raise DegreeError(f"P must be homogeneous of degree {want}")
-    ctx = _SampleContext(X, jet, quadrature, nodes)
+    ctx = _SampleContext(X, jet)
     p_row = np.zeros((1, ctx.width), dtype=complex)
     chart = P.compose_unipoly(ctx.xs).coeffs
     p_row[0, : len(chart)] = chart
@@ -454,14 +433,7 @@ def period_of_jet(
     )
 
 
-def period_at(
-    X: Hypersurface,
-    P: MultiPoly,
-    fam: CurveFamily,
-    s: complex,
-    quadrature: bool = True,
-    nodes: int = 256,
-) -> PeriodReport:
+def period_at(X: Hypersurface, P: MultiPoly, fam: CurveFamily, s: complex) -> PeriodReport:
     """Period value of the class of P at one parameter sample.
 
     The analytic backend supplies the reported residues; the
@@ -477,7 +449,7 @@ def period_at(
     DegreeError
         If deg(P) != d(q+1) - m - 2 for q = 1.
     """
-    return period_of_jet(X, P, fam.jet_at(s), quadrature=quadrature, nodes=nodes)
+    return period_of_jet(X, P, fam.jet_at(s))
 
 
 def _merge_sites(*site_lists):
@@ -493,35 +465,8 @@ def _merge_sites(*site_lists):
     return merged
 
 
-def _near(loc: complex, locs: list[complex]) -> bool:
-    """Whether loc coincides with one of locs, by the clustering rule of the
-    site maps."""
-    return any(abs(loc - z) <= 1e-7 * (1.0 + abs(loc)) for z in locs)
-
-
-def _by_location(entries: list[SiteEntry]) -> list[list[int]]:
-    """Indices of the entries at each pole location: [1:0], and each
-    cluster of finite locations under ``_near`` of its first entry."""
-    groups: list[tuple[SiteEntry, list[int]]] = []
-    for i, e in enumerate(entries):
-        for first, idx in groups:
-            if e.at_infinity == first.at_infinity and (
-                e.at_infinity or _near(e.location, [first.location])
-            ):
-                idx.append(i)
-                break
-        else:
-            groups.append((e, [i]))
-    return [idx for _, idx in groups]
-
-
 def sweep(
-    X: Hypersurface,
-    P: MultiPoly,
-    fam: CurveFamily,
-    s_list: Sequence[complex],
-    quadrature: bool = True,
-    nodes: int = 256,
+    X: Hypersurface, P: MultiPoly, fam: CurveFamily, s_list: Sequence[complex]
 ) -> SweepResult:
     """Period reports over an ordered sample list.
 
@@ -531,7 +476,7 @@ def sweep(
     """
     if not s_list:
         raise ValueError("sample list must be nonempty")
-    samples = [period_at(X, P, fam, s, quadrature=quadrature, nodes=nodes) for s in s_list]
+    samples = [period_at(X, P, fam, s) for s in s_list]
     return SweepResult(
         samples=samples,
         family_name=fam.name,
@@ -540,7 +485,7 @@ def sweep(
     )
 
 
-def geometric_median(points: Sequence[complex], iters: int = 200) -> complex:
+def geometric_median(points: Sequence[complex]) -> complex:
     """Weiszfeld iteration; robust central ratio estimate."""
     pts = [complex(p) for p in points]
     if not pts:
@@ -548,7 +493,7 @@ def geometric_median(points: Sequence[complex], iters: int = 200) -> complex:
     if len(pts) <= 2:
         return sum(pts) / len(pts)
     z = sum(pts) / len(pts)
-    for _ in range(iters):
+    for _ in range(200):
         num, den = 0j, 0.0
         hit = None
         for p in pts:
@@ -632,12 +577,7 @@ def _scan_labels(nvars: int, degree: int) -> tuple[tuple[tuple[int, ...], str], 
 
 
 def monomial_scan(
-    X: Hypersurface,
-    fam: CurveFamily,
-    s_list: Sequence[complex],
-    degree: int,
-    quadrature: bool = True,
-    nodes: int = 256,
+    X: Hypersurface, fam: CurveFamily, s_list: Sequence[complex], degree: int
 ) -> ScanTable:
     """Period of every degree-``degree`` monomial class at every sample.
 
@@ -655,7 +595,7 @@ def monomial_scan(
     rows = [ScanRow(exps, text, [], []) for exps, text in _scan_labels(X.nvars, degree)]
     worst_backend = []
     for s in s_list:
-        ctx = _SampleContext(X, fam.jet_at(s), quadrature, nodes)
+        ctx = _SampleContext(X, fam.jet_at(s))
         pairs = _assemble(ctx, monomial_charts(ctx.xs, degree, ctx.width))
         sums = [p.residue_sum for p in pairs]
         totals = sum(sums)

@@ -27,6 +27,11 @@ def write_config(tmp_path: Path, **overrides) -> Path:
     return path
 
 
+# the coordinates of the paper's line as an expression family
+LINE = ["t", "-zeta*t", "1", "s", "root5(-1-s^5)"]
+BAD_EXPONENTS = ["a", 0, 0, 0, 0]
+
+
 class TestConfig:
     def test_round_trip_is_fixed_point(self, tmp_path):
         path = write_config(tmp_path, tolerances={"vanish": 1e-9})
@@ -257,6 +262,32 @@ class TestCommands:
     def test_config_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert main(["period", "--config", str(missing)]) == 2
+
+    @pytest.mark.parametrize(
+        "overrides, argv, field",
+        [
+            ({}, ["--s", "abc"], "--s"),
+            ({}, ["--s", "0.1,x"], "--s"),
+            ({"family": {"coordinates": LINE, "zeta_index": "one"}}, [], "family.zeta_index"),
+            (
+                {"family": {"coordinates": LINE, "jets": "fd", "fd_step": "x"}},
+                [],
+                "family.fd_step",
+            ),
+            (
+                {"hypersurface": {"nvars": 5, "terms": [{"coeff": 1, "exponents": BAD_EXPONENTS}]}},
+                [],
+                "hypersurface.terms[0].exponents",
+            ),
+        ],
+        ids=["s-word", "s-imaginary-part", "zeta-index", "fd-step", "exponents"],
+    )
+    def test_malformed_input_exits_2_naming_its_field(
+        self, tmp_path, capsys, overrides, argv, field
+    ):
+        path = write_config(tmp_path, **overrides)
+        assert main(["period", "--config", str(path), *argv]) == 2
+        assert f"(field: {field})" in capsys.readouterr().err
 
     def test_verify_filter_contraction(self, tmp_path, capsys):
         assert main(["verify", "--filter", "contraction", "--report-dir", str(tmp_path)]) == 0

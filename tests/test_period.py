@@ -262,11 +262,9 @@ class TestDegreeTwoJets:
         # seeds 2-164 have a 4-fold pole within 0.003-0.1 of another pole
         for seed in (11, 12, 13, 2, 4, 8, 111, 135, 164):
             jet = self._random_jet(seed)
-            base = period_of_jet(fermat, p_x1cubed_x2sq, jet, quadrature=False)
+            base = period_of_jet(fermat, p_x1cubed_x2sq, jet)
             for A in (MobiusMap(0, 1, 1, 0), MobiusMap(0.7 - 0.2j, 0.3, 1.1 + 0.4j, -0.6)):
-                moved = period_of_jet(
-                    fermat, p_x1cubed_x2sq, transform_jet(jet, A), quadrature=False
-                )
+                moved = period_of_jet(fermat, p_x1cubed_x2sq, transform_jet(jet, A))
                 rel = abs(base.total - moved.total) / max(abs(base.total), 1e-30)
                 assert rel < 1e-8
 
@@ -300,9 +298,7 @@ class TestDegreeTwoJets:
 
         for seed in (11, 13):
             for A in (MobiusMap(0, 1, 1, 0), MobiusMap(0.7 - 0.2j, 0.3, 1.1 + 0.4j, -0.6)):
-                ctx = period._SampleContext(
-                    fermat, transform_jet(self._random_jet(seed), A), False, 256
-                )
+                ctx = period._SampleContext(fermat, transform_jet(self._random_jet(seed), A))
                 for j in range(5):
                     sites = ctx.chart_roots(j)
                     assert [mult for _, mult in sites] == [4, 4], (seed, j)
@@ -325,15 +321,15 @@ class TestDegreeTwoJets:
                 x = list(jet.x)
                 x[2] = BinaryForm(2, (*x[2].coeffs[:2], lead))
                 dropped = CurveJet(jet.s, tuple(x), jet.y, 2)
-                ctx = period._SampleContext(fermat, dropped, False, 256)
+                ctx = period._SampleContext(fermat, dropped)
                 assert [mult for _, mult in ctx.chart_roots(2)] == [4], seed
-                rep = period_of_jet(fermat, p_x1cubed_x2sq, dropped, quadrature=False)
+                rep = period_of_jet(fermat, p_x1cubed_x2sq, dropped)
                 periods.append(rep.total)
             assert abs(periods[1] - periods[0]) < 1e-8 * abs(periods[0]), seed
 
     def test_residue_theorem_per_pair(self, fermat, p_x1cubed_x2sq):
         jet = self._random_jet(21)
-        rep = period_of_jet(fermat, p_x1cubed_x2sq, jet, quadrature=False)
+        rep = period_of_jet(fermat, p_x1cubed_x2sq, jet)
         scale = max(
             (abs(s.residue) for c in rep.per_pair.values() for s in c.sites), default=1.0
         )
@@ -346,9 +342,9 @@ class TestDegreeTwoJets:
         P1 = MultiPoly.monomial(5, 1.0, (1, 1, 1, 1, 1))
         P2 = MultiPoly.monomial(5, 1.0, (0, 0, 5, 0, 0))
         comb = P1 * (0.5 + 2j) + P2 * (-1.5)
-        lhs = period_of_jet(fermat, comb, jet, quadrature=False).total
-        rhs = (0.5 + 2j) * period_of_jet(fermat, P1, jet, quadrature=False).total - 1.5 * (
-            period_of_jet(fermat, P2, jet, quadrature=False).total
+        lhs = period_of_jet(fermat, comb, jet).total
+        rhs = (0.5 + 2j) * period_of_jet(fermat, P1, jet).total - 1.5 * (
+            period_of_jet(fermat, P2, jet).total
         )
         assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), 1e-30)
 
@@ -452,7 +448,7 @@ class TestScan:
             monomial_scan(fermat, corrected_slice, [0.1], 4)
 
     def test_row_count_and_shape(self, fermat, corrected_slice):
-        table = monomial_scan(fermat, corrected_slice, [0.1, 0.2j], 5, quadrature=False)
+        table = monomial_scan(fermat, corrected_slice, [0.1, 0.2j], 5)
         assert len(table.rows) == 126
         assert all(len(r.totals) == 2 for r in table.rows)
         assert any(not r.vanishes for r in table.rows)
@@ -464,12 +460,12 @@ class TestScan:
 
     def test_null_family_scan_all_vanishing(self, fermat):
         fam = mobius_null_family(1, 2)
-        table = monomial_scan(fermat, fam, [0.05, 0.1j], 5, quadrature=False)
+        table = monomial_scan(fermat, fam, [0.05, 0.1j], 5)
         assert len(table.rows) == 126
         assert all(r.vanishes for r in table.rows)
 
     def test_linearity_against_scan_rows(self, fermat, corrected_slice):
-        table = monomial_scan(fermat, corrected_slice, [0.17], 5, quadrature=False)
+        table = monomial_scan(fermat, corrected_slice, [0.17], 5)
         rows = {r.exponents: r.totals[0] for r in table.rows}
         P = (
             MultiPoly.monomial(5, 2.0, (0, 3, 2, 0, 0))
@@ -517,25 +513,33 @@ class TestScan:
 
 
 class TestLocationMaps:
-    """The residue engine runs one SiteMap per pole location, stacking the
-    sites of every pair there."""
+    """The residue engine runs every site and check site of every pair at a
+    sample through one SiteMap, stacked into blocks by exact location,
+    width and order."""
 
     @staticmethod
     def _counting(monkeypatch) -> list:
-        """Records the entries of every SiteMap the assembly builds."""
+        """Records every SiteMap the assembly builds."""
         built = []
 
         class Counting(SiteMap):
             def __init__(self, entries, *args, **kwargs):
                 super().__init__(entries, *args, **kwargs)
-                built.append(entries)
+                built.append(self)
 
         monkeypatch.setattr(period, "SiteMap", Counting)
         return built
 
+    @staticmethod
+    def _block_keys(site_map) -> list:
+        """(location, width, order) of each block, location None at [1:0]."""
+        firsts = [block.entries[0] for _, block in site_map.blocks]
+        return [(None if e.at_infinity else e.location, e.width, e.order) for e in firsts]
+
     def test_one_site_map_per_pole_location(self, fermat, monkeypatch):
         # on a Fermat line every pole of every pair sits at t = 0 or [1:0]:
-        # six live pairs, each with a site and a check site, in two maps
+        # six live pairs, each with a site and a check site, in one map
+        # whose blocks sit at those two locations
         built = self._counting(monkeypatch)
         s = 0.1 + 0.05j
         scan_maps = {1: 0, 2: 0}
@@ -546,16 +550,21 @@ class TestLocationMaps:
             exps[d.pair[1]], exps[a] = 3, 2
             built.clear()
             period_at(fermat, MultiPoly.monomial(5, 1.0, tuple(exps)), fam, s)
-            locations = {None if e.at_infinity else e.location for es in built for e in es}
-            assert len(built) == len(locations) == 2, d.identifier
-            assert sum(map(len, built)) == 12, d.identifier
+            (site_map,) = built
+            assert len(site_map.entries) == 12, d.identifier
+            keys = self._block_keys(site_map)
+            assert {loc for loc, _, _ in keys} == {0j, None}, d.identifier
+            assert len(set(keys)) == len(keys), d.identifier
             # the scan has no check sites: [1:0] only where a live pair's
             # x_{j0} drops degree
             built.clear()
             monomial_scan(fermat, fam, [s], 5)
-            locations = {None if e.at_infinity else e.location for es in built for e in es}
-            assert len(built) == len(locations) and locations <= {0j, None}, d.identifier
-            scan_maps[len(built)] += 1
+            (site_map,) = built
+            keys = self._block_keys(site_map)
+            locations = {None if e.at_infinity else e.location for e in site_map.entries}
+            assert locations <= {0j, None}, d.identifier
+            assert len(set(keys)) == len(keys), d.identifier
+            scan_maps[len(locations)] += 1
         assert scan_maps[2] > 0
 
     @staticmethod
@@ -569,7 +578,7 @@ class TestLocationMaps:
         return CurveJet(jet.s, tuple(x), jet.y, 2)
 
     def test_mixed_widths_at_infinity_match_the_scalar_oracle(self, fermat, monkeypatch):
-        # pairs whose inner factors differ in degree share the [1:0] map
+        # pairs whose inner factors differ in degree share [1:0] in the map
         # with different numerator widths; each entry there must give the
         # scalar oracle's residue (pair_integrand, then its residue at
         # [1:0]: the path of verification.reference_period), the pole order
@@ -585,9 +594,9 @@ class TestLocationMaps:
             jet = self._dropped_jet(seed)
             for P in classes:
                 built.clear()
-                rep = period_of_jet(fermat, P, jet, quadrature=False)
-                (at_infinity,) = [es for es in built if es[0].at_infinity]
-                sites = [e for e in at_infinity if e.zero_multiplicity]
+                rep = period_of_jet(fermat, P, jet)
+                (site_map,) = built
+                sites = [e for e in site_map.entries if e.at_infinity and e.zero_multiplicity]
                 mixed += len({e.width for e in sites}) > 1
                 for (j0, j1), c in rep.per_pair.items():
                     if c.numerator_zero or j0 > 1:
@@ -625,8 +634,9 @@ class TestLocationMaps:
         named = r"^pair \(0,2\) at s = 0\.1\+0j: zero of the residue coordinate at 0"
         with pytest.raises(BaseLocusCollisionError, match=named):
             period_of_jet(fermat, P, jet)
-        at_zero = [es for es in built if not es[0].at_infinity and es[0].location == 0]
-        assert len(at_zero) == 1 and sum(e.zero_multiplicity > 0 for e in at_zero[0]) >= 2
+        (site_map,) = built
+        at_zero = [e for e in site_map.entries if not e.at_infinity and e.location == 0]
+        assert sum(e.zero_multiplicity > 0 for e in at_zero) >= 2
         fam = CurveFamily("collision", lambda s: jet)
         with pytest.raises(BaseLocusCollisionError, match=named):
             monomial_scan(fermat, fam, [0.1], 5)

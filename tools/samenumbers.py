@@ -1,0 +1,276 @@
+"""Check that two checkouts compute the same numbers, to the bit.
+
+    python3 tools/samenumbers.py --root A --root B
+
+Each checkout runs in its own process, importing its own ``src`` (and, for
+the jets, its own ``tests/test_period.py``), and writes one record per line.
+The corpus:
+
+* the README example config through the CLI: the ``period`` and the
+  ``scan --degree 5`` CSV and JSON bytes, stdout and exit code;
+* ``period_at`` of ``x1^3 x2^2`` on each of the 50 catalog lines at every
+  ``STANDARD_PERIOD_SAMPLES`` value, and ``monomial_scan`` of each line at
+  the first three of them;
+* ``period_of_jet`` of ``x1^3 x2^2`` on 600 jets: the tests'
+  ``TestDegreeTwoJets._random_jet`` seeds 0-199, each as it stands, under
+  ``t -> 1/t`` and under the tests' Moebius map.
+
+A period record holds every total, residue, quadrature value and scale,
+pole order, exact zero, VANISHES flag, residue-theorem and dual-sum check of
+the report, down to each site; an input that raises records the error's
+class and message.  Floats are compared through their shortest round-trip
+text, so any difference in the last bit counts.
+
+Prints ``identical``, or the first record that differs (both values) and
+the largest change of any backend disagreement between matching records.
+Exits 0 when identical, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# the README example config, without its output paths
+README_CONFIG = {
+    "hypersurface": "fermat/m=3,d=5",
+    "family": "fermat-line/pair=0,1/zeta=1/corrected",
+    "p": "x1^3*x2^2",
+    "samples": [[0.1, 0.0], [0.0, 0.12], [0.15, 0.05]],
+}
+JET_SEEDS = range(200)
+SCAN_SAMPLES = 3
+
+
+def plain(value):
+    """JSON-ready value: complex as [re, im], numpy scalars and arrays as
+    Python numbers and lists."""
+    if hasattr(value, "tolist"):
+        value = value.tolist()
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    return value
+
+
+def report_records(key: str, rep) -> list[tuple[str, dict]]:
+    """One record for the report, one per pair and one per site."""
+    out = [(key, {
+        "total": plain(rep.total),
+        "vanish_scale": rep.vanish_scale,
+        "vanishes": rep.vanishes,
+        "min_pole_separation": rep.min_pole_separation,
+        "max_backend_disagreement": rep.max_backend_disagreement,
+    })]
+    for (j0, j1), c in sorted(rep.per_pair.items()):
+        pair = f"{key} pair ({j0},{j1})"
+        out.append((pair, {
+            "residue_sum": plain(c.residue_sum),
+            "numerator_zero": c.numerator_zero,
+            "residue_theorem_check": c.residue_theorem_check,
+            "residue_theorem_scale": c.residue_theorem_scale,
+            "dual_sum_check": c.dual_sum_check,
+        }))
+        for i, s in enumerate(c.sites):
+            out.append((f"{pair} site {i}", {
+                "location": plain(s.location),
+                "at_infinity": s.at_infinity,
+                "zero_multiplicity": s.zero_multiplicity,
+                "pole_order": s.pole_order,
+                "residue": plain(s.residue),
+                "residue_quadrature": plain(s.residue_quadrature),
+                "quadrature_scale": s.quadrature_scale,
+                "backend_disagreement": s.backend_disagreement,
+            }))
+    return out
+
+
+def guarded(key: str, run, records) -> list[tuple[str, dict]]:
+    """records(key, run()), or one record of the error run raises."""
+    try:
+        result = run()
+    except Exception as exc:  # a raised error is part of the corpus
+        return [(key, {"error": f"{type(exc).__name__}: {exc}"})]
+    return records(key, result)
+
+
+def scan_records(key: str, table) -> list[tuple[str, dict]]:
+    out = [(f"{key} worst_backend", {"worst_backend": plain(table.worst_backend)})]
+    for row in table.rows:
+        out.append((f"{key} row {row.monomial}", {
+            "totals": plain(row.totals),
+            "vanish_scales": plain(row.vanish_scales),
+            "max_backend_disagreements": plain(row.max_backend_disagreements),
+            "vanishes": row.vanishes,
+        }))
+    return out
+
+
+def cli_records(cli) -> list[tuple[str, dict]]:
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(README_CONFIG))
+        for command, extra in (("period", []), ("scan", ["--degree", "5"])):
+            csv, js = Path(tmp) / f"{command}.csv", Path(tmp) / f"{command}.json"
+            argv = [command, "--config", str(config), *extra, "--out-csv", str(csv),
+                    "--out-json", str(js)]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+            out.append((f"cli {command}", {
+                "exit": code,
+                "stdout": stdout.getvalue(),
+                "stderr": stderr.getvalue(),
+                "csv": csv.read_text() if csv.exists() else None,
+                "json": js.read_text() if js.exists() else None,
+            }))
+    return out
+
+
+def dump(root: Path) -> None:
+    """Write the corpus records of the checkout at root, one JSON line each."""
+    src = root / "src"
+    sys.path[:0] = [str(src)]
+    import quintic_periods
+    from quintic_periods import cli, period
+    from quintic_periods.catalog import STANDARD_PERIOD_SAMPLES, line_families
+    from quintic_periods.geometry import MobiusMap, transform_jet
+    from quintic_periods.multipoly import MultiPoly
+
+    if Path(quintic_periods.__file__).resolve().parent != (src / "quintic_periods").resolve():
+        sys.exit(f"error: imported quintic_periods from {quintic_periods.__file__}")
+    spec = importlib.util.spec_from_file_location("_tests_period", root / "tests" / "test_period.py")
+    tests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tests)
+
+    X = quintic_periods.fermat_hypersurface(3, 5)
+    P = MultiPoly.monomial(5, 1.0, (0, 3, 2, 0, 0))
+    records = cli_records(cli)
+    for d in line_families():
+        fam = d.family()
+        for k, s in enumerate(STANDARD_PERIOD_SAMPLES):
+            key = f"period {d.identifier} s[{k}]"
+            records += guarded(key, lambda: period.period_at(X, P, fam, s), report_records)
+        samples = list(STANDARD_PERIOD_SAMPLES[:SCAN_SAMPLES])
+        key = f"scan {d.identifier}"
+        records += guarded(key, lambda: period.monomial_scan(X, fam, samples, 5), scan_records)
+    maps = {
+        "identity": None,
+        "t->1/t": MobiusMap(0, 1, 1, 0),
+        # the Moebius map of the tests' reparametrization checks
+        "moebius": MobiusMap(1.1 + 0.3j, 0.4, -0.2 + 0.1j, 0.9 - 0.2j),
+    }
+    for seed in JET_SEEDS:
+        for name, A in maps.items():
+            def run(seed=seed, A=A):
+                jet = tests.TestDegreeTwoJets._random_jet(seed)
+                return period.period_of_jet(X, P, jet if A is None else transform_jet(jet, A))
+
+            records += guarded(f"jet seed {seed} {name}", run, report_records)
+    for key, value in records:
+        print(json.dumps([key, value], default=plain))
+
+
+def disagreement_change(a: dict, b: dict) -> float:
+    """The largest change of a backend-disagreement field between two
+    versions of one record."""
+    worst = 0.0
+    for name, va in a.items():
+        if "backend_disagreement" not in name or name not in b:
+            continue
+        flat_a, flat_b = _floats(va), _floats(b[name])
+        if len(flat_a) == len(flat_b):
+            worst = max([worst] + [abs(x - y) for x, y in zip(flat_a, flat_b)])
+    return worst
+
+
+def _floats(value) -> list[float]:
+    if isinstance(value, list):
+        return [x for v in value for x in _floats(v)]
+    return [value] if isinstance(value, float) else []
+
+
+def compare(lines_a: list[str], lines_b: list[str]) -> tuple[str | None, float]:
+    """The first differing record, described, and the largest
+    backend-disagreement change over records present in both."""
+    a = [json.loads(line) for line in lines_a]
+    b = [json.loads(line) for line in lines_b]
+    first = None
+    for i in range(max(len(a), len(b))):
+        ra = lines_a[i] if i < len(a) else None
+        rb = lines_b[i] if i < len(b) else None
+        if ra != rb:
+            first = f"record {i}: " + _difference(a[i] if ra else None, b[i] if rb else None)
+            break
+    b_by_key = dict(b)
+    change = max(
+        (disagreement_change(va, b_by_key[key]) for key, va in a if key in b_by_key),
+        default=0.0,
+    )
+    return first, change
+
+
+def _difference(ra, rb) -> str:
+    """Two versions of one record, by the fields in which they differ."""
+    if ra is None or rb is None or ra[0] != rb[0]:
+        return f"\n  A: {_clip(ra)}\n  B: {_clip(rb)}"
+    (key, va), vb = ra, rb[1]
+    fields = [name for name in {**va, **vb} if va.get(name, ()) != vb.get(name, ())]
+    lines = [f"{key}"] + [
+        f"  {name}:\n    A: {_clip(va.get(name))}\n    B: {_clip(vb.get(name))}" for name in fields
+    ]
+    return "\n".join(lines)
+
+
+def _clip(value, width: int = 400) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= width else text[:width] + " ..."
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--root", type=Path, action="append", required=True,
+                    help="a checkout; give two, or one with --dump")
+    ap.add_argument("--dump", action="store_true",
+                    help="write the records of the one --root instead of comparing")
+    args = ap.parse_args(argv)
+    if args.dump:
+        if len(args.root) != 1:
+            ap.error("--dump takes one --root")
+        dump(args.root[0].resolve())
+        return 0
+    if len(args.root) != 2:
+        ap.error("give two --root checkouts")
+    procs = [
+        subprocess.Popen(
+            [sys.executable, __file__, "--dump", "--root", str(root.resolve())],
+            stdout=subprocess.PIPE, text=True,
+        )
+        for root in args.root
+    ]
+    outputs = [p.communicate()[0] for p in procs]
+    for root, p in zip(args.root, procs):
+        if p.returncode:
+            sys.exit(f"error: the run of {root} exited with {p.returncode}")
+    lines_a, lines_b = (out.splitlines() for out in outputs)
+    first, change = compare(lines_a, lines_b)
+    if first is None:
+        print("identical")
+        print(f"{len(lines_a)} records")
+        return 0
+    print(f"first difference, {first}")
+    print(f"largest backend-disagreement change: {change:.3g}")
+    return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
