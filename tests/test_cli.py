@@ -30,6 +30,7 @@ def write_config(tmp_path: Path, **overrides) -> Path:
 # the coordinates of the paper's line as an expression family
 LINE = ["t", "-zeta*t", "1", "s", "root5(-1-s^5)"]
 BAD_EXPONENTS = ["a", 0, 0, 0, 0]
+FRACTIONAL = [5.7, 0, 0, 0, 0]
 
 
 class TestConfig:
@@ -279,8 +280,38 @@ class TestCommands:
                 [],
                 "hypersurface.terms[0].exponents",
             ),
+            ({"p": "x1^^2"}, [], "p"),
+            ({"p": "root5(x0)"}, [], "p"),
+            ({"p": "s*x0^4"}, [], "p"),
+            ({"p": "x7^5"}, [], "p"),
+            (
+                {"family": {"coordinates": LINE[:4] + ["root5(-1-s^5"]}},
+                [],
+                "family.coordinates[4]",
+            ),
+            ({"family": {"coordinates": LINE, "zeta_index": 1.9}}, [], "family.zeta_index"),
+            (
+                {"hypersurface": {"nvars": 5, "terms": [{"coeff": 1, "exponents": FRACTIONAL}]}},
+                [],
+                "hypersurface.terms[0].exponents",
+            ),
+            ({}, ["--s", "0.1,0.2,0.3"], "--s"),
         ],
-        ids=["s-word", "s-imaginary-part", "zeta-index", "fd-step", "exponents"],
+        ids=[
+            "s-word",
+            "s-imaginary-part",
+            "zeta-index",
+            "fd-step",
+            "exponents",
+            "p-syntax",
+            "p-root5",
+            "p-free-s",
+            "p-unknown-variable",
+            "coordinate-syntax",
+            "zeta-index-fraction",
+            "exponents-fraction",
+            "s-three-parts",
+        ],
     )
     def test_malformed_input_exits_2_naming_its_field(
         self, tmp_path, capsys, overrides, argv, field

@@ -2,6 +2,7 @@ import cmath
 
 import pytest
 
+from quintic_periods.catalog import root5_neg1_minus_s5
 from quintic_periods.errors import BranchError, EvaluationError, ParseError
 from quintic_periods.numkernel.parser import (
     differentiate,
@@ -100,8 +101,10 @@ def test_pretty_print_parse_fixed_point():
 
 
 def test_principal_branch_at_anchor():
-    e = parse_expression("root5(s)")
-    val = eval_on_path(e, "s", -1.0 + 0j, anchor=-1.0 + 0j)
+    # the radicand at s = 0 is -1 - 0j: the principal root must still read
+    # it as Arg = +pi
+    e = parse_expression("root5(-1-s^5)")
+    val = eval_on_path(e, "s", 0j)
     assert abs(val - cmath.exp(1j * cmath.pi / 5)) < 1e-12
 
 
@@ -116,6 +119,27 @@ def test_continuation_tracks_across_negative_axis():
         cur = eval_on_path(e, "s", s)
         assert abs(cur - prev) < 0.05
         prev = cur
+
+
+def test_nested_root5_continuous_around_circle():
+    # the inner radicand circles -1, across the principal cut; the outer
+    # radicand root5(-1-s^5) - 2 crosses it only if the inner branch jumps
+    e = parse_expression("root5(root5(-1-s^5) - 2)")
+    prev = eval_on_path(e, "s", 0.25)
+    for k in range(1, 25):
+        s = 0.25 * cmath.exp(2j * cmath.pi * k / 24)
+        cur = eval_on_path(e, "s", s)
+        inner = eval_on_path(parse_expression("root5(-1-s^5)"), "s", s)
+        assert abs(cur**5 - (inner - 2)) < 1e-12
+        assert abs(cur - prev) < 0.02
+        prev = cur
+
+
+def test_path_root5_matches_catalog_bit_for_bit():
+    e = parse_expression("root5(-1-s^5)")
+    for k in range(16):
+        s = 0.4 * cmath.exp(2j * cmath.pi * (k + 0.5) / 16)
+        assert eval_on_path(e, "s", s) == root5_neg1_minus_s5(s)
 
 
 def test_branch_error_when_radicand_hits_zero():

@@ -6,8 +6,10 @@ Each checkout runs in its own process, importing its own ``src`` (and, for
 the jets, its own ``tests/test_period.py``), and writes one record per line.
 The corpus:
 
-* the README example config through the CLI: the ``period`` and the
-  ``scan --degree 5`` CSV and JSON bytes, stdout and exit code;
+* the README example config, and the same config with the README's
+  coordinate-expression family under ``"jets": "analytic"`` and under
+  ``"jets": "fd"``, through the CLI: the ``period`` and the ``scan --degree 5``
+  CSV and JSON bytes, stdout and exit code;
 * ``period_at`` of ``x1^3 x2^2`` on each of the 50 catalog lines at every
   ``STANDARD_PERIOD_SAMPLES`` value, and ``monomial_scan`` of each line at
   the first three of them;
@@ -44,6 +46,18 @@ README_CONFIG = {
     "family": "fermat-line/pair=0,1/zeta=1/corrected",
     "p": "x1^3*x2^2",
     "samples": [[0.1, 0.0], [0.0, 0.12], [0.15, 0.05]],
+}
+# the README coordinate-expression family: the paper's line, parsed
+EXPRESSION_FAMILY = {
+    "coordinates": ["t", "-zeta*t", "1", "s", "root5(-1-s^5)"],
+    "zeta_index": 1,
+}
+CLI_CONFIGS = {
+    "catalog": README_CONFIG,
+    **{
+        f"expression {jets}": {**README_CONFIG, "family": {**EXPRESSION_FAMILY, "jets": jets}}
+        for jets in ("analytic", "fd")
+    },
 }
 JET_SEEDS = range(200)
 SCAN_SAMPLES = 3
@@ -116,23 +130,24 @@ def scan_records(key: str, table) -> list[tuple[str, dict]]:
 
 def cli_records(cli) -> list[tuple[str, dict]]:
     out = []
-    with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "config.json"
-        config.write_text(json.dumps(README_CONFIG))
-        for command, extra in (("period", []), ("scan", ["--degree", "5"])):
-            csv, js = Path(tmp) / f"{command}.csv", Path(tmp) / f"{command}.json"
-            argv = [command, "--config", str(config), *extra, "--out-csv", str(csv),
-                    "--out-json", str(js)]
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = cli.main(argv)
-            out.append((f"cli {command}", {
-                "exit": code,
-                "stdout": stdout.getvalue(),
-                "stderr": stderr.getvalue(),
-                "csv": csv.read_text() if csv.exists() else None,
-                "json": js.read_text() if js.exists() else None,
-            }))
+    for name, cfg in CLI_CONFIGS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(cfg))
+            for command, extra in (("period", []), ("scan", ["--degree", "5"])):
+                csv, js = Path(tmp) / f"{command}.csv", Path(tmp) / f"{command}.json"
+                argv = [command, "--config", str(config), *extra, "--out-csv", str(csv),
+                        "--out-json", str(js)]
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = cli.main(argv)
+                out.append((f"cli {name} {command}", {
+                    "exit": code,
+                    "stdout": stdout.getvalue(),
+                    "stderr": stderr.getvalue(),
+                    "csv": csv.read_text() if csv.exists() else None,
+                    "json": js.read_text() if js.exists() else None,
+                }))
     return out
 
 
