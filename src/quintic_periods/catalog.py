@@ -84,7 +84,7 @@ def shioda_quintic() -> Hypersurface:
 
 def root5_neg1_minus_s5(s: complex) -> complex:
     """Branch-continued root5(-1 - s^5), anchored at the principal value at 0."""
-    return continued_root5(lambda sig: -1.0 - sig**5, complex(s), anchor=0j)
+    return continued_root5(lambda sig: -1.0 - sig**5, complex(s))
 
 
 def d_root5_neg1_minus_s5(s: complex, w: complex | None = None) -> complex:
@@ -185,7 +185,6 @@ class ClosedFormRef:
     """Reference g(s) = root5(-1-s^5)/zeta^2 + zeta^3/root5(-1-s^5)^4."""
 
     zeta: complex
-    anchor: complex = 0j
 
     def __post_init__(self):
         if abs(self.zeta**5 - 1.0) > 1e-12:
@@ -197,7 +196,7 @@ class ClosedFormRef:
 
 def closed_form_g(s: complex, ref: ClosedFormRef) -> complex:
     """Evaluate the closed-form reference with the branch anchored at s=0."""
-    w = continued_root5(lambda sig: -1.0 - sig**5, complex(s), anchor=ref.anchor)
+    w = root5_neg1_minus_s5(s)
     return w / ref.zeta**2 + ref.zeta**3 / w**4
 
 

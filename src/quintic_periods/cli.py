@@ -31,10 +31,17 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import catalog as cat
-from .errors import ConfigError, NonConvergenceError, QuinticPeriodsError
+from .errors import (
+    ConfigError,
+    EvaluationError,
+    NonConvergenceError,
+    ParseError,
+    QuinticPeriodsError,
+)
 from .geometry import CurveFamily, Hypersurface
 from .multipoly import MultiPoly
 from .numkernel.parser import (
+    Expr,
     differentiate,
     eval_on_path,
     expr_to_multipoly,
@@ -77,6 +84,21 @@ def _converted(convert, value: Any, where: str, what: str):
         return convert(value)
     except (TypeError, ValueError):
         raise ConfigError(f"cannot read {value!r} as {what}", where) from None
+
+
+def _whole(value: Any) -> int:
+    """int(value), refusing a float with a fractional part."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
+def _expression(text: Any, where: str) -> Expr:
+    """The parsed expression, or a ConfigError naming the field."""
+    try:
+        return parse_expression(str(text))
+    except ParseError as exc:
+        raise ConfigError(str(exc), where) from None
 
 
 @dataclass
@@ -179,7 +201,7 @@ def build_hypersurface(cfg: RunConfig) -> Hypersurface:
         if not isinstance(item, dict) or "exponents" not in item or "coeff" not in item:
             raise ConfigError("term needs coeff and exponents", where)
         exps = _converted(
-            lambda es: tuple(int(e) for e in es),
+            lambda es: tuple(_whole(e) for e in es),
             item["exponents"],
             f"{where}.exponents",
             "a list of integer exponents",
@@ -195,30 +217,26 @@ def build_family(cfg: RunConfig) -> CurveFamily:
     coords = fam.get("coordinates")
     if not isinstance(coords, list) or not coords:
         raise ConfigError("family needs a catalog id or coordinate expressions", "family")
-    zeta_index = _converted(int, fam.get("zeta_index", 1), "family.zeta_index", "an integer")
+    zeta_index = _converted(_whole, fam.get("zeta_index", 1), "family.zeta_index", "an integer")
     zeta = cat.zeta_value(zeta_index)
-    exprs = [parse_expression(str(c)) for c in coords]
+    exprs = [_expression(c, f"family.coordinates[{i}]") for i, c in enumerate(coords)]
     jets_mode = fam.get("jets", "analytic")
     fd_step = _converted(float, fam.get("fd_step", 1e-5), "family.fd_step", "a number")
     t_poly = UniPoly.variable()
 
-    def coords_at(s: complex) -> list[UniPoly]:
-        out = []
-        for e in exprs:
-            v = eval_on_path(e, "s", s, env={"t": t_poly, "zeta": zeta})
-            out.append(v if isinstance(v, UniPoly) else UniPoly.constant(v))
-        return out
-
-    if jets_mode == "analytic":
-        derivs = [differentiate(e, "s") for e in exprs]
-
-        def jets_at(s: complex) -> list[UniPoly]:
+    def charts(trees: list[Expr]):
+        def at(s: complex) -> list[UniPoly]:
             out = []
-            for e in derivs:
+            for e in trees:
                 v = eval_on_path(e, "s", s, env={"t": t_poly, "zeta": zeta})
                 out.append(v if isinstance(v, UniPoly) else UniPoly.constant(v))
             return out
 
+        return at
+
+    coords_at = charts(exprs)
+    if jets_mode == "analytic":
+        jets_at = charts([differentiate(e, "s") for e in exprs])
     elif jets_mode == "fd":
         jets_at = None
     else:
@@ -244,8 +262,11 @@ def build_family(cfg: RunConfig) -> CurveFamily:
 
 
 def build_p(cfg: RunConfig, X: Hypersurface) -> MultiPoly:
-    expr = parse_expression(cfg.p_text)
-    return expr_to_multipoly(expr, nvars=X.nvars, constants={"zeta": cat.zeta_value(1)})
+    expr = _expression(cfg.p_text, "p")
+    try:
+        return expr_to_multipoly(expr, X.nvars, constants={"zeta": cat.zeta_value(1)})
+    except EvaluationError as exc:
+        raise ConfigError(str(exc), "p") from None
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +440,8 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _parse_s(text: str) -> complex:
-    re_s, im_s = (text.split(",") + ["0"])[:2]
-    return complex(float(re_s), float(im_s))
+    re_s, comma, im_s = text.partition(",")
+    return complex(float(re_s), float(im_s) if comma else 0.0)
 
 
 def cmd_period(args) -> int:

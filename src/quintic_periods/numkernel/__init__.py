@@ -8,7 +8,6 @@ from .parser import (
     evaluate,
     expr_to_multipoly,
     parse_expression,
-    to_text,
 )
 from .residues import (
     QUAD_NODES,
@@ -48,5 +47,4 @@ __all__ = [
     "residue_quadrature",
     "residue_sum_check",
     "residues_at_zeros",
-    "to_text",
 ]

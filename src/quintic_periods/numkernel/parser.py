@@ -12,15 +12,17 @@ Grammar (superset of what the config files need)::
 
 Exponents are integer literals.  ``root5`` is the branched fifth root: plain
 evaluation uses the principal branch, while :func:`eval_on_path` continues
-every root5 value along the straight segment from a declared anchor (default
-s = 0, anchor value the principal root), which is how multivalued coordinates
-such as root5(-1-s^5) stay single valued across sweeps.
+every root5 value along the straight segment from s = 0, where it takes the
+principal root, which is how multivalued coordinates such as root5(-1-s^5)
+stay single valued across sweeps.  :func:`continued_root5` continues the
+root of a callable radicand along the same path by the same loop.
 
-Evaluation is generic over the value type: feeding ``UniPoly.variable()`` for
-``t`` turns a coordinate expression directly into its chart polynomial.
-Division and negative exponents are evaluator-only conveniences (needed by
-symbolic s-derivatives); exact MultiPoly extraction rejects them unless they
-act on constants.
+There is one evaluator, generic over the value type: feeding
+``UniPoly.variable()`` for ``t`` turns a coordinate expression directly into
+its chart polynomial, and feeding ``MultiPoly.variable`` for x0..x9 is the
+exact polynomial extraction of :func:`expr_to_multipoly`.  Division and
+negative exponents are evaluator-only conveniences (needed by symbolic
+s-derivatives); on polynomial values they must act on constants.
 """
 
 from __future__ import annotations
@@ -71,11 +73,6 @@ def _tokenize(src: str) -> list[Token]:
 class Expr:
     __slots__ = ()
 
-    def free_symbols(self) -> set[str]:
-        out: set[str] = set()
-        _collect_symbols(self, out)
-        return out
-
 
 @dataclass(frozen=True)
 class Num(Expr):
@@ -110,18 +107,16 @@ class Root5(Expr):
     arg: Expr
 
 
-def _collect_symbols(e: Expr, out: set[str]) -> None:
-    if isinstance(e, Sym):
-        out.add(e.name)
-    elif isinstance(e, Neg):
-        _collect_symbols(e.arg, out)
+def _subtrees(e: Expr):
+    """Every node of the tree under e, e included, children before parents."""
+    if isinstance(e, (Neg, Root5)):
+        yield from _subtrees(e.arg)
     elif isinstance(e, BinOp):
-        _collect_symbols(e.left, out)
-        _collect_symbols(e.right, out)
+        yield from _subtrees(e.left)
+        yield from _subtrees(e.right)
     elif isinstance(e, Pow):
-        _collect_symbols(e.base, out)
-    elif isinstance(e, Root5):
-        _collect_symbols(e.arg, out)
+        yield from _subtrees(e.base)
+    yield e
 
 
 class _Parser:
@@ -300,26 +295,12 @@ def _require_scalar(v, what: str) -> complex:
         if v.degree <= 0:
             return v.coeffs[0] if v.coeffs else 0j
         raise EvaluationError(f"{what} requires a constant, got a degree-{v.degree} polynomial")
+    if hasattr(v, "constant_value"):  # a MultiPoly
+        c = v.constant_value()
+        if c is None:
+            raise EvaluationError(f"{what} requires a constant, got a non-constant polynomial")
+        return c
     return complex(v)
-
-
-def _root5_nodes(expr: Expr) -> list[Root5]:
-    out: list[Root5] = []
-
-    def walk(e: Expr):
-        if isinstance(e, Root5):
-            walk(e.arg)
-            out.append(e)
-        elif isinstance(e, Neg):
-            walk(e.arg)
-        elif isinstance(e, BinOp):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, Pow):
-            walk(e.base)
-
-    walk(expr)
-    return out  # inner roots first
 
 
 # a continuation path is cut into this many equal steps, and a step is
@@ -328,102 +309,70 @@ _PATH_STEPS = 32
 _MAX_BISECTIONS = 48
 
 
-def eval_on_path(
-    expr: Expr,
-    var: str,
-    value: complex,
-    env: dict | None = None,
-    anchor: complex = 0j,
-):
-    """Evaluate with every root5 branch continued from the anchor.
+def _continued(radicand_of, count: int, value: complex) -> list[complex]:
+    """``count`` fifth roots continued along the segment 0 -> value.
 
-    The continuation path is the straight segment anchor -> value in the
-    ``var`` plane; at the anchor every root5 takes its principal value.
-    Radicand steps whose argument moves by more than pi/4 are bisected;
-    failure to resolve (or a radicand hitting zero) raises BranchError.
+    ``radicand_of(k, sigma, roots)`` is radicand k at sigma, where
+    ``roots[:k]`` already hold roots 0..k-1 at sigma (nested roots).  At 0
+    every root takes its principal value.  A step is taken only when every
+    radicand's argument moves by at most pi/4; otherwise it is bisected.
+    A radicand hitting zero, or a step left unresolved, raises BranchError.
     """
-    env = dict(env or {})
-    nodes = _root5_nodes(expr)
-    if not nodes:
-        env[var] = value
-        return evaluate(expr, env)
-
-    branch: dict[int, complex] = {}
-    radicand: dict[int, complex] = {}
-
-    # anchor values: principal branch
-    env[var] = anchor
-    table: dict[int, complex] = {}
-    for node in nodes:
-        arg = _require_scalar(evaluate(node.arg, env, table), "root5")
+    roots, trial = [0j] * count, [0j] * count
+    args, trial_args = [0j] * count, [0j] * count
+    ks = range(count)
+    for k in ks:
+        arg = radicand_of(k, 0j, roots)
         if arg == 0:
             raise BranchError("root5 radicand vanishes at the path anchor")
-        radicand[id(node)] = arg
-        branch[id(node)] = _principal_root5(arg)
-        table[id(node)] = branch[id(node)]
+        args[k] = arg
+        roots[k] = _principal_root5(arg)
+    prev = 0j
 
     def advance(sigma: complex, depth: int) -> None:
-        # update every root5 value by continuity from the previous sigma
-        env[var] = sigma
-        table = dict(branch)
-        pending: dict[int, complex] = {}
-        for node in nodes:
-            arg = _require_scalar(evaluate(node.arg, env, table), "root5")
-            prev_arg = radicand[id(node)]
-            if arg == 0 or prev_arg == 0:
+        # trial holds the roots at sigma; they replace roots once all pass
+        nonlocal roots, trial, args, trial_args, prev
+        for k in ks:
+            arg = radicand_of(k, sigma, trial)
+            if arg == 0:
                 raise BranchError("root5 radicand vanishes on the continuation path")
-            ratio = arg / prev_arg
+            ratio = arg / args[k]
             if abs(ratio.imag) > abs(ratio.real) or ratio.real <= 0:
-                # argument moved by more than pi/4: refine
                 if depth >= _MAX_BISECTIONS:
                     raise BranchError("branch continuation failed to resolve the path")
-                mid = prev_sigma[0] + 0.5 * (sigma - prev_sigma[0])
-                advance(mid, depth + 1)
+                advance(prev + 0.5 * (sigma - prev), depth + 1)
                 advance(sigma, depth + 1)
                 return
-            new_val = branch[id(node)] * (ratio ** 0.2)
-            pending[id(node)] = (arg, new_val)
-            table[id(node)] = new_val
-        for key, (arg, val) in pending.items():
-            radicand[key] = arg
-            branch[key] = val
-        prev_sigma[0] = sigma
+            trial[k] = roots[k] * ratio**0.2
+            trial_args[k] = arg
+        roots, trial = trial, roots
+        args, trial_args = trial_args, args
+        prev = sigma
 
-    prev_sigma = [anchor]
-    for k in range(1, _PATH_STEPS + 1):
-        advance(anchor + (value - anchor) * (k / _PATH_STEPS), 0)
+    for step in range(1, _PATH_STEPS + 1):
+        advance(value * (step / _PATH_STEPS), 0)
+    return roots
 
+
+def eval_on_path(expr: Expr, var: str, value: complex, env: dict | None = None):
+    """Evaluate with every root5 branch continued along 0 -> value in the
+    ``var`` plane (see :func:`_continued`)."""
+    env = dict(env or {})
+    by_id = {id(e): e for e in _subtrees(expr) if isinstance(e, Root5)}
+    keys, nodes = list(by_id), list(by_id.values())
+
+    def radicand(k: int, sigma: complex, roots: list[complex]) -> complex:
+        env[var] = sigma
+        return _require_scalar(evaluate(nodes[k].arg, env, dict(zip(keys, roots))), "root5")
+
+    table = dict(zip(keys, _continued(radicand, len(nodes), value))) if nodes else None
     env[var] = value
-    return evaluate(expr, env, dict(branch))
+    return evaluate(expr, env, table)
 
 
-def continued_root5(radicand_of, value: complex, anchor: complex = 0j) -> complex:
-    """Branch-continued fifth root of radicand_of(sigma) along anchor -> value."""
-    prev = [anchor, complex(radicand_of(anchor))]
-    if prev[1] == 0:
-        raise BranchError("root5 radicand vanishes at the path anchor")
-    val = _principal_root5(prev[1])
-
-    def step(sigma: complex, depth: int) -> None:
-        nonlocal val
-        arg = complex(radicand_of(sigma))
-        if arg == 0:
-            raise BranchError("root5 radicand vanishes on the continuation path")
-        ratio = arg / prev[1]
-        if abs(ratio.imag) > abs(ratio.real) or ratio.real <= 0:
-            if depth >= _MAX_BISECTIONS:
-                raise BranchError("branch continuation failed to resolve the path")
-            mid = prev[0] + 0.5 * (sigma - prev[0])
-            step(mid, depth + 1)
-            step(sigma, depth + 1)
-            return
-        val = val * (ratio ** 0.2)
-        prev[0] = sigma
-        prev[1] = arg
-
-    for k in range(1, _PATH_STEPS + 1):
-        step(anchor + (value - anchor) * (k / _PATH_STEPS), 0)
-    return val
+def continued_root5(radicand_of, value: complex) -> complex:
+    """Branch-continued fifth root of radicand_of(sigma) along 0 -> value."""
+    return _continued(lambda k, sigma, roots: complex(radicand_of(sigma)), 1, value)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -465,119 +414,21 @@ def differentiate(expr: Expr, var: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial extraction and canonical printing
+# exact polynomial extraction
 
 
-def expr_to_multipoly(expr: Expr, nvars: int | None = None, constants: dict[str, complex] | None = None):
-    """Exact MultiPoly for a pure polynomial expression in x0..x9.
+def expr_to_multipoly(expr: Expr, nvars: int, constants: dict[str, complex] | None = None):
+    """Exact MultiPoly in x0..x{nvars-1}: the expression evaluated with
+    x_i -> MultiPoly.variable(nvars, i).
 
     Non-polynomial constructs (root5, division or negative exponents applied
-    to variables, free s/t) raise EvaluationError.
+    to variables, other symbols) raise EvaluationError.
     """
     from ..multipoly import MultiPoly  # deferred: multipoly sits above this package
 
-    constants = constants or {}
-
-    def build(e: Expr, nv: int) -> MultiPoly:
-        if isinstance(e, Num):
-            return MultiPoly.constant(nv, e.value)
-        if isinstance(e, Sym):
-            if e.name in constants:
-                return MultiPoly.constant(nv, complex(constants[e.name]))
-            if re.fullmatch(r"x\d", e.name):
-                idx = int(e.name[1])
-                exps = [0] * nv
-                exps[idx] = 1
-                return MultiPoly.monomial(nv, 1.0, tuple(exps))
-            raise EvaluationError(f"symbol {e.name!r} is not polynomial data")
-        if isinstance(e, Neg):
-            return -build(e.arg, nv)
-        if isinstance(e, BinOp):
-            a = build(e.left, nv)
-            if e.op == "/":
-                b = build(e.right, nv)
-                c = b.constant_value()
-                if c is None or c == 0:
-                    raise EvaluationError("polynomial extraction: division by a non-constant")
-                return a * (1.0 / c)
-            b = build(e.right, nv)
-            if e.op == "+":
-                return a + b
-            if e.op == "-":
-                return a - b
-            return a * b
-        if isinstance(e, Pow):
-            base = build(e.base, nv)
-            if e.exponent < 0:
-                c = base.constant_value()
-                if c is None or c == 0:
-                    raise EvaluationError("polynomial extraction: negative exponent on a non-constant")
-                return MultiPoly.constant(nv, c**e.exponent)
-            return base**e.exponent
-        if isinstance(e, Root5):
-            raise EvaluationError("polynomial extraction: root5 is not polynomial")
-        raise TypeError(f"unknown node {type(e).__name__}")
-
-    if nvars is None:
-        idxs = [int(s[1]) for s in expr.free_symbols() if re.fullmatch(r"x\d", s)]
-        nvars = (max(idxs) + 1) if idxs else 1
-    return build(expr, nvars)
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def to_text(expr: Expr) -> str:
-    """Canonical rendering; parse(to_text(e)) reproduces the tree."""
-
-    def fmt_num(v: complex) -> tuple[str, int]:
-        re_, im = v.real, v.imag
-        if im == 0.0:
-            s = _fmt_float(re_)
-            return (s, 5 if re_ >= 0 else 3)
-        if re_ == 0.0:
-            s = _fmt_float(im) + "i"
-            return (s, 5 if im >= 0 else 3)
-        sign = "+" if im >= 0 else "-"
-        return (f"({_fmt_float(re_)}{sign}{_fmt_float(abs(im))}i)", 5)
-
-    def render(e: Expr) -> tuple[str, int]:
-        if isinstance(e, Num):
-            return fmt_num(e.value)
-        if isinstance(e, Sym):
-            return (e.name, 5)
-        if isinstance(e, Neg):
-            inner, prec = render(e.arg)
-            if prec < _PREC["neg"]:
-                inner = f"({inner})"
-            return (f"-{inner}", _PREC["neg"])
-        if isinstance(e, BinOp):
-            lp = _PREC[e.op]
-            ls, lprec = render(e.left)
-            rs, rprec = render(e.right)
-            if lprec < lp:
-                ls = f"({ls})"
-            # -, / are left associative: parenthesize right operands of equal precedence
-            if rprec < lp or (rprec == lp and e.op in "-/"):
-                rs = f"({rs})"
-            elif e.op in "+-" and rs.startswith("-"):
-                rs = f"({rs})"
-            return (f"{ls}{e.op}{rs}", lp)
-        if isinstance(e, Pow):
-            bs, bprec = render(e.base)
-            if bprec < _PREC["^"] or isinstance(e.base, (Pow, Neg)):
-                bs = f"({bs})"
-            es = str(e.exponent) if e.exponent >= 0 else f"({e.exponent})"
-            return (f"{bs}^{es}", _PREC["^"])
-        if isinstance(e, Root5):
-            inner, _ = render(e.arg)
-            return (f"root5({inner})", 5)
-        raise TypeError(f"unknown node {type(e).__name__}")
-
-    return render(expr)[0]
-
-
-def _fmt_float(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    return repr(v)
+    if any(isinstance(e, Root5) for e in _subtrees(expr)):
+        raise EvaluationError("polynomial extraction: root5 is not polynomial")
+    env = {f"x{i}": MultiPoly.variable(nvars, i) for i in range(nvars)}
+    env.update(constants or {})
+    value = evaluate(expr, env)
+    return value if isinstance(value, MultiPoly) else MultiPoly.constant(nvars, value)

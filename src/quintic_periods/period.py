@@ -453,12 +453,12 @@ def period_at(X: Hypersurface, P: MultiPoly, fam: CurveFamily, s: complex) -> Pe
 
 
 def _merge_sites(*site_lists):
-    """The sites of all lists, sorted, with coinciding locations merged and
-    their multiplicities added."""
+    """The sites of all lists, sorted, with locations that ``coincides``
+    with the previous one merged and their multiplicities added."""
     sites = [site for sl in site_lists for site in sl]
     merged: list[tuple[complex, int]] = []
     for loc, mult in sorted(sites, key=lambda s: (s[0].real, s[0].imag)):
-        if merged and abs(merged[-1][0] - loc) <= 1e-9 * (1.0 + abs(loc)):
+        if merged and coincides(loc, [merged[-1][0]]):
             merged[-1] = (merged[-1][0], merged[-1][1] + mult)
         else:
             merged.append((loc, mult))

@@ -10,7 +10,6 @@ from quintic_periods.numkernel.parser import (
     evaluate,
     expr_to_multipoly,
     parse_expression,
-    to_text,
 )
 from quintic_periods.numkernel.unipoly import UniPoly
 
@@ -82,22 +81,6 @@ def test_root5_requires_constant_radicand_under_t():
     e = parse_expression("root5(t)")
     with pytest.raises(EvaluationError):
         evaluate(e, {"t": UniPoly.variable()})
-
-
-def test_pretty_print_parse_fixed_point():
-    sources = [
-        "x1^3*x2^2",
-        "-s^5-1",
-        "root5(-1-s^5)",
-        "(2+3i)*t - zeta^2",
-        "s*(t+1)^4 - 2/s",
-        "x0^5+x1^5+x2^5+x3^5+x4^5",
-        "t^(-3)",
-    ]
-    for src in sources:
-        once = to_text(parse_expression(src))
-        twice = to_text(parse_expression(once))
-        assert once == twice
 
 
 def test_principal_branch_at_anchor():
