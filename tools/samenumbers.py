@@ -6,13 +6,18 @@ Each checkout runs in its own process, importing its own ``src`` (and, for
 the jets, its own ``tests/test_period.py``), and writes one record per line.
 The corpus:
 
-* the README example config, and the same config with the README's
+* the README example config, the same config with the README's
   coordinate-expression family under ``"jets": "analytic"`` and under
-  ``"jets": "fd"``, through the CLI: the ``period`` and the ``scan --degree 5``
-  CSV and JSON bytes, stdout and exit code;
+  ``"jets": "fd"``, and the same config on ``"shioda-quintic"`` (whose
+  non-monomial partials are rooted as they stand), through the CLI: the
+  ``period`` and the ``scan --degree 5`` CSV and JSON bytes, stdout and
+  exit code;
 * ``period_at`` of ``x1^3 x2^2`` on each of the 50 catalog lines at every
   ``STANDARD_PERIOD_SAMPLES`` value, and ``monomial_scan`` of each line at
   the first three of them;
+* ``period_at`` of ``x1^3 x2^2`` and ``monomial_scan`` on the five
+  ``mobius-null/zeta=K/seed=0`` families at the first three
+  ``STANDARD_PERIOD_SAMPLES`` values;
 * ``period_of_jet`` of ``x1^3 x2^2`` on 600 jets: the tests'
   ``TestDegreeTwoJets._random_jet`` seeds 0-199, each as it stands, under
   ``t -> 1/t`` and under the tests' Moebius map.
@@ -58,6 +63,7 @@ CLI_CONFIGS = {
         f"expression {jets}": {**README_CONFIG, "family": {**EXPRESSION_FAMILY, "jets": jets}}
         for jets in ("analytic", "fd")
     },
+    "shioda": {**README_CONFIG, "hypersurface": "shioda-quintic"},
 }
 JET_SEEDS = range(200)
 SCAN_SAMPLES = 3
@@ -157,7 +163,7 @@ def dump(root: Path) -> None:
     sys.path[:0] = [str(src)]
     import quintic_periods
     from quintic_periods import cli, period
-    from quintic_periods.catalog import STANDARD_PERIOD_SAMPLES, line_families
+    from quintic_periods.catalog import STANDARD_PERIOD_SAMPLES, line_families, resolve_family
     from quintic_periods.geometry import MobiusMap, transform_jet
     from quintic_periods.multipoly import MultiPoly
 
@@ -170,14 +176,20 @@ def dump(root: Path) -> None:
     X = quintic_periods.fermat_hypersurface(3, 5)
     P = MultiPoly.monomial(5, 1.0, (0, 3, 2, 0, 0))
     records = cli_records(cli)
-    for d in line_families():
-        fam = d.family()
-        for k, s in enumerate(STANDARD_PERIOD_SAMPLES):
-            key = f"period {d.identifier} s[{k}]"
+    scan_samples = list(STANDARD_PERIOD_SAMPLES[:SCAN_SAMPLES])
+    families = [(d.identifier, d.family(), STANDARD_PERIOD_SAMPLES) for d in line_families()]
+    families += [
+        (ident, resolve_family(ident), scan_samples)
+        for ident in (f"mobius-null/zeta={k}/seed=0" for k in range(5))
+    ]
+    for ident, fam, samples in families:
+        for k, s in enumerate(samples):
+            key = f"period {ident} s[{k}]"
             records += guarded(key, lambda: period.period_at(X, P, fam, s), report_records)
-        samples = list(STANDARD_PERIOD_SAMPLES[:SCAN_SAMPLES])
-        key = f"scan {d.identifier}"
-        records += guarded(key, lambda: period.monomial_scan(X, fam, samples, 5), scan_records)
+        key = f"scan {ident}"
+        records += guarded(
+            key, lambda: period.monomial_scan(X, fam, scan_samples, 5), scan_records
+        )
     maps = {
         "identity": None,
         "t->1/t": MobiusMap(0, 1, 1, 0),
