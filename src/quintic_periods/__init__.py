@@ -2,8 +2,9 @@
 
 Library layout:
 
-* :mod:`quintic_periods.numkernel` -- polynomials, root finding, residue
-  backends, expression parsing with branch-tracked fifth roots;
+* :mod:`quintic_periods.numkernel` -- polynomials, root finding, the residue
+  engine and its scalar oracle, expression parsing with branch-tracked fifth
+  roots;
 * :mod:`quintic_periods.multipoly` -- sparse multivariate polynomials;
 * :mod:`quintic_periods.geometry`  -- hypersurfaces, curve jets, Moebius
   machinery, containment/tangency residuals;
@@ -14,6 +15,11 @@ Library layout:
 * :mod:`quintic_periods.catalog`   -- built-in hypersurfaces and the fifty
   line families with corrected and literal modes;
 * :mod:`quintic_periods.cli`       -- `quintic-periods` command line.
+
+The names below are the public API.  The scalar residue oracle
+(``RationalFunction``, ``pair_integrand``, ``residues_at_zeros``) is not
+among them: it is imported from its module, ``numkernel.residues`` or
+``griffiths``, by the acceptance suite and the tests.
 """
 
 from .catalog import (
@@ -23,7 +29,6 @@ from .catalog import (
     fermat_hypersurface,
     line_families,
     mobius_null_family,
-    mustata_conic_equations,
     paper_line_slice,
     shioda_quintic,
 )
@@ -44,11 +49,10 @@ from .griffiths import (
     contraction_sign,
     gm_monomial_derivative,
     j2star,
-    pair_integrand,
     residue_cocycle,
 )
 from .multipoly import MultiPoly
-from .numkernel import BinaryForm, RationalFunction, UniPoly, parse_expression
+from .numkernel import BinaryForm, UniPoly, parse_expression
 from .period import compare_closed_form, monomial_scan, period_at, sweep
 
 __version__ = "0.1.0"
@@ -63,7 +67,6 @@ __all__ = [
     "MobiusMap",
     "MultiPoly",
     "QuinticPeriodsError",
-    "RationalFunction",
     "UniPoly",
     "closed_form_g",
     "compare_closed_form",
@@ -78,7 +81,6 @@ __all__ = [
     "mobius_null_family",
     "mobius_reparam",
     "monomial_scan",
-    "pair_integrand",
     "paper_line_slice",
     "parse_expression",
     "period_at",

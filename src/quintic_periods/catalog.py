@@ -65,13 +65,12 @@ def fermat_hypersurface(m: int = 3, d: int = 5) -> Hypersurface:
         exps = [0] * n
         exps[i] = d
         terms[tuple(exps)] = 1.0
-    return Hypersurface(MultiPoly(n, terms), degree=d)
+    return Hypersurface(MultiPoly(n, terms))
 
 
 def shioda_quintic() -> Hypersurface:
     """x0^5 + x1 x2^4 + x2 x3^4 + x3 x4^4 + x4 x1^4, a cyclic quintic with
     only five monomials; useful for smoothness spot checks and scans."""
-    d = 5
     terms = {
         (5, 0, 0, 0, 0): 1.0,
         (0, 1, 4, 0, 0): 1.0,
@@ -79,7 +78,7 @@ def shioda_quintic() -> Hypersurface:
         (0, 0, 0, 1, 4): 1.0,
         (0, 4, 0, 0, 1): 1.0,
     }
-    return Hypersurface(MultiPoly(5, terms), degree=d)
+    return Hypersurface(MultiPoly(5, terms))
 
 
 def root5_neg1_minus_s5(s: complex) -> complex:
@@ -204,19 +203,16 @@ def closed_form_g(s: complex, ref: ClosedFormRef) -> complex:
 # null families (pure reparametrization deformations)
 
 
-def mobius_null_family(
-    zeta_index: int,
-    seed: int,
-    base_s: complex = 0.1 + 0j,
-    amplitude: float = 0.3,
-) -> CurveFamily:
-    """Moebius-deformation family on the corrected slice curve at base_s.
+def mobius_null_family(zeta_index: int, seed: int) -> CurveFamily:
+    """Moebius-deformation family on the corrected slice curve at s = 0.1.
 
-    The path is identity + s * (seeded complex 2x2 direction); its image
-    curve never moves, so every pair integrand vanishes identically.
+    The path is identity + s * (seeded complex 2x2 direction, entries of
+    size about 0.3); its image curve never moves, so every pair integrand
+    vanishes identically.
     """
     import numpy as np
 
+    base_s, amplitude = 0.1 + 0j, 0.3
     rng = np.random.default_rng(0xC0FFEE + 1000 * zeta_index + seed)
     g = rng.standard_normal(8)
     alpha, beta, gamma, delta = (

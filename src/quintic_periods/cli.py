@@ -93,12 +93,27 @@ def _whole(value: Any) -> int:
     return int(value)
 
 
+def _known_keys(obj: dict, keys: Sequence[str], where: str) -> None:
+    """Refuse a key of obj that the loader does not read: it would have no
+    effect.  ``where`` is obj's field path, "" at the root."""
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(
+                f"unknown key {key!r} (expected one of {', '.join(keys)})",
+                f"{where}.{key}" if where else str(key),
+            )
+
+
 def _expression(text: Any, where: str) -> Expr:
     """The parsed expression, or a ConfigError naming the field."""
     try:
         return parse_expression(str(text))
     except ParseError as exc:
         raise ConfigError(str(exc), where) from None
+
+
+# the keys of a family given by coordinate expressions
+EXPRESSION_KEYS = ("coordinates", "zeta_index", "jets", "fd_step", "name")
 
 
 @dataclass
@@ -114,6 +129,7 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config root must be an object")
+        _known_keys(raw, ("hypersurface", "family", "p", "samples", "tolerances", "output"), "")
         hyper = raw.get("hypersurface")
         if hyper is None:
             raise ConfigError("missing hypersurface", "hypersurface")
@@ -126,6 +142,7 @@ class RunConfig:
             family = {"catalog": family}
         if not isinstance(family, dict):
             raise ConfigError("family must be an identifier or an object", "family")
+        _known_keys(family, ("catalog",) if "catalog" in family else EXPRESSION_KEYS, "family")
         p_text = raw.get("p", "x1^3*x2^2")
         if not isinstance(p_text, str):
             raise ConfigError("p must be expression text", "p")
@@ -137,6 +154,10 @@ class RunConfig:
             raise ConfigError("tolerances must be an object", "tolerances")
         if not isinstance(out, dict):
             raise ConfigError("output must be an object", "output")
+        _known_keys(tol, tuple(DEFAULT_TOLERANCES), "tolerances")
+        for name in tol:
+            _tolerance(tol, name)
+        _known_keys(out, ("csv", "json"), "output")
         return cls(hyper, family, p_text, samples, tol, out)
 
     def normalized(self) -> dict:
@@ -166,6 +187,7 @@ def _parse_samples(raw: Any) -> list[complex]:
         kind = raw.get("kind")
         if kind != "segment":
             raise ConfigError(f"unknown path descriptor kind {kind!r}", "samples.kind")
+        _known_keys(raw, ("kind", "start", "stop", "count"), "samples")
         start = _parse_number(raw.get("start", 0.0), "samples.start")
         stop = _parse_number(raw.get("stop"), "samples.stop")
         count = raw.get("count")
@@ -195,11 +217,13 @@ def build_hypersurface(cfg: RunConfig) -> Hypersurface:
     nvars = cfg.hypersurface.get("nvars")
     if not isinstance(terms_raw, list) or not isinstance(nvars, int):
         raise ConfigError("explicit hypersurface needs nvars and a terms list", "hypersurface")
+    _known_keys(cfg.hypersurface, ("nvars", "terms"), "hypersurface")
     terms = {}
     for i, item in enumerate(terms_raw):
         where = f"hypersurface.terms[{i}]"
         if not isinstance(item, dict) or "exponents" not in item or "coeff" not in item:
             raise ConfigError("term needs coeff and exponents", where)
+        _known_keys(item, ("coeff", "exponents"), where)
         exps = _converted(
             lambda es: tuple(_whole(e) for e in es),
             item["exponents"],
@@ -227,8 +251,12 @@ def build_family(cfg: RunConfig) -> CurveFamily:
     def charts(trees: list[Expr]):
         def at(s: complex) -> list[UniPoly]:
             out = []
-            for e in trees:
-                v = eval_on_path(e, "s", s, env={"t": t_poly, "zeta": zeta})
+            for i, e in enumerate(trees):
+                try:
+                    v = eval_on_path(e, "s", s, env={"t": t_poly, "zeta": zeta})
+                except EvaluationError as exc:
+                    # a tree that parses but is no polynomial in t
+                    raise ConfigError(str(exc), f"family.coordinates[{i}]") from None
                 out.append(v if isinstance(v, UniPoly) else UniPoly.constant(v))
             return out
 

@@ -25,16 +25,14 @@ class Hypersurface:
     sum_i x_i F_i = d F is validated at construction.
     """
 
-    def __init__(self, F: MultiPoly, degree: int | None = None):
+    def __init__(self, F: MultiPoly):
         if F.is_zero():
             raise ValueError("hypersurface polynomial must be nonzero")
         if not F.is_homogeneous():
             raise ValueError("hypersurface polynomial must be homogeneous")
         self.F = F
         self.nvars = F.nvars
-        self.degree = F.total_degree() if degree is None else degree
-        if self.degree != F.total_degree():
-            raise ValueError("declared degree disagrees with the polynomial")
+        self.degree = F.total_degree()
         self.partials = [F.partial(i) for i in range(self.nvars)]
         err = self.euler_residual()
         if err > EULER_REL_TOL * max(self.F.scale(), 1e-300) * self.degree:
@@ -176,11 +174,8 @@ class MobiusMap:
     def det(self) -> complex:
         return self.a * self.d - self.b * self.c
 
-    @classmethod
-    def identity(cls) -> MobiusMap:
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-    def is_identity(self, tol: float = 1e-12) -> bool:
+    def is_identity(self) -> bool:
+        tol = 1e-10
         return (
             abs(self.b) <= tol
             and abs(self.c) <= tol
@@ -211,8 +206,9 @@ def mobius_reparam(fam: CurveFamily, A: MobiusMap) -> CurveFamily:
     )
 
 
-def _path_generator(path: Callable[[complex], MobiusMap], s: complex, h: float = 1e-6):
+def _path_generator(path: Callable[[complex], MobiusMap], s: complex):
     """G = M'(s) M(s)^(-1) by central differences; scale-invariant part only."""
+    h = 1e-6
     Mp = path(s + h)
     Mm = path(s - h)
     da = (Mp.a - Mm.a) / (2 * h)
@@ -248,7 +244,7 @@ def mobius_deformation(
     if any(f.degree != d_curve for f in base):
         raise DimensionMismatchError("base coordinates must share one degree")
     M0 = path(0j)
-    if not M0.is_identity(1e-10):
+    if not M0.is_identity():
         raise DegenerateMapError("deformation path must start at the identity map")
 
     def jet(s: complex) -> CurveJet:
@@ -270,16 +266,15 @@ def family_from_charts(
     d_curve: int,
     jets_at: Callable[[complex], Sequence[UniPoly]] | None = None,
     fd_step: float = 1e-5,
-    fd_check_tol: float | None = 1e-4,
     metadata: dict | None = None,
 ) -> CurveFamily:
     """Family from chart polynomials; jets analytic if given, else central
     finite differences in s with the declared step.
 
     Finite-difference jets carry a Richardson consistency check: the step-h
-    and step-h/2 estimates must agree to ``fd_check_tol`` relative (the gap
-    shrinks like h^2 for holomorphic coordinates), otherwise the jet data is
-    unreliable and a ValueError is raised.  Pass None to disable.
+    and step-h/2 estimates must agree to 1e-4 relative (the gap shrinks like
+    h^2 for holomorphic coordinates), otherwise the jet data is unreliable
+    and a ValueError is raised.
     """
 
     def fd_jets(s: complex, h: float) -> list[UniPoly]:
@@ -293,17 +288,16 @@ def family_from_charts(
             ys_poly = list(jets_at(s))
         else:
             ys_poly = fd_jets(s, fd_step)
-            if fd_check_tol is not None:
-                half = fd_jets(s, 0.5 * fd_step)
-                gap = max((a - b).scale() for a, b in zip(ys_poly, half))
-                scale = max(max(p.scale() for p in ys_poly), 1e-30)
-                if gap > fd_check_tol * scale:
-                    raise ValueError(
-                        f"finite-difference jets inconsistent at s = {s}: halving "
-                        f"the step moved them by {gap / scale:.2e} relative "
-                        f"(tolerance {fd_check_tol:.1e}); coordinates may not be "
-                        "holomorphic in s"
-                    )
+            half = fd_jets(s, 0.5 * fd_step)
+            gap = max((a - b).scale() for a, b in zip(ys_poly, half))
+            scale = max(max(p.scale() for p in ys_poly), 1e-30)
+            if gap > 1e-4 * scale:
+                raise ValueError(
+                    f"finite-difference jets inconsistent at s = {s}: halving "
+                    f"the step moved them by {gap / scale:.2e} relative "
+                    "(tolerance 1.0e-04); coordinates may not be "
+                    "holomorphic in s"
+                )
         ys = [BinaryForm.from_unipoly(p, d_curve) for p in ys_poly]
         return CurveJet(s, tuple(xs), tuple(ys), d_curve)
 
@@ -351,13 +345,11 @@ class SpotCheckReport:
         return not self.failures
 
 
-def smooth_spot_check(
-    X: Hypersurface, points: Sequence[Sequence[complex]], grad_rel_tol: float = 1e-8
-) -> SpotCheckReport:
+def smooth_spot_check(X: Hypersurface, points: Sequence[Sequence[complex]]) -> SpotCheckReport:
     """Check that the gradient of F does not vanish at the given points of X.
 
     Not a smoothness proof; a sampled diagnostic.  Points are flagged
-    singular when max_i |F_i| <= grad_rel_tol * scale at the point.
+    singular when max_i |F_i| <= 1e-8 * scale at the point.
     """
     entries = []
     for pt in points:
@@ -369,5 +361,5 @@ def smooth_spot_check(
         grads = [abs(g) for g in X.gradient_at(pt)]
         gscale = max(Fi.scale() for Fi in X.partials) * height ** (X.degree - 1)
         gmax = max(grads)
-        entries.append(SpotCheckEntry(pt, fval, gmax, gmax <= grad_rel_tol * gscale))
+        entries.append(SpotCheckEntry(pt, fval, gmax, gmax <= 1e-8 * gscale))
     return SpotCheckReport(tuple(entries))

@@ -254,12 +254,11 @@ class PairIntegrand:
     j1: int
     rf: RationalFunction
     numerator_scale: float
-    provenance: dict
 
-    def numerator_is_zero(self, rel_tol: float = NUMERATOR_ZERO_REL_TOL) -> bool:
+    def numerator_is_zero(self) -> bool:
         if self.rf.num.is_zero():
             return True
-        return self.rf.num.scale() <= rel_tol * max(self.numerator_scale, 1e-300)
+        return self.rf.num.scale() <= NUMERATOR_ZERO_REL_TOL * max(self.numerator_scale, 1e-300)
 
 
 def pair_wedges(jet: CurveJet) -> dict[tuple[int, int], tuple[UniPoly, float]]:
@@ -426,11 +425,4 @@ def pair_integrand(
             f"covering chart {which} misses the curve entirely at s = {jet.s}: "
             f"F_{which}(x(t)) is the zero polynomial"
         )
-    den = den0 * den1
-    return PairIntegrand(
-        j0=j0,
-        j1=j1,
-        rf=RationalFunction(num, den),
-        numerator_scale=num_scale,
-        provenance={"s": jet.s, "P": P.to_text()},
-    )
+    return PairIntegrand(j0, j1, RationalFunction(num, den0 * den1), num_scale)

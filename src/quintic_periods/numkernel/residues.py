@@ -82,7 +82,7 @@ class RationalFunction:
             den_u = den_rev * UniPoly([0.0] * (-shift) + [1.0])
         return RationalFunction(-1.0 * num_u, den_u)
 
-    def pole_sites(self, residues: bool = True) -> list[PoleSite]:
+    def pole_sites(self) -> list[PoleSite]:
         """Finite poles (den roots surviving numerator cancellation)."""
         if self.num.is_zero():
             return []
@@ -90,8 +90,7 @@ class RationalFunction:
         for loc, mult in poly_roots(self.den):
             if self.num.vanishing_order(loc) >= mult:
                 continue
-            res = residue_analytic(self, loc, mult) if residues else 0j
-            sites.append(PoleSite(loc, mult, res))
+            sites.append(PoleSite(loc, mult, residue_analytic(self, loc, mult)))
         return sites
 
 
@@ -199,16 +198,27 @@ def quadrature_radius(center: complex, other_points: list[complex]) -> float:
     return min(MAX_QUAD_RADIUS, 0.5 * min(dists))
 
 
+def backend_disagreement(analytic, quadrature, quadrature_scale):
+    """|analytic - quadrature| relative to the larger residue magnitude,
+    floored at 1e-6 of the quadrature contour magnitude: below that the
+    trapezoid rule cannot resolve a difference (its noise floor is machine
+    epsilon times the contour magnitude), so a near-zero residue pair counts
+    as agreement rather than as 100% error.
+
+    Takes complex scalars or arrays.  The builtin ``abs`` is libm's hypot on
+    a complex scalar and numpy's own routine on an array, which can differ
+    in the last bit, so a scalar site report and its row in an array each
+    keep their own rounding.
+    """
+    floor = np.maximum(1e-6 * quadrature_scale, 1e-300)
+    larger = np.maximum(abs(analytic), abs(quadrature))
+    return abs(analytic - quadrature) / np.maximum(larger, floor)
+
+
 @dataclass
 class ZeroSiteReport:
-    """Diagnostics for one zero of the residue coordinate.
-
-    ``backend_disagreement`` is |analytic - quadrature| relative to the
-    larger residue magnitude, floored at 1e-6 of the quadrature contour
-    magnitude: below that the trapezoid rule cannot resolve a difference
-    (its noise floor is machine epsilon times the contour magnitude), so a
-    near-zero residue pair counts as agreement rather than as 100% error.
-    """
+    """Diagnostics for one zero of the residue coordinate; its
+    ``backend_disagreement`` is the module function of that name."""
 
     location: complex
     at_infinity: bool
@@ -222,9 +232,8 @@ class ZeroSiteReport:
     def backend_disagreement(self) -> float:
         if self.residue_quadrature is None:
             return 0.0
-        a, q = self.residue, self.residue_quadrature
-        floor = 1e-6 * self.quadrature_scale
-        return abs(a - q) / max(abs(a), abs(q), floor, 1e-300)
+        a, q, scale = self.residue, self.residue_quadrature, self.quadrature_scale
+        return float(backend_disagreement(a, q, scale))
 
 
 @dataclass
@@ -585,12 +594,10 @@ class SiteRows:
     collision: BaseLocusCollisionError | None = None
 
     def disagreement(self) -> np.ndarray:
-        """ZeroSiteReport.backend_disagreement of every row; 0 without a pole."""
+        """``backend_disagreement`` of every row; 0 without a pole."""
         if self.quadrature is None:
             return np.zeros(len(self.order))
-        a, q = self.residue, self.quadrature
-        floor = np.maximum(1e-6 * self.quadrature_scale, 1e-300)
-        d = np.abs(a - q) / np.maximum(np.maximum(np.abs(a), np.abs(q)), floor)
+        d = backend_disagreement(self.residue, self.quadrature, self.quadrature_scale)
         return np.where(self.order > 0, d, 0.0)
 
     def report(self, r: int) -> ZeroSiteReport:

@@ -125,10 +125,11 @@ def _aberth(q: UniPoly) -> np.ndarray | None:
     return None
 
 
-def _newton_polish(q: UniPoly, z: np.ndarray, steps: int = 3) -> np.ndarray | None:
+def _newton_polish(q: UniPoly, z: np.ndarray) -> np.ndarray | None:
+    """Three Newton steps from z; None if an iterate is not finite."""
     dq = q.derivative()
     z = np.array(z, dtype=complex)
-    for _ in range(steps):
+    for _ in range(3):
         dv = dq(z)
         dv = np.where(np.abs(dv) < 1e-300, 1.0, dv)
         z = z - q(z) / dv

@@ -72,13 +72,13 @@ class UniPoly:
         """max |coefficient|; every relative tolerance refers to this."""
         return max(map(abs, self.coeffs), default=0.0)
 
-    def trimmed(self, rel_tol: float = 1e-12) -> UniPoly:
-        """Drop leading coefficients with |c| <= rel_tol * scale."""
+    def trimmed(self) -> UniPoly:
+        """Drop leading coefficients with |c| <= 1e-12 * scale."""
         s = self.scale()
         if s == 0.0:
             return UniPoly.zero()
         cs = list(self.coeffs)
-        while cs and abs(cs[-1]) <= rel_tol * s:
+        while cs and abs(cs[-1]) <= 1e-12 * s:
             cs.pop()
         return UniPoly(cs)
 
@@ -246,11 +246,11 @@ class BinaryForm:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def infinity_order(self, rel_tol: float = 1e-12) -> int:
+    def infinity_order(self) -> int:
         """Multiplicity of the zero at [1:0] = degree drop of the chart polynomial."""
         if self.is_zero():
             return self.degree + 1
-        return self.degree - self.dehomogenized().trimmed(rel_tol).degree
+        return self.degree - self.dehomogenized().trimmed().degree
 
     def derivative_chart(self) -> UniPoly:
         """t-derivative of the y=1 chart polynomial."""

@@ -36,7 +36,6 @@ from .errors import (
     DimensionMismatchError,
     NonConvergenceError,
     PoleMismatchError,
-    RadiusCollisionError,
     ReferenceZeroError,
     UnsupportedShapeError,
 )
@@ -131,12 +130,7 @@ def _pair_order(n: int):
             yield (j0, j1)
 
 
-_PAIR_ERRORS = (
-    BaseLocusCollisionError,
-    NonConvergenceError,
-    PoleMismatchError,
-    RadiusCollisionError,
-)
+_PAIR_ERRORS = (BaseLocusCollisionError, NonConvergenceError, PoleMismatchError)
 
 
 def _named(exc: Exception, jet: CurveJet, j0: int, j1: int) -> Exception:
@@ -513,16 +507,13 @@ def geometric_median(points: Sequence[complex]) -> complex:
     return z
 
 
-def compare_closed_form(
-    sw: SweepResult,
-    ref: Callable[[complex], complex],
-    tolerance: float = 1e-6,
-) -> ComparisonReport:
+def compare_closed_form(sw: SweepResult, ref: Callable[[complex], complex]) -> ComparisonReport:
     """Constancy-of-ratio comparison of a sweep against a reference g(s).
 
-    verdict PROPORTIONAL iff max |ratio - c| / |c| < tolerance with c the
+    verdict PROPORTIONAL iff max |ratio - c| / |c| < 1e-6 with c the
     geometric median of the ratios and c != 0.
     """
+    tolerance = 1e-6
     ratios = []
     for rep in sw.samples:
         g = complex(ref(rep.s))

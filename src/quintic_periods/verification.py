@@ -51,6 +51,7 @@ GOLDEN_PATH = Path(__file__).parent / "goldens" / "v1" / "line_slice_regression.
 GOLDEN_TOL = 1e-8
 
 RESIDUE_SEED = 20240801
+RESIDUE_CASES = 500
 MOBIUS_SEEDS = (0, 1, 2, 3, 4)
 REPARAM_SEED = 777
 LINEARITY_SEED = 99
@@ -143,11 +144,11 @@ def _seeded_rational(rng: np.random.Generator) -> tuple[RationalFunction, list]:
     return RationalFunction(num, den), poles
 
 
-def check_residue_engine(n_cases: int = 500) -> CheckResult:
+def check_residue_engine() -> CheckResult:
     rng = np.random.default_rng(RESIDUE_SEED)
     worst_rel = 0.0
     worst_sum = 0.0
-    for _ in range(n_cases):
+    for _ in range(RESIDUE_CASES):
         f, poles = _seeded_rational(rng)
         total = 0j
         for p in poles:
@@ -164,7 +165,7 @@ def check_residue_engine(n_cases: int = 500) -> CheckResult:
     return CheckResult(
         "residues",
         passed,
-        f"{n_cases} seeded rational functions: worst backend rel {worst_rel:.2e}, "
+        f"{RESIDUE_CASES} seeded rational functions: worst backend rel {worst_rel:.2e}, "
         f"worst residue-theorem sum {worst_sum:.2e}",
         measured={"worst_backend_rel": worst_rel, "worst_sum": worst_sum},
         tolerance="1e-8 relative (both)",
@@ -329,9 +330,8 @@ def _regression_run() -> dict:
     return out
 
 
-def load_golden(path: Path | None = None) -> dict:
-    if path is None:
-        path = GOLDEN_PATH
+def load_golden() -> dict:
+    path = GOLDEN_PATH
     if not path.exists():
         raise GoldenFixtureError(f"golden fixture missing: {path}")
     try:
@@ -347,9 +347,8 @@ def load_golden(path: Path | None = None) -> dict:
     return data
 
 
-def refreeze_golden(path: Path | None = None) -> dict:
-    if path is None:
-        path = GOLDEN_PATH
+def refreeze_golden() -> dict:
+    path = GOLDEN_PATH
     data = _regression_run()
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")

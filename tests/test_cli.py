@@ -35,7 +35,7 @@ FRACTIONAL = [5.7, 0, 0, 0, 0]
 
 class TestConfig:
     def test_round_trip_is_fixed_point(self, tmp_path):
-        path = write_config(tmp_path, tolerances={"vanish": 1e-9})
+        path = write_config(tmp_path, tolerances={"vanish_rel": 1e-9})
         cfg = load_config(path)
         text1 = cfg.serialize()
         cfg2 = RunConfig.from_dict(json.loads(text1))
@@ -55,6 +55,11 @@ class TestConfig:
         assert len(cfg.samples) == 4
         assert abs(cfg.samples[-1] - 0.2) < 1e-15
         assert all(abs(s) > 0 for s in cfg.samples)
+
+    def test_declared_tolerances_parse_at_load(self, tmp_path):
+        path = write_config(tmp_path, tolerances={"vanish_rel": "x"})
+        with pytest.raises(ConfigError, match=r"\(field: tolerances\.vanish_rel\)"):
+            load_config(path)
 
     def test_missing_fields(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -296,6 +301,20 @@ class TestCommands:
                 "hypersurface.terms[0].exponents",
             ),
             ({}, ["--s", "0.1,0.2,0.3"], "--s"),
+            ({"tolerance": 1e-9}, [], "tolerance"),
+            ({"family": {"coordinates": LINE, "zeta": 2}}, [], "family.zeta"),
+            ({"tolerances": {"backend_agrement": 1e-30}}, [], "tolerances.backend_agrement"),
+            ({"output": {"cvs": "period.csv"}}, [], "output.cvs"),
+            (
+                {"family": {"coordinates": LINE[:4] + ["root5(t-1-s^5)"]}},
+                [],
+                "family.coordinates[4]",
+            ),
+            (
+                {"family": {"coordinates": LINE[:4] + ["root5(-1-s^5)/t"]}},
+                [],
+                "family.coordinates[4]",
+            ),
         ],
         ids=[
             "s-word",
@@ -311,6 +330,12 @@ class TestCommands:
             "zeta-index-fraction",
             "exponents-fraction",
             "s-three-parts",
+            "unknown-top-level-key",
+            "unknown-family-key",
+            "unknown-tolerance",
+            "unknown-output-key",
+            "coordinate-root5-of-t",
+            "coordinate-division-by-t",
         ],
     )
     def test_malformed_input_exits_2_naming_its_field(
