@@ -9,7 +9,7 @@ Library layout:
 * :mod:`quintic_periods.geometry`  -- hypersurfaces, curve jets, Moebius
   machinery, containment/tangency residuals;
 * :mod:`quintic_periods.griffiths` -- the residue cocycle, contraction signs
-  and their bruteforce oracle, per-pair integrands;
+  and their bruteforce oracle, per-pair numerators;
 * :mod:`quintic_periods.period`    -- period assembly, sweeps, closed-form
   comparison, monomial scans;
 * :mod:`quintic_periods.catalog`   -- built-in hypersurfaces and the fifty
@@ -17,9 +17,9 @@ Library layout:
 * :mod:`quintic_periods.cli`       -- `quintic-periods` command line.
 
 The names below are the public API.  The scalar residue oracle
-(``RationalFunction``, ``pair_integrand``, ``residues_at_zeros``) is not
-among them: it is imported from its module, ``numkernel.residues`` or
-``griffiths``, by the acceptance suite and the tests.
+(``verification.reference_period``, with ``RationalFunction`` and
+``residues_at_zeros`` from ``numkernel.residues``) is not among them: the
+acceptance suite and the tests import it from its module.
 """
 
 from .catalog import (

@@ -25,7 +25,7 @@ import argparse
 import cmath
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
@@ -248,16 +248,30 @@ def build_family(cfg: RunConfig) -> CurveFamily:
     fd_step = _converted(float, fam.get("fd_step", 1e-5), "family.fd_step", "a number")
     t_poly = UniPoly.variable()
 
+    def chart(tree: Expr, i: int, s: complex) -> UniPoly:
+        try:
+            v = eval_on_path(tree, "s", s, env={"t": t_poly, "zeta": zeta})
+        except EvaluationError as exc:
+            # a tree that parses but is no polynomial in t
+            raise ConfigError(str(exc), f"family.coordinates[{i}]") from None
+        return v if isinstance(v, UniPoly) else UniPoly.constant(v)
+
+    # the t-degree may vary with s (leading coefficients can vanish at
+    # special samples), so probe every requested sample
+    d_curve = max(chart(e, i, s).degree for s in cfg.samples for i, e in enumerate(exprs))
+    if d_curve < 0:
+        raise ConfigError("all coordinates vanish at every sample", "family.coordinates")
+
     def charts(trees: list[Expr]):
         def at(s: complex) -> list[UniPoly]:
-            out = []
-            for i, e in enumerate(trees):
-                try:
-                    v = eval_on_path(e, "s", s, env={"t": t_poly, "zeta": zeta})
-                except EvaluationError as exc:
-                    # a tree that parses but is no polynomial in t
-                    raise ConfigError(str(exc), f"family.coordinates[{i}]") from None
-                out.append(v if isinstance(v, UniPoly) else UniPoly.constant(v))
+            out = [chart(e, i, s) for i, e in enumerate(trees)]
+            for i, p in enumerate(out):
+                if p.degree > d_curve:
+                    raise ConfigError(
+                        f"t-degree {p.degree} at s = {s:.6g} exceeds the family's degree "
+                        f"{d_curve}, read at the config's samples",
+                        f"family.coordinates[{i}]",
+                    )
             return out
 
         return at
@@ -269,14 +283,6 @@ def build_family(cfg: RunConfig) -> CurveFamily:
         jets_at = None
     else:
         raise ConfigError(f"unknown jets mode {jets_mode!r}", "family.jets")
-
-    # the t-degree may vary with s (leading coefficients can vanish at
-    # special samples), so probe every requested sample
-    d_curve = -1
-    for s in cfg.samples:
-        d_curve = max(d_curve, max(p.degree for p in coords_at(s)))
-    if d_curve < 0:
-        raise ConfigError("all coordinates vanish at every sample", "family.coordinates")
     from .geometry import family_from_charts
 
     return family_from_charts(
@@ -474,13 +480,13 @@ def _parse_s(text: str) -> complex:
 
 def cmd_period(args) -> int:
     cfg = load_config(args.config)
+    if args.s:
+        # before the family is built: it reads its t-degree at the samples
+        cfg = replace(cfg, samples=[_converted(_parse_s, args.s, "--s", "RE,IM")])
     X = build_hypersurface(cfg)
     fam = build_family(cfg)
     P = build_p(cfg, X)
-    samples = cfg.samples
-    if args.s:
-        samples = [_converted(_parse_s, args.s, "--s", "RE,IM")]
-    reports = [period_at(X, P, fam, s) for s in samples]
+    reports = [period_at(X, P, fam, s) for s in cfg.samples]
     csv_text = "\n".join(period_csv_lines(reports)) + "\n"
     json_text = (
         json.dumps(period_json_payload(reports, cfg.tolerances), sort_keys=True, indent=2) + "\n"

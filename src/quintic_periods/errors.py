@@ -19,10 +19,6 @@ class PoleMismatchError(QuinticPeriodsError):
     """Declared pole order disagrees with the denominator's local multiplicity."""
 
 
-class RadiusCollisionError(QuinticPeriodsError):
-    """Another detected pole lies too close to the requested contour."""
-
-
 class BaseLocusCollisionError(QuinticPeriodsError):
     """A residue site is a pole fed by the wrong denominator factor.
 

@@ -35,7 +35,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    BaseLocusCollisionError,
     DegreeError,
     DimensionMismatchError,
     IndexSelectionError,
@@ -43,7 +42,6 @@ from .errors import (
 )
 from .geometry import CurveJet, Hypersurface
 from .multipoly import MultiPoly
-from .numkernel.residues import RationalFunction
 from .numkernel.unipoly import UniPoly, coeff_product
 
 
@@ -236,29 +234,9 @@ def gm_monomial_derivative(
 
 
 # ---------------------------------------------------------------------------
-# per-pair period integrands (five coordinates, q = 1)
+# per-pair period numerators (five coordinates, q = 1)
 
 NUMERATOR_ZERO_REL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PairIntegrand:
-    """Rational integrand of the (j0, j1) covering pair in the t chart.
-
-    ``numerator_scale`` is the largest coefficient magnitude among the
-    individual j2 summands before cancellation: the reference scale for
-    deciding that the assembled numerator is the zero polynomial.
-    """
-
-    j0: int
-    j1: int
-    rf: RationalFunction
-    numerator_scale: float
-
-    def numerator_is_zero(self) -> bool:
-        if self.rf.num.is_zero():
-            return True
-        return self.rf.num.scale() <= NUMERATOR_ZERO_REL_TOL * max(self.numerator_scale, 1e-300)
 
 
 def pair_wedges(jet: CurveJet) -> dict[tuple[int, int], tuple[UniPoly, float]]:
@@ -395,34 +373,3 @@ def pair_numerator(
     inner, term_scale = pair_inner(jet, j0, j1, wedges)
     return p_chart * inner, term_scale * max(p_chart.scale(), 1e-300)
 
-
-def pair_integrand(
-    X: Hypersurface, P: MultiPoly, jet: CurveJet, j0: int, j1: int
-) -> PairIntegrand:
-    """Integrand P-part / (F_{j0}(x(t)) F_{j1}(x(t))) for one covering pair.
-
-    Only the five-coordinate shape (m = 3, q = 1) is wired; other shapes
-    raise UnsupportedShapeError.
-    """
-    if X.nvars != 5:
-        raise UnsupportedShapeError(
-            f"period pair integrands are implemented for 5 coordinates, got {X.nvars}"
-        )
-    if jet.ncoords != X.nvars:
-        raise DimensionMismatchError("jet does not match the hypersurface dimensions")
-    if not 0 <= j0 < j1 < X.nvars:
-        raise IndexSelectionError(f"need 0 <= j0 < j1 < {X.nvars}, got ({j0}, {j1})")
-    want = required_degree(X.degree, X.m, 1)
-    if P.is_zero() or not P.is_homogeneous() or P.total_degree() != want:
-        raise DegreeError(f"P must be homogeneous of degree {want}")
-    num, num_scale = pair_numerator(P, jet, j0, j1)
-    xs = jet.x_chart()
-    den0 = X.partials[j0].compose_unipoly(xs)
-    den1 = X.partials[j1].compose_unipoly(xs)
-    if den0.is_zero() or den1.is_zero():
-        which = j0 if den0.is_zero() else j1
-        raise BaseLocusCollisionError(
-            f"covering chart {which} misses the curve entirely at s = {jet.s}: "
-            f"F_{which}(x(t)) is the zero polynomial"
-        )
-    return PairIntegrand(j0, j1, RationalFunction(num, den0 * den1), num_scale)

@@ -10,10 +10,11 @@ Two independent backends are kept side by side on purpose:
 
 ``SiteMap`` runs both for every integrand at every one of its sites (a
 ``SiteEntry`` each), on matrices of numerator rows, with each denominator
-known by its declared roots; the scalar ``RationalFunction`` path, which
-Taylor-shifts an expanded denominator, is the oracle.  The point at infinity
-is handled through u = 1/t with dt = -du/u^2, so both backends apply there.
-Two finite pole locations count as one site by the rule of ``coincides``.
+known by its declared roots.  The scalar oracle ``residues_at_zeros`` runs
+the analytic backend alone on one ``RationalFunction``, reading each pole
+order at its site from the expanded denominator.  The point at infinity is
+handled through u = 1/t with dt = -du/u^2.  Two finite pole locations count
+as one site by the rule of ``coincides``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import BaseLocusCollisionError, PoleMismatchError, RadiusCollisionError
+from ..errors import BaseLocusCollisionError, PoleMismatchError
 from .roots import poly_roots
 from .unipoly import BinaryForm, UniPoly
 
@@ -63,10 +64,6 @@ class RationalFunction:
 
     def __call__(self, t):
         return self.num(t) / self.den(t)
-
-    def scale(self) -> float:
-        ds = self.den.scale()
-        return self.num.scale() / ds if ds else float("inf")
 
     def at_infinity_chart(self) -> RationalFunction:
         """g(u) with g(u) du = f(1/t-substituted) dt, i.e. g(u) = -f(1/u)/u^2."""
@@ -160,23 +157,13 @@ def residue_at_infinity_analytic(f: RationalFunction) -> complex:
 
 
 def residue_quadrature(
-    f: Callable[[np.ndarray], np.ndarray],
-    center: complex,
-    radius: float,
-    other_poles: tuple[complex, ...] = (),
+    f: Callable[[np.ndarray], np.ndarray], center: complex, radius: float
 ) -> complex:
     """(1/2 pi i) * contour integral of f on |t - center| = radius.
 
     Uniform trapezoid sampling; exponentially accurate when f is holomorphic
-    on the circle.  When ``other_poles`` is supplied, a RadiusCollisionError
-    flags clustered poles (any other pole within twice the radius).
+    on the circle.
     """
-    for p in other_poles:
-        d = abs(p - center)
-        if d > 0 and d < 2.0 * radius * (1.0 - 1e-12):
-            raise RadiusCollisionError(
-                f"pole at {p:.6g} within 2x radius {radius:.3g} of center {center:.6g}"
-            )
     return _quadrature(f, center, radius, QUAD_NODES)[0]
 
 
@@ -247,10 +234,7 @@ class ZeroResidueSum:
 
 
 def residues_at_zeros(
-    f: RationalFunction,
-    z: BinaryForm,
-    guard: BinaryForm | None = None,
-    quadrature: bool = True,
+    f: RationalFunction, z: BinaryForm, guard: BinaryForm | None = None
 ) -> ZeroResidueSum:
     """Sum of residues of f dt over the distinct zeros of the binary form z.
 
@@ -262,7 +246,8 @@ def residues_at_zeros(
     ``guard`` is the companion coordinate of a cocycle pair: if a finite zero
     of z is also a zero of guard *and* f genuinely has a pole there, the local
     pole order mixes both denominator factors and a BaseLocusCollisionError is
-    raised instead of silently splitting it.
+    raised instead of silently splitting it.  The pole order at a zero is
+    the vanishing order of f.den there, the count ``residue_analytic`` checks.
     """
     if z.is_zero():
         raise ValueError("zero form has no isolated zero locus")
@@ -278,15 +263,13 @@ def residues_at_zeros(
     if inf_mult > 0:
         zeros.append((None, inf_mult))
 
-    den_sites = poly_roots(f.den)
-    den_locs = [loc for loc, _ in den_sites]
     total = 0j
     site_reports: list[ZeroSiteReport] = []
     for loc, zmult in zeros:
         if loc is None:
-            report = _infinity_site(f, inf_mult, quadrature, den_locs)
+            report = _infinity_site(f, inf_mult)
         else:
-            report = _finite_site(f, loc, zmult, guard, quadrature, den_sites)
+            report = _finite_site(f, loc, zmult, guard)
         total += report.residue
         site_reports.append(report)
     return ZeroResidueSum(total, site_reports)
@@ -324,23 +307,17 @@ def _collision(loc: complex) -> BaseLocusCollisionError:
     )
 
 
-def _finite_site(f, loc, zmult, guard, quadrature, den_sites) -> ZeroSiteReport:
-    order = _site_order(loc, den_sites)
+def _finite_site(f, loc, zmult, guard) -> ZeroSiteReport:
+    order = f.den.vanishing_order(loc, rel_tol=1e-8)
     has_pole = order > 0 and f.num.vanishing_order(loc) < order
     if not has_pole:
         return ZeroSiteReport(loc, False, zmult, 0, 0j)
     if guard is not None and _guard_collides(guard.dehomogenized(), loc):
         raise _collision(loc)
-    res = residue_analytic(f, loc, order)
-    resq = None
-    qscale = 0.0
-    if quadrature:
-        radius = quadrature_radius(loc, [p for p, _ in _other_sites(loc, den_sites)])
-        resq, qscale = _quadrature(lambda t: f(t), loc, radius, QUAD_NODES)
-    return ZeroSiteReport(loc, False, zmult, order, res, resq, qscale)
+    return ZeroSiteReport(loc, False, zmult, order, residue_analytic(f, loc, order))
 
 
-def _infinity_site(f, zmult, quadrature, den_locs) -> ZeroSiteReport:
+def _infinity_site(f, zmult) -> ZeroSiteReport:
     # No collision guard here: at [1:0] the measure dt itself carries a double
     # pole, so a pole of f dt does not imply a denominator-factor overlap, and
     # the residue of a rational 1-form at infinity is always well defined.
@@ -349,14 +326,7 @@ def _infinity_site(f, zmult, quadrature, den_locs) -> ZeroSiteReport:
     has_pole = order > 0 and g.num.vanishing_order(0j) < order
     if not has_pole:
         return ZeroSiteReport(0j, True, zmult, 0, 0j)
-    res = residue_analytic(g, 0j, order)
-    resq = None
-    qscale = 0.0
-    if quadrature:
-        others = [1.0 / t for t in den_locs if abs(t) > 1e-12]
-        radius = quadrature_radius(0j, others)
-        resq, qscale = _quadrature(lambda u: g(u), 0j, radius, QUAD_NODES)
-    return ZeroSiteReport(0j, True, zmult, order, res, resq, qscale)
+    return ZeroSiteReport(0j, True, zmult, order, residue_analytic(g, 0j, order))
 
 
 def residue_sum_check(f: RationalFunction) -> float:

@@ -341,7 +341,7 @@ def _assemble(ctx: _SampleContext, p_rows: np.ndarray, checks: bool = False) -> 
     shares between pairs; the sites of all pairs then run through one
     ``SiteMap``, and each row costs matrix products.  A row's numerator is
     zero when it cancels to 1e-12 of its pre-cancellation scale, the rule of
-    ``PairIntegrand.numerator_is_zero``.
+    ``verification.reference_period``.
 
     An error names its pair: the first pair, in pair order, whose sites
     cannot be planned or whose rows have a pole at a base-locus collision.

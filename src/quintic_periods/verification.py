@@ -9,6 +9,7 @@ it to 1e-8.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import catalog as cat
-from .errors import GoldenFixtureError
+from .errors import BaseLocusCollisionError, GoldenFixtureError
 from .geometry import (
     CurveJet,
     Hypersurface,
@@ -28,10 +29,10 @@ from .geometry import (
     tangency_residual,
 )
 from .griffiths import (
+    NUMERATOR_ZERO_REL_TOL,
     contract_bruteforce,
     contraction_sign,
     gm_monomial_derivative,
-    pair_integrand,
     pair_numerator,
     pair_wedges,
 )
@@ -76,21 +77,40 @@ def _timed(fn: Callable[[], CheckResult]) -> CheckResult:
     return result
 
 
+def reference_integrands(X: Hypersurface, P: MultiPoly, jet: CurveJet):
+    """Yield ((j0, j1), f, scale) for each covering pair j0 < j1 in order:
+    f = ``pair_numerator`` / (F_j0(x(t)) F_j1(x(t))) with the denominator
+    expanded, and the numerator's pre-cancellation scale.  A partial chart
+    that is the zero polynomial raises BaseLocusCollisionError at its first
+    pair.  The wedges, P(x(t)) and the partial charts are built once."""
+    wedges = pair_wedges(jet)
+    xs = jet.x_chart()
+    p_chart = P.compose_unipoly(xs)
+    partials = [F.compose_unipoly(xs) for F in X.partials]
+    for j0, j1 in itertools.combinations(range(X.nvars), 2):
+        num, scale = pair_numerator(P, jet, j0, j1, wedges, p_chart)
+        for j in (j0, j1):
+            if partials[j].is_zero():
+                raise BaseLocusCollisionError(
+                    f"covering chart {j} misses the curve entirely at s = {jet.s}: "
+                    f"F_{j}(x(t)) is the zero polynomial"
+                )
+        yield (j0, j1), RationalFunction(num, partials[j0] * partials[j1]), scale
+
+
 def reference_period(X: Hypersurface, P: MultiPoly, jet: CurveJet) -> complex:
-    """Period of the class P at one jet, pair by pair through
-    ``griffiths.pair_integrand`` and ``residues_at_zeros``: one class at a
-    time, with its own composition of P(x(t)), its own numerator product and
-    the scalar analytic residues.  It shares only the class-independent wedge
+    """Period of the class P at one jet, the scalar oracle: pair by pair
+    through ``reference_integrands`` and ``residues_at_zeros``, one class at
+    a time, with its own numerator product, an expanded denominator and
+    scalar analytic residues.  It shares only the class-independent wedge
     sum with the batched assembly in ``period``, so it checks that engine
-    independently."""
+    independently.  A pole order whose last coefficient sits near the 1e-8
+    rule of ``residues_at_zeros`` can read one too many."""
     total = 0j
-    for j0 in range(X.nvars):
-        for j1 in range(j0 + 1, X.nvars):
-            integrand = pair_integrand(X, P, jet, j0, j1)
-            if integrand.numerator_is_zero():
-                continue
-            zr = residues_at_zeros(integrand.rf, jet.x[j0], guard=jet.x[j1], quadrature=False)
-            total += zr.total
+    for (j0, j1), f, scale in reference_integrands(X, P, jet):
+        if f.num.is_zero() or f.num.scale() <= NUMERATOR_ZERO_REL_TOL * max(scale, 1e-300):
+            continue
+        total += residues_at_zeros(f, jet.x[j0], guard=jet.x[j1]).total
     return total
 
 

@@ -29,6 +29,8 @@ def write_config(tmp_path: Path, **overrides) -> Path:
 
 # the coordinates of the paper's line as an expression family
 LINE = ["t", "-zeta*t", "1", "s", "root5(-1-s^5)"]
+# the line with x3 = s t^2: degree 1 at s = 0, degree 2 elsewhere
+RISING = {"coordinates": ["t", "-zeta*t", "1", "s*t^2", "root5(-1-s^5)"]}
 BAD_EXPONENTS = ["a", 0, 0, 0, 0]
 FRACTIONAL = [5.7, 0, 0, 0, 0]
 
@@ -116,6 +118,23 @@ class TestExpressionFamilies:
         a = period_at(fermat, p_x1cubed_x2sq, fam, 0.1 + 0j).total
         b = period_at(fermat, p_x1cubed_x2sq, ref, 0.1 + 0j).total
         assert abs(a - b) < 1e-7 * abs(b)
+
+    def test_s_override_reads_the_degree_at_its_sample(self, tmp_path, capsys):
+        # the family's degree is read at the samples, so --s replaces them
+        # before the family is built: the run is that of the config with
+        # the sample written in
+        runs = []
+        for samples, extra in (([[0, 0]], ["--s", "0.1,0"]), ([[0.1, 0]], [])):
+            cfg = write_config(tmp_path, family=RISING, samples=samples)
+            code = main(["period", "--config", str(cfg), *extra])
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0] == runs[1]
+
+    def test_degree_above_the_samples_is_a_config_error(self, tmp_path):
+        fam = build_family(load_config(write_config(tmp_path, family=RISING, samples=[[0, 0]])))
+        with pytest.raises(ConfigError) as err:
+            fam.jet_at(0.1)
+        assert err.value.field == "family.coordinates[3]"
 
 
 class TestDeclaredTolerances:

@@ -3,18 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from quintic_periods.catalog import fermat_hypersurface, paper_line_slice
-from quintic_periods.errors import (
-    DegreeError,
-    IndexSelectionError,
-    UnsupportedShapeError,
-)
+from quintic_periods.catalog import fermat_hypersurface
+from quintic_periods.errors import DegreeError, IndexSelectionError
 from quintic_periods.griffiths import (
     contract_bruteforce,
     contraction_sign,
     gm_monomial_derivative,
     j2star,
-    pair_integrand,
     pair_numerator,
     pair_wedges,
     residue_cocycle,
@@ -189,21 +184,10 @@ class TestPairIntegrand:
     def test_integrand_denominator_is_partial_product(
         self, fermat, corrected_slice, p_x1cubed_x2sq
     ):
+        from quintic_periods.verification import reference_integrands
+
         jet = corrected_slice.jet_at(0.1)
-        pi = pair_integrand(fermat, p_x1cubed_x2sq, jet, 0, 2)
+        integrands = {pair: f for pair, f, _ in reference_integrands(fermat, p_x1cubed_x2sq, jet)}
         xs = jet.x_chart()
         expected = fermat.partials[0].compose_unipoly(xs) * fermat.partials[2].compose_unipoly(xs)
-        assert (pi.rf.den - expected).scale() < 1e-14 * expected.scale()
-
-    def test_wrong_shape_rejected(self, p_x1cubed_x2sq):
-        X = fermat_hypersurface(2, 4)
-        fam = paper_line_slice(1, "corrected")
-        with pytest.raises(UnsupportedShapeError):
-            pair_integrand(X, MultiPoly.constant(4, 1.0), fam.jet_at(0.1), 0, 1)
-
-    def test_wrong_p_degree_rejected(self, fermat, corrected_slice):
-        with pytest.raises(DegreeError):
-            pair_integrand(
-                fermat, MultiPoly.monomial(5, 1.0, (4, 0, 0, 0, 0)),
-                corrected_slice.jet_at(0.1), 0, 1,
-            )
+        assert (integrands[(0, 2)].den - expected).scale() < 1e-14 * expected.scale()

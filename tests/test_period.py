@@ -4,6 +4,7 @@ from quintic_periods import period
 from quintic_periods.catalog import (
     STANDARD_PERIOD_SAMPLES,
     ClosedFormRef,
+    fermat_hypersurface,
     line_families,
     mobius_null_family,
     root5_neg1_minus_s5,
@@ -15,6 +16,7 @@ from quintic_periods.errors import (
     DegreeError,
     PoleMismatchError,
     ReferenceZeroError,
+    UnsupportedShapeError,
 )
 from quintic_periods.geometry import CurveFamily, CurveJet, MobiusMap, mobius_reparam
 from quintic_periods.multipoly import MultiPoly
@@ -86,6 +88,11 @@ class TestPeriodValues:
     def test_wrong_degree_class(self, fermat, corrected_slice):
         with pytest.raises(DegreeError):
             period_at(fermat, MultiPoly.monomial(5, 1.0, (4, 0, 0, 0, 0)), corrected_slice, 0.1)
+
+    def test_wrong_shape_rejected(self, corrected_slice):
+        X = fermat_hypersurface(2, 4)
+        with pytest.raises(UnsupportedShapeError):
+            period_of_jet(X, MultiPoly.constant(4, 1.0), corrected_slice.jet_at(0.1))
 
 
 class TestDiagnostics:
@@ -476,7 +483,7 @@ class TestScan:
         assert abs(direct - combo) < 1e-9 * max(abs(direct), 1e-30)
 
     # The batched assembly against the per-class reference path
-    # (pair_integrand, then residues_at_zeros); the scan runs its quadrature
+    # (reference_integrands, then residues_at_zeros); the scan runs its quadrature
     # backend too, so its disagreement is checked as well.
 
     @staticmethod
@@ -580,12 +587,17 @@ class TestLocationMaps:
     def test_mixed_widths_at_infinity_match_the_scalar_oracle(self, fermat, monkeypatch):
         # pairs whose inner factors differ in degree share [1:0] in the map
         # with different numerator widths; each entry there must give the
-        # scalar oracle's residue (pair_integrand, then its residue at
+        # scalar oracle's residue (reference_integrands, then its residue at
         # [1:0]: the path of verification.reference_period), the pole order
         # deg + 2 - sum m of the pair integrand, and its exact zeros.  x0^3
         # x1^2 composes to a low degree, so some pairs have no pole there.
-        from quintic_periods.griffiths import pair_integrand
-        from quintic_periods.numkernel.residues import residue_at_infinity_analytic
+        # Every finite site of every pair must give the oracle's pole order
+        # and exact zeros too, and its residue to 1e-8 of the pair's largest.
+        from quintic_periods.numkernel.residues import (
+            residue_at_infinity_analytic,
+            residues_at_zeros,
+        )
+        from quintic_periods.verification import reference_integrands
 
         built = self._counting(monkeypatch)
         classes = [MultiPoly.monomial(5, 1.0, e) for e in ((0, 3, 2, 0, 0), (3, 2, 0, 0, 0))]
@@ -598,10 +610,23 @@ class TestLocationMaps:
                 (site_map,) = built
                 sites = [e for e in site_map.entries if e.at_infinity and e.zero_multiplicity]
                 mixed += len({e.width for e in sites}) > 1
+                integrands = {pair: rf for pair, rf, _ in reference_integrands(fermat, P, jet)}
                 for (j0, j1), c in rep.per_pair.items():
-                    if c.numerator_zero or j0 > 1:
+                    if c.numerator_zero:
                         continue
-                    rf = pair_integrand(fermat, P, jet, j0, j1).rf
+                    rf = integrands[(j0, j1)]
+                    finite = [site for site in c.sites if not site.at_infinity]
+                    refs = residues_at_zeros(rf, jet.x[j0], guard=jet.x[j1]).sites
+                    refs = [ref for ref in refs if not ref.at_infinity]
+                    assert [s.location for s in finite] == [r.location for r in refs]
+                    scale = max(abs(site.residue) for site in c.sites)
+                    for site, ref in zip(finite, refs):
+                        where = (seed, j0, j1, site.location)
+                        assert site.pole_order == ref.pole_order, where
+                        assert (site.residue == 0) == (ref.residue == 0), where
+                        assert abs(site.residue - ref.residue) <= 1e-8 * scale, where
+                    if j0 > 1:
+                        continue
                     (site,) = [site for site in c.sites if site.at_infinity]
                     ref = residue_at_infinity_analytic(rf)
                     assert site.pole_order == max(rf.num.degree + 2 - rf.den.degree, 0)

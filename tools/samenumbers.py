@@ -18,6 +18,9 @@ The corpus:
 * ``period_at`` of ``x1^3 x2^2`` and ``monomial_scan`` on the five
   ``mobius-null/zeta=K/seed=0`` families at the first three
   ``STANDARD_PERIOD_SAMPLES`` values;
+* ``verification.reference_period``, the scalar oracle, of ``x1^3 x2^2`` on
+  the same 55 families at the first three ``STANDARD_PERIOD_SAMPLES``
+  values;
 * ``period_of_jet`` of ``x1^3 x2^2`` on 600 jets: the tests'
   ``TestDegreeTwoJets._random_jet`` seeds 0-199, each as it stands, under
   ``t -> 1/t`` and under the tests' Moebius map.
@@ -134,6 +137,10 @@ def scan_records(key: str, table) -> list[tuple[str, dict]]:
     return out
 
 
+def oracle_records(key: str, total: complex) -> list[tuple[str, dict]]:
+    return [(key, {"total": plain(total)})]
+
+
 def cli_records(cli) -> list[tuple[str, dict]]:
     out = []
     for name, cfg in CLI_CONFIGS.items():
@@ -162,7 +169,7 @@ def dump(root: Path) -> None:
     src = root / "src"
     sys.path[:0] = [str(src)]
     import quintic_periods
-    from quintic_periods import cli, period
+    from quintic_periods import cli, period, verification
     from quintic_periods.catalog import STANDARD_PERIOD_SAMPLES, line_families, resolve_family
     from quintic_periods.geometry import MobiusMap, transform_jet
     from quintic_periods.multipoly import MultiPoly
@@ -186,6 +193,11 @@ def dump(root: Path) -> None:
         for k, s in enumerate(samples):
             key = f"period {ident} s[{k}]"
             records += guarded(key, lambda: period.period_at(X, P, fam, s), report_records)
+        for k, s in enumerate(scan_samples):
+            key = f"oracle {ident} s[{k}]"
+            records += guarded(
+                key, lambda: verification.reference_period(X, P, fam.jet_at(s)), oracle_records
+            )
         key = f"scan {ident}"
         records += guarded(
             key, lambda: period.monomial_scan(X, fam, scan_samples, 5), scan_records
