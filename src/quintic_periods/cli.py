@@ -87,8 +87,8 @@ def _converted(convert, value: Any, where: str, what: str):
 
 
 def _whole(value: Any) -> int:
-    """int(value), refusing a float with a fractional part."""
-    if isinstance(value, float) and not value.is_integer():
+    """int(value), refusing a boolean and a float with a fractional part."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
 
@@ -191,7 +191,7 @@ def _parse_samples(raw: Any) -> list[complex]:
         start = _parse_number(raw.get("start", 0.0), "samples.start")
         stop = _parse_number(raw.get("stop"), "samples.stop")
         count = raw.get("count")
-        if not isinstance(count, int) or count < 1:
+        if type(count) is not int or count < 1:
             raise ConfigError("segment count must be a positive integer", "samples.count")
         return [start + (stop - start) * (k + 1) / count for k in range(count)]
     if isinstance(raw, list) and raw:
@@ -215,8 +215,8 @@ def build_hypersurface(cfg: RunConfig) -> Hypersurface:
         return cat.resolve_hypersurface(cfg.hypersurface)
     terms_raw = cfg.hypersurface.get("terms")
     nvars = cfg.hypersurface.get("nvars")
-    if not isinstance(terms_raw, list) or not isinstance(nvars, int):
-        raise ConfigError("explicit hypersurface needs nvars and a terms list", "hypersurface")
+    if not isinstance(terms_raw, list) or type(nvars) is not int or nvars < 1:
+        raise ConfigError("explicit hypersurface needs nvars >= 1 and a terms list", "hypersurface")
     _known_keys(cfg.hypersurface, ("nvars", "terms"), "hypersurface")
     terms = {}
     for i, item in enumerate(terms_raw):
@@ -230,8 +230,16 @@ def build_hypersurface(cfg: RunConfig) -> Hypersurface:
             f"{where}.exponents",
             "a list of integer exponents",
         )
+        if len(exps) != nvars or min(exps) < 0:
+            raise ConfigError(
+                f"exponents must be {nvars} nonnegative integers, got {list(exps)}",
+                f"{where}.exponents",
+            )
         terms[exps] = terms.get(exps, 0j) + _parse_number(item["coeff"], where)
-    return Hypersurface(MultiPoly(nvars, terms))
+    try:
+        return Hypersurface(MultiPoly(nvars, terms))
+    except ValueError as exc:
+        raise ConfigError(str(exc), "hypersurface") from None
 
 
 def build_family(cfg: RunConfig) -> CurveFamily:
@@ -246,6 +254,8 @@ def build_family(cfg: RunConfig) -> CurveFamily:
     exprs = [_expression(c, f"family.coordinates[{i}]") for i, c in enumerate(coords)]
     jets_mode = fam.get("jets", "analytic")
     fd_step = _converted(float, fam.get("fd_step", 1e-5), "family.fd_step", "a number")
+    if not (fd_step > 0 and cmath.isfinite(fd_step)):
+        raise ConfigError(f"fd_step must be a positive number, got {fd_step!r}", "family.fd_step")
     t_poly = UniPoly.variable()
 
     def chart(tree: Expr, i: int, s: complex) -> UniPoly:
@@ -389,6 +399,7 @@ def _tolerance(tolerances: dict, name: str) -> float:
 def period_breach(r: PeriodReport, tolerances: dict) -> str | None:
     """The declared tolerances one period sample breaks, as one line.
 
+    A non-finite total, residue or backend disagreement breaks them all.
     Backend agreement bounds the sample's largest backend disagreement.  The
     residue theorem bounds each live pair's check relative to the largest
     |residue| summed into it; a check over no nonzero residue holds.
@@ -397,6 +408,10 @@ def period_breach(r: PeriodReport, tolerances: dict) -> str | None:
     theorem = _tolerance(tolerances, "residue_theorem")
     found = []
     pairs = r.per_pair.values()
+    sites = [s for c in pairs for s in c.sites]
+    values = [r.total, *(s.residue for s in sites), *(s.backend_disagreement for s in sites)]
+    if not all(map(cmath.isfinite, values)):
+        found.append("non-finite total, residue or backend disagreement")
     worst = max(pairs, key=lambda c: c.max_backend_disagreement, default=None)
     if worst is not None and worst.max_backend_disagreement >= backend:
         found.append(
@@ -414,15 +429,23 @@ def period_breach(r: PeriodReport, tolerances: dict) -> str | None:
 
 
 def scan_breaches(table: ScanTable, tolerances: dict) -> list[str]:
-    """One line per sample whose largest backend disagreement breaks the
-    declared backend agreement."""
+    """One line per sample with a non-finite total or backend disagreement,
+    or whose largest one breaks the declared backend agreement."""
     backend = _tolerance(tolerances, "backend_agreement")
-    return [
-        f"tolerance breached at s = {s:.6g}: backend_agreement {backend:g} in pair "
-        f"({pair[0]},{pair[1]}), monomial {monomial}: disagreement {worst:.3g}"
-        for s, (worst, pair, monomial) in zip(table.s_list, table.worst_backend)
-        if pair is not None and worst >= backend
-    ]
+    out = []
+    for k, (s, (worst, pair, monomial)) in enumerate(zip(table.s_list, table.worst_backend)):
+        found = []
+        values = [v for r in table.rows for v in (r.totals[k], r.max_backend_disagreements[k])]
+        if not all(map(cmath.isfinite, values)):
+            found.append("non-finite total or backend disagreement")
+        if pair is not None and worst >= backend:
+            found.append(
+                f"backend_agreement {backend:g} in pair ({pair[0]},{pair[1]}), "
+                f"monomial {monomial}: disagreement {worst:.3g}"
+            )
+        if found:
+            out.append(f"tolerance breached at s = {s:.6g}: " + "; ".join(found))
+    return out
 
 
 def scan_csv_lines(table: ScanTable, vanish_rel: float = VANISH_REL_TOL) -> list[str]:

@@ -1,7 +1,8 @@
 """Complex polynomial root extraction with multiplicity clustering.
 
-Primary solver is a simultaneous Aberth-Ehrlich iteration; if it stalls the
-companion-matrix eigenvalues (``numpy.roots``) take over.  Returned roots are
+Degrees 1 and 2 are solved in closed form; higher degrees by the
+companion-matrix eigenvalues (``numpy.roots``), backward stable at the
+degrees the library meets (Edelman-Murakami 1995).  Returned roots are
 clustered into (location, multiplicity) sites: a base pass at the relative
 tolerance 1e-9*(1+max|root|) merges numerically identical approximations, and
 a multiplicity-aware pass merges the characteristic eps^(1/k) cloud a k-fold
@@ -11,12 +12,13 @@ p, p', ..., p^(k-1) at the Newton-polished center.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from ..errors import NonConvergenceError
 from .unipoly import UniPoly
 
-MAX_ITER = 500
 CLUSTER_REL_TOL = 1e-9
 _MULT_EPS = 1e-13  # multiplicity-k clouds have radius ~ _MULT_EPS**(1/k)
 _MERGE_FACTOR = 8.0
@@ -39,13 +41,16 @@ def poly_roots(p: UniPoly) -> list[tuple[complex, int]]:
     Raises
     ------
     NonConvergenceError
-        If neither the Aberth iteration nor the companion-matrix fallback
-        produces roots with acceptable residuals.
+        If a coefficient or an eigenvalue is not finite, the eigenvalue
+        solver fails, or the clustered roots do not have acceptable
+        residuals.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no well-defined root set")
     if p.degree == 0:
         return []
+    if not all(cmath.isfinite(c) for c in p.coeffs):
+        raise NonConvergenceError(f"degree {p.degree} polynomial has a non-finite coefficient")
 
     coeffs = list(p.coeffs)
     # roots at the origin come from trailing zero coefficients
@@ -80,61 +85,10 @@ def _solve(q: UniPoly) -> np.ndarray:
             r1 = (-a1 + disc) / (2 * a2)
         r2 = a0 / (a2 * r1) if r1 != 0 else -a1 / a2
         return np.array([r1, r2])
-    z = _aberth(q)
-    if z is None:
+    try:
         z = np.roots(np.asarray(list(reversed(q.coeffs))))
-        z = _newton_polish(q, z)
-        if z is None:
-            raise NonConvergenceError(
-                f"root solver failed on degree {n} polynomial (ill-conditioned input)"
-            )
-    return z
-
-
-def _aberth(q: UniPoly) -> np.ndarray | None:
-    n = q.degree
-    mon = q.monic()
-    dmon = mon.derivative()
-    radius = 1.0 + max(abs(c) for c in mon.coeffs[:-1])
-    k = np.arange(n)
-    z = radius * np.exp(2j * np.pi * (k + 0.3) / n + 0.25j)
-    tol = 1e-14
-    for _ in range(MAX_ITER):
-        pv = mon(z)
-        dv = dmon(z)
-        bad = np.abs(dv) < 1e-300
-        if bad.any():
-            # nudge stalled iterates off the critical point, deterministically
-            z = np.where(bad, z + 1e-8 * (1.0 + np.abs(z)) * np.exp(0.7j * k), z)
-            continue
-        w = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
-        s = inv.sum(axis=1)
-        denom = 1.0 - w * s
-        denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
-        dz = w / denom
-        z = z - dz
-        if not np.all(np.isfinite(z)):
-            return None
-        if np.max(np.abs(dz)) <= tol * (1.0 + np.max(np.abs(z))):
-            return z
-    return None
-
-
-def _newton_polish(q: UniPoly, z: np.ndarray) -> np.ndarray | None:
-    """Three Newton steps from z; None if an iterate is not finite."""
-    dq = q.derivative()
-    z = np.array(z, dtype=complex)
-    for _ in range(3):
-        dv = dq(z)
-        dv = np.where(np.abs(dv) < 1e-300, 1.0, dv)
-        z = z - q(z) / dv
-    if not np.all(np.isfinite(z)):
-        return None
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"companion-matrix eigenvalues failed: {exc}") from None
     return z
 
 
@@ -247,6 +201,8 @@ def _check_residuals(p: UniPoly, sites: list[tuple[complex, int]]) -> None:
     mon = p.monic()
     bound = 1e-6 * mon.scale()
     for r, _ in sites:
+        if not cmath.isfinite(r):
+            raise NonConvergenceError(f"root {r} is not finite")
         if abs(mon(r)) > bound * max(1.0, abs(r)) ** p.degree:
             raise NonConvergenceError(
                 f"root residual {abs(mon(r)):.3e} at {r:.6g} exceeds bound"

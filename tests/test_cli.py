@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from quintic_periods.cli import (
@@ -33,6 +34,11 @@ LINE = ["t", "-zeta*t", "1", "s", "root5(-1-s^5)"]
 RISING = {"coordinates": ["t", "-zeta*t", "1", "s*t^2", "root5(-1-s^5)"]}
 BAD_EXPONENTS = ["a", 0, 0, 0, 0]
 FRACTIONAL = [5.7, 0, 0, 0, 0]
+NEGATIVE = [-1, 6, 0, 0, 0]
+NON_HOMOGENEOUS = [
+    {"coeff": 1, "exponents": [5, 0, 0, 0, 0]},
+    {"coeff": 1, "exponents": [0, 4, 0, 0, 0]},
+]
 
 
 class TestConfig:
@@ -273,6 +279,16 @@ class TestCommands:
         assert main(["scan", "--config", str(cfg), "--degree", "5", "--out-csv", str(csv_path)]) == 0
         assert csv_path.read_bytes() == first
 
+    def test_nonfinite_values_exit_3_naming_the_sample(self, tmp_path, capsys):
+        # 1e80^4 overflows: the sample's residues and total are NaN
+        family = {"coordinates": ["1e80*t"] + LINE[1:], "zeta_index": 1}
+        cfg = write_config(tmp_path, family=family, samples=[[0.1, 0.0]])
+        for argv in (["period"], ["scan", "--degree", "5"]):
+            with np.errstate(all="ignore"):
+                assert main([*argv, "--config", str(cfg)]) == 3
+            err = capsys.readouterr().err
+            assert "at s = 0.1+0j" in err and "non-finite" in err
+
     def test_scan_wrong_degree_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["scan", "--config", str(cfg), "--degree", "4"]) == 1
@@ -334,6 +350,37 @@ class TestCommands:
                 [],
                 "family.coordinates[4]",
             ),
+            (
+                {"hypersurface": {"nvars": 5, "terms": [{"coeff": 1, "exponents": NEGATIVE}]}},
+                [],
+                "hypersurface.terms[0].exponents",
+            ),
+            (
+                {"hypersurface": {"nvars": 5, "terms": [{"coeff": 1, "exponents": [5, 0, 0]}]}},
+                [],
+                "hypersurface.terms[0].exponents",
+            ),
+            (
+                {"hypersurface": {"nvars": 5, "terms": NON_HOMOGENEOUS}},
+                [],
+                "hypersurface",
+            ),
+            (
+                {"hypersurface": {"nvars": True, "terms": [{"coeff": 1, "exponents": [5]}]}},
+                [],
+                "hypersurface",
+            ),
+            (
+                {"family": {"coordinates": LINE, "jets": "fd", "fd_step": 0}},
+                [],
+                "family.fd_step",
+            ),
+            (
+                {"samples": {"kind": "segment", "stop": 0.2, "count": True}},
+                [],
+                "samples.count",
+            ),
+            ({"family": {"coordinates": LINE, "zeta_index": True}}, [], "family.zeta_index"),
         ],
         ids=[
             "s-word",
@@ -355,6 +402,13 @@ class TestCommands:
             "unknown-output-key",
             "coordinate-root5-of-t",
             "coordinate-division-by-t",
+            "exponents-negative",
+            "exponents-wrong-length",
+            "non-homogeneous",
+            "nvars-bool",
+            "fd-step-zero",
+            "count-bool",
+            "zeta-index-bool",
         ],
     )
     def test_malformed_input_exits_2_naming_its_field(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quintic_periods.errors import NonConvergenceError
 from quintic_periods.numkernel.roots import poly_roots
 from quintic_periods.numkernel.unipoly import UniPoly
 
@@ -85,3 +86,34 @@ def test_deterministic_ordering():
     assert a == b
     locs = [loc for loc, _ in a]
     assert locs == sorted(locs, key=lambda z: (z.real, z.imag))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_seeded_multiple_root_times_cofactor(k):
+    """(t - r)^k q(t) gives one site of multiplicity k at r; k = 4 is the
+    4-fold zero a quintic's partial takes along a line, as the Shioda
+    quintic's non-monomial partials are rooted."""
+    rng = np.random.default_rng(1000 + k)
+    for _ in range(20):
+        r = complex(*rng.uniform(-1.5, 1.5, 2))
+        lead = complex(*rng.uniform(0.5, 2.0, 2))
+        others = []
+        while len(others) < 3:
+            z = complex(*rng.uniform(-1.5, 1.5, 2))
+            if abs(z - r) > 0.3 and all(abs(z - o) > 0.3 for o in others):
+                others.append(z)
+        p = UniPoly([-r, 1.0]) ** k * UniPoly.from_roots(others, lead=lead)
+        sites = poly_roots(p)
+        assert sum(m for _, m in sites) == p.degree
+        multiple = [(loc, m) for loc, m in sites if m > 1]
+        assert len(multiple) == 1
+        loc, mult = multiple[0]
+        assert mult == k
+        assert abs(loc - r) < 1e-9 * (1 + abs(r))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("inf"))])
+def test_nonfinite_coefficient_is_nonconvergence(bad):
+    for coeffs in ([1.0, bad, 2.0, 1.0], [1.0, 2.0, 3.0, bad], [bad, 1.0]):
+        with pytest.raises(NonConvergenceError):
+            poly_roots(UniPoly(coeffs))

@@ -31,9 +31,11 @@ the report, down to each site; an input that raises records the error's
 class and message.  Floats are compared through their shortest round-trip
 text, so any difference in the last bit counts.
 
-Prints ``identical``, or the first record that differs (both values) and
-the largest change of any backend disagreement between matching records.
-Exits 0 when identical, 1 otherwise.
+Prints ``identical``, or the first record that differs (both values), then
+for each record kind (``cli``, ``period``, ``oracle``, ``scan``, ``jet seed``)
+how many of its records differ and their keys, and the largest change of any
+backend disagreement between matching records.  Exits 0 when identical, 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -238,9 +240,19 @@ def _floats(value) -> list[float]:
     return [value] if isinstance(value, float) else []
 
 
-def compare(lines_a: list[str], lines_b: list[str]) -> tuple[str | None, float]:
-    """The first differing record, described, and the largest
-    backend-disagreement change over records present in both."""
+def record_kind(key: str) -> str:
+    """The part of the corpus a record key belongs to: ``cli``, ``period``,
+    ``oracle``, ``scan`` or ``jet seed``."""
+    return "jet seed" if key.startswith("jet seed ") else key.split(" ", 1)[0]
+
+
+def compare(
+    lines_a: list[str], lines_b: list[str]
+) -> tuple[str | None, dict[str, tuple[int, list[str]]], float]:
+    """The first differing record, described; per record kind, the number of
+    records and the keys of those that differ or are missing on one side;
+    and the largest backend-disagreement change over records present in
+    both."""
     a = [json.loads(line) for line in lines_a]
     b = [json.loads(line) for line in lines_b]
     first = None
@@ -250,12 +262,21 @@ def compare(lines_a: list[str], lines_b: list[str]) -> tuple[str | None, float]:
         if ra != rb:
             first = f"record {i}: " + _difference(a[i] if ra else None, b[i] if rb else None)
             break
+    # records are compared by their text: NaN != NaN as floats
+    text_a = {key: line for (key, _), line in zip(a, lines_a)}
+    text_b = {key: line for (key, _), line in zip(b, lines_b)}
+    by_kind: dict[str, tuple[int, list[str]]] = {}
+    for key in {**text_a, **text_b}:
+        count, differing = by_kind.get(record_kind(key), (0, []))
+        if text_a.get(key) != text_b.get(key):
+            differing.append(key)
+        by_kind[record_kind(key)] = (count + 1, differing)
     b_by_key = dict(b)
     change = max(
         (disagreement_change(va, b_by_key[key]) for key, va in a if key in b_by_key),
         default=0.0,
     )
-    return first, change
+    return first, by_kind, change
 
 
 def _difference(ra, rb) -> str:
@@ -301,12 +322,17 @@ def main(argv=None) -> int:
         if p.returncode:
             sys.exit(f"error: the run of {root} exited with {p.returncode}")
     lines_a, lines_b = (out.splitlines() for out in outputs)
-    first, change = compare(lines_a, lines_b)
+    first, by_kind, change = compare(lines_a, lines_b)
     if first is None:
         print("identical")
         print(f"{len(lines_a)} records")
         return 0
     print(f"first difference, {first}")
+    print("differing records by kind:")
+    for kind, (count, differing) in by_kind.items():
+        print(f"  {kind}: {len(differing)} of {count}")
+        for key in differing:
+            print(f"    {key}")
     print(f"largest backend-disagreement change: {change:.3g}")
     return 1
 
