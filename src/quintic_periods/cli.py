@@ -30,6 +30,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
 
+import numpy as np
+
 from . import catalog as cat
 from .errors import (
     ConfigError,
@@ -253,9 +255,9 @@ def build_family(cfg: RunConfig) -> CurveFamily:
     zeta = cat.zeta_value(zeta_index)
     exprs = [_expression(c, f"family.coordinates[{i}]") for i, c in enumerate(coords)]
     jets_mode = fam.get("jets", "analytic")
-    fd_step = _converted(float, fam.get("fd_step", 1e-5), "family.fd_step", "a number")
-    if not (fd_step > 0 and cmath.isfinite(fd_step)):
-        raise ConfigError(f"fd_step must be a positive number, got {fd_step!r}", "family.fd_step")
+    fd_step = _parse_number(fam.get("fd_step", 1e-5), "family.fd_step")
+    if fd_step.imag or not (fd_step.real > 0 and cmath.isfinite(fd_step)):
+        raise ConfigError(f"fd_step must be positive, got {fam['fd_step']!r}", "family.fd_step")
     t_poly = UniPoly.variable()
 
     def chart(tree: Expr, i: int, s: complex) -> UniPoly:
@@ -295,14 +297,22 @@ def build_family(cfg: RunConfig) -> CurveFamily:
         raise ConfigError(f"unknown jets mode {jets_mode!r}", "family.jets")
     from .geometry import family_from_charts
 
-    return family_from_charts(
+    family = family_from_charts(
         str(fam.get("name", "config-family")),
         coords_at,
         d_curve,
         jets_at=jets_at,
-        fd_step=fd_step,
+        fd_step=fd_step.real,
         metadata={"source": "config"},
     )
+
+    def fd_jet(s: complex):
+        try:
+            return family.jet_fn(s)
+        except ValueError as exc:  # the jets' consistency check refuses the step
+            raise ConfigError(f"fd_step {fd_step.real!r}: {exc}", "family.fd_step") from None
+
+    return family if jets_at else replace(family, jet_fn=fd_jet)
 
 
 def build_p(cfg: RunConfig, X: Hypersurface) -> MultiPoly:
@@ -331,9 +341,8 @@ def period_csv_lines(reports: Sequence[PeriodReport]) -> list[str]:
     ]
     lines = [",".join(header)]
     for r in reports:
-        theorem = max(
-            (c.residue_theorem_check for c in r.per_pair.values()), default=0.0
-        )
+        # NaN if any check is, as the report's own maxima
+        theorem = np.max([c.residue_theorem_check for c in r.per_pair.values()], initial=0.0)
         row = (
             _fmt_pair(r.s)
             + _fmt_pair(r.total)
@@ -408,9 +417,8 @@ def period_breach(r: PeriodReport, tolerances: dict) -> str | None:
     theorem = _tolerance(tolerances, "residue_theorem")
     found = []
     pairs = r.per_pair.values()
-    sites = [s for c in pairs for s in c.sites]
-    values = [r.total, *(s.residue for s in sites), *(s.backend_disagreement for s in sites)]
-    if not all(map(cmath.isfinite, values)):
+    # the total sums every site residue, and the maximum keeps a NaN
+    if not (cmath.isfinite(r.total) and cmath.isfinite(r.max_backend_disagreement)):
         found.append("non-finite total, residue or backend disagreement")
     worst = max(pairs, key=lambda c: c.max_backend_disagreement, default=None)
     if worst is not None and worst.max_backend_disagreement >= backend:
@@ -435,8 +443,7 @@ def scan_breaches(table: ScanTable, tolerances: dict) -> list[str]:
     out = []
     for k, (s, (worst, pair, monomial)) in enumerate(zip(table.s_list, table.worst_backend)):
         found = []
-        values = [v for r in table.rows for v in (r.totals[k], r.max_backend_disagreements[k])]
-        if not all(map(cmath.isfinite, values)):
+        if not all(map(cmath.isfinite, [worst, *(r.totals[k] for r in table.rows)])):
             found.append("non-finite total or backend disagreement")
         if pair is not None and worst >= backend:
             found.append(
@@ -631,7 +638,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a non-finite value is reported on its own line, not by numpy warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2

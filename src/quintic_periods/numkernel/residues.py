@@ -10,11 +10,13 @@ Two independent backends are kept side by side on purpose:
 
 ``SiteMap`` runs both for every integrand at every one of its sites (a
 ``SiteEntry`` each), on matrices of numerator rows, with each denominator
-known by its declared roots.  The scalar oracle ``residues_at_zeros`` runs
-the analytic backend alone on one ``RationalFunction``, reading each pole
-order at its site from the expanded denominator.  The point at infinity is
-handled through u = 1/t with dt = -du/u^2.  Two finite pole locations count
-as one site by the rule of ``coincides``.
+known by its declared roots; the period assembly compares them by
+``backend_disagreement`` on all sites of a sample at once.  The scalar
+oracle ``residues_at_zeros`` runs the analytic backend alone on one
+``RationalFunction``, reading each pole order at its site from the expanded
+denominator.  The point at infinity is handled through u = 1/t with dt =
+-du/u^2.  Two finite pole locations count as one site by the rule of
+``coincides``.
 """
 
 from __future__ import annotations
@@ -190,12 +192,8 @@ def backend_disagreement(analytic, quadrature, quadrature_scale):
     floored at 1e-6 of the quadrature contour magnitude: below that the
     trapezoid rule cannot resolve a difference (its noise floor is machine
     epsilon times the contour magnitude), so a near-zero residue pair counts
-    as agreement rather than as 100% error.
-
-    Takes complex scalars or arrays.  The builtin ``abs`` is libm's hypot on
-    a complex scalar and numpy's own routine on an array, which can differ
-    in the last bit, so a scalar site report and its row in an array each
-    keep their own rounding.
+    as agreement rather than as 100% error.  Takes complex arrays; a NaN
+    residue gives a NaN disagreement.
     """
     floor = np.maximum(1e-6 * quadrature_scale, 1e-300)
     larger = np.maximum(abs(analytic), abs(quadrature))
@@ -205,7 +203,7 @@ def backend_disagreement(analytic, quadrature, quadrature_scale):
 @dataclass
 class ZeroSiteReport:
     """Diagnostics for one zero of the residue coordinate; its
-    ``backend_disagreement`` is the module function of that name."""
+    ``backend_disagreement`` is 0 without a quadrature value."""
 
     location: complex
     at_infinity: bool
@@ -214,23 +212,15 @@ class ZeroSiteReport:
     residue: complex
     residue_quadrature: complex | None = None
     quadrature_scale: float = 0.0
-
-    @property
-    def backend_disagreement(self) -> float:
-        if self.residue_quadrature is None:
-            return 0.0
-        a, q, scale = self.residue, self.residue_quadrature, self.quadrature_scale
-        return float(backend_disagreement(a, q, scale))
+    backend_disagreement: float = 0.0
 
 
 @dataclass
 class ZeroResidueSum:
     total: complex
     sites: list[ZeroSiteReport] = field(default_factory=list)
-
-    @property
-    def max_backend_disagreement(self) -> float:
-        return max((s.backend_disagreement for s in self.sites), default=0.0)
+    # the oracle runs no quadrature, so its sites never disagree
+    max_backend_disagreement: float = 0.0
 
 
 def residues_at_zeros(
@@ -563,14 +553,7 @@ class SiteRows:
     quadrature_scale: np.ndarray | None = None
     collision: BaseLocusCollisionError | None = None
 
-    def disagreement(self) -> np.ndarray:
-        """``backend_disagreement`` of every row; 0 without a pole."""
-        if self.quadrature is None:
-            return np.zeros(len(self.order))
-        d = backend_disagreement(self.residue, self.quadrature, self.quadrature_scale)
-        return np.where(self.order > 0, d, 0.0)
-
-    def report(self, r: int) -> ZeroSiteReport:
+    def report(self, r: int, disagreement: float) -> ZeroSiteReport:
         site, order = self.site, int(self.order[r])
         report = ZeroSiteReport(
             site.location, site.at_infinity, site.zero_multiplicity, order, complex(self.residue[r])
@@ -578,6 +561,7 @@ class SiteRows:
         if order and self.quadrature is not None:
             report.residue_quadrature = complex(self.quadrature[r])
             report.quadrature_scale = float(self.quadrature_scale[r])
+            report.backend_disagreement = disagreement
         return report
 
 

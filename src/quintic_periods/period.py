@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,6 +58,7 @@ from .numkernel.residues import (  # noqa: F401
     SiteMap,
     SiteRows,
     ZeroSiteReport,
+    backend_disagreement,
     circle_points,
     coincides,
     residue_at_infinity_analytic,
@@ -84,10 +86,7 @@ class PairContribution:
     # the largest |residue| summed into residue_theorem_check
     residue_theorem_scale: float = 0.0
     dual_sum_check: float | None = None
-
-    @property
-    def max_backend_disagreement(self) -> float:
-        return max((s.backend_disagreement for s in self.sites), default=0.0)
+    max_backend_disagreement: float = 0.0
 
 
 @dataclass
@@ -124,12 +123,6 @@ class ComparisonReport:
     tolerance: float
 
 
-def _pair_order(n: int):
-    for j0 in range(n):
-        for j1 in range(j0 + 1, n):
-            yield (j0, j1)
-
-
 _PAIR_ERRORS = (BaseLocusCollisionError, NonConvergenceError, PoleMismatchError)
 
 
@@ -139,11 +132,11 @@ def _named(exc: Exception, jet: CurveJet, j0: int, j1: int) -> Exception:
 
 
 class _Pair:
-    """The class-independent part of one covering pair at one sample: the
-    inner factor of its numerator, its declared denominator lead * prod
-    (t - r)^m over ``den_sites``, and its sites."""
+    """One covering pair at one sample: the inner factor of its numerator,
+    its declared denominator lead * prod (t - r)^m over ``den_sites``, its
+    sites, and per class row its live flag, numerator and site rows."""
 
-    def __init__(self, ctx: _SampleContext, index: int, j0: int, j1: int):
+    def __init__(self, ctx: _SampleContext, index: int, j0: int, j1: int, nums, lives):
         self.ctx = ctx
         self.index, self.j0, self.j1 = index, j0, j1
         # the inner factor's degree, without its exact zero top coefficients
@@ -151,6 +144,10 @@ class _Pair:
         # P(x(t)) * inner
         inner = np.flatnonzero(ctx.inners[index])
         self.width = ctx.width + (inner[-1] if len(inner) else -1)
+        self.live = lives[index]
+        self.num = nums[index, :, : self.width]
+        self.sites: list[SiteRows] = []
+        self.checks: list[SiteRows] = []
 
     @cached_property
     def lead(self) -> complex:
@@ -224,7 +221,7 @@ class _SampleContext:
         self.X = X
         self.jet = jet
         self.wedges = pair_wedges(jet)
-        # inner factors of all pairs, one row each in _pair_order
+        # inner factors of all pairs, one row each in combinations order
         self.inners, self.term_scales = pair_inners(jet, self.wedges)
         self.xs = jet.x_chart()
         # each coordinate's chart without negligible top coefficients, and
@@ -303,22 +300,39 @@ class _SampleContext:
         return best
 
 
-@dataclass
-class _PairRows:
-    """One pair assembled for every class row: which rows have a live
-    numerator, the numerator rows, and the residues at each site and
-    check site."""
+class _Reduction:
+    """The site rows of all pairs at one sample reduced per class row, in a
+    fixed number of array operations: pair ``sums`` (in site order, as
+    Python's ``sum`` adds), ``totals``, ``vanish_scales``, the backend
+    ``disagreement`` of each site k (of pair ``owner[k]``) and its maxima per
+    pair and sample; a maximum is 0 without a site, NaN if an input is."""
 
-    pair: _Pair
-    live: np.ndarray
-    num: np.ndarray
-    sites: list[SiteRows] = field(default_factory=list)
-    checks: list[SiteRows] = field(default_factory=list)
-
-    @property
-    def residue_sum(self) -> np.ndarray:
-        zero = np.zeros(len(self.live), dtype=complex)
-        return sum((site.residue for site in self.sites), zero)
+    def __init__(self, pairs: list[_Pair], rows: int):
+        self.pairs = pairs
+        sites = [site for p in pairs for site in p.sites]
+        self.owner = [i for i, p in enumerate(pairs) for _ in p.sites]
+        # slot 0 of each pair holds zeros: the start of its sum and its maximum
+        slot = [k for p in pairs for k in range(1, len(p.sites) + 1)]
+        # every site's residue, quadrature and scale in one complex array (a
+        # scale is exact as its real part); both backends report 0 in a row
+        # without a pole or at a site without a circle: disagreement 0 there
+        zero = np.zeros(rows)
+        stacked = np.array(
+            [(s.residue, zero, zero) if s.quadrature is None
+             else (s.residue, s.quadrature, s.quadrature_scale) for s in sites]
+        ).reshape(len(sites), 3, rows)
+        residue, quadrature, scale = stacked.transpose(1, 0, 2)
+        self.disagreement = backend_disagreement(residue, quadrature, scale.real)
+        slots = (len(pairs), 1 + max(slot, default=0), rows)
+        by_pair = np.zeros(slots, dtype=complex)
+        by_pair[self.owner, slot] = residue
+        self.sums = by_pair.cumsum(axis=1)[:, -1]
+        self.totals = self.sums.cumsum(axis=0)[-1]
+        self.vanish_scales = np.abs(self.sums).max(axis=0)
+        by_pair = np.zeros(slots)
+        by_pair[self.owner, slot] = self.disagreement
+        self.pair_max = by_pair.max(axis=1)
+        self.max = self.pair_max.max(axis=0)
 
 
 def _convolve_rows(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -331,10 +345,10 @@ def _convolve_rows(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assemble(ctx: _SampleContext, p_rows: np.ndarray, checks: bool = False) -> list[_PairRows]:
+def _assemble(ctx: _SampleContext, p_rows: np.ndarray, checks: bool = False) -> _Reduction:
     """Every pair's residues for a matrix of class charts, one row of
-    P(x(t)) coefficients per class; with ``checks`` also those at the check
-    sites of each pair.
+    P(x(t)) coefficients per class, reduced; with ``checks`` also those at
+    the check sites of each pair.
 
     The class enters last: each pair's inner factor, denominator, sites and
     quadrature weights are built once, from the charts and roots ``ctx``
@@ -351,34 +365,33 @@ def _assemble(ctx: _SampleContext, p_rows: np.ndarray, checks: bool = False) -> 
     nums = _convolve_rows(p_rows, ctx.inners)
     num_scales = np.maximum(ctx.term_scales[:, None] * p_scale, 1e-300)
     lives = np.abs(nums).max(axis=2) > NUMERATOR_ZERO_REL_TOL * num_scales
-    out = []
-    for index, (j0, j1) in enumerate(_pair_order(ctx.jet.ncoords)):
-        pair = _Pair(ctx, index, j0, j1)
-        out.append(_PairRows(pair, lives[index], nums[index, :, : pair.width]))
+    pairs = [
+        _Pair(ctx, index, j0, j1, nums, lives)
+        for index, (j0, j1) in enumerate(combinations(range(ctx.jet.ncoords), 2))
+    ]
     errors: dict[int, Exception] = {}
-    planned = []  # per pair with a live row: its rows, sites and check sites
-    for rows in out:
-        if rows.live.any():
+    planned = []  # per pair with a live row: the pair, its sites and check sites
+    for pair in pairs:
+        if pair.live.any():
             try:
-                sites = rows.pair.site_entries()
-                planned.append((rows, sites, rows.pair.check_entries() if checks else []))
+                planned.append((pair, pair.site_entries(), pair.check_entries() if checks else []))
             except _PAIR_ERRORS as exc:
-                errors[rows.pair.index] = exc
+                errors[pair.index] = exc
     entries = [e for _, sites, more in planned for e in sites + more]
-    owners = [rows for rows, sites, more in planned for _ in sites + more]
-    site_map = SiteMap(entries, ctx.dens_on_circles(entries, [rows.pair for rows in owners]))
-    found = iter(site_map.apply([rows.num for rows in owners], [rows.live for rows in owners]))
-    for rows, sites, more in planned:
-        rows.sites = [next(found) for _ in sites]
-        rows.checks = [next(found) for _ in more]
-        collision = next((site.collision for site in rows.sites if site.collision), None)
+    owners = [pair for pair, sites, more in planned for _ in sites + more]
+    site_map = SiteMap(entries, ctx.dens_on_circles(entries, owners))
+    found = iter(site_map.apply([pair.num for pair in owners], [pair.live for pair in owners]))
+    for pair, sites, more in planned:
+        pair.sites = [next(found) for _ in sites]
+        pair.checks = [next(found) for _ in more]
+        collision = next((site.collision for site in pair.sites if site.collision), None)
         if collision is not None:
-            errors[rows.pair.index] = collision
+            errors[pair.index] = collision
     if errors:
         first = min(errors)
-        pair = out[first].pair
+        pair = pairs[first]
         raise _named(errors[first], ctx.jet, pair.j0, pair.j1) from errors[first]
-    return out
+    return _Reduction(pairs, len(p_rows))
 
 
 def period_of_jet(X: Hypersurface, P: MultiPoly, jet: CurveJet) -> PeriodReport:
@@ -395,35 +408,33 @@ def period_of_jet(X: Hypersurface, P: MultiPoly, jet: CurveJet) -> PeriodReport:
     p_row = np.zeros((1, ctx.width), dtype=complex)
     chart = P.compose_unipoly(ctx.xs).coeffs
     p_row[0, : len(chart)] = chart
+    red = _assemble(ctx, p_row, checks=True)
+    disagreement = iter(red.disagreement[:, 0].tolist())
     per_pair: dict[tuple[int, int], PairContribution] = {}
-    total = 0j
-    for rows in _assemble(ctx, p_row, checks=True):
-        pair = rows.pair
+    sums, worst = red.sums[:, 0].tolist(), red.pair_max[:, 0].tolist()
+    for pair, residue_sum, pair_worst in zip(red.pairs, sums, worst):
         j0, j1 = pair.j0, pair.j1
-        if not rows.live[0]:
+        if not pair.live[0]:
             per_pair[(j0, j1)] = PairContribution(j0, j1, 0j, [], numerator_zero=True)
             continue
-        residue_sum = complex(rows.residue_sum[0])
-        contrib = PairContribution(j0, j1, residue_sum, [site.report(0) for site in rows.sites])
-        others = [complex(c.residue[0]) for c in rows.checks]
+        sites = [site.report(0, next(disagreement)) for site in pair.sites]
+        contrib = PairContribution(j0, j1, residue_sum, sites, max_backend_disagreement=pair_worst)
+        others = [complex(c.residue[0]) for c in pair.checks]
         contrib.residue_theorem_check = abs(residue_sum + sum(others))
         contrib.residue_theorem_scale = max(
-            [abs(site.residue) for site in contrib.sites] + list(map(abs, others)), default=0.0
+            [abs(site.residue) for site in sites] + list(map(abs, others)), default=0.0
         )
-        if pair.dual_sum_holds(rows.checks):
+        if pair.dual_sum_holds(pair.checks):
             contrib.dual_sum_check = contrib.residue_theorem_check
         per_pair[(j0, j1)] = contrib
-        total += residue_sum
 
     return PeriodReport(
         s=jet.s,
-        total=total,
+        total=complex(red.totals[0]),
         per_pair=per_pair,
         min_pole_separation=ctx.min_pole_separation(),
-        max_backend_disagreement=max(
-            (c.max_backend_disagreement for c in per_pair.values()), default=0.0
-        ),
-        vanish_scale=max((abs(c.residue_sum) for c in per_pair.values()), default=0.0),
+        max_backend_disagreement=float(red.max[0]),
+        vanish_scale=float(red.vanish_scales[0]),
     )
 
 
@@ -587,21 +598,16 @@ def monomial_scan(
     worst_backend = []
     for s in s_list:
         ctx = _SampleContext(X, fam.jet_at(s))
-        pairs = _assemble(ctx, monomial_charts(ctx.xs, degree, ctx.width))
-        sums = [p.residue_sum for p in pairs]
-        totals = sum(sums)
-        scales = np.max(np.abs(sums), axis=0)
-        site_pairs = [(p.pair.j0, p.pair.j1) for p in pairs for _ in p.sites]
-        per_site = np.reshape(
-            [site.disagreement() for p in pairs for site in p.sites], (-1, len(rows))
-        )
-        disagreement = per_site.max(axis=0, initial=0.0)
+        red = _assemble(ctx, monomial_charts(ctx.xs, degree, ctx.width))
+        per_site = red.disagreement
         if per_site.size:
             k, r = np.unravel_index(np.argmax(per_site), per_site.shape)
-            worst_backend.append((float(per_site[k, r]), site_pairs[k], rows[r].monomial))
+            pair = red.pairs[red.owner[k]]
+            worst_backend.append((float(per_site[k, r]), (pair.j0, pair.j1), rows[r].monomial))
         else:
             worst_backend.append((0.0, None, ""))
-        for row, t, sc, d in zip(rows, totals.tolist(), scales.tolist(), disagreement.tolist()):
+        totals, scales, worst = red.totals.tolist(), red.vanish_scales.tolist(), red.max.tolist()
+        for row, t, sc, d in zip(rows, totals, scales, worst):
             row.totals.append(t)
             row.vanish_scales.append(sc)
             row.max_backend_disagreements.append(d)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,8 @@ def write_config(tmp_path: Path, **overrides) -> Path:
 
 # the coordinates of the paper's line as an expression family
 LINE = ["t", "-zeta*t", "1", "s", "root5(-1-s^5)"]
+# write_config's samples as a breach line prints them
+SAMPLES_AS_PRINTED = ("0.1+0j", "0+0.12j", "0.15+0.05j")
 # the line with x3 = s t^2: degree 1 at s = 0, degree 2 elsewhere
 RISING = {"coordinates": ["t", "-zeta*t", "1", "s*t^2", "root5(-1-s^5)"]}
 BAD_EXPONENTS = ["a", 0, 0, 0, 0]
@@ -135,6 +140,17 @@ class TestExpressionFamilies:
             code = main(["period", "--config", str(cfg), *extra])
             runs.append((code, *capsys.readouterr()))
         assert runs[0] == runs[1]
+
+    def test_fd_step_too_large_is_a_config_error(self, tmp_path, capsys):
+        # halving a step of 0.5 moves the jets by far more than 1e-4: the
+        # consistency check's gap is reported on the step's field
+        family = {"coordinates": LINE, "jets": "fd", "fd_step": 0.5}
+        cfg = write_config(tmp_path, family=family)
+        for argv in (["period"], ["scan", "--degree", "5"]):
+            assert main([*argv, "--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert "halving the step moved them by 1.50e-02 relative" in err
+            assert err.endswith("(field: family.fd_step)\n")
 
     def test_degree_above_the_samples_is_a_config_error(self, tmp_path):
         fam = build_family(load_config(write_config(tmp_path, family=RISING, samples=[[0, 0]])))
@@ -289,6 +305,59 @@ class TestCommands:
             err = capsys.readouterr().err
             assert "at s = 0.1+0j" in err and "non-finite" in err
 
+    def test_nonfinite_maxima_read_nan(self, tmp_path, capsys):
+        # pairs (0,2)-(0,4) have NaN residues and backend disagreements on
+        # this config, while pairs (1,2)-(1,4) stay finite: every maximum
+        # over them is NaN, in the period CSV and JSON as in the scan
+        family = {"coordinates": ["1e80*t"] + LINE[1:], "zeta_index": 1}
+        cfg = write_config(tmp_path, family=family)
+        csv, js = tmp_path / "period.csv", tmp_path / "period.json"
+        argv = ["period", "--config", str(cfg), "--out-csv", str(csv), "--out-json", str(js)]
+        assert main(argv) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [
+            f"tolerance breached at s = {s}: non-finite total, residue or backend disagreement"
+            for s in SAMPLES_AS_PRINTED
+        ]
+        header, *rows = csv.read_text().splitlines()
+        columns = header.split(",")
+        for row in rows:
+            cells = dict(zip(columns, row.split(",")))
+            assert cells["max_backend_disagreement"] == "nan"
+            assert cells["max_residue_theorem_check"] == "nan"
+        for sample in json.loads(js.read_text())["samples"]:
+            pairs = sample["per_pair"].values()
+            sites = [site["backend_disagreement"] for p in pairs for site in p["sites"]]
+            assert any(np.isnan(sites)) and not all(np.isnan(sites))
+            assert np.isnan(sample["max_backend_disagreement"])
+            assert np.isnan(sample["vanish_scale"])
+        scan_json = tmp_path / "scan.json"
+        argv = ["scan", "--config", str(cfg), "--degree", "5", "--out-json", str(scan_json)]
+        assert main(argv) == 3
+        rows = json.loads(scan_json.read_text())["rows"]
+        (row,) = [r for r in rows if r["monomial"] == "x1^3*x2^2"]
+        assert np.isnan(row["max_backend_disagreements"]).all()
+        assert np.isnan(row["vanish_scales"]).all()
+
+    def test_stderr_holds_only_the_breach_lines(self, tmp_path):
+        # in a process of its own, so numpy's warnings reach its stderr
+        family = {"coordinates": ["1e80*t"] + LINE[1:], "zeta_index": 1}
+        cfg = write_config(tmp_path, family=family)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        for argv, found in (
+            (["period"], "non-finite total, residue or backend disagreement"),
+            (["scan", "--degree", "5"], "non-finite total or backend disagreement"),
+        ):
+            run = subprocess.run(
+                [sys.executable, "-m", "quintic_periods.cli", *argv, "--config", str(cfg)],
+                capture_output=True, text=True, env=env,
+            )
+            assert run.returncode == 3
+            assert run.stderr.splitlines() == [
+                f"tolerance breached at s = {s}: {found}" for s in SAMPLES_AS_PRINTED
+            ]
+
     def test_scan_wrong_degree_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["scan", "--config", str(cfg), "--degree", "4"]) == 1
@@ -381,6 +450,11 @@ class TestCommands:
                 "samples.count",
             ),
             ({"family": {"coordinates": LINE, "zeta_index": True}}, [], "family.zeta_index"),
+            (
+                {"family": {"coordinates": LINE, "jets": "fd", "fd_step": True}},
+                [],
+                "family.fd_step",
+            ),
         ],
         ids=[
             "s-word",
@@ -409,6 +483,7 @@ class TestCommands:
             "fd-step-zero",
             "count-bool",
             "zeta-index-bool",
+            "fd-step-bool",
         ],
     )
     def test_malformed_input_exits_2_naming_its_field(

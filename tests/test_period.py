@@ -519,6 +519,63 @@ class TestScan:
         assert all(r.vanishes for r in table.rows)
 
 
+class TestReduction:
+    """``period._Reduction`` against the Python loops it replaced: the same
+    sums to the bit, each site's ``backend_disagreement`` on its own rows,
+    and maxima that keep a NaN wherever it sits."""
+
+    def test_against_the_site_rows(self, fermat):
+        import numpy as np
+
+        from quintic_periods.multipoly import monomial_charts
+        from quintic_periods.numkernel.residues import backend_disagreement
+
+        for d in line_families()[::7]:
+            ctx = period._SampleContext(fermat, d.family().jet_at(0.15 + 0.05j))
+            p_rows = monomial_charts(ctx.xs, 5, ctx.width)
+            red = period._assemble(ctx, p_rows)
+            zero = np.zeros(len(p_rows), dtype=complex)
+            sums = [sum((site.residue for site in pair.sites), zero) for pair in red.pairs]
+            assert np.array_equal(red.sums, sums)
+            assert np.array_equal(red.totals, sum(sums))
+            sites = [(i, site) for i, pair in enumerate(red.pairs) for site in pair.sites]
+            assert red.owner == [i for i, _ in sites]
+            for d_site, (i, site) in zip(red.disagreement, sites):
+                assert (d_site[site.order == 0] == 0).all()
+                if site.quadrature is not None:
+                    own = backend_disagreement(site.residue, site.quadrature, site.quadrature_scale)
+                    pole = site.order > 0
+                    np.testing.assert_allclose(d_site[pole], own[pole], rtol=1e-15, atol=0)
+            for i, pair in enumerate(red.pairs):
+                worst = red.disagreement[[k for k, (j, _) in enumerate(sites) if j == i]]
+                assert np.array_equal(red.pair_max[i], worst.max(axis=0, initial=0.0))
+            assert np.array_equal(red.max, red.disagreement.max(axis=0, initial=0.0))
+
+    def test_maxima_keep_nan_wherever_it_sits(self):
+        import numpy as np
+
+        from quintic_periods.numkernel.residues import SiteRows
+
+        def site(residue, quadrature):
+            # one row with a pole, its contour magnitude 1
+            return SiteRows(
+                None, np.array([1]), np.array([residue]), np.array([quadrature]), np.array([1.0])
+            )
+
+        class Pair:
+            def __init__(self, *sites):
+                self.sites = list(sites)
+
+        nan = complex("nan")
+        for first in (True, False):
+            sites = [site(nan, 1.0), site(1.0, 1.5)]
+            pairs = [Pair(), Pair(*(sites if first else sites[::-1])), Pair(site(2.0, 2.0))]
+            red = period._Reduction(pairs, 1)
+            assert red.pair_max[0, 0] == 0.0 and red.pair_max[2, 0] == 0.0
+            assert np.isnan(red.pair_max[1, 0]) and np.isnan(red.max[0])
+            assert np.isnan(red.vanish_scales[0]) and np.isnan(red.totals[0])
+
+
 class TestLocationMaps:
     """The residue engine runs every site and check site of every pair at a
     sample through one SiteMap, stacked into blocks by exact location,

@@ -1,5 +1,6 @@
 """tools/samenumbers.py compares two checkouts' record dumps; its report
-must name every differing record, grouped by record kind."""
+must name every differing record, grouped by record kind, and every
+differing field with its largest relative change."""
 
 import importlib.util
 import json
@@ -36,7 +37,7 @@ def test_compare_counts_every_difference_by_kind():
     b[6] = ("jet seed 3 identity", {"error": "NonConvergenceError: x"})
     b.append(("jet seed 4 identity", {"total": [0.0, 0.0]}))
 
-    first, by_kind, change = tool.compare(_lines(a), _lines(b))
+    first, by_kind, fields = tool.compare(_lines(a), _lines(b))
     assert first.startswith("record 0: cli shioda period")
     assert by_kind == {
         "cli": (2, ["cli shioda period"]),
@@ -45,8 +46,39 @@ def test_compare_counts_every_difference_by_kind():
         "scan": (1, []),
         "jet seed": (2, ["jet seed 3 identity", "jet seed 4 identity"]),
     }
-    assert change == 3e-16
+    # per field: records that differ and the largest relative change; a
+    # field whose versions are not both numbers has None
+    assert fields == {
+        "stdout": (1, None),
+        "total": (2, None),
+        "max_backend_disagreement": (1, 0.75),
+        "error": (1, None),
+    }
 
-    first, by_kind, change = tool.compare(_lines(a), _lines(a))
-    assert first is None and change == 0.0
+    first, by_kind, fields = tool.compare(_lines(a), _lines(a))
+    assert first is None and fields == {}
     assert all(not differing for _, differing in by_kind.values())
+
+
+def test_field_changes_are_relative_and_see_nan():
+    tool = _load_tool()
+    nan, inf = float("nan"), float("inf")
+    a = [
+        ("scan fam row x0^5", {"totals": [[2.0, 0.0]], "vanish_scales": [nan], "vanishes": True}),
+        ("period fam s[0]", {"vanish_scale": 4.0, "max_backend_disagreement": 5e-16}),
+        ("period fam s[1]", {"vanish_scale": nan, "max_backend_disagreement": 1e-16}),
+    ]
+    b = [
+        ("scan fam row x0^5", {"totals": [[2.5, 0.0]], "vanish_scales": [nan], "vanishes": False}),
+        ("period fam s[0]", {"vanish_scale": 5.0, "max_backend_disagreement": nan}),
+        ("period fam s[1]", {"vanish_scale": nan, "max_backend_disagreement": 1e-16}),
+    ]
+    _, _, fields = tool.compare(_lines(a), _lines(b))
+    assert fields == {
+        "totals": (1, 0.2),
+        "vanishes": (1, None),
+        "vanish_scale": (1, 0.2),
+        "max_backend_disagreement": (1, inf),
+    }
+    assert tool.relative_change([1, 2], [1, 4]) == 0.5
+    assert tool.relative_change([1.0], [1.0, 2.0]) is None

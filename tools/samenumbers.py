@@ -33,9 +33,11 @@ text, so any difference in the last bit counts.
 
 Prints ``identical``, or the first record that differs (both values), then
 for each record kind (``cli``, ``period``, ``oracle``, ``scan``, ``jet seed``)
-how many of its records differ and their keys, and the largest change of any
-backend disagreement between matching records.  Exits 0 when identical, 1
-otherwise.
+how many of its records differ and their keys, then each field that differs
+between records present on both sides: in how many records, and its largest
+relative change (``inf`` where a number turns NaN or infinite, ``-`` for a
+field that is not numbers, such as a CLI output text).  Exits 0 when
+identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -221,23 +224,41 @@ def dump(root: Path) -> None:
         print(json.dumps([key, value], default=plain))
 
 
-def disagreement_change(a: dict, b: dict) -> float:
-    """The largest change of a backend-disagreement field between two
-    versions of one record."""
-    worst = 0.0
-    for name, va in a.items():
-        if "backend_disagreement" not in name or name not in b:
+def relative_change(va, vb) -> float | None:
+    """The largest |x - y| / max(|x|, |y|) over the numbers of two versions
+    of one field, 0 where both are NaN and ``inf`` where one is and the other
+    is not; None when the versions differ in anything but numbers."""
+    if isinstance(va, list) and isinstance(vb, list) and len(va) == len(vb):
+        changes = [relative_change(x, y) for x, y in zip(va, vb)]
+        return None if None in changes else max(changes, default=0.0)
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (va, vb))
+    if not numbers:
+        return 0.0 if va == vb else None
+    if va == vb or math.isnan(va) and math.isnan(vb):
+        return 0.0
+    if not (math.isfinite(va) and math.isfinite(vb)):
+        return math.inf
+    return abs(va - vb) / max(abs(va), abs(vb))
+
+
+def field_changes(a: list, b: list) -> dict[str, tuple[int, float | None]]:
+    """Per field name, over the records present in both dumps: in how many
+    records it differs, and its largest ``relative_change`` (None if one
+    of them is not numbers)."""
+    b_by_key = dict(b)
+    out: dict[str, tuple[int, float | None]] = {}
+    for key, va in a:
+        vb = b_by_key.get(key)
+        if vb is None:
             continue
-        flat_a, flat_b = _floats(va), _floats(b[name])
-        if len(flat_a) == len(flat_b):
-            worst = max([worst] + [abs(x - y) for x, y in zip(flat_a, flat_b)])
-    return worst
-
-
-def _floats(value) -> list[float]:
-    if isinstance(value, list):
-        return [x for v in value for x in _floats(v)]
-    return [value] if isinstance(value, float) else []
+        for name in {**va, **vb}:
+            if json.dumps(va.get(name)) == json.dumps(vb.get(name)):
+                continue
+            count, worst = out.get(name, (0, 0.0))
+            change = relative_change(va.get(name), vb.get(name))
+            worst = None if worst is None or change is None else max(worst, change)
+            out[name] = (count + 1, worst)
+    return out
 
 
 def record_kind(key: str) -> str:
@@ -248,11 +269,10 @@ def record_kind(key: str) -> str:
 
 def compare(
     lines_a: list[str], lines_b: list[str]
-) -> tuple[str | None, dict[str, tuple[int, list[str]]], float]:
+) -> tuple[str | None, dict[str, tuple[int, list[str]]], dict[str, tuple[int, float | None]]]:
     """The first differing record, described; per record kind, the number of
     records and the keys of those that differ or are missing on one side;
-    and the largest backend-disagreement change over records present in
-    both."""
+    and the ``field_changes`` of the records present in both."""
     a = [json.loads(line) for line in lines_a]
     b = [json.loads(line) for line in lines_b]
     first = None
@@ -271,12 +291,7 @@ def compare(
         if text_a.get(key) != text_b.get(key):
             differing.append(key)
         by_kind[record_kind(key)] = (count + 1, differing)
-    b_by_key = dict(b)
-    change = max(
-        (disagreement_change(va, b_by_key[key]) for key, va in a if key in b_by_key),
-        default=0.0,
-    )
-    return first, by_kind, change
+    return first, by_kind, field_changes(a, b)
 
 
 def _difference(ra, rb) -> str:
@@ -322,7 +337,7 @@ def main(argv=None) -> int:
         if p.returncode:
             sys.exit(f"error: the run of {root} exited with {p.returncode}")
     lines_a, lines_b = (out.splitlines() for out in outputs)
-    first, by_kind, change = compare(lines_a, lines_b)
+    first, by_kind, fields = compare(lines_a, lines_b)
     if first is None:
         print("identical")
         print(f"{len(lines_a)} records")
@@ -333,7 +348,9 @@ def main(argv=None) -> int:
         print(f"  {kind}: {len(differing)} of {count}")
         for key in differing:
             print(f"    {key}")
-    print(f"largest backend-disagreement change: {change:.3g}")
+    print("differing fields: records, largest relative change")
+    for name, (count, change) in sorted(fields.items()):
+        print(f"  {name}: {count}, {'-' if change is None else f'{change:.3g}'}")
     return 1
 
 
