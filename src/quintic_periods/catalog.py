@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .geometry import CurveFamily, CurveJet, Hypersurface, MobiusMap, mobius_deformation
+from .geometry import CurveFamily, CurveJet, Hypersurface, mobius_deformation
 from .multipoly import MultiPoly
 from .numkernel.parser import continued_root5
 from .numkernel.unipoly import BinaryForm
@@ -140,12 +140,13 @@ def line_family(pair: tuple[int, int], zeta_index: int, mode: str = MODE_CORRECT
     corrected mode: slots pair=(i, j) hold x and -zeta x, the remaining
     slots hold a y, b y, c y along the default path; jets are analytic.
     literal mode: slot j holds -zeta y instead (the classical table), jets
-    are the constant direction into the b slot.
+    are the constant direction into the b slot.  The pair obeys the
+    descriptor's rule 0 <= i < j <= 4.
     """
     if mode not in (MODE_CORRECTED, MODE_LITERAL):
         raise ConfigError(f"unknown line-family mode {mode!r}")
+    i, j = LineFamilyDescriptor(tuple(pair), zeta_index).pair
     zeta = zeta_value(zeta_index)
-    i, j = pair
     rest = [k for k in range(5) if k not in (i, j)]
     a_slot, b_slot, c_slot = rest
 
@@ -215,15 +216,10 @@ def mobius_null_family(zeta_index: int, seed: int) -> CurveFamily:
     base_s, amplitude = 0.1 + 0j, 0.3
     rng = np.random.default_rng(0xC0FFEE + 1000 * zeta_index + seed)
     g = rng.standard_normal(8)
-    alpha, beta, gamma, delta = (
-        amplitude * complex(g[2 * k], g[2 * k + 1]) for k in range(4)
-    )
+    direction = tuple(amplitude * complex(g[2 * k], g[2 * k + 1]) for k in range(4))
     base_jet = paper_line_slice(zeta_index, MODE_CORRECTED).jet_at(base_s)
-
-    def path(s: complex) -> MobiusMap:
-        return MobiusMap(1.0 + s * alpha, s * beta, s * gamma, 1.0 + s * delta)
-
-    fam = mobius_deformation(base_jet.x, path, name=f"mobius-null/zeta={zeta_index}/seed={seed}")
+    name = f"mobius-null/zeta={zeta_index}/seed={seed}"
+    fam = mobius_deformation(base_jet.x, direction, name=name)
     fam.metadata.update({"base_s": base_s, "seed": seed})
     return fam
 
@@ -294,7 +290,10 @@ def resolve_family(identifier: str) -> CurveFamily:
     ident = identifier.strip()
     m = re.fullmatch(r"fermat-line/pair=(\d),(\d)/zeta=(\d)/(corrected|literal)", ident)
     if m:
-        return line_family((int(m.group(1)), int(m.group(2))), int(m.group(3)), m.group(4))
+        try:
+            return line_family((int(m.group(1)), int(m.group(2))), int(m.group(3)), m.group(4))
+        except ConfigError as exc:
+            raise ConfigError(f"{exc} in {identifier!r}", "family") from None
     m = re.fullmatch(r"mobius-null/zeta=(\d)/seed=(\d+)", ident)
     if m:
         return mobius_null_family(int(m.group(1)), int(m.group(2)))

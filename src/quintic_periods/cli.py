@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
     QuinticPeriodsError,
 )
-from .geometry import CurveFamily, Hypersurface
+from .geometry import CurveFamily, Hypersurface, family_from_charts
 from .multipoly import MultiPoly
 from .numkernel.parser import (
     Expr,
@@ -66,18 +66,16 @@ def _fmt_pair(z: complex) -> list[str]:
 
 
 def _parse_number(v: Any, where: str) -> complex:
-    if isinstance(v, bool):
-        raise ConfigError(f"cannot read {v!r} as a number", where)
-    if isinstance(v, (int, float)):
-        return complex(float(v), 0.0)
-    if isinstance(v, str):
-        try:
-            return complex(float(Fraction(v)), 0.0)
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"cannot read {v!r} as a rational p/q", where) from None
-    if isinstance(v, list) and len(v) == 2:
-        return complex(_parse_number(v[0], where).real, _parse_number(v[1], where).real)
-    raise ConfigError(f"cannot read {v!r} as a number", where)
+    """A JSON number, an exact rational string "p/q", or a ``[re, im]`` pair
+    of them; every part finite."""
+    parts = v if isinstance(v, list) and len(v) == 2 else [v, 0]
+    try:
+        if any(isinstance(part, bool) for part in parts):
+            raise TypeError
+        return complex(*(float(Fraction(part)) for part in parts))
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        # Fraction refuses NaN and infinities, float a rational too large
+        raise ConfigError(f"cannot read {v!r} as a finite number", where) from None
 
 
 def _converted(convert, value: Any, where: str, what: str):
@@ -115,7 +113,7 @@ def _expression(text: Any, where: str) -> Expr:
 
 
 # the keys of a family given by coordinate expressions
-EXPRESSION_KEYS = ("coordinates", "zeta_index", "jets", "fd_step", "name")
+EXPRESSION_KEYS = ("coordinates", "zeta_index", "jets", "name")
 
 
 @dataclass
@@ -251,13 +249,14 @@ def build_family(cfg: RunConfig) -> CurveFamily:
     coords = fam.get("coordinates")
     if not isinstance(coords, list) or not coords:
         raise ConfigError("family needs a catalog id or coordinate expressions", "family")
+    # jets are the symbolic s-derivatives of the coordinates
+    if fam.get("jets", "analytic") != "analytic":
+        raise ConfigError(
+            f"unknown jets mode {fam['jets']!r} (the one mode is 'analytic')", "family.jets"
+        )
     zeta_index = _converted(_whole, fam.get("zeta_index", 1), "family.zeta_index", "an integer")
     zeta = cat.zeta_value(zeta_index)
     exprs = [_expression(c, f"family.coordinates[{i}]") for i, c in enumerate(coords)]
-    jets_mode = fam.get("jets", "analytic")
-    fd_step = _parse_number(fam.get("fd_step", 1e-5), "family.fd_step")
-    if fd_step.imag or not (fd_step.real > 0 and cmath.isfinite(fd_step)):
-        raise ConfigError(f"fd_step must be positive, got {fam['fd_step']!r}", "family.fd_step")
     t_poly = UniPoly.variable()
 
     def chart(tree: Expr, i: int, s: complex) -> UniPoly:
@@ -288,31 +287,13 @@ def build_family(cfg: RunConfig) -> CurveFamily:
 
         return at
 
-    coords_at = charts(exprs)
-    if jets_mode == "analytic":
-        jets_at = charts([differentiate(e, "s") for e in exprs])
-    elif jets_mode == "fd":
-        jets_at = None
-    else:
-        raise ConfigError(f"unknown jets mode {jets_mode!r}", "family.jets")
-    from .geometry import family_from_charts
-
-    family = family_from_charts(
+    return family_from_charts(
         str(fam.get("name", "config-family")),
-        coords_at,
+        charts(exprs),
         d_curve,
-        jets_at=jets_at,
-        fd_step=fd_step.real,
+        charts([differentiate(e, "s") for e in exprs]),
         metadata={"source": "config"},
     )
-
-    def fd_jet(s: complex):
-        try:
-            return family.jet_fn(s)
-        except ValueError as exc:  # the jets' consistency check refuses the step
-            raise ConfigError(f"fd_step {fd_step.real!r}: {exc}", "family.fd_step") from None
-
-    return family if jets_at else replace(family, jet_fn=fd_jet)
 
 
 def build_p(cfg: RunConfig, X: Hypersurface) -> MultiPoly:
@@ -401,8 +382,14 @@ def period_json_payload(reports: Sequence[PeriodReport], tolerances: dict) -> di
 
 
 def _tolerance(tolerances: dict, name: str) -> float:
-    value = {**DEFAULT_TOLERANCES, **tolerances}[name]
-    return _parse_number(value, f"tolerances.{name}").real
+    """The declared tolerance, else its default: a nonnegative real number."""
+    raw = {**DEFAULT_TOLERANCES, **tolerances}[name]
+    value = _parse_number(raw, f"tolerances.{name}")
+    if value.imag or value.real < 0:
+        raise ConfigError(
+            f"a tolerance must be a nonnegative real number, got {raw!r}", f"tolerances.{name}"
+        )
+    return value.real
 
 
 def period_breach(r: PeriodReport, tolerances: dict) -> str | None:
@@ -505,7 +492,10 @@ def _write(path: str | None, text: str) -> None:
 
 def _parse_s(text: str) -> complex:
     re_s, comma, im_s = text.partition(",")
-    return complex(float(re_s), float(im_s) if comma else 0.0)
+    s = complex(float(re_s), float(im_s) if comma else 0.0)
+    if not cmath.isfinite(s):
+        raise ValueError(f"{text!r} is not finite")
+    return s
 
 
 def cmd_period(args) -> int:

@@ -174,14 +174,6 @@ class MobiusMap:
     def det(self) -> complex:
         return self.a * self.d - self.b * self.c
 
-    def is_identity(self) -> bool:
-        tol = 1e-10
-        return (
-            abs(self.b) <= tol
-            and abs(self.c) <= tol
-            and abs(self.a - self.d) <= tol * max(abs(self.a), 1.0)
-        )
-
     def __call__(self, t: complex) -> complex:
         den = self.c * t + self.d
         if den == 0:
@@ -206,51 +198,37 @@ def mobius_reparam(fam: CurveFamily, A: MobiusMap) -> CurveFamily:
     )
 
 
-def _path_generator(path: Callable[[complex], MobiusMap], s: complex):
-    """G = M'(s) M(s)^(-1) by central differences; scale-invariant part only."""
-    h = 1e-6
-    Mp = path(s + h)
-    Mm = path(s - h)
-    da = (Mp.a - Mm.a) / (2 * h)
-    db = (Mp.b - Mm.b) / (2 * h)
-    dc = (Mp.c - Mm.c) / (2 * h)
-    dd = (Mp.d - Mm.d) / (2 * h)
-    M = path(s)
-    det = M.det
-    # [[da,db],[dc,dd]] @ inverse(M), inverse unnormalized then divided by det
-    g11 = (da * M.d - db * M.c) / det
-    g12 = (-da * M.b + db * M.a) / det
-    g21 = (dc * M.d - dd * M.c) / det
-    g22 = (-dc * M.b + dd * M.a) / det
-    return g11, g12, g21, g22
-
-
 def mobius_deformation(
     base: Sequence[BinaryForm],
-    path: Callable[[complex], MobiusMap],
+    direction: tuple[complex, complex, complex, complex],
     name: str = "mobius-deformation",
 ) -> CurveFamily:
-    """Family x_i(s, t) = x_i(path(s)(t)) with analytic first-order jets.
+    """Family x_i(s, t) = x_i(M_s(t)) along M_s = 1 + s D, with exact jets.
 
-    The jet at parameter s uses the incremental path sigma -> M_{s+sigma}
-    composed with M_s^(-1) (identity at sigma = 0), so y_i = x_i'(t) * mu(t)
-    with mu the s-derivative of the Moebius image:
-    mu(t) = -g21 t^2 + (g11 - g22) t + g12 for the path generator G.
-    Such reparametrizations fix the image cycle, so every wedge
+    D = (alpha, beta, gamma, delta) is the path's direction, so M_s is the
+    map (1 + s alpha, s beta, s gamma, 1 + s delta), the identity at s = 0.
+    The jet at s uses the incremental path sigma -> M_{s+sigma} M_s^(-1),
+    whose generator is G = D M_s^(-1); so y_i = x_i'(t) * mu(t) with mu the
+    s-derivative of the Moebius image: mu(t) = -g21 t^2 + (g11 - g22) t + g12.
+    The charts' s-derivative is y plus one common multiple of x (the forms'
+    rescaling), which no wedge sees.  Such reparametrizations fix the image cycle, so every wedge
     x_a' y_b - x_b' y_a vanishes identically.
     """
     base = tuple(base)
     d_curve = base[0].degree
     if any(f.degree != d_curve for f in base):
         raise DimensionMismatchError("base coordinates must share one degree")
-    M0 = path(0j)
-    if not M0.is_identity():
-        raise DegenerateMapError("deformation path must start at the identity map")
+    alpha, beta, gamma, delta = direction
 
     def jet(s: complex) -> CurveJet:
-        Ms = path(s)
-        x = tuple(f.substituted(Ms.a, Ms.b, Ms.c, Ms.d) for f in base)
-        g11, g12, g21, g22 = _path_generator(path, s)
+        M = MobiusMap(1.0 + s * alpha, s * beta, s * gamma, 1.0 + s * delta)
+        x = tuple(f.substituted(M.a, M.b, M.c, M.d) for f in base)
+        # G = D @ inverse(M), the inverse unnormalized then divided by det
+        det = M.det
+        g11 = (alpha * M.d - beta * M.c) / det
+        g12 = (-alpha * M.b + beta * M.a) / det
+        g21 = (gamma * M.d - delta * M.c) / det
+        g22 = (-gamma * M.b + delta * M.a) / det
         mu = UniPoly([g12, g11 - g22, -g21])
         y = tuple(
             BinaryForm.from_unipoly(f.derivative_chart() * mu, d_curve + 1) for f in x
@@ -264,60 +242,19 @@ def family_from_charts(
     name: str,
     coords_at: Callable[[complex], Sequence[UniPoly]],
     d_curve: int,
-    jets_at: Callable[[complex], Sequence[UniPoly]] | None = None,
-    fd_step: float = 1e-5,
+    jets_at: Callable[[complex], Sequence[UniPoly]],
     metadata: dict | None = None,
 ) -> CurveFamily:
-    """Family from chart polynomials; jets analytic if given, else central
-    finite differences in s with the declared step.
-
-    Finite-difference jets carry a Richardson consistency check: the step-h
-    and step-h/2 estimates must agree to 1e-4 relative (the gap shrinks like
-    h^2 for holomorphic coordinates), otherwise the jet data is unreliable
-    and a ValueError is raised.
-    """
-
-    def fd_jets(s: complex, h: float) -> list[UniPoly]:
-        plus = coords_at(s + h)
-        minus = coords_at(s - h)
-        return [(p - m) * (0.5 / h) for p, m in zip(plus, minus)]
+    """Family from chart polynomials: at each s, the coordinates
+    ``coords_at(s)`` and their s-derivatives ``jets_at(s)``, both as
+    polynomials in t of degree at most d_curve."""
 
     def jet(s: complex) -> CurveJet:
         xs = [BinaryForm.from_unipoly(p, d_curve) for p in coords_at(s)]
-        if jets_at is not None:
-            ys_poly = list(jets_at(s))
-        else:
-            ys_poly = fd_jets(s, fd_step)
-            half = fd_jets(s, 0.5 * fd_step)
-            gap = max((a - b).scale() for a, b in zip(ys_poly, half))
-            scale = max(max(p.scale() for p in ys_poly), 1e-30)
-            if gap > 1e-4 * scale:
-                raise ValueError(
-                    f"finite-difference jets inconsistent at s = {s}: halving "
-                    f"the step moved them by {gap / scale:.2e} relative "
-                    "(tolerance 1.0e-04); coordinates may not be "
-                    "holomorphic in s"
-                )
-        ys = [BinaryForm.from_unipoly(p, d_curve) for p in ys_poly]
+        ys = [BinaryForm.from_unipoly(p, d_curve) for p in jets_at(s)]
         return CurveJet(s, tuple(xs), tuple(ys), d_curve)
 
     return CurveFamily(name=name, jet_fn=jet, metadata=metadata or {})
-
-
-def fd_jet_discrepancy(
-    coords_at: Callable[[complex], Sequence[UniPoly]],
-    jets_at: Callable[[complex], Sequence[UniPoly]],
-    s: complex,
-    h: float,
-) -> float:
-    """max coefficient gap between analytic jets and central differences."""
-    plus = coords_at(s + h)
-    minus = coords_at(s - h)
-    gap = 0.0
-    for an, p, m in zip(jets_at(s), plus, minus):
-        fd = (p - m) * (0.5 / h)
-        gap = max(gap, (an - fd).scale())
-    return gap
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,9 @@ LINE = ["t", "-zeta*t", "1", "s", "root5(-1-s^5)"]
 SAMPLES_AS_PRINTED = ("0.1+0j", "0+0.12j", "0.15+0.05j")
 # the line with x3 = s t^2: degree 1 at s = 0, degree 2 elsewhere
 RISING = {"coordinates": ["t", "-zeta*t", "1", "s*t^2", "root5(-1-s^5)"]}
+# JSON as Python writes and reads it: NaN and Infinity
+NAN, INF = float("nan"), float("inf")
+FIFTH = [5, 0, 0, 0, 0]
 BAD_EXPONENTS = ["a", 0, 0, 0, 0]
 FRACTIONAL = [5.7, 0, 0, 0, 0]
 NEGATIVE = [-1, 6, 0, 0, 0]
@@ -113,23 +116,6 @@ class TestExpressionFamilies:
             b = period_at(fermat, p_x1cubed_x2sq, ref, s).total
             assert abs(a - b) < 1e-9 * abs(b)
 
-    def test_fd_jets_close_to_analytic(self, tmp_path, fermat, p_x1cubed_x2sq):
-        path = write_config(
-            tmp_path,
-            family={
-                "coordinates": ["t", "-zeta*t", "1", "s", "root5(-1-s^5)"],
-                "zeta_index": 1,
-                "jets": "fd",
-            },
-        )
-        fam = build_family(load_config(path))
-        from quintic_periods.catalog import paper_line_slice
-
-        ref = paper_line_slice(1, "corrected")
-        a = period_at(fermat, p_x1cubed_x2sq, fam, 0.1 + 0j).total
-        b = period_at(fermat, p_x1cubed_x2sq, ref, 0.1 + 0j).total
-        assert abs(a - b) < 1e-7 * abs(b)
-
     def test_s_override_reads_the_degree_at_its_sample(self, tmp_path, capsys):
         # the family's degree is read at the samples, so --s replaces them
         # before the family is built: the run is that of the config with
@@ -141,16 +127,17 @@ class TestExpressionFamilies:
             runs.append((code, *capsys.readouterr()))
         assert runs[0] == runs[1]
 
-    def test_fd_step_too_large_is_a_config_error(self, tmp_path, capsys):
-        # halving a step of 0.5 moves the jets by far more than 1e-4: the
-        # consistency check's gap is reported on the step's field
-        family = {"coordinates": LINE, "jets": "fd", "fd_step": 0.5}
-        cfg = write_config(tmp_path, family=family)
-        for argv in (["period"], ["scan", "--degree", "5"]):
-            assert main([*argv, "--config", str(cfg)]) == 2
-            err = capsys.readouterr().err
-            assert "halving the step moved them by 1.50e-02 relative" in err
-            assert err.endswith("(field: family.fd_step)\n")
+    def test_finite_difference_jets_are_config_errors(self, tmp_path, capsys):
+        # jets are the coordinates' symbolic s-derivatives: there is no
+        # finite-difference mode and no step
+        for extra, field in (
+            ({"jets": "fd"}, "family.jets"),
+            ({"fd_step": 1e-5}, "family.fd_step"),
+        ):
+            cfg = write_config(tmp_path, family={"coordinates": LINE, **extra})
+            for argv in (["period"], ["scan", "--degree", "5"]):
+                assert main([*argv, "--config", str(cfg)]) == 2
+                assert capsys.readouterr().err.endswith(f"(field: {field})\n")
 
     def test_degree_above_the_samples_is_a_config_error(self, tmp_path):
         fam = build_family(load_config(write_config(tmp_path, family=RISING, samples=[[0, 0]])))
@@ -455,6 +442,21 @@ class TestCommands:
                 [],
                 "family.fd_step",
             ),
+            ({"tolerances": {"residue_theorem": NAN}}, [], "tolerances.residue_theorem"),
+            ({"tolerances": {"residue_theorem": INF}}, [], "tolerances.residue_theorem"),
+            ({"tolerances": {"backend_agreement": [1e-8, 5]}}, [], "tolerances.backend_agreement"),
+            ({"tolerances": {"vanish_rel": -1e-9}}, [], "tolerances.vanish_rel"),
+            ({"samples": [[0.1, 0.0], [NAN, 0.0]]}, [], "samples[1]"),
+            ({"samples": {"kind": "segment", "stop": INF, "count": 2}}, [], "samples.stop"),
+            ({}, ["--s", "nan"], "--s"),
+            (
+                {"hypersurface": {"nvars": 5, "terms": [{"coeff": NAN, "exponents": FIFTH}]}},
+                [],
+                "hypersurface.terms[0]",
+            ),
+            ({"family": "fermat-line/pair=1,1/zeta=1/corrected"}, [], "family"),
+            ({"family": "fermat-line/pair=0,7/zeta=1/corrected"}, [], "family"),
+            ({"family": "fermat-line/pair=3,1/zeta=1/corrected"}, [], "family"),
         ],
         ids=[
             "s-word",
@@ -484,6 +486,17 @@ class TestCommands:
             "count-bool",
             "zeta-index-bool",
             "fd-step-bool",
+            "tolerance-nan",
+            "tolerance-infinite",
+            "tolerance-complex",
+            "tolerance-negative",
+            "sample-nan",
+            "segment-stop-infinite",
+            "s-nan",
+            "coeff-nan",
+            "line-pair-repeated",
+            "line-pair-out-of-range",
+            "line-pair-reversed",
         ],
     )
     def test_malformed_input_exits_2_naming_its_field(

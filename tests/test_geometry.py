@@ -10,7 +10,6 @@ from quintic_periods.geometry import (
     Hypersurface,
     MobiusMap,
     containment_residual,
-    fd_jet_discrepancy,
     mobius_deformation,
     mobius_reparam,
     smooth_spot_check,
@@ -100,36 +99,50 @@ class TestMobiusDeformation:
         BinaryForm(1, (0.7, 0.1)),
     )
 
+    GENERIC = (0.2j, 0.3, -0.1, -0.15)
+
     def test_identity_path_gives_zero_jets(self):
-        fam = mobius_deformation(self.BASE, lambda s: MobiusMap(1, 0, 0, 1))
+        fam = mobius_deformation(self.BASE, (0, 0, 0, 0))
         jet = fam.jet_at(0.2)
         assert all(f.is_zero() for f in jet.y)
 
     def test_translation_path_gives_chart_derivatives(self):
-        fam = mobius_deformation(self.BASE, lambda s: MobiusMap(1, s, 0, 1))
+        fam = mobius_deformation(self.BASE, (0, 1, 0, 0))
         jet = fam.jet_at(0j)
         for f, y in zip(self.BASE, jet.y):
             diff = y.dehomogenized() - f.derivative_chart()
             assert diff.scale() < 1e-8
 
-
     def test_scaling_path_wedges_vanish(self):
-        fam = mobius_deformation(self.BASE, lambda s: MobiusMap(1 + s, 0, 0, 1))
+        fam = mobius_deformation(self.BASE, (1, 0, 0, 0))
         jet = fam.jet_at(0.1)
         for (a, b), (w, w_scale) in pair_wedges(jet).items():
             assert w.scale() <= 1e-10 * max(w_scale, 1e-300)
 
     def test_generic_path_wedges_vanish_at_all_samples(self):
-        path = lambda s: MobiusMap(1 + 0.2j * s, 0.3 * s, -0.1 * s, 1 - 0.15 * s)
-        fam = mobius_deformation(self.BASE, path)
+        fam = mobius_deformation(self.BASE, self.GENERIC)
         for s in (0.05, 0.2j, -0.1 + 0.1j):
             jet = fam.jet_at(s)
             for (a, b), (w, w_scale) in pair_wedges(jet).items():
                 assert w.scale() <= 1e-9 * max(w_scale, 1e-300)
 
-    def test_path_must_start_at_identity(self):
-        with pytest.raises(DegenerateMapError):
-            mobius_deformation(self.BASE, lambda s: MobiusMap(1, 1 + s, 0, 1))
+    def test_jets_are_the_s_derivatives(self):
+        # away from s = 0 the generator D M_s^(-1) differs from D.  The
+        # charts' s-derivative is the jet plus lambda(t) x(t), one lambda for
+        # every coordinate (the forms' rescaling), so against a central
+        # difference each x_a e_b - x_b e_a of the gaps e vanishes to O(h^2)
+        fam = mobius_deformation(self.BASE, self.GENERIC)
+        s0, h = 0.2 - 0.1j, 1e-5
+        jet = fam.jet_at(s0)
+        plus, minus = fam.jet_at(s0 + h).x_chart(), fam.jet_at(s0 - h).x_chart()
+        xs = jet.x_chart()
+        gaps = [
+            y - (p - m) * (0.5 / h) for y, p, m in zip(jet.y_chart(), plus, minus)
+        ]
+        assert max(e.scale() for e in gaps) > 1e-3  # the rescaling shows
+        for a in range(len(xs)):
+            for b in range(a + 1, len(xs)):
+                assert (xs[a] * gaps[b] - xs[b] * gaps[a]).scale() < 1e-8
 
 
 class TestMobiusReparam:
@@ -186,35 +199,19 @@ class TestFiniteDifferenceJets:
                 UniPoly([d_root5_neg1_minus_s5(s, w)]),
             ]
 
+        def discrepancy(s, h):
+            """max coefficient gap between the jets and central differences"""
+            plus, minus = coords_at(s + h), coords_at(s - h)
+            return max(
+                (an - (p - m) * (0.5 / h)).scale()
+                for an, p, m in zip(jets_at(s), plus, minus)
+            )
+
         s0 = 0.3 + 0j
-        gap_h = fd_jet_discrepancy(coords_at, jets_at, s0, 1e-4)
-        gap_h2 = fd_jet_discrepancy(coords_at, jets_at, s0, 5e-5)
+        gap_h = discrepancy(s0, 1e-4)
+        gap_h2 = discrepancy(s0, 5e-5)
         ratio = gap_h / gap_h2
         assert 3.5 <= ratio <= 4.5
-
-
-class TestRichardsonGuard:
-    def test_consistent_coordinates_pass(self):
-        from quintic_periods.geometry import family_from_charts
-
-        fam = family_from_charts(
-            "smooth", lambda s: [UniPoly([s * s, 1.0]), UniPoly([1.0])], 1
-        )
-        jet = fam.jet_at(0.3)
-        assert abs(jet.y[0].coeffs[0] - 0.6) < 1e-8
-
-    def test_rough_coordinates_rejected(self):
-        import cmath
-
-        from quintic_periods.geometry import family_from_charts
-
-        # sqrt is not differentiable at 0; differences at step h and h/2
-        # disagree badly when the stencil straddles the branch point
-        fam = family_from_charts(
-            "kinked", lambda s: [UniPoly([cmath.sqrt(s), 1.0]), UniPoly([1.0])], 1
-        )
-        with pytest.raises(ValueError, match="inconsistent"):
-            fam.jet_at(1e-5)
 
 
 class TestSpotChecks:
