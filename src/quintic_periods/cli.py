@@ -193,7 +193,13 @@ def _parse_samples(raw: Any) -> list[complex]:
         count = raw.get("count")
         if type(count) is not int or count < 1:
             raise ConfigError("segment count must be a positive integer", "samples.count")
-        return [start + (stop - start) * (k + 1) / count for k in range(count)]
+        samples = [start + (stop - start) * (k + 1) / count for k in range(count)]
+        # finite ends can still overflow in between
+        if not all(map(cmath.isfinite, samples)):
+            raise ConfigError(
+                f"segment from {start} to {stop} overflows to non-finite samples", "samples"
+            )
+        return samples
     if isinstance(raw, list) and raw:
         return [_parse_number(v, f"samples[{i}]") for i, v in enumerate(raw)]
     raise ConfigError("samples must be a nonempty list or a path descriptor", "samples")
@@ -236,6 +242,10 @@ def build_hypersurface(cfg: RunConfig) -> Hypersurface:
                 f"{where}.exponents",
             )
         terms[exps] = terms.get(exps, 0j) + _parse_number(item["coeff"], where)
+        if not cmath.isfinite(terms[exps]):
+            raise ConfigError(
+                f"coefficients on exponents {list(exps)} sum to a non-finite number", where
+            )
     try:
         return Hypersurface(MultiPoly(nvars, terms))
     except ValueError as exc:
@@ -257,42 +267,45 @@ def build_family(cfg: RunConfig) -> CurveFamily:
     zeta_index = _converted(_whole, fam.get("zeta_index", 1), "family.zeta_index", "an integer")
     zeta = cat.zeta_value(zeta_index)
     exprs = [_expression(c, f"family.coordinates[{i}]") for i, c in enumerate(coords)]
-    t_poly = UniPoly.variable()
+    env = {"t": UniPoly.variable(), "zeta": zeta}
 
-    def chart(tree: Expr, i: int, s: complex) -> UniPoly:
+    def charts(trees: list[Expr], s: complex) -> list[UniPoly]:
+        """The trees at s as polynomials in t, in one evaluation; tree i
+        belongs to coordinate i modulo the coordinate count."""
         try:
-            v = eval_on_path(tree, "s", s, env={"t": t_poly, "zeta": zeta})
-        except EvaluationError as exc:
-            # a tree that parses but is no polynomial in t
-            raise ConfigError(str(exc), f"family.coordinates[{i}]") from None
-        return v if isinstance(v, UniPoly) else UniPoly.constant(v)
+            values = eval_on_path(trees, "s", s, env)
+        except EvaluationError:
+            # a tree that parses but is no polynomial in t: the first that
+            # fails on its own is the one the evaluation stopped at
+            for i, tree in enumerate(trees):
+                try:
+                    eval_on_path([tree], "s", s, env)
+                except EvaluationError as exc:
+                    raise ConfigError(str(exc), f"family.coordinates[{i % len(exprs)}]") from None
+            raise
+        return [v if isinstance(v, UniPoly) else UniPoly.constant(v) for v in values]
 
     # the t-degree may vary with s (leading coefficients can vanish at
     # special samples), so probe every requested sample
-    d_curve = max(chart(e, i, s).degree for s in cfg.samples for i, e in enumerate(exprs))
+    d_curve = max(p.degree for s in cfg.samples for p in charts(exprs, s))
     if d_curve < 0:
         raise ConfigError("all coordinates vanish at every sample", "family.coordinates")
+    # the coordinates, then their s-derivatives: one evaluation per jet
+    trees = exprs + [differentiate(e, "s") for e in exprs]
 
-    def charts(trees: list[Expr]):
-        def at(s: complex) -> list[UniPoly]:
-            out = [chart(e, i, s) for i, e in enumerate(trees)]
-            for i, p in enumerate(out):
-                if p.degree > d_curve:
-                    raise ConfigError(
-                        f"t-degree {p.degree} at s = {s:.6g} exceeds the family's degree "
-                        f"{d_curve}, read at the config's samples",
-                        f"family.coordinates[{i}]",
-                    )
-            return out
-
-        return at
+    def charts_at(s: complex) -> tuple[list[UniPoly], list[UniPoly]]:
+        out = charts(trees, s)
+        for i, p in enumerate(out):
+            if p.degree > d_curve:
+                raise ConfigError(
+                    f"t-degree {p.degree} at s = {s:.6g} exceeds the family's degree "
+                    f"{d_curve}, read at the config's samples",
+                    f"family.coordinates[{i % len(exprs)}]",
+                )
+        return out[: len(exprs)], out[len(exprs) :]
 
     return family_from_charts(
-        str(fam.get("name", "config-family")),
-        charts(exprs),
-        d_curve,
-        charts([differentiate(e, "s") for e in exprs]),
-        metadata={"source": "config"},
+        str(fam.get("name", "config-family")), charts_at, d_curve, metadata={"source": "config"}
     )
 
 

@@ -9,6 +9,7 @@ normalized residuals rather than asserted, so broken inputs are measurable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import DegenerateMapError, DimensionMismatchError
@@ -84,14 +85,21 @@ class CurveJet:
     def ncoords(self) -> int:
         return len(self.x)
 
-    def x_chart(self) -> list[UniPoly]:
-        return [f.dehomogenized() for f in self.x]
+    @cached_property
+    def _charts(self) -> tuple[tuple[UniPoly, ...], ...]:
+        """The y = 1 charts of x and y and the t-derivatives of x's, built
+        once per jet and shared by every consumer."""
+        x = tuple(f.dehomogenized() for f in self.x)
+        return x, tuple(f.dehomogenized() for f in self.y), tuple(p.derivative() for p in x)
 
-    def y_chart(self) -> list[UniPoly]:
-        return [f.dehomogenized() for f in self.y]
+    def x_chart(self) -> tuple[UniPoly, ...]:
+        return self._charts[0]
 
-    def x_derivative_chart(self) -> list[UniPoly]:
-        return [f.derivative_chart() for f in self.x]
+    def y_chart(self) -> tuple[UniPoly, ...]:
+        return self._charts[1]
+
+    def x_derivative_chart(self) -> tuple[UniPoly, ...]:
+        return self._charts[2]
 
     def coordinate_scale(self) -> float:
         return max(f.scale() for f in self.x)
@@ -240,19 +248,19 @@ def mobius_deformation(
 
 def family_from_charts(
     name: str,
-    coords_at: Callable[[complex], Sequence[UniPoly]],
+    charts_at: Callable[[complex], tuple[Sequence[UniPoly], Sequence[UniPoly]]],
     d_curve: int,
-    jets_at: Callable[[complex], Sequence[UniPoly]],
     metadata: dict | None = None,
 ) -> CurveFamily:
-    """Family from chart polynomials: at each s, the coordinates
-    ``coords_at(s)`` and their s-derivatives ``jets_at(s)``, both as
-    polynomials in t of degree at most d_curve."""
+    """Family from chart polynomials: at each s, ``charts_at(s)`` gives the
+    coordinates and their s-derivatives, both as polynomials in t of degree
+    at most d_curve."""
 
     def jet(s: complex) -> CurveJet:
-        xs = [BinaryForm.from_unipoly(p, d_curve) for p in coords_at(s)]
-        ys = [BinaryForm.from_unipoly(p, d_curve) for p in jets_at(s)]
-        return CurveJet(s, tuple(xs), tuple(ys), d_curve)
+        coords, derivatives = charts_at(s)
+        xs = tuple(BinaryForm.from_unipoly(p, d_curve) for p in coords)
+        ys = tuple(BinaryForm.from_unipoly(p, d_curve) for p in derivatives)
+        return CurveJet(s, xs, ys, d_curve)
 
     return CurveFamily(name=name, jet_fn=jet, metadata=metadata or {})
 

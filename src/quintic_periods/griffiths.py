@@ -42,7 +42,7 @@ from .errors import (
 )
 from .geometry import CurveJet, Hypersurface
 from .multipoly import MultiPoly
-from .numkernel.unipoly import UniPoly, coeff_product
+from .numkernel.unipoly import UniPoly, coeff_product, trimmed_product, trimmed_sum
 
 
 def j2star(j2: int, j0: int, j1: int, n_coords: int) -> int:
@@ -247,15 +247,16 @@ def pair_wedges(jet: CurveJet) -> dict[tuple[int, int], tuple[UniPoly, float]]:
     or a numerator built from it is identically zero: the subtraction itself
     only cancels to rounding.
     """
-    xp = jet.x_derivative_chart()
-    yc = jet.y_chart()
-    n = jet.ncoords
+    # on coefficient tuples, by the products and sums UniPoly would take
+    xp = [p.coeffs for p in jet.x_derivative_chart()]
+    yc = [p.coeffs for p in jet.y_chart()]
     out = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            left = xp[a] * yc[b]
-            right = xp[b] * yc[a]
-            out[(a, b)] = (left - right, max(left.scale(), right.scale()))
+    for a, b in itertools.combinations(range(jet.ncoords), 2):
+        left = trimmed_product(xp[a], yc[b])
+        right = trimmed_product(xp[b], yc[a])
+        wedge = trimmed_sum(left, [-c for c in right])
+        scale = max(max(map(abs, left), default=0.0), max(map(abs, right), default=0.0))
+        out[(a, b)] = (UniPoly.from_trimmed(wedge), scale)
     return out
 
 
@@ -290,7 +291,7 @@ def pair_inner(
         if w.is_zero() and w_scale == 0.0:
             continue
         sgn = -1 if j2star(j2, j0, j1, n) % 2 else 1
-        x = jet.x[j2].dehomogenized()
+        x = jet.x_chart()[j2]
         term = x * w
         term_scale = max(term_scale, x.scale() * w_scale)
         inner = inner + (float(sgn) * term)
@@ -340,7 +341,7 @@ def pair_inners(
     if wedges is None:
         wedges = pair_wedges(jet)
     pairs, summands, sign = _inner_plan(n)
-    xs = [x.dehomogenized() for x in jet.x]
+    xs = jet.x_chart()
     x_scale = [x.scale() for x in xs]
     ws = [wedges[ab] for ab in pairs]
     term_scale = [0.0] * len(pairs)

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .numkernel.unipoly import UniPoly
+from .numkernel.unipoly import UniPoly, trimmed_power, trimmed_product, trimmed_sum
 
 
 def grlex_key(exponents: tuple[int, ...]) -> tuple:
@@ -175,22 +175,20 @@ class MultiPoly:
         """Substitute x_i -> polys[i]; returns the chart polynomial in t."""
         if len(polys) != self.nvars:
             raise ValueError("substitution list dimension mismatch")
-        powers: dict[tuple[int, int], UniPoly] = {}
-
-        def power(i: int, e: int) -> UniPoly:
-            key = (i, e)
-            if key not in powers:
-                powers[key] = polys[i] ** e
-            return powers[key]
-
-        acc = UniPoly.zero()
+        # on coefficient tuples, by the products and sums UniPoly would take
+        coeffs = [p.coeffs for p in polys]
+        powers: dict[tuple[int, int], tuple[complex, ...]] = {}
+        acc: tuple[complex, ...] = ()
         for exps, c in self.terms.items():
-            term = UniPoly.constant(c)
+            term = (c,)  # a nonzero complex, as the terms hold them
             for i, e in enumerate(exps):
                 if e:
-                    term = term * power(i, e)
-            acc = acc + term
-        return acc
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = powers[(i, e)] = trimmed_power(coeffs[i], e)
+                    term = trimmed_product(term, power)
+            acc = trimmed_sum(acc, term)
+        return UniPoly.from_trimmed(acc)
 
     # -- printing ------------------------------------------------------------
     def to_text(self) -> str:

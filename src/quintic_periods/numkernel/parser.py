@@ -23,12 +23,21 @@ its chart polynomial, and feeding ``MultiPoly.variable`` for x0..x9 is the
 exact polynomial extraction of :func:`expr_to_multipoly`.  Division and
 negative exponents are evaluator-only conveniences (needed by symbolic
 s-derivatives); on polynomial values they must act on constants.
+
+A tree is compiled once into closures that take the tree's operations in
+the order a walk of it would, so values are the same to the bit; trees equal
+by value share them.  :func:`eval_on_path` evaluates many trees at one
+sample in one call and continues each distinct set of root5 nodes once, so
+a family's coordinates and their s-derivatives, which reuse the
+coordinates' nodes, share one continuation per sample.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import Callable
 
 from ..errors import BranchError, EvaluationError, ParseError
 from .unipoly import UniPoly
@@ -72,6 +81,12 @@ def _tokenize(src: str) -> list[Token]:
 
 class Expr:
     __slots__ = ()
+
+    @cached_property
+    def _compiled(self) -> tuple[_Group, Callable]:
+        """This tree compiled (see :func:`_program`), kept with the tree so
+        that it is looked up by value once."""
+        return _program(self)
 
 
 @dataclass(frozen=True)
@@ -250,47 +265,103 @@ def _principal_root5(v: complex) -> complex:
 
 
 def evaluate(expr: Expr, env: dict, root5_values: dict | None = None):
-    """Evaluate with values from env; root5 uses the principal branch unless
-    a continuation table (id(node) -> value) is supplied."""
+    """Evaluate with values from env.  A root5 node takes its value from
+    ``root5_values`` (node -> value) when it is there, else the principal
+    root of its radicand."""
+    group, run = expr._compiled
+    roots: list = []
+    for node, radicand in zip(group.nodes, group.radicands):
+        if root5_values is not None and node in root5_values:
+            roots.append(root5_values[node])
+        else:
+            roots.append(_principal_root5(_require_scalar(radicand(env, roots), "root5")))
+    return run(env, roots)
+
+
+class _Group:
+    """Root5 nodes continued together, nested ones before the nodes that
+    contain them, with their compiled radicands (see :func:`_compile`)."""
+
+    __slots__ = ("nodes", "radicands")
+
+    def __init__(self, nodes: tuple[Root5, ...]):
+        index = {node: k for k, node in enumerate(nodes)}
+        self.nodes = nodes
+        self.radicands = tuple(_compile(node.arg, index) for node in nodes)
+
+
+# trees equal by value share one compiled program, and node sets one group
+@lru_cache(maxsize=256)
+def _group(nodes: tuple[Root5, ...]) -> _Group:
+    return _Group(nodes)
+
+
+@lru_cache(maxsize=256)
+def _program(tree: Expr) -> tuple[_Group, Callable]:
+    """The group of the tree's distinct root5 nodes and the compiled tree."""
+    nodes = tuple(dict.fromkeys(e for e in _subtrees(tree) if isinstance(e, Root5)))
+    return _group(nodes), _compile(tree, {node: k for k, node in enumerate(nodes)})
+
+
+def _compile(expr: Expr, index: dict[Root5, int]) -> Callable:
+    """``f(env, roots)``: the value of expr with values from env, where root5
+    node n takes the value ``roots[index[n]]``.  f performs the operations of
+    a walk of the tree in the same order, so its values are the same to the
+    bit, without a type test or a table per call."""
     if isinstance(expr, Num):
-        return expr.value
+        v = expr.value
+        return lambda env, roots: v
     if isinstance(expr, Sym):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise EvaluationError(f"unbound symbol {expr.name!r}") from None
-    if isinstance(expr, Neg):
-        return -evaluate(expr.arg, env, root5_values)
-    if isinstance(expr, BinOp):
-        a = evaluate(expr.left, env, root5_values)
-        b = evaluate(expr.right, env, root5_values)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        b = _require_scalar(b, "division")
-        if b == 0:
-            raise EvaluationError("division by zero")
-        return a * (1.0 / b)
-    if isinstance(expr, Pow):
-        base = evaluate(expr.base, env, root5_values)
-        if expr.exponent >= 0:
-            return base**expr.exponent
-        base = _require_scalar(base, "negative exponent")
-        if base == 0:
-            raise EvaluationError("zero raised to a negative exponent")
-        return base**expr.exponent
+        name = expr.name
+
+        def symbol(env, roots):
+            try:
+                return env[name]
+            except KeyError:
+                raise EvaluationError(f"unbound symbol {name!r}") from None
+
+        return symbol
     if isinstance(expr, Root5):
-        if root5_values is not None and id(expr) in root5_values:
-            return root5_values[id(expr)]
-        arg = _require_scalar(evaluate(expr.arg, env, root5_values), "root5")
-        return _principal_root5(arg)
+        k = index[expr]
+        return lambda env, roots: roots[k]
+    if isinstance(expr, Neg):
+        f = _compile(expr.arg, index)
+        return lambda env, roots: -f(env, roots)
+    if isinstance(expr, BinOp):
+        f, g = _compile(expr.left, index), _compile(expr.right, index)
+        if expr.op == "+":
+            return lambda env, roots: f(env, roots) + g(env, roots)
+        if expr.op == "-":
+            return lambda env, roots: f(env, roots) - g(env, roots)
+        if expr.op == "*":
+            return lambda env, roots: f(env, roots) * g(env, roots)
+
+        def divide(env, roots):
+            a = f(env, roots)
+            b = _require_scalar(g(env, roots), "division")
+            if b == 0:
+                raise EvaluationError("division by zero")
+            return a * (1.0 / b)
+
+        return divide
+    if isinstance(expr, Pow):
+        f, n = _compile(expr.base, index), expr.exponent
+        if n >= 0:
+            return lambda env, roots: f(env, roots) ** n
+
+        def reciprocal_power(env, roots):
+            base = _require_scalar(f(env, roots), "negative exponent")
+            if base == 0:
+                raise EvaluationError("zero raised to a negative exponent")
+            return base**n
+
+        return reciprocal_power
     raise TypeError(f"unknown node {type(expr).__name__}")
 
 
 def _require_scalar(v, what: str) -> complex:
+    if type(v) is complex:
+        return v
     if isinstance(v, UniPoly):
         if v.degree <= 0:
             return v.coeffs[0] if v.coeffs else 0j
@@ -354,20 +425,41 @@ def _continued(radicand_of, count: int, value: complex) -> list[complex]:
     return roots
 
 
-def eval_on_path(expr: Expr, var: str, value: complex, env: dict | None = None):
-    """Evaluate with every root5 branch continued along 0 -> value in the
-    ``var`` plane (see :func:`_continued`)."""
+def eval_on_path(trees, var: str, value: complex, env: dict | None = None):
+    """The values of trees, a sequence of expressions, with every root5
+    branch continued along 0 -> value in the ``var`` plane (see
+    :func:`_continued`); given one expression, its value.
+
+    The root5 nodes of a tree are continued as one set, and trees with the
+    same set share its continuation: a coordinate and its s-derivative,
+    which reuses the coordinate's nodes, cost one continuation.
+    """
+    if isinstance(trees, Expr):
+        return eval_on_path([trees], var, value, env)[0]
     env = dict(env or {})
-    by_id = {id(e): e for e in _subtrees(expr) if isinstance(e, Root5)}
-    keys, nodes = list(by_id), list(by_id.values())
+    continued: dict[_Group, list] = {}
+    out = []
+    for tree in trees:
+        group, run = tree._compiled
+        roots = continued.get(group)
+        if roots is None:
+            roots = continued[group] = _continue_group(group, env, var, value)
+        env[var] = value
+        out.append(run(env, roots))
+    return out
+
+
+def _continue_group(group: _Group, env: dict, var: str, value: complex) -> list:
+    """The group's roots continued along 0 -> value; env[var] is moved."""
+    radicands = group.radicands
+    if not radicands:
+        return []
 
     def radicand(k: int, sigma: complex, roots: list[complex]) -> complex:
         env[var] = sigma
-        return _require_scalar(evaluate(nodes[k].arg, env, dict(zip(keys, roots))), "root5")
+        return _require_scalar(radicands[k](env, roots), "root5")
 
-    table = dict(zip(keys, _continued(radicand, len(nodes), value))) if nodes else None
-    env[var] = value
-    return evaluate(expr, env, table)
+    return _continued(radicand, len(radicands), value)
 
 
 def continued_root5(radicand_of, value: complex) -> complex:

@@ -30,10 +30,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[complex] = ()):
-        cs = list(map(complex, coeffs))
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = _trimmed(list(map(complex, coeffs)))
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -51,6 +48,13 @@ class UniPoly:
     @classmethod
     def variable(cls) -> UniPoly:
         return cls((0.0, 1.0))
+
+    @classmethod
+    def from_trimmed(cls, coeffs: tuple[complex, ...]) -> UniPoly:
+        """The polynomial of coefficients that are complex and trimmed already."""
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        return p
 
     @classmethod
     def from_roots(cls, roots: Sequence[complex], lead: complex = 1.0) -> UniPoly:
@@ -90,12 +94,7 @@ class UniPoly:
 
     # -- arithmetic -----------------------------------------------------
     def __add__(self, other) -> UniPoly:
-        other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0.0] * (n - len(self.coeffs))
-        for k, c in enumerate(other.coeffs):
-            a[k] += c
-        return UniPoly(a)
+        return UniPoly.from_trimmed(trimmed_sum(self.coeffs, _coerce(other).coeffs))
 
     __radd__ = __add__
 
@@ -109,7 +108,7 @@ class UniPoly:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> UniPoly:
-        return UniPoly(coeff_product(self.coeffs, _coerce(other).coeffs))
+        return UniPoly.from_trimmed(trimmed_product(self.coeffs, _coerce(other).coeffs))
 
     __rmul__ = __mul__
 
@@ -123,14 +122,7 @@ class UniPoly:
     def __pow__(self, n: int) -> UniPoly:
         if not isinstance(n, int) or n < 0:
             raise ValueError("UniPoly exponent must be a nonnegative integer")
-        out = UniPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return UniPoly.from_trimmed(trimmed_power(self.coeffs, n))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
@@ -193,6 +185,41 @@ def coeff_product(a: Sequence[complex], b: Sequence[complex]) -> list[complex]:
     if len(a) < 2 or len(b) < 2:
         return [u * v for u in a for v in b]
     return np.convolve(np.asarray(a), np.asarray(b)).tolist()
+
+
+# UniPoly arithmetic on coefficient tuples: each returns the coefficients of
+# the UniPoly result, trimmed, so callers that skip the UniPoly objects get
+# the same bits
+
+
+def _trimmed(cs: list[complex]) -> tuple[complex, ...]:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def trimmed_product(a: Sequence[complex], b: Sequence[complex]) -> tuple[complex, ...]:
+    return _trimmed(coeff_product(a, b))
+
+
+def trimmed_sum(a: Sequence[complex], b: Sequence[complex]) -> tuple[complex, ...]:
+    """a zero-padded to the longer length, b's coefficients added in."""
+    cs = list(a) + [0.0] * (len(b) - len(a))
+    for k, c in enumerate(b):
+        cs[k] += c
+    return _trimmed(cs)
+
+
+def trimmed_power(a: Sequence[complex], n: int) -> tuple[complex, ...]:
+    """a^n by binary powering from the constant 1."""
+    out: tuple[complex, ...] = (1 + 0j,)
+    while n:
+        if n & 1:
+            out = trimmed_product(out, a)
+        n >>= 1
+        if n:
+            a = trimmed_product(a, a)
+    return out
 
 
 def _coerce(v) -> UniPoly:

@@ -116,6 +116,23 @@ class TestExpressionFamilies:
             b = period_at(fermat, p_x1cubed_x2sq, ref, s).total
             assert abs(a - b) < 1e-9 * abs(b)
 
+    def test_a_jet_is_one_evaluation(self, tmp_path, monkeypatch):
+        # the benchmark's tracer times the parser layer through this name
+        import quintic_periods.cli as cli
+
+        fam = build_family(load_config(write_config(tmp_path, family={"coordinates": LINE})))
+        calls = []
+        evaluate = cli.eval_on_path
+
+        def counted(trees, *args, **kwargs):
+            calls.append(len(trees))
+            return evaluate(trees, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "eval_on_path", counted)
+        fam.jet_at(0.1 + 0.05j)
+        # the five coordinates and their five s-derivatives
+        assert calls == [10]
+
     def test_s_override_reads_the_degree_at_its_sample(self, tmp_path, capsys):
         # the family's degree is read at the samples, so --s replaces them
         # before the family is built: the run is that of the config with
@@ -457,6 +474,21 @@ class TestCommands:
             ({"family": "fermat-line/pair=1,1/zeta=1/corrected"}, [], "family"),
             ({"family": "fermat-line/pair=0,7/zeta=1/corrected"}, [], "family"),
             ({"family": "fermat-line/pair=3,1/zeta=1/corrected"}, [], "family"),
+            (
+                {"samples": {"kind": "segment", "start": -1e308, "stop": 1e308, "count": 2}},
+                [],
+                "samples",
+            ),
+            (
+                {
+                    "hypersurface": {
+                        "nvars": 5,
+                        "terms": [{"coeff": 1e308, "exponents": FIFTH}] * 2,
+                    }
+                },
+                [],
+                "hypersurface.terms[1]",
+            ),
         ],
         ids=[
             "s-word",
@@ -497,6 +529,8 @@ class TestCommands:
             "line-pair-repeated",
             "line-pair-out-of-range",
             "line-pair-reversed",
+            "segment-overflow",
+            "coeff-sum-overflow",
         ],
     )
     def test_malformed_input_exits_2_naming_its_field(

@@ -4,7 +4,12 @@ import pytest
 
 from quintic_periods.catalog import root5_neg1_minus_s5
 from quintic_periods.errors import BranchError, EvaluationError, ParseError
+from quintic_periods.numkernel import parser
 from quintic_periods.numkernel.parser import (
+    BinOp,
+    Neg,
+    Pow,
+    Root5,
     differentiate,
     eval_on_path,
     evaluate,
@@ -56,6 +61,18 @@ def test_unary_minus_binding():
 def test_division_and_negative_exponents_evaluate():
     assert evaluate(parse_expression("s/4"), {"s": 2.0}) == 0.5 + 0j
     assert evaluate(parse_expression("s^(-2)"), {"s": 2.0}) == 0.25 + 0j
+
+
+def test_evaluation_takes_the_operations_as_written():
+    # division is a product with the reciprocal, and constants stay complex
+    s = 0.3 - 0.7j
+    cases = {
+        "s/(2-s)": s * (1.0 / ((2 + 0j) - s)),
+        "-1-s^5": -(1 + 0j) - s**5,
+        "(s*3i)^(-2) + 0.5*s": (s * 3j) ** -2 + (0.5 + 0j) * s,
+    }
+    for text, want in cases.items():
+        assert repr(evaluate(parse_expression(text), {"s": s})) == repr(want)
 
 
 def test_polynomial_extraction_rejects_nonpolynomial():
@@ -148,3 +165,93 @@ def test_derivative_matches_finite_differences():
     h = 1e-6
     fd = (evaluate(e, {"s": s0 + h}) - evaluate(e, {"s": s0 - h})) / (2 * h)
     assert abs(evaluate(de, {"s": s0}) - fd) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# one evaluation of many trees against a per-tree reference
+
+
+def _root5_nodes(e) -> list:
+    """The distinct root5 nodes under e, nested ones first."""
+    if isinstance(e, (Neg, Root5)):
+        inner = _root5_nodes(e.arg)
+    elif isinstance(e, BinOp):
+        inner = _root5_nodes(e.left) + _root5_nodes(e.right)
+    elif isinstance(e, Pow):
+        inner = _root5_nodes(e.base)
+    else:
+        inner = []
+    return list(dict.fromkeys(inner + ([e] if isinstance(e, Root5) else [])))
+
+
+def _reference(tree, value: complex, env: dict, calls: list | None = None):
+    """tree at value with its own continuation of its root5 nodes, each
+    radicand read by ``evaluate``; every radicand evaluation is appended to
+    calls."""
+    nodes = _root5_nodes(tree)
+    env = dict(env)
+
+    def radicand(k, sigma, roots):
+        if calls is not None:
+            calls.append(sigma)
+        env["s"] = sigma
+        return complex(evaluate(nodes[k].arg, env, dict(zip(nodes, roots))))
+
+    roots = parser._continued(radicand, len(nodes), value) if nodes else []
+    env["s"] = value
+    return evaluate(tree, env, dict(zip(nodes, roots)))
+
+
+def _with_derivatives(texts: list[str]) -> list:
+    trees = [parse_expression(text) for text in texts]
+    return trees + [differentiate(e, "s") for e in trees]
+
+
+ENV = {"t": UniPoly.variable(), "zeta": cmath.exp(0.4j * cmath.pi)}
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        # two distinct root5 nodes, alone and together in one tree
+        ["root5(-1-s^5)*t", "root5(2+s^3) - zeta*t", "root5(-1-s^5) + root5(2+s^3)*t"],
+        # a nested root5 next to its inner node
+        ["root5(root5(-1-s^5) - 2)*t + s", "root5(-1-s^5)", "1"],
+        # the derivative of a zeroth power drops the node
+        ["root5(-1-s^5)^0*t + s", "root5(-1-s^5)^0", "s/(2-s)"],
+    ],
+    ids=["two-nodes", "nested", "dropped-node"],
+)
+def test_one_evaluation_matches_a_continuation_per_tree(texts):
+    trees = _with_derivatives(texts)
+    for k in range(6):
+        s = 0.35 * cmath.exp(2j * cmath.pi * (k + 0.25) / 6)
+        got = eval_on_path(trees, "s", s, ENV)
+        assert list(map(repr, got)) == [repr(_reference(e, s, ENV)) for e in trees]
+
+
+def test_one_evaluation_matches_on_a_path_that_bisects():
+    # the radicand passes close to zero, so its argument turns fast there
+    # root5(1 + s^2) alone takes the 32 steps, next to the fast node more
+    trees = _with_derivatives(["root5(1 + s^2)*t", "root5(s^9 - 0.1) + root5(1 + s^2)"])
+    s = cmath.exp(0.02j)
+    calls = []
+    want = [repr(_reference(e, s, ENV, calls)) for e in trees]
+    # more radicand reads than the anchor and the 32 steps per node take
+    assert len(calls) > sum(33 * len(_root5_nodes(e)) for e in trees)
+    assert list(map(repr, eval_on_path(trees, "s", s, ENV))) == want
+
+
+def test_a_coordinate_and_its_derivative_share_one_continuation(monkeypatch):
+    runs = []
+    continued = parser._continued
+
+    def counted(radicand_of, count, value):
+        runs.append(count)
+        return continued(radicand_of, count, value)
+
+    monkeypatch.setattr(parser, "_continued", counted)
+    trees = _with_derivatives(["root5(-1-s^5)", "root5(-1-s^5)*t", "root5(2+s^3)", "s"])
+    eval_on_path(trees, "s", 0.2 + 0.1j, ENV)
+    # one node set {root5(-1-s^5)} and one {root5(2+s^3)}, each continued once
+    assert runs == [1, 1]

@@ -8,10 +8,11 @@ The corpus:
 
 * the README example config, the same config with the README's
   coordinate-expression family (``"jets": "analytic"``, its symbolic
-  ``s``-derivatives), and the same config on ``"shioda-quintic"`` (whose
-  non-monomial partials are rooted as they stand), through the CLI: the
-  ``period`` and the ``scan --degree 5`` CSV and JSON bytes, stdout and
-  exit code;
+  ``s``-derivatives), with three other expression lines (two ``root5``
+  coordinates, a ``root5`` nested in a radicand, a coordinate with a
+  division), and on ``"shioda-quintic"`` (whose non-monomial partials are
+  rooted as they stand), through the CLI: the ``period`` and the
+  ``scan --degree 5`` CSV and JSON bytes, stdout and exit code;
 * ``period_at`` of ``x1^3 x2^2`` on each of the 50 catalog lines at every
   ``STANDARD_PERIOD_SAMPLES`` value, and ``monomial_scan`` of each line at
   the first three of them;
@@ -65,11 +66,22 @@ EXPRESSION_FAMILY = {
     "coordinates": ["t", "-zeta*t", "1", "s", "root5(-1-s^5)"],
     "zeta_index": 1,
 }
+# other lines (t, -zeta t, a, b, c) with a^5 + b^5 + c^5 = 0 on the same
+# quintic: two root5 coordinates, a root5 nested in a radicand, a division
+EXPRESSION_LINES = {
+    "two root5": ["t", "-zeta*t", "s", "root5(1+s^3)", "root5(-1-s^3-s^5)"],
+    "nested root5": ["t", "-zeta*t", "1", "root5(s+2)", "root5(-1-root5(s+2)^5)"],
+    "division": ["t", "-zeta*t", "1", "s/2", "root5(-1-(s/2)^5)"],
+}
 CLI_CONFIGS = {
     "catalog": README_CONFIG,
     "expression analytic": {
         **README_CONFIG,
         "family": {**EXPRESSION_FAMILY, "jets": "analytic"},
+    },
+    **{
+        f"expression {name}": {**README_CONFIG, "family": {**EXPRESSION_FAMILY, "coordinates": c}}
+        for name, c in EXPRESSION_LINES.items()
     },
     "shioda": {**README_CONFIG, "hypersurface": "shioda-quintic"},
 }
