@@ -16,7 +16,8 @@ Config files are JSON.  Numbers may be written as plain floats, as
 converts everything to ``[re, im]`` so that parse -> normalize -> serialize
 -> parse is a fixed point.  CSV output uses scientific notation with 17
 significant digits and a fixed column order, so identical configs produce
-byte-identical files.
+byte-identical files.  JSON output is standard JSON: a NaN or infinite
+number is written as null.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -59,6 +61,22 @@ def _fmt(x: float) -> str:
 
 def _fmt_pair(z: complex) -> list[str]:
     return [_fmt(z.real), _fmt(z.imag)]
+
+
+def _json_text(payload: Any) -> str:
+    """Standard JSON (RFC 8259) of a payload: a NaN or infinite number is
+    written as null."""
+    return json.dumps(_finite(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _finite(value: Any) -> Any:
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +539,7 @@ def cmd_period(args) -> int:
     P = build_p(cfg, X)
     reports = [period_at(X, P, fam, s) for s in cfg.samples]
     csv_text = "\n".join(period_csv_lines(reports)) + "\n"
-    json_text = (
-        json.dumps(period_json_payload(reports, cfg.tolerances), sort_keys=True, indent=2) + "\n"
-    )
+    json_text = _json_text(period_json_payload(reports, cfg.tolerances))
     _write(args.out_csv or cfg.output.get("csv"), csv_text)
     _write(args.out_json or cfg.output.get("json"), json_text)
     sys.stdout.write(csv_text)
@@ -538,7 +554,7 @@ def cmd_scan(args) -> int:
     table = monomial_scan(X, fam, cfg.samples, args.degree)
     vanish_rel = _tolerance(cfg.tolerances, "vanish_rel")
     csv_text = "\n".join(scan_csv_lines(table, vanish_rel)) + "\n"
-    json_text = json.dumps(scan_json_payload(table, vanish_rel), sort_keys=True, indent=2) + "\n"
+    json_text = _json_text(scan_json_payload(table, vanish_rel))
     _write(args.out_csv or cfg.output.get("csv"), csv_text)
     _write(args.out_json or cfg.output.get("json"), json_text)
     nonzero = sum(1 for r in table.rows if not vanishes(r.totals, r.vanish_scales, vanish_rel))
@@ -594,7 +610,7 @@ def cmd_verify(args) -> int:
         ],
         "all_passed": ok,
     }
-    (report_dir / "verify.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    (report_dir / "verify.json").write_text(_json_text(payload))
     (report_dir / "verify.txt").write_text("\n".join(lines) + "\n")
     if not results:
         sys.stdout.write(f"no checks match filter {args.filter!r}\n")

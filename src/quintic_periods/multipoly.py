@@ -246,20 +246,17 @@ def monomial_text(exponents: Iterable[int]) -> str:
 
 @lru_cache(maxsize=None)
 def _monomial_plan(nvars: int, degree: int) -> tuple:
-    """For each degree k = 1..degree and variable i: the rows of the
-    degree-k monomials whose first nonzero exponent is i, and the rows of
-    their degree-(k-1) quotients by x_i."""
+    """For each degree k = 1..degree, one entry per degree-k monomial in
+    ``monomials_of_degree`` order: its first variable i with a nonzero
+    exponent, and the row of its degree-(k-1) quotient by x_i."""
     plan = []
     prev = {(0,) * nvars: 0}
     for k in range(1, degree + 1):
         monos = monomials_of_degree(nvars, k)
-        steps = []
-        for i in range(nvars):
-            rows = [r for r, e in enumerate(monos) if next(j for j, v in enumerate(e) if v) == i]
-            parents = [prev[tuple(v - (j == i) for j, v in enumerate(monos[r]))] for r in rows]
-            if rows:
-                steps.append((i, np.array(rows), np.array(parents)))
-        plan.append((len(monos), steps))
+        first = [next(j for j, v in enumerate(e) if v) for e in monos]
+        quotients = [tuple(v - (j == i) for j, v in enumerate(e)) for e, i in zip(monos, first)]
+        parents = [prev[q] for q in quotients]
+        plan.append((np.array(first), np.array(parents)))
         prev = {e: r for r, e in enumerate(monos)}
     return tuple(plan)
 
@@ -269,18 +266,24 @@ def monomial_charts(polys: Sequence[UniPoly], degree: int, width: int) -> np.nda
     vector e of the given degree, one row each in ``monomials_of_degree``
     order, zero-padded to ``width`` columns.
 
-    Each degree is built from the one below by one multiplication per
-    variable, over all rows at once; exact zero coefficients stay exact.
+    Each degree is built from the one below in one pass over all its rows:
+    a row is its parent's row times the chart of its first variable, added
+    one coefficient of that chart at a time, as a multiplication per
+    variable would add them.  A row takes only the coefficients its chart
+    has, so its values are that multiplication's (to the byte on finite
+    charts), and exact zero coefficients stay exact.
     """
+    coeffs = [p.coeffs for p in polys]
+    lengths = np.array([len(c) for c in coeffs])
+    table = np.zeros((len(coeffs), lengths.max(initial=0)), dtype=complex)
+    for i, c in enumerate(coeffs):
+        table[i, : len(c)] = c
     charts = np.zeros((1, width), dtype=complex)
     charts[0, 0] = 1.0
-    for count, steps in _monomial_plan(len(polys), degree):
-        nxt = np.zeros((count, width), dtype=complex)
-        for i, rows, parents in steps:
-            base = charts[parents]
-            acc = np.zeros_like(base)
-            for k, c in enumerate(polys[i].coeffs):
-                acc[:, k:] += c * base[:, : width - k]
-            nxt[rows] = acc
-        charts = nxt
+    for variable, parents in _monomial_plan(len(polys), degree):
+        base, factor, has = charts[parents], table[variable], lengths[variable, None]
+        charts = np.zeros_like(base)
+        for k in range(table.shape[1]):
+            acc = charts[:, k:]
+            np.add(acc, factor[:, k, None] * base[:, : width - k], out=acc, where=k < has)
     return charts

@@ -352,10 +352,12 @@ def residue_sum_check(f: RationalFunction) -> float:
 # The trapezoid rule is linear in the numerator too, so an entry folds the
 # rest of the integrand on its circle into a covector once (_Contour).  That
 # rest holds the denominator as it stands, evaluated by the caller at the
-# nodes: a wrong declaration shows as a backend disagreement.  Only a row's
-# contour magnitude evaluates the row at the nodes, in blocks of rows over
-# all entries of a block.  Both run on the rows with a pole at the site; the
-# others report 0 and no backend disagreement.
+# nodes: a wrong declaration shows as a backend disagreement.  A row's
+# contour magnitude is closed-form when the row has at most one term (every
+# row of a Fermat line): |c_k| r^k times the factor's largest modulus on the
+# circle.  Only rows with two or more terms evaluate the row at the nodes, in
+# blocks of rows over all entries of a block.  Both run on the rows with a
+# pole at the site; the others report 0 and no backend disagreement.
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -383,10 +385,11 @@ def circle_points(location: complex | None, radius: float, nodes: int) -> np.nda
     return 1.0 / u if location is None else location + u
 
 
-# Rows per block of the contour magnitude.  The blocks bound the rows x
-# nodes temporaries, and keep each zgemm small enough that OpenBLAS runs it
-# on one thread: a single 126 x 6 @ 6 x 256 product took its threaded path
-# and ran about 5x slower on a 2-core host.
+# Rows per block of the contour magnitude of rows with two or more terms
+# (one-term rows take a closed form).  The blocks bound the rows x nodes
+# temporaries, and keep each zgemm small enough that OpenBLAS runs it on one
+# thread: a single 126 x 6 @ 6 x 256 product took its threaded path and ran
+# about 5x slower on a 2-core host.
 _CONTOUR_BLOCK = 16
 
 
@@ -398,8 +401,11 @@ class _Contour:
 
     The trapezoid value is linear in c, so each factor folds into a
     covector q_k = r^k mean_n(e^(i k theta_n) factor_n) once; a row's value
-    is then c @ q.  Its magnitude max_n |p(u_n)| |factor_n| still needs p on
-    the circle: one matrix product per block of rows, over all entries."""
+    is then c @ q.  Its magnitude max_n |p(u_n)| |factor_n| is |c_k| r^k
+    max_n |factor_n| for a row of one term c_k u^k, with the factor's
+    maximum folded once per entry; only a row of two or more terms needs p
+    on the circle: one matrix product per block of such rows, over all
+    entries."""
 
     def __init__(self, radii: list[float], width: int, den: np.ndarray, at_infinity: bool):
         nodes = den.shape[1]
@@ -413,6 +419,7 @@ class _Contour:
         self.radius_powers = radii ** np.arange(width)
         self.covector = self.radius_powers * (self.powers @ factor[:, :, None])[..., 0] / nodes
         self.factor_abs = np.abs(factor)
+        self.factor_max = self.factor_abs.max(axis=1)
 
     def trapezoid(self, rows: np.ndarray, has_pole: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per entry b and row r of ``rows[b, r]``, the trapezoid value and the
@@ -420,7 +427,11 @@ class _Contour:
         0 where ``has_pole`` is False.
 
         An entry's values are one product over its rows with a pole: over
-        fewer or more rows the kernel may round a row differently."""
+        fewer or more rows the kernel may round a row differently.  A row of
+        at most one term has a constant modulus on the circle, so its
+        magnitude is that modulus times the factor's maximum; only rows of
+        two or more terms are evaluated at the nodes, in blocks, and their
+        magnitudes replace the closed form."""
         value = (rows @ self.covector[:, :, None])[..., 0]
         if not has_pole.all():
             for b in np.flatnonzero(~has_pole.all(axis=1)):
@@ -430,6 +441,10 @@ class _Contour:
         entry, row = np.nonzero(has_pole)
         scaled = rows[entry, row] * self.radius_powers[entry]
         scale = np.zeros(has_pole.shape)
+        one = (scaled != 0).sum(axis=1) <= 1
+        if one.any():
+            scale[entry, row] = np.abs(scaled).max(axis=1) * self.factor_max[entry]
+            entry, row, scaled = entry[~one], row[~one], scaled[~one]
         for k in range(0, len(entry), _CONTOUR_BLOCK):
             part = slice(k, k + _CONTOUR_BLOCK)
             mag = np.abs(scaled[part] @ self.powers)

@@ -312,7 +312,8 @@ class TestCommands:
     def test_nonfinite_maxima_read_nan(self, tmp_path, capsys):
         # pairs (0,2)-(0,4) have NaN residues and backend disagreements on
         # this config, while pairs (1,2)-(1,4) stay finite: every maximum
-        # over them is NaN, in the period CSV and JSON as in the scan
+        # over them is NaN, in the period CSV as in the scan; the JSON
+        # writes a NaN as null
         family = {"coordinates": ["1e80*t"] + LINE[1:], "zeta_index": 1}
         cfg = write_config(tmp_path, family=family)
         csv, js = tmp_path / "period.csv", tmp_path / "period.json"
@@ -332,16 +333,42 @@ class TestCommands:
         for sample in json.loads(js.read_text())["samples"]:
             pairs = sample["per_pair"].values()
             sites = [site["backend_disagreement"] for p in pairs for site in p["sites"]]
-            assert any(np.isnan(sites)) and not all(np.isnan(sites))
-            assert np.isnan(sample["max_backend_disagreement"])
-            assert np.isnan(sample["vanish_scale"])
+            assert None in sites and any(d is not None for d in sites)
+            assert sample["max_backend_disagreement"] is None
+            assert sample["vanish_scale"] is None
         scan_json = tmp_path / "scan.json"
         argv = ["scan", "--config", str(cfg), "--degree", "5", "--out-json", str(scan_json)]
         assert main(argv) == 3
         rows = json.loads(scan_json.read_text())["rows"]
         (row,) = [r for r in rows if r["monomial"] == "x1^3*x2^2"]
-        assert np.isnan(row["max_backend_disagreements"]).all()
-        assert np.isnan(row["vanish_scales"]).all()
+        assert row["max_backend_disagreements"] == [None] * 3
+        assert row["vanish_scales"] == [None] * 3
+
+    def test_json_is_standard_on_nonfinite_values(self, tmp_path, capsys):
+        # RFC 8259 has no NaN or Infinity: both files parse strictly, with
+        # the keys of a finite run and null where it has a number
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        def nulls(value):
+            if isinstance(value, (dict, list)):
+                return sum(map(nulls, value.values() if isinstance(value, dict) else value))
+            return value is None
+
+        finite = tmp_path / "finite.json"
+        finite.write_text(write_config(tmp_path).read_text())
+        family = {"coordinates": ["1e80*t"] + LINE[1:], "zeta_index": 1}
+        nonfinite = write_config(tmp_path, family=family)
+        for argv, records in ((["period"], "samples"), (["scan", "--degree", "5"], "rows")):
+            written = []
+            for cfg, code in ((nonfinite, 3), (finite, 0)):
+                js = tmp_path / f"{argv[0]}-{code}.json"
+                assert main([*argv, "--config", str(cfg), "--out-json", str(js)]) == code
+                written.append(json.loads(js.read_text(), parse_constant=refuse))
+            bad, good = written
+            assert sorted(bad) == sorted(good)
+            assert [sorted(r) for r in bad[records]] == [sorted(r) for r in good[records]]
+            assert nulls(bad) > nulls(good)
 
     def test_stderr_holds_only_the_breach_lines(self, tmp_path):
         # in a process of its own, so numpy's warnings reach its stderr

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from quintic_periods.multipoly import (
     MultiPoly,
+    monomial_charts,
     monomial_text,
     monomials_of_degree,
 )
@@ -76,3 +78,66 @@ def test_dimension_mismatch():
         MultiPoly(2, {(1, 0, 0): 1.0})
     with pytest.raises(ValueError):
         MultiPoly.variable(2, 0) * MultiPoly.variable(3, 0)
+
+
+def _charts_per_variable(polys, degree, width):
+    """monomial_charts built by one multiplication per degree and variable,
+    over the rows whose first nonzero exponent is that variable: the
+    reference its one pass per degree must match to the byte."""
+    nvars = len(polys)
+    charts = np.zeros((1, width), dtype=complex)
+    charts[0, 0] = 1.0
+    prev = {(0,) * nvars: 0}
+    for k in range(1, degree + 1):
+        monos = monomials_of_degree(nvars, k)
+        nxt = np.zeros((len(monos), width), dtype=complex)
+        for i in range(nvars):
+            rows = [r for r, e in enumerate(monos) if next(j for j, v in enumerate(e) if v) == i]
+            if not rows:
+                continue
+            base = charts[[prev[tuple(v - (j == i) for j, v in enumerate(monos[r]))] for r in rows]]
+            acc = np.zeros_like(base)
+            for n, c in enumerate(polys[i].coeffs):
+                acc[:, n:] += c * base[:, : width - n]
+            nxt[rows] = acc
+        charts = nxt
+        prev = {e: r for r, e in enumerate(monos)}
+    return charts
+
+
+def _catalog_charts():
+    from quintic_periods.catalog import line_families
+
+    return [
+        (d.family().jet_at(s).x_chart(), 6)
+        for d in line_families()[::3]
+        for s in (0.1, 0.15 + 0.05j)
+    ]
+
+
+def _degree_two_charts():
+    from test_period import TestDegreeTwoJets
+
+    return [(TestDegreeTwoJets._random_jet(seed).x_chart(), 11) for seed in range(20)]
+
+
+def _mixed_charts():
+    # one, two and three coefficients, an empty chart, and -0.0 parts
+    polys = [
+        UniPoly([0.5 - 1j]),
+        UniPoly([complex(-0.0, 0.0), 1.5 + 0.25j]),
+        UniPoly([1.0, -0.0, 2j]),
+        UniPoly([-0.3 + 0.2j, 0.7, complex(0.4, -0.0)]),
+        UniPoly([]),
+    ]
+    return [(polys, 11), (polys[::-1], 11), (polys[1:] + polys[:1], 16)]
+
+
+@pytest.mark.parametrize("charts", [_catalog_charts, _degree_two_charts, _mixed_charts])
+def test_monomial_charts_match_a_multiplication_per_variable(charts):
+    for polys, width in charts():
+        got = monomial_charts(polys, 5, width)
+        want = _charts_per_variable(polys, 5, width)
+        assert got.shape == want.shape == (126, width)
+        # to the byte, so that a -0.0 counts
+        assert got.tobytes() == want.tobytes()

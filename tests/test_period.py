@@ -482,6 +482,16 @@ class TestScan:
         combo = 2.0 * rows[(0, 3, 2, 0, 0)] - 3j * rows[(2, 0, 1, 1, 1)]
         assert abs(direct - combo) < 1e-9 * max(abs(direct), 1e-30)
 
+    def test_worst_backend_is_the_largest_row_disagreement(self, fermat, corrected_slice):
+        samples = [0.1, 0.12j, 0.15 + 0.05j]
+        for fam in (corrected_slice, line_families()[11].family(), line_families()[37].family()):
+            table = monomial_scan(fermat, fam, samples, 5)
+            assert len(table.worst_backend) == len(samples)
+            for k, (worst, pair, monomial) in enumerate(table.worst_backend):
+                by_row = {r.monomial: r.max_backend_disagreements[k] for r in table.rows}
+                assert pair is not None and worst == max(by_row.values()) > 0
+                assert by_row[monomial] == worst
+
     # The batched assembly against the per-class reference path
     # (reference_integrands, then residues_at_zeros); the scan runs its quadrature
     # backend too, so its disagreement is checked as well.

@@ -237,6 +237,19 @@ class TestContourBackend:
         g = rng.uniform(-1, 1, (count, width, 2))
         return g[..., 0] + 1j * g[..., 1]
 
+    @staticmethod
+    def _with_monomials(rows, has_pole, monomials):
+        """rows and has_pole with rows c t^k, given as (k, c, pole), placed
+        among the dense rows of the same entry."""
+        at = [2, 5, 9, 14][: len(monomials)]
+        extra = np.zeros((len(monomials), rows.shape[1]), dtype=complex)
+        for r, (k, c, _) in enumerate(monomials):
+            extra[r, k] = c
+        rows = np.insert(rows, at, extra, axis=0)
+        for i, (_, _, pole) in zip(at[::-1], monomials[::-1]):
+            has_pole.insert(i, pole)
+        return rows, has_pole
+
     def _check(self, rows, out, has_pole, scalar):
         assert (out.order > 0).tolist() == has_pole
         for r, pole in enumerate(has_pole):
@@ -263,7 +276,13 @@ class TestContourBackend:
         for r in range(0, 20, 3):
             rows[r] = (UniPoly(rows[r][:4]) * square).coeffs
         has_pole = [r % 3 != 0 for r in range(20)]
-        (out,) = site.apply([rows], [np.ones(20, dtype=bool)])
+        # rows of one term in u = t - location take the closed-form contour
+        # magnitude: constants at either site, c t at 0j (two terms in u at
+        # the shifted site)
+        rows, has_pole = self._with_monomials(
+            rows, has_pole, [(0, 0.7 - 1.2j, True), (1, -0.4 + 0.9j, True), (0, 1.3, True)]
+        )
+        (out,) = site.apply([rows], [np.ones(len(rows), dtype=bool)])
 
         def scalar(row):
             f = RationalFunction(UniPoly(row), den)
@@ -283,7 +302,12 @@ class TestContourBackend:
         # below degree deg(den) - 1 the form is regular at [1:0]
         rows[::4, 3:] = 0
         has_pole = [r % 4 != 0 for r in range(20)]
-        (out,) = site.apply([rows], [np.ones(20, dtype=bool)])
+        # rows c t^k of one term: a pole at [1:0] from k = 3 on
+        rows, has_pole = self._with_monomials(
+            rows, has_pole,
+            [(5, 0.7 - 1.2j, True), (3, -0.4 + 0.9j, True), (1, 1.3, False), (4, -2j, True)],
+        )
+        (out,) = site.apply([rows], [np.ones(len(rows), dtype=bool)])
 
         def scalar(row):
             g = RationalFunction(UniPoly(row), den).at_infinity_chart()

@@ -28,9 +28,11 @@ The corpus:
 
 A period record holds every total, residue, quadrature value and scale,
 pole order, exact zero, VANISHES flag, residue-theorem and dual-sum check of
-the report, down to each site; an input that raises records the error's
-class and message.  Floats are compared through their shortest round-trip
-text, so any difference in the last bit counts.
+the report, down to each site; a scan's ``worst_backend`` is recorded as a
+number per sample (``worst_backend_value``) and the pair and monomial that
+attain it as text (``worst_backend_row``); an input that raises records the
+error's class and message.  Floats are compared through their shortest
+round-trip text, so any difference in the last bit counts.
 
 Prints ``identical``, or the first record that differs (both values), then
 for each record kind (``cli``, ``period``, ``oracle``, ``scan``, ``jet seed``)
@@ -143,7 +145,15 @@ def guarded(key: str, run, records) -> list[tuple[str, dict]]:
 
 
 def scan_records(key: str, table) -> list[tuple[str, dict]]:
-    out = [(f"{key} worst_backend", {"worst_backend": plain(table.worst_backend)})]
+    # the worst row's disagreement as a number and its name as text, so that
+    # a last-bit move shows apart from a renamed row
+    out = [(f"{key} worst_backend", {
+        "worst_backend_value": [value for value, _, _ in table.worst_backend],
+        "worst_backend_row": [
+            "" if pair is None else f"pair ({pair[0]},{pair[1]}) {monomial}"
+            for _, pair, monomial in table.worst_backend
+        ],
+    })]
     for row in table.rows:
         out.append((f"{key} row {row.monomial}", {
             "totals": plain(row.totals),
