@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -276,13 +277,24 @@ def catalog_entries() -> dict[str, list[str]]:
     }
 
 
+@contextmanager
+def _naming(identifier: str, field: str):
+    """A ConfigError raised inside names the identifier and the config field
+    it came from."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{exc} in {identifier!r}", field) from None
+
+
 def resolve_hypersurface(identifier: str) -> Hypersurface:
     ident = identifier.strip()
     if ident == "shioda-quintic":
         return shioda_quintic()
     m = re.fullmatch(r"fermat/m=(\d+),d=(\d+)", ident)
     if m:
-        return fermat_hypersurface(int(m.group(1)), int(m.group(2)))
+        with _naming(identifier, "hypersurface"):
+            return fermat_hypersurface(int(m.group(1)), int(m.group(2)))
     raise ConfigError(f"unknown hypersurface identifier {identifier!r}", "hypersurface")
 
 
@@ -290,11 +302,10 @@ def resolve_family(identifier: str) -> CurveFamily:
     ident = identifier.strip()
     m = re.fullmatch(r"fermat-line/pair=(\d),(\d)/zeta=(\d)/(corrected|literal)", ident)
     if m:
-        try:
+        with _naming(identifier, "family"):
             return line_family((int(m.group(1)), int(m.group(2))), int(m.group(3)), m.group(4))
-        except ConfigError as exc:
-            raise ConfigError(f"{exc} in {identifier!r}", "family") from None
     m = re.fullmatch(r"mobius-null/zeta=(\d)/seed=(\d+)", ident)
     if m:
-        return mobius_null_family(int(m.group(1)), int(m.group(2)))
+        with _naming(identifier, "family"):
+            return mobius_null_family(int(m.group(1)), int(m.group(2)))
     raise ConfigError(f"unknown family identifier {identifier!r}", "family")

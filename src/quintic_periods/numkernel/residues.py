@@ -6,7 +6,8 @@ Two independent backends are kept side by side on purpose:
   a truncated power series by the rest of the denominator (for a simple pole
   this collapses to num(t0)/den'(t0));
 * quadrature -- a uniform trapezoid rule on a circle around the pole, which
-  converges exponentially for the analytic integrands handled here.
+  converges exponentially for the analytic integrands handled here: the
+  one rule is ``_Contour``, one value product per block of site entries.
 
 ``SiteMap`` runs both for every integrand at every one of its sites (a
 ``SiteEntry`` each), on matrices of numerator rows, with each denominator
@@ -14,9 +15,9 @@ known by its declared roots; the period assembly compares them by
 ``backend_disagreement`` on all sites of a sample at once.  The scalar
 oracle ``residues_at_zeros`` runs the analytic backend alone on one
 ``RationalFunction``, reading each pole order at its site from the expanded
-denominator.  The point at infinity is handled through u = 1/t with dt =
--du/u^2.  Two finite pole locations count as one site by the rule of
-``coincides``.
+denominator by one site rule, at [1:0] in the chart u = 1/t.  The point at
+infinity is handled through u = 1/t with dt = -du/u^2.  Two finite pole
+locations count as one site by the rule of ``coincides``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -114,9 +114,12 @@ def residue_analytic(f: RationalFunction, location: complex, order: int) -> comp
     if order < 1:
         raise PoleMismatchError("declared pole order must be >= 1")
     den_sh = f.den.shifted(location)
-    local = _local_multiplicity(den_sh.coeffs)
+    local = den_sh.vanishing_order(0j, rel_tol=1e-8)
     if local != order:
-        raise _mismatch(local, location, order)
+        raise PoleMismatchError(
+            f"denominator has local multiplicity {local} at {location:.6g}, "
+            f"declared order {order}"
+        )
     num_sh = f.num.shifted(location)
     dred = list(den_sh.coeffs[order:])
     # power-series quotient num_sh / dred up to index order-1
@@ -130,49 +133,17 @@ def residue_analytic(f: RationalFunction, location: complex, order: int) -> comp
     return qs[order - 1]
 
 
-def _local_multiplicity(shifted_coeffs) -> int:
-    """Leading coefficients of a shifted denominator that are zero to 1e-8
-    of its scale."""
-    ds = max((abs(c) for c in shifted_coeffs), default=0.0)
-    local = 0
-    while local < len(shifted_coeffs) and abs(shifted_coeffs[local]) <= 1e-8 * ds:
-        local += 1
-    return local
-
-
-def _mismatch(local: int, location: complex, order: int) -> PoleMismatchError:
-    return PoleMismatchError(
-        f"denominator has local multiplicity {local} at {location:.6g}, "
-        f"declared order {order}"
-    )
-
-
 def residue_at_infinity_analytic(f: RationalFunction) -> complex:
     """Residue of f dt at [1:0] via the u = 1/t chart."""
     if f.num.is_zero():
         return 0j
-    g = f.at_infinity_chart()
-    order = g.den.vanishing_order(0j, rel_tol=1e-8)
-    if order <= 0 or g.num.vanishing_order(0j) >= order:
-        return 0j
-    return residue_analytic(g, 0j, order)
-
-
-def residue_quadrature(
-    f: Callable[[np.ndarray], np.ndarray], center: complex, radius: float
-) -> complex:
-    """(1/2 pi i) * contour integral of f on |t - center| = radius.
-
-    Uniform trapezoid sampling; exponentially accurate when f is holomorphic
-    on the circle.
-    """
-    return _quadrature(f, center, radius, QUAD_NODES)[0]
+    return _infinity_site(f, 0).residue
 
 
 def _quadrature(f, center: complex, radius: float, nodes: int) -> tuple[complex, float]:
     """Trapezoid contour value plus the contour magnitude max |f(z)(z-c)|,
     the resolution scale of the rule (its absolute noise floor is roughly
-    machine epsilon times this)."""
+    machine epsilon times this): the scalar reference of ``_Contour``."""
     theta = 2.0 * np.pi * np.arange(nodes) / nodes
     offs = radius * np.exp(1j * theta)
     vals = f(center + offs) * offs
@@ -308,15 +279,13 @@ def _finite_site(f, loc, zmult, guard) -> ZeroSiteReport:
 
 
 def _infinity_site(f, zmult) -> ZeroSiteReport:
-    # No collision guard here: at [1:0] the measure dt itself carries a double
-    # pole, so a pole of f dt does not imply a denominator-factor overlap, and
-    # the residue of a rational 1-form at infinity is always well defined.
-    g = f.at_infinity_chart()
-    order = g.den.vanishing_order(0j, rel_tol=1e-8)
-    has_pole = order > 0 and g.num.vanishing_order(0j) < order
-    if not has_pole:
-        return ZeroSiteReport(0j, True, zmult, 0, 0j)
-    return ZeroSiteReport(0j, True, zmult, order, residue_analytic(g, 0j, order))
+    """The finite site rule in the chart u = 1/t, at u = 0.  No collision
+    guard here: at [1:0] the measure dt itself carries a double pole, so a
+    pole of f dt does not imply a denominator-factor overlap, and the residue
+    of a rational 1-form at infinity is always well defined."""
+    report = _finite_site(f.at_infinity_chart(), 0j, zmult, None)
+    report.at_infinity = True
+    return report
 
 
 def residue_sum_check(f: RationalFunction) -> float:
@@ -340,7 +309,7 @@ def residue_sum_check(f: RationalFunction) -> float:
 # u, the order and the first ``order`` coefficients of 1/g come from the
 # declared sites, and the residues of all rows of a coefficient matrix take
 # one matrix product.  Whether a row has a pole stays a per-row rule, that of
-# _finite_site and _infinity_site.
+# _finite_site (which _infinity_site applies in the chart at [1:0]).
 #
 # A SiteMap runs a list of entries -- every site and check site of every
 # pair of a sample -- in one pass.  Entries of equal exact location, width
@@ -349,15 +318,17 @@ def residue_sum_check(f: RationalFunction) -> float:
 # bit-identical to that of the entry alone; padding the contraction to a
 # common width, or merging rows into one product, is not.
 #
-# The trapezoid rule is linear in the numerator too, so an entry folds the
-# rest of the integrand on its circle into a covector once (_Contour).  That
-# rest holds the denominator as it stands, evaluated by the caller at the
-# nodes: a wrong declaration shows as a backend disagreement.  A row's
-# contour magnitude is closed-form when the row has at most one term (every
-# row of a Fermat line): |c_k| r^k times the factor's largest modulus on the
-# circle.  Only rows with two or more terms evaluate the row at the nodes, in
-# blocks of rows over all entries of a block.  Both run on the rows with a
-# pole at the site; the others report 0 and no backend disagreement.
+# The trapezoid rule, the library's only one, is linear in the numerator
+# too, so an entry folds the rest of the integrand on its circle into a
+# covector once (_Contour), and the values of all rows of a block are one
+# stacked product.  That rest holds the denominator as it stands, evaluated
+# by the caller at the nodes: a wrong declaration shows as a backend
+# disagreement.  A row's contour magnitude is closed-form when the row has
+# at most one term (every row of a Fermat line): |c_k| r^k times the
+# factor's largest modulus on the circle.  Only rows with two or more terms
+# evaluate the row at the nodes, in blocks of rows over all entries of a
+# block.  A row without a pole at the site reports 0 in both, and no
+# backend disagreement.
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -394,14 +365,14 @@ _CONTOUR_BLOCK = 16
 
 
 class _Contour:
-    """Trapezoid rule on the circles |u| = radius_b of a block's entries,
+    """The trapezoid rule on the circles |u| = radius_b of a block's entries,
     for integrands p(u) * factor_b(u), with p = sum_k c_k u^k of ``width``
     terms and factor_b = u / den_b(t(u)), or -1 / (u^width den_b(1/u)) at
     [1:0], from den_b given at the nodes.
 
     The trapezoid value is linear in c, so each factor folds into a
     covector q_k = r^k mean_n(e^(i k theta_n) factor_n) once; a row's value
-    is then c @ q.  Its magnitude max_n |p(u_n)| |factor_n| is |c_k| r^k
+    is then c @ q, one product for every row of every entry.  Its magnitude max_n |p(u_n)| |factor_n| is |c_k| r^k
     max_n |factor_n| for a row of one term c_k u^k, with the factor's
     maximum folded once per entry; only a row of two or more terms needs p
     on the circle: one matrix product per block of such rows, over all
@@ -426,18 +397,12 @@ class _Contour:
         contour magnitude of p(u) * factor_b(u), as _quadrature returns them;
         0 where ``has_pole`` is False.
 
-        An entry's values are one product over its rows with a pole: over
-        fewer or more rows the kernel may round a row differently.  A row of
+        The values of all entries are one stacked product, masked.  A row of
         at most one term has a constant modulus on the circle, so its
         magnitude is that modulus times the factor's maximum; only rows of
         two or more terms are evaluated at the nodes, in blocks, and their
         magnitudes replace the closed form."""
-        value = (rows @ self.covector[:, :, None])[..., 0]
-        if not has_pole.all():
-            for b in np.flatnonzero(~has_pole.all(axis=1)):
-                hit = has_pole[b]
-                value[b] = 0
-                value[b, hit] = rows[b, hit] @ self.covector[b]
+        value = np.where(has_pole, (rows @ self.covector[:, :, None])[..., 0], 0j)
         entry, row = np.nonzero(has_pole)
         scaled = rows[entry, row] * self.radius_powers[entry]
         scale = np.zeros(has_pole.shape)

@@ -394,13 +394,19 @@ def _assemble(ctx: _SampleContext, p_rows: np.ndarray, checks: bool = False) -> 
     return _Reduction(pairs, len(p_rows))
 
 
-def period_of_jet(X: Hypersurface, P: MultiPoly, jet: CurveJet) -> PeriodReport:
+def _check_shape(X: Hypersurface, jet: CurveJet | None = None) -> None:
+    """The shapes an assembly takes: a hypersurface in five coordinates,
+    and a jet of as many coordinates as it has."""
     if X.nvars != 5:
         raise UnsupportedShapeError(
             f"period assembly is implemented for 5 coordinates, got {X.nvars}"
         )
-    if jet.ncoords != X.nvars:
+    if jet is not None and jet.ncoords != X.nvars:
         raise DimensionMismatchError("jet does not match the hypersurface dimensions")
+
+
+def period_of_jet(X: Hypersurface, P: MultiPoly, jet: CurveJet) -> PeriodReport:
+    _check_shape(X, jet)
     want = required_degree(X.degree, X.m, 1)
     if P.is_zero() or not P.is_homogeneous() or P.total_degree() != want:
         raise DegreeError(f"P must be homogeneous of degree {want}")
@@ -591,13 +597,16 @@ def monomial_scan(
     """
     if not s_list:
         raise ValueError("sample list must be nonempty")
+    _check_shape(X)
     want = required_degree(X.degree, X.m, 1)
     if degree != want:
         raise DegreeError(f"scan degree must be {want} for this hypersurface, got {degree}")
     rows = [ScanRow(exps, text, [], []) for exps, text in _scan_labels(X.nvars, degree)]
     worst_backend = []
     for s in s_list:
-        ctx = _SampleContext(X, fam.jet_at(s))
+        jet = fam.jet_at(s)
+        _check_shape(X, jet)
+        ctx = _SampleContext(X, jet)
         red = _assemble(ctx, monomial_charts(ctx.xs, degree, ctx.width))
         per_site = red.disagreement
         if per_site.size:

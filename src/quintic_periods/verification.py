@@ -38,11 +38,11 @@ from .griffiths import (
 )
 from .multipoly import MultiPoly, monomials_of_degree
 from .numkernel.residues import (
+    QUAD_NODES,
     RationalFunction,
-    quadrature_radius,
-    residue_analytic,
-    residue_at_infinity_analytic,
-    residue_quadrature,
+    SiteEntry,
+    SiteMap,
+    circle_points,
     residues_at_zeros,
 )
 from .numkernel.unipoly import UniPoly
@@ -149,43 +149,54 @@ def check_contraction_oracle() -> CheckResult:
 # 2. residue engine on seeded rational functions
 
 
-def _seeded_rational(rng: np.random.Generator) -> tuple[RationalFunction, list]:
+def _seeded_rational(rng: np.random.Generator) -> tuple[UniPoly, complex, list[complex]]:
+    """Numerator, leading coefficient and simple poles of a seeded rational
+    function."""
     n_poles = int(rng.integers(3, 9))
     poles: list[complex] = []
     while len(poles) < n_poles:
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         if all(abs(z - p) >= 1e-2 for p in poles):
             poles.append(z)
-    den = UniPoly.from_roots(poles, lead=complex(rng.uniform(0.5, 2.0), rng.uniform(-1, 1)))
+    lead = complex(rng.uniform(0.5, 2.0), rng.uniform(-1, 1))
     num_deg = int(rng.integers(0, 9))
     num = UniPoly([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(num_deg + 1)])
     if num.is_zero():
         num = UniPoly.one()
-    return RationalFunction(num, den), poles
+    return num, lead, poles
 
 
 def check_residue_engine() -> CheckResult:
+    """The engine's site map on seeded num / (lead * prod (t - p)): at every
+    pole p and at [1:0], the analytic residue, read from the declared poles,
+    against the contour, which integrates the expanded denominator; and the
+    residue theorem over all those sites."""
     rng = np.random.default_rng(RESIDUE_SEED)
     worst_rel = 0.0
     worst_sum = 0.0
+    sites = infinity_poles = 0
     for _ in range(RESIDUE_CASES):
-        f, poles = _seeded_rational(rng)
-        total = 0j
-        for p in poles:
-            ra = residue_analytic(f, p, 1)
-            radius = quadrature_radius(p, [q for q in poles if q != p])
-            rq = residue_quadrature(lambda t: f(t), p, radius)
-            rel = abs(ra - rq) / max(abs(ra), abs(rq), 1e-30)
-            worst_rel = max(worst_rel, rel)
-            total += ra
-        total += residue_at_infinity_analytic(f)
-        scale = max(1.0, max(abs(residue_analytic(f, p, 1)) for p in poles))
-        worst_sum = max(worst_sum, abs(total) / scale)
+        num, lead, poles = _seeded_rational(rng)
+        den, declared = UniPoly.from_roots(poles, lead), [(p, 1) for p in poles]
+        entries = [SiteEntry(p, 1, lead, declared, len(num.coeffs), contour=True) for p in poles]
+        entries.append(SiteEntry(None, 1, lead, declared, len(num.coeffs), contour=True))
+        dens = [den(circle_points(*e.circle, QUAD_NODES)) if e.radius else None for e in entries]
+        n = len(entries)
+        rows = SiteMap(entries, dens).apply([np.array([num.coeffs])] * n, [np.array([True])] * n)
+        residues = [complex(r.residue[0]) for r in rows]
+        hit = [r for r in rows if r.order[0]]
+        sites += len(hit)
+        infinity_poles += sum(r.site.at_infinity for r in hit)
+        for r in hit:
+            ra, rq = complex(r.residue[0]), complex(r.quadrature[0])
+            worst_rel = max(worst_rel, abs(ra - rq) / max(abs(ra), abs(rq), 1e-30))
+        worst_sum = max(worst_sum, abs(sum(residues)) / max(1.0, *map(abs, residues)))
     passed = worst_rel < 1e-8 and worst_sum < 1e-8
     return CheckResult(
         "residues",
         passed,
-        f"{RESIDUE_CASES} seeded rational functions: worst backend rel {worst_rel:.2e}, "
+        f"{RESIDUE_CASES} seeded rational functions through the engine's site maps, "
+        f"{sites} poles ({infinity_poles} at [1:0]): worst backend rel {worst_rel:.2e}, "
         f"worst residue-theorem sum {worst_sum:.2e}",
         measured={"worst_backend_rel": worst_rel, "worst_sum": worst_sum},
         tolerance="1e-8 relative (both)",

@@ -32,3 +32,26 @@ def test_criterion(label, check, budget):
         assert result.runtime_seconds < budget, (
             f"{label} took {result.runtime_seconds:.2f}s, budget {budget}s"
         )
+
+
+def test_residue_engine_runs_the_contour_at_infinity_and_on_dense_rows(monkeypatch):
+    # criterion 2 runs the engine's own trapezoid rule at [1:0] and on rows
+    # of two or more terms, which the Fermat lines' one-term rows never reach
+    from quintic_periods.numkernel.residues import _Contour
+
+    init, trapezoid = _Contour.__init__, _Contour.trapezoid
+    seen = {"infinity": 0, "dense": 0}
+
+    def spied_init(self, radii, width, den, at_infinity):
+        init(self, radii, width, den, at_infinity)
+        self.at_infinity = at_infinity
+
+    def spied_trapezoid(self, rows, has_pole):
+        seen["infinity"] += int(has_pole.sum()) if self.at_infinity else 0
+        seen["dense"] += int(((rows[has_pole] != 0).sum(axis=-1) >= 2).sum())
+        return trapezoid(self, rows, has_pole)
+
+    monkeypatch.setattr(_Contour, "__init__", spied_init)
+    monkeypatch.setattr(_Contour, "trapezoid", spied_trapezoid)
+    assert ver.check_residue_engine().passed
+    assert seen["infinity"] > 0 and seen["dense"] > 0

@@ -393,6 +393,51 @@ class TestCommands:
         cfg = write_config(tmp_path)
         assert main(["scan", "--config", str(cfg), "--degree", "4"]) == 1
 
+    @pytest.mark.parametrize(
+        "overrides, degree, line",
+        [
+            (
+                {"hypersurface": "fermat/m=2,d=4", "p": "x1^3*x2"},
+                "4",
+                "error: period assembly is implemented for 5 coordinates, got 4",
+            ),
+            (
+                {"family": {"coordinates": LINE[:4]}},
+                "5",
+                "error: jet does not match the hypersurface dimensions",
+            ),
+        ],
+        ids=["four-coordinate-hypersurface", "four-coordinate-family"],
+    )
+    def test_scan_rejects_a_shape_as_period_does(self, tmp_path, capsys, overrides, degree, line):
+        cfg = str(write_config(tmp_path, **overrides))
+        for argv in (["period", "--config", cfg], ["scan", "--config", cfg, "--degree", degree]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == line + "\n"
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                {"family": "mobius-null/zeta=7/seed=0"},
+                "zeta index must lie in 0..4, got 7 in 'mobius-null/zeta=7/seed=0' (field: family)",
+            ),
+            (
+                {"hypersurface": "fermat/m=0,d=5"},
+                "need m >= 1 and d >= 2, got (m, d) = (0, 5) in 'fermat/m=0,d=5' "
+                "(field: hypersurface)",
+            ),
+        ],
+        ids=["null-family-zeta", "fermat-m-zero"],
+    )
+    def test_catalog_identifier_errors_name_the_id_and_field(
+        self, tmp_path, capsys, overrides, message
+    ):
+        cfg = str(write_config(tmp_path, **overrides))
+        for argv in (["period", "--config", cfg], ["scan", "--config", cfg, "--degree", "5"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"configuration error: {message}\n"
+
     def test_catalog_lists_everything(self, capsys):
         assert main(["catalog"]) == 0
         out = capsys.readouterr().out

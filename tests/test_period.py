@@ -14,12 +14,13 @@ from quintic_periods.catalog import (
 from quintic_periods.errors import (
     BaseLocusCollisionError,
     DegreeError,
+    DimensionMismatchError,
     PoleMismatchError,
     ReferenceZeroError,
     UnsupportedShapeError,
 )
 from quintic_periods.geometry import CurveFamily, CurveJet, MobiusMap, mobius_reparam
-from quintic_periods.multipoly import MultiPoly
+from quintic_periods.multipoly import MultiPoly, monomial_charts
 from quintic_periods.numkernel.residues import SiteMap
 from quintic_periods.numkernel.unipoly import BinaryForm
 from quintic_periods.period import (
@@ -453,6 +454,37 @@ class TestScan:
     def test_wrong_degree_rejected(self, fermat, corrected_slice):
         with pytest.raises(DegreeError):
             monomial_scan(fermat, corrected_slice, [0.1], 4)
+
+    def test_shapes_checked_as_period_does(self, fermat, corrected_slice):
+        # a hypersurface in 4 coordinates, at the degree its scan takes
+        X = fermat_hypersurface(2, 4)
+        with pytest.raises(UnsupportedShapeError, match="implemented for 5 coordinates, got 4"):
+            monomial_scan(X, corrected_slice, [0.1], 4)
+        # a family of 4 coordinates on the quintic
+        jet = corrected_slice.jet_at(0.1)
+        four = CurveFamily("four", lambda s: CurveJet(s, jet.x[:4], jet.y[:4], 1))
+        P = MultiPoly.monomial(5, 1.0, (0, 3, 2, 0, 0))
+        for run in (lambda: period_at(fermat, P, four, 0.1),
+                    lambda: monomial_scan(fermat, four, [0.1], 5)):
+            with pytest.raises(DimensionMismatchError, match="jet does not match"):
+                run()
+
+    def test_a_row_does_not_depend_on_the_rows_beside_it(self, fermat):
+        # the same class chart assembled alone or among all 126 monomial
+        # charts of its sample gives the same report, to the bit; period_at
+        # and the scan differ in the last bits only through the chart, which
+        # MultiPoly.compose_unipoly and monomial_charts round differently
+        descriptors = line_families()
+        for fam in (descriptors[0].family(), descriptors[21].family()):
+            for s in STANDARD_PERIOD_SAMPLES[:2]:
+                ctx = period._SampleContext(fermat, fam.jet_at(s))
+                charts = monomial_charts(ctx.xs, 5, ctx.width)
+                every = period._assemble(ctx, charts)
+                for k in range(0, len(charts), 9):
+                    alone = period._assemble(ctx, charts[k : k + 1])
+                    for field in ("totals", "vanish_scales", "max"):
+                        a, b = getattr(alone, field), getattr(every, field)[k : k + 1]
+                        assert a.tobytes() == b.tobytes(), (fam.name, s, k, field)
 
     def test_row_count_and_shape(self, fermat, corrected_slice):
         table = monomial_scan(fermat, corrected_slice, [0.1, 0.2j], 5)

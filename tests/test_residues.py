@@ -3,6 +3,7 @@ import pytest
 
 from quintic_periods.errors import BaseLocusCollisionError, PoleMismatchError
 from quintic_periods.numkernel.residues import (
+    QUAD_NODES,
     RationalFunction,
     SiteEntry,
     SiteMap,
@@ -10,7 +11,6 @@ from quintic_periods.numkernel.residues import (
     quadrature_radius,
     residue_analytic,
     residue_at_infinity_analytic,
-    residue_quadrature,
     residue_sum_check,
     residues_at_zeros,
 )
@@ -28,6 +28,15 @@ def site_map(den, location, zero_multiplicity, sites, width, nodes=None):
     entry = SiteEntry(location, zero_multiplicity, den.coeffs[-1], sites, width, None, bool(nodes))
     dens = [den(circle_points(*entry.circle, nodes))] if entry.radius is not None else None
     return SiteMap([entry], dens)
+
+
+def one_row(den, location, sites, num):
+    """The SiteRows of the one row num over den at one of its declared
+    sites, a simple pole, with both backends."""
+    site = site_map(den, location, 1, sites, len(num.coeffs), nodes=QUAD_NODES)
+    (rows,) = site.apply([np.array([num.coeffs])], [np.array([True])])
+    assert rows.order[0] == 1
+    return rows
 
 
 class TestAnalytic:
@@ -56,14 +65,16 @@ class TestAnalytic:
 
 class TestQuadrature:
     def test_unit_residue(self):
-        f = rf([1], [0, 1])
-        val = residue_quadrature(lambda t: f(t), 0j, 0.5)
-        assert abs(val - 1.0) < 1e-12
+        # no other site: the circle has radius 0.5
+        rows = one_row(UniPoly([0, 1]), 0j, [(0j, 1)], UniPoly([1]))
+        assert rows.site.radius == 0.5
+        assert abs(rows.quadrature[0] - 1.0) < 1e-12
 
     def test_partial_fraction_value(self):
-        f = RationalFunction(UniPoly([2, 3]), UniPoly([-1, 1]) * UniPoly([2, 1]))
-        val = residue_quadrature(lambda t: f(t), 1.0 + 0j, 0.5)
-        assert abs(val - 5.0 / 3.0) < 1e-10
+        den = UniPoly([-1, 1]) * UniPoly([2, 1])
+        rows = one_row(den, 1.0 + 0j, [(1.0 + 0j, 1), (-2.0 + 0j, 1)], UniPoly([2, 3]))
+        assert rows.site.radius == 0.5
+        assert abs(rows.quadrature[0] - 5.0 / 3.0) < 1e-10
 
     def test_radius_rule(self):
         assert quadrature_radius(0j, [2.0 + 0j]) == 0.5
@@ -81,11 +92,9 @@ class TestBackendAgreement:
                     poles.append(z)
             den = UniPoly.from_roots(poles)
             num = UniPoly([complex(*rng.uniform(-1, 1, 2)) for _ in range(5)])
-            f = RationalFunction(num, den)
             for p in poles:
-                ra = residue_analytic(f, p, 1)
-                radius = quadrature_radius(p, [q for q in poles if q != p])
-                rq = residue_quadrature(lambda t: f(t), p, radius)
+                rows = one_row(den, p, [(q, 1) for q in poles], num)
+                ra, rq = rows.residue[0], rows.quadrature[0]
                 assert abs(ra - rq) <= 1e-8 * max(abs(ra), abs(rq), 1e-12)
 
 
@@ -105,11 +114,10 @@ class TestResidueTheorem:
         poles = [0.2 + 0j, 0.2 + 1e-3j, -1.0 + 0.5j]
         den = UniPoly.from_roots(poles)
         num = UniPoly([0.3, -1.0, 0.7j])
-        f = RationalFunction(num, den)
         for p in poles:
-            ra = residue_analytic(f, p, 1)
-            radius = quadrature_radius(p, [q for q in poles if q != p])
-            rq = residue_quadrature(lambda t: f(t), p, radius)
+            rows = one_row(den, p, [(q, 1) for q in poles], num)
+            assert rows.site.radius == quadrature_radius(p, [q for q in poles if q != p])
+            ra, rq = rows.residue[0], rows.quadrature[0]
             assert abs(ra - rq) <= 1e-8 * max(abs(ra), abs(rq))
 
     def test_infinity_backends_agree(self):

@@ -82,3 +82,24 @@ def test_field_changes_are_relative_and_see_nan():
     }
     assert tool.relative_change([1, 2], [1, 4]) == 0.5
     assert tool.relative_change([1.0], [1.0, 2.0]) is None
+
+
+def test_verify_records_keep_numbers_and_drop_timings():
+    tool = _load_tool()
+    from types import SimpleNamespace
+
+    from quintic_periods.verification import CheckResult
+
+    results = [
+        CheckResult("residues", True, "", {"worst_backend_rel": 2e-11, "worst_sum": 5e-15}),
+        CheckResult(
+            "scan", False, "", {"rows": 126, "elapsed": 0.4, "reference_rows": ["x0^5"]},
+            runtime_seconds=0.5,
+        ),
+    ]
+    records = tool.verify_records(SimpleNamespace(run_all=lambda: results))
+    assert records == [
+        ("verify residues", {"passed": True, "worst_backend_rel": 2e-11, "worst_sum": 5e-15}),
+        ("verify scan", {"passed": False, "rows": 126}),
+    ]
+    assert {tool.record_kind(key) for key, _ in records} == {"verify"}

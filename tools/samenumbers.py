@@ -24,7 +24,9 @@ The corpus:
   values;
 * ``period_of_jet`` of ``x1^3 x2^2`` on 600 jets: the tests'
   ``TestDegreeTwoJets._random_jet`` seeds 0-199, each as it stands, under
-  ``t -> 1/t`` and under the tests' Moebius map.
+  ``t -> 1/t`` and under the tests' Moebius map;
+* each acceptance criterion of ``verification.run_all``: whether it passed
+  and its measured numbers, without its timings.
 
 A period record holds every total, residue, quadrature value and scale,
 pole order, exact zero, VANISHES flag, residue-theorem and dual-sum check of
@@ -35,7 +37,8 @@ error's class and message.  Floats are compared through their shortest
 round-trip text, so any difference in the last bit counts.
 
 Prints ``identical``, or the first record that differs (both values), then
-for each record kind (``cli``, ``period``, ``oracle``, ``scan``, ``jet seed``)
+for each record kind (``cli``, ``period``, ``oracle``, ``scan``, ``jet seed``,
+``verify``)
 how many of its records differ and their keys, then each field that differs
 between records present on both sides: in how many records, and its largest
 relative change (``inf`` where a number turns NaN or infinite, ``-`` for a
@@ -88,6 +91,8 @@ CLI_CONFIGS = {
     "shioda": {**README_CONFIG, "hypersurface": "shioda-quintic"},
 }
 JET_SEEDS = range(200)
+# measured values that are run times, which no two runs share
+TIMINGS = ("elapsed",)
 SCAN_SAMPLES = 3
 
 
@@ -168,6 +173,19 @@ def oracle_records(key: str, total: complex) -> list[tuple[str, dict]]:
     return [(key, {"total": plain(total)})]
 
 
+def verify_records(verification) -> list[tuple[str, dict]]:
+    """One record per acceptance criterion: its passed flag and its measured
+    numbers but the ``TIMINGS``."""
+    out = []
+    for result in verification.run_all():
+        numbers = {
+            name: value for name, value in result.measured.items()
+            if isinstance(value, (int, float)) and name not in TIMINGS
+        }
+        out.append((f"verify {result.name}", {"passed": result.passed, **numbers}))
+    return out
+
+
 def cli_records(cli) -> list[tuple[str, dict]]:
     out = []
     for name, cfg in CLI_CONFIGS.items():
@@ -242,6 +260,7 @@ def dump(root: Path) -> None:
                 return period.period_of_jet(X, P, jet if A is None else transform_jet(jet, A))
 
             records += guarded(f"jet seed {seed} {name}", run, report_records)
+    records += verify_records(verification)
     for key, value in records:
         print(json.dumps([key, value], default=plain))
 
@@ -285,7 +304,7 @@ def field_changes(a: list, b: list) -> dict[str, tuple[int, float | None]]:
 
 def record_kind(key: str) -> str:
     """The part of the corpus a record key belongs to: ``cli``, ``period``,
-    ``oracle``, ``scan`` or ``jet seed``."""
+    ``oracle``, ``scan``, ``jet seed`` or ``verify``."""
     return "jet seed" if key.startswith("jet seed ") else key.split(" ", 1)[0]
 
 
