@@ -173,8 +173,7 @@ class RunConfig:
         if not isinstance(out, dict):
             raise ConfigError("output must be an object", "output")
         _known_keys(tol, tuple(DEFAULT_TOLERANCES), "tolerances")
-        for name in tol:
-            _tolerance(tol, name)
+        tol = {name: _tolerance(raw, name) for name, raw in tol.items()}
         _known_keys(out, ("csv", "json"), "output")
         return cls(hyper, family, p_text, samples, tol, out)
 
@@ -378,7 +377,8 @@ DEFAULT_TOLERANCES = {
 
 
 def period_json_payload(reports: Sequence[PeriodReport], tolerances: dict) -> dict:
-    vanish_rel = _tolerance(tolerances, "vanish_rel")
+    tolerances = {**DEFAULT_TOLERANCES, **tolerances}
+    vanish_rel = tolerances["vanish_rel"]
     out = []
     for r in reports:
         pairs = {}
@@ -409,16 +409,15 @@ def period_json_payload(reports: Sequence[PeriodReport], tolerances: dict) -> di
                 "per_pair": pairs,
             }
         )
-    return {"samples": out, "tolerances": {**DEFAULT_TOLERANCES, **tolerances}}
+    return {"samples": out, "tolerances": tolerances}
 
 
-def _tolerance(tolerances: dict, name: str) -> float:
-    """The declared tolerance, else its default: a nonnegative real number."""
-    raw = {**DEFAULT_TOLERANCES, **tolerances}[name]
+def _tolerance(raw: Any, name: str) -> float:
+    """A declared tolerance: a positive real number (no result meets 0)."""
     value = _parse_number(raw, f"tolerances.{name}")
-    if value.imag or value.real < 0:
+    if value.imag or value.real <= 0:
         raise ConfigError(
-            f"a tolerance must be a nonnegative real number, got {raw!r}", f"tolerances.{name}"
+            f"a tolerance must be a positive real number, got {raw!r}", f"tolerances.{name}"
         )
     return value.real
 
@@ -431,8 +430,8 @@ def period_breach(r: PeriodReport, tolerances: dict) -> str | None:
     residue theorem bounds each live pair's check relative to the largest
     |residue| summed into it; a check over no nonzero residue holds.
     """
-    backend = _tolerance(tolerances, "backend_agreement")
-    theorem = _tolerance(tolerances, "residue_theorem")
+    tolerances = {**DEFAULT_TOLERANCES, **tolerances}
+    backend, theorem = tolerances["backend_agreement"], tolerances["residue_theorem"]
     found = []
     pairs = r.per_pair.values()
     # the total sums every site residue, and the maximum keeps a NaN
@@ -457,7 +456,7 @@ def period_breach(r: PeriodReport, tolerances: dict) -> str | None:
 def scan_breaches(table: ScanTable, tolerances: dict) -> list[str]:
     """One line per sample with a non-finite total or backend disagreement,
     or whose largest one breaks the declared backend agreement."""
-    backend = _tolerance(tolerances, "backend_agreement")
+    backend = {**DEFAULT_TOLERANCES, **tolerances}["backend_agreement"]
     out = []
     for k, (s, (worst, pair, monomial)) in enumerate(zip(table.s_list, table.worst_backend)):
         found = []
@@ -552,7 +551,7 @@ def cmd_scan(args) -> int:
     X = build_hypersurface(cfg)
     fam = build_family(cfg)
     table = monomial_scan(X, fam, cfg.samples, args.degree)
-    vanish_rel = _tolerance(cfg.tolerances, "vanish_rel")
+    vanish_rel = {**DEFAULT_TOLERANCES, **cfg.tolerances}["vanish_rel"]
     csv_text = "\n".join(scan_csv_lines(table, vanish_rel)) + "\n"
     json_text = _json_text(scan_json_payload(table, vanish_rel))
     _write(args.out_csv or cfg.output.get("csv"), csv_text)

@@ -17,7 +17,8 @@ oracle ``residues_at_zeros`` runs the analytic backend alone on one
 ``RationalFunction``, reading each pole order at its site from the expanded
 denominator by one site rule, at [1:0] in the chart u = 1/t.  The point at
 infinity is handled through u = 1/t with dt = -du/u^2.  Two finite pole
-locations count as one site by the rule of ``coincides``.
+locations count as one site, and a zero of the residue coordinate collides
+with one of its companion, by the rule of ``coincides``.
 """
 
 from __future__ import annotations
@@ -205,21 +206,19 @@ def residues_at_zeros(
     z with no zeros at all (nonzero constant form) contributes 0.
 
     ``guard`` is the companion coordinate of a cocycle pair: if a finite zero
-    of z is also a zero of guard *and* f genuinely has a pole there, the local
-    pole order mixes both denominator factors and a BaseLocusCollisionError is
-    raised instead of silently splitting it.  The pole order at a zero is
-    the vanishing order of f.den there, the count ``residue_analytic`` checks.
+    of z ``coincides`` with a finite zero of guard *and* f genuinely has a
+    pole there, the local pole order mixes both denominator factors and a
+    BaseLocusCollisionError is raised instead of silently splitting it.  The
+    pole order at a zero is the vanishing order of f.den there, the count
+    ``residue_analytic`` checks.
     """
     if z.is_zero():
         raise ValueError("zero form has no isolated zero locus")
     if f.num.is_zero():
         return ZeroResidueSum(0j, [])
 
-    zeros: list[tuple[complex | None, int]] = []
-    chart = z.dehomogenized().trimmed()
-    if chart.degree >= 1:
-        for loc, mult in poly_roots(chart):
-            zeros.append((loc, mult))
+    zeros: list[tuple[complex | None, int]] = list(_finite_zeros(z))
+    companion = [loc for loc, _ in _finite_zeros(guard)] if guard is not None else []
     inf_mult = z.infinity_order()
     if inf_mult > 0:
         zeros.append((None, inf_mult))
@@ -230,10 +229,17 @@ def residues_at_zeros(
         if loc is None:
             report = _infinity_site(f, inf_mult)
         else:
-            report = _finite_site(f, loc, zmult, guard)
+            report = _finite_site(f, loc, zmult, companion)
         total += report.residue
         site_reports.append(report)
     return ZeroResidueSum(total, site_reports)
+
+
+def _finite_zeros(form: BinaryForm) -> list[tuple[complex, int]]:
+    """Finite zeros of a binary form with multiplicities, from its trimmed
+    chart."""
+    chart = form.dehomogenized().trimmed()
+    return poly_roots(chart) if chart.degree >= 1 else []
 
 
 def coincides(loc: complex, locs) -> bool:
@@ -252,15 +258,6 @@ def _other_sites(loc: complex, den_sites) -> list[tuple[complex, int]]:
     return [(p, m) for p, m in den_sites if not coincides(p, [loc])]
 
 
-def _guard_collides(gchart: UniPoly | None, loc: complex) -> bool:
-    """Whether the companion coordinate, given by its chart, also vanishes
-    at loc."""
-    if gchart is None:
-        return False
-    gs = gchart.scale()
-    return gs > 0 and abs(gchart(loc)) <= 1e-8 * gs * max(1.0, abs(loc)) ** max(gchart.degree, 0)
-
-
 def _collision(loc: complex) -> BaseLocusCollisionError:
     return BaseLocusCollisionError(
         f"zero of the residue coordinate at {loc:.6g} is also a zero of the "
@@ -268,22 +265,22 @@ def _collision(loc: complex) -> BaseLocusCollisionError:
     )
 
 
-def _finite_site(f, loc, zmult, guard) -> ZeroSiteReport:
+def _finite_site(f, loc, zmult, companion) -> ZeroSiteReport:
     order = f.den.vanishing_order(loc, rel_tol=1e-8)
     has_pole = order > 0 and f.num.vanishing_order(loc) < order
     if not has_pole:
         return ZeroSiteReport(loc, False, zmult, 0, 0j)
-    if guard is not None and _guard_collides(guard.dehomogenized(), loc):
+    if coincides(loc, companion):
         raise _collision(loc)
     return ZeroSiteReport(loc, False, zmult, order, residue_analytic(f, loc, order))
 
 
 def _infinity_site(f, zmult) -> ZeroSiteReport:
     """The finite site rule in the chart u = 1/t, at u = 0.  No collision
-    guard here: at [1:0] the measure dt itself carries a double pole, so a
-    pole of f dt does not imply a denominator-factor overlap, and the residue
-    of a rational 1-form at infinity is always well defined."""
-    report = _finite_site(f.at_infinity_chart(), 0j, zmult, None)
+    here: at [1:0] the measure dt itself carries a double pole, so a pole of
+    f dt does not imply a denominator-factor overlap, and the residue of a
+    rational 1-form at infinity is always well defined."""
+    report = _finite_site(f.at_infinity_chart(), 0j, zmult, [])
     report.at_infinity = True
     return report
 
@@ -380,12 +377,9 @@ class _Contour:
 
     def __init__(self, radii: list[float], width: int, den: np.ndarray, at_infinity: bool):
         nodes = den.shape[1]
-        # entries mostly share a radius: u, and u^width, once per radius
-        distinct = list(dict.fromkeys(radii))
-        which = [distinct.index(r) for r in radii]
-        u = np.array(distinct)[:, None] * _unit_circle(nodes)
-        factor = -1.0 / ((u**width)[which] * den) if at_infinity else u[which] / den
         radii = np.array(radii)[:, None]
+        u = radii * _unit_circle(nodes)
+        factor = -1.0 / (u**width * den) if at_infinity else u / den
         self.powers = _unit_powers(width, nodes)
         self.radius_powers = radii ** np.arange(width)
         self.covector = self.radius_powers * (self.powers @ factor[:, :, None])[..., 0] / nodes
@@ -465,9 +459,10 @@ class SiteEntry:
     width + 1 - sum m and g(u) = -lead * prod (1 - r u)^m.  A row's
     reported order there is its own, deg + 2 - sum m.
 
-    ``guard`` is the chart of the companion coordinate: a pole of some row
-    where it vanishes is a base-locus collision.  With ``contour`` an entry
-    that has a pole gets a quadrature circle of ``radius`` about the site.
+    ``collides`` marks a site that ``coincides`` with a zero of the
+    companion coordinate: a pole of some row there is a base-locus
+    collision.  With ``contour`` an entry that has a pole gets a quadrature
+    circle of ``radius`` about the site.
     """
 
     def __init__(
@@ -477,14 +472,14 @@ class SiteEntry:
         lead: complex,
         den_sites: list[tuple[complex, int]],
         width: int,
-        guard: UniPoly | None = None,
+        collides: bool = False,
         contour: bool = False,
     ):
         self.at_infinity = location is None
         self.location = 0j if location is None else location
         self.zero_multiplicity = zero_multiplicity
         self.width = width
-        self.guard = guard
+        self.collides = collides
         self.radius = None
         if self.at_infinity:
             self.order = width + 1 - sum(m for _, m in den_sites)
@@ -522,8 +517,8 @@ class SiteRows:
     """Residues of num_r / den dt at one entry's site, one value per row r.
 
     Rows without a pole there carry order 0 and an exact 0j residue.
-    ``collision`` is the base-locus error of an entry whose guard vanishes
-    where some row has a pole; the caller raises it.
+    ``collision`` is the base-locus error of an entry that collides where
+    some row has a pole; the caller raises it.
     """
 
     site: SiteEntry
@@ -559,7 +554,7 @@ class _Block:
         # residue = sum_{i < order} local[i] * inv[order - 1 - i], over the
         # rows' width coefficients: the reversed series, as a strided view
         self.series = np.array([e.inverse for e in entries])[:, ::-1][:, : first.width, None]
-        self.guarded = [k for k, e in enumerate(entries) if e.guard is not None]
+        self.colliding = [k for k, e in enumerate(entries) if e.collides]
         self.circled = sum(e.radius is not None for e in entries)
         self.contour = None
         if self.circled:
@@ -586,10 +581,9 @@ class _Block:
             values, scales = self.contour.trapezoid(local[:c], has_pole[:c])
             for rows, value, scale in zip(out, values, scales):
                 rows.quadrature, rows.quadrature_scale = value, scale
-        for k in self.guarded:
-            site = self.entries[k]
-            if has_pole[k].any() and _guard_collides(site.guard, site.location):
-                out[k].collision = _collision(site.location)
+        for k in self.colliding:
+            if has_pole[k].any():
+                out[k].collision = _collision(self.entries[k].location)
         return out
 
 

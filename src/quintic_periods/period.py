@@ -171,25 +171,29 @@ class _Pair:
     def den_sites(self) -> list[tuple[complex, int]]:
         return _merge_sites(self.ctx.chart_roots(self.j0), self.ctx.chart_roots(self.j1))
 
-    def entry(self, location, zero_multiplicity, guard=None, contour=False) -> SiteEntry:
+    def entry(self, location, zero_multiplicity, collides=False, contour=False) -> SiteEntry:
         """The pair at one site of its declared denominator."""
         return SiteEntry(
-            location, zero_multiplicity, self.lead, self.den_sites, self.width, guard, contour
+            location, zero_multiplicity, self.lead, self.den_sites, self.width, collides, contour
         )
 
     def site_entries(self) -> list[SiteEntry]:
         """The sites whose residues the period sums, with the contour
-        backend: the zeros of x_{j0}, and [1:0] when x_{j0} drops degree."""
+        backend: the zeros of x_{j0}, and [1:0] when x_{j0} drops degree.
+        A zero of x_{j0} that ``coincides`` with one of x_{j1} collides."""
         ctx = self.ctx
         if ctx.jet.x[self.j0].is_zero():
             raise BaseLocusCollisionError(
                 f"the curve lies in the hyperplane x_{self.j0} = 0, so the residue "
                 "coordinate has no isolated zeros"
             )
-        guard = ctx.xs[self.j1]
-        sites = [self.entry(loc, mult, guard, True) for loc, mult in ctx.zeros(self.j0)]
+        companion = [loc for loc, _ in ctx.zeros(self.j1)]
+        sites = [
+            self.entry(loc, mult, coincides(loc, companion), True)
+            for loc, mult in ctx.zeros(self.j0)
+        ]
         if (inf_mult := ctx.infinity_orders[self.j0]) > 0:
-            sites.append(self.entry(None, inf_mult, None, True))
+            sites.append(self.entry(None, inf_mult, False, True))
         return sites
 
     def check_entries(self) -> list[SiteEntry]:
@@ -288,6 +292,7 @@ class _SampleContext:
         return self._zeros[j]
 
     def min_pole_separation(self) -> float:
+        """The least distance between two declared roots that do not coincide."""
         locs: list[complex] = []
         for sites in self._roots.values():
             locs.extend(loc for loc, _ in sites)
@@ -295,7 +300,7 @@ class _SampleContext:
         for i in range(len(locs)):
             for j in range(i + 1, len(locs)):
                 d = abs(locs[i] - locs[j])
-                if 1e-12 < d < best:
+                if d < best and not coincides(locs[i], [locs[j]]):
                     best = d
         return best
 
@@ -454,7 +459,7 @@ def period_at(X: Hypersurface, P: MultiPoly, fam: CurveFamily, s: complex) -> Pe
     Raises
     ------
     BaseLocusCollisionError
-        If a zero of x_{j0} is a genuine pole shared with the x_{j1} factor,
+        If a pole at a zero of x_{j0} coincides with a zero of x_{j1},
         a covering chart misses the curve entirely, or the curve of a live
         pair lies in the hyperplane x_{j0} = 0.
     DegreeError

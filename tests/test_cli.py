@@ -77,6 +77,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"\(field: tolerances\.vanish_rel\)"):
             load_config(path)
 
+    def test_declared_tolerances_echo_as_numbers(self, tmp_path):
+        # a rational string and a [re, im] pair are read once, as numbers,
+        # and the period JSON echoes those numbers
+        out = {"json": str(tmp_path / "p.json")}
+        tolerances = {"backend_agreement": "1/100000000", "residue_theorem": [1e-8, 0]}
+        path = write_config(tmp_path, tolerances=tolerances, output=out)
+        assert load_config(path).tolerances == {"backend_agreement": 1e-8, "residue_theorem": 1e-8}
+        assert main(["period", "--config", str(path)]) == 0
+        echoed = json.loads((tmp_path / "p.json").read_text())["tolerances"]
+        assert echoed == {"backend_agreement": 1e-8, "residue_theorem": 1e-8, "vanish_rel": 1e-9}
+
     def test_missing_fields(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"family": "x"}))
@@ -535,6 +546,9 @@ class TestCommands:
             ({"tolerances": {"residue_theorem": INF}}, [], "tolerances.residue_theorem"),
             ({"tolerances": {"backend_agreement": [1e-8, 5]}}, [], "tolerances.backend_agreement"),
             ({"tolerances": {"vanish_rel": -1e-9}}, [], "tolerances.vanish_rel"),
+            ({"tolerances": {"backend_agreement": 0}}, [], "tolerances.backend_agreement"),
+            ({"tolerances": {"residue_theorem": 0}}, [], "tolerances.residue_theorem"),
+            ({"tolerances": {"vanish_rel": 0}}, [], "tolerances.vanish_rel"),
             ({"samples": [[0.1, 0.0], [NAN, 0.0]]}, [], "samples[1]"),
             ({"samples": {"kind": "segment", "stop": INF, "count": 2}}, [], "samples.stop"),
             ({}, ["--s", "nan"], "--s"),
@@ -594,6 +608,9 @@ class TestCommands:
             "tolerance-infinite",
             "tolerance-complex",
             "tolerance-negative",
+            "backend-agreement-zero",
+            "residue-theorem-zero",
+            "vanish-rel-zero",
             "sample-nan",
             "segment-stop-infinite",
             "s-nan",

@@ -207,6 +207,29 @@ class TestDiagnostics:
         with pytest.raises(BaseLocusCollisionError, match=r"^pair \(0,1\) at s = 0\.1\+0j: "):
             monomial_scan(fermat, fam, [0.1], 5)
 
+    @pytest.mark.parametrize("gap", [5e-8, 5e-6])
+    def test_collision_is_the_site_rule(self, fermat, gap):
+        # x0 = t and x1 = t - gap: at 5e-8 the two zeros are one site by
+        # ``coincides``, so the engine and the scalar oracle both refuse the
+        # pole there; at 5e-6 they are two sites and both return
+        base = self._line_jet(0)
+        xs = (BinaryForm(1, (0.0, 1.0)), BinaryForm(1, (-gap, 1.0))) + base.x[2:]
+        jet = CurveJet(base.s, xs, base.y, 1)
+        P = MultiPoly.monomial(5, 1.0, (0, 0, 2, 2, 1))
+        if gap < 1e-7:
+            with pytest.raises(BaseLocusCollisionError, match=r"^pair \(0,1\) at s = 0\.1\+0j: "):
+                period_of_jet(fermat, P, jet)
+            with pytest.raises(BaseLocusCollisionError):
+                reference_period(fermat, P, jet)
+        else:
+            assert period_of_jet(fermat, P, jet).pair(0, 1).sites[0].pole_order == 4
+            reference_period(fermat, P, jet)
+
+    def test_min_pole_separation_skips_coinciding_roots(self, fermat):
+        ctx = period._SampleContext(fermat, self._line_jet(0))
+        ctx._roots = {0: [(0.5 + 0j, 4)], 1: [(0.5 + 1e-9j, 4), (2.0 + 0j, 4)]}
+        assert ctx.min_pole_separation() == 1.5
+
     def test_pole_mismatch_names_pair_and_s(
         self, fermat, corrected_slice, p_x1cubed_x2sq, monkeypatch
     ):

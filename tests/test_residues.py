@@ -364,14 +364,13 @@ class TestStackedEntries:
             assert (rows.order > 0).any() == (entries[i].order > 0)
 
     def test_collision_stays_on_its_entry(self):
-        # two entries in one block, the second with a guard that vanishes at
-        # the site: only that entry carries the collision, and only while
-        # some row has a pole there
+        # two entries in one block, the second marked as colliding at the
+        # site: only that entry carries the collision, and only while some
+        # row has a pole there
         location = 0.4 + 0.1j
         sites = [(location, 2), (-1.0 + 0.5j, 1)]
         den = UniPoly.from_roots([location, location, -1.0 + 0.5j], lead=1.5)
-        guards = [UniPoly([1.0, 2.0]), UniPoly([-location, 1.0])]
-        entries = [SiteEntry(location, 1, 1.5, sites, 5, guard) for guard in guards]
+        entries = [SiteEntry(location, 1, 1.5, sites, 5, collides) for collides in (False, True)]
         site_map = SiteMap(entries)
         assert len(site_map.blocks) == 1
         rows = np.array([[0.3, 1.0, -0.5j, 0.2, 1.1]])

@@ -30,6 +30,7 @@ def test_compare_counts_every_difference_by_kind():
         ("oracle fam s[0]", {"total": [1.0, 0.0]}),
         ("scan fam row x0^5", {"totals": [[2.0, 0.0]]}),
         ("jet seed 3 identity", {"total": [0.5, 0.5]}),
+        ("shioda seed 1 input 0", {"total": [0.25, 0.0]}),
     ]
     b = [list(r) for r in a]
     b[0] = ("cli shioda period", {"exit": 0, "stdout": "1.1"})
@@ -45,6 +46,7 @@ def test_compare_counts_every_difference_by_kind():
         "oracle": (1, []),
         "scan": (1, []),
         "jet seed": (2, ["jet seed 3 identity", "jet seed 4 identity"]),
+        "shioda seed": (1, []),
     }
     # per field: records that differ and the largest relative change; a
     # field whose versions are not both numbers has None

@@ -3,7 +3,8 @@
     python3 tools/samenumbers.py --root A --root B
 
 Each checkout runs in its own process, importing its own ``src`` (and, for
-the jets, its own ``tests/test_period.py``), and writes one record per line.
+the jets, its own ``tests/test_period.py`` and ``perfbench/workloads.py``),
+and writes one record per line.
 The corpus:
 
 * the README example config, the same config with the README's
@@ -25,6 +26,9 @@ The corpus:
 * ``period_of_jet`` of ``x1^3 x2^2`` on 600 jets: the tests'
   ``TestDegreeTwoJets._random_jet`` seeds 0-199, each as it stands, under
   ``t -> 1/t`` and under the tests' Moebius map;
+* the ``shioda-lines`` workload's ``period_of_jet`` on its first 200 inputs
+  of seed 1: degree-1 jets on ``shioda_quintic()``, whose non-monomial
+  partials are rooted as they stand;
 * each acceptance criterion of ``verification.run_all``: whether it passed
   and its measured numbers, without its timings.
 
@@ -38,8 +42,8 @@ round-trip text, so any difference in the last bit counts.
 
 Prints ``identical``, or the first record that differs (both values), then
 for each record kind (``cli``, ``period``, ``oracle``, ``scan``, ``jet seed``,
-``verify``)
-how many of its records differ and their keys, then each field that differs
+``shioda seed``, ``verify``) how many of its records differ and their keys,
+then each field that differs
 between records present on both sides: in how many records, and its largest
 relative change (``inf`` where a number turns NaN or infinite, ``-`` for a
 field that is not numbers, such as a CLI output text).  Exits 0 when
@@ -52,6 +56,7 @@ import argparse
 import contextlib
 import importlib.util
 import io
+import itertools
 import json
 import math
 import subprocess
@@ -91,6 +96,7 @@ CLI_CONFIGS = {
     "shioda": {**README_CONFIG, "hypersurface": "shioda-quintic"},
 }
 JET_SEEDS = range(200)
+SHIODA_SEED, SHIODA_INPUTS = 1, 200
 # measured values that are run times, which no two runs share
 TIMINGS = ("elapsed",)
 SCAN_SAMPLES = 3
@@ -209,6 +215,15 @@ def cli_records(cli) -> list[tuple[str, dict]]:
     return out
 
 
+def load_module(name: str, path: Path):
+    """The module at path, registered as name: dataclasses look their
+    module up while it runs."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def dump(root: Path) -> None:
     """Write the corpus records of the checkout at root, one JSON line each."""
     src = root / "src"
@@ -221,9 +236,8 @@ def dump(root: Path) -> None:
 
     if Path(quintic_periods.__file__).resolve().parent != (src / "quintic_periods").resolve():
         sys.exit(f"error: imported quintic_periods from {quintic_periods.__file__}")
-    spec = importlib.util.spec_from_file_location("_tests_period", root / "tests" / "test_period.py")
-    tests = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tests)
+    tests = load_module("_tests_period", root / "tests" / "test_period.py")
+    workloads = load_module("_workloads", root / "perfbench" / "workloads.py")
 
     X = quintic_periods.fermat_hypersurface(3, 5)
     P = MultiPoly.monomial(5, 1.0, (0, 3, 2, 0, 0))
@@ -260,6 +274,11 @@ def dump(root: Path) -> None:
                 return period.period_of_jet(X, P, jet if A is None else transform_jet(jet, A))
 
             records += guarded(f"jet seed {seed} {name}", run, report_records)
+    shioda = workloads.ShiodaLines()
+    inputs = itertools.islice(shioda.inputs(SHIODA_SEED), SHIODA_INPUTS)
+    for i, op in enumerate(inputs):
+        key = f"shioda seed {SHIODA_SEED} input {i}"
+        records += guarded(key, lambda: shioda.run(op), report_records)
     records += verify_records(verification)
     for key, value in records:
         print(json.dumps([key, value], default=plain))
@@ -304,8 +323,9 @@ def field_changes(a: list, b: list) -> dict[str, tuple[int, float | None]]:
 
 def record_kind(key: str) -> str:
     """The part of the corpus a record key belongs to: ``cli``, ``period``,
-    ``oracle``, ``scan``, ``jet seed`` or ``verify``."""
-    return "jet seed" if key.startswith("jet seed ") else key.split(" ", 1)[0]
+    ``oracle``, ``scan``, ``jet seed``, ``shioda seed`` or ``verify``."""
+    first, _, rest = key.partition(" ")
+    return f"{first} seed" if rest.startswith("seed ") else first
 
 
 def compare(
