@@ -248,16 +248,6 @@ def coincides(loc: complex, locs) -> bool:
     return any(abs(loc - z) <= 1e-7 * (1.0 + abs(loc)) for z in locs)
 
 
-def _site_order(loc: complex, den_sites) -> int:
-    """Denominator multiplicity clustered at loc."""
-    return sum(m for dloc, m in den_sites if coincides(dloc, [loc]))
-
-
-def _other_sites(loc: complex, den_sites) -> list[tuple[complex, int]]:
-    """The denominator sites not clustered at loc."""
-    return [(p, m) for p, m in den_sites if not coincides(p, [loc])]
-
-
 def _collision(loc: complex) -> BaseLocusCollisionError:
     return BaseLocusCollisionError(
         f"zero of the residue coordinate at {loc:.6g} is also a zero of the "
@@ -322,10 +312,23 @@ def residue_sum_check(f: RationalFunction) -> float:
 # by the caller at the nodes: a wrong declaration shows as a backend
 # disagreement.  A row's contour magnitude is closed-form when the row has
 # at most one term (every row of a Fermat line): |c_k| r^k times the
-# factor's largest modulus on the circle.  Only rows with two or more terms
-# evaluate the row at the nodes, in blocks of rows over all entries of a
-# block.  A row without a pole at the site reports 0 in both, and no
-# backend disagreement.
+# factor's largest modulus on the circle, taken as the modulus of the sum of
+# the row's scaled terms, one hypot per row.  Only rows with two or more
+# terms evaluate the row at the nodes, in blocks of rows over all entries of
+# a block.  A row without a pole at the site reports 0 in both, and no
+# backend disagreement.  The pole rule reads the magnitudes
+# of the numerator rows that the caller took for its numerator-zero test
+# (reversed at [1:0]); only a Taylor-shifted block takes its own.
+#
+# The Laurent data of an entry (_truncated_product, _reciprocal_series), like
+# the chart arithmetic of unipoly's trimmed_* helpers, stays in Python
+# complex scalars.  numpy's complex * and / are not CPython's: with numpy 2.4
+# on an AVX-512 x86-64 CPU they differ in the last bit on about 44% of random
+# products and 43% of quotients, while CPython's own formulas written out in
+# real parts reproduce CPython exactly.  A numpy form of these short series
+# (3-4 coefficients) in real-part arithmetic pays more in call overhead than
+# the loops spend: about 24 against 2.2 microseconds for three coefficients
+# of 1/g on a 2-core Xeon.
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -369,11 +372,11 @@ class _Contour:
 
     The trapezoid value is linear in c, so each factor folds into a
     covector q_k = r^k mean_n(e^(i k theta_n) factor_n) once; a row's value
-    is then c @ q, one product for every row of every entry.  Its magnitude max_n |p(u_n)| |factor_n| is |c_k| r^k
-    max_n |factor_n| for a row of one term c_k u^k, with the factor's
-    maximum folded once per entry; only a row of two or more terms needs p
-    on the circle: one matrix product per block of such rows, over all
-    entries."""
+    is then c @ q, one product for every row of every entry.  Its magnitude
+    max_n |p(u_n)| |factor_n| is |c_k| r^k max_n |factor_n| for a row of
+    one term c_k u^k, with the factor's maximum folded once per entry; only
+    a row of two or more terms needs p on the circle: one matrix product per
+    block of such rows, over all entries."""
 
     def __init__(self, radii: list[float], width: int, den: np.ndarray, at_infinity: bool):
         nodes = den.shape[1]
@@ -393,16 +396,17 @@ class _Contour:
 
         The values of all entries are one stacked product, masked.  A row of
         at most one term has a constant modulus on the circle, so its
-        magnitude is that modulus times the factor's maximum; only rows of
-        two or more terms are evaluated at the nodes, in blocks, and their
-        magnitudes replace the closed form."""
+        magnitude is that modulus, the modulus of the sum of its terms (one
+        hypot per row), times the factor's maximum; only rows of two or more
+        terms are evaluated at the nodes, in blocks, and their magnitudes
+        replace the closed form."""
         value = np.where(has_pole, (rows @ self.covector[:, :, None])[..., 0], 0j)
         entry, row = np.nonzero(has_pole)
         scaled = rows[entry, row] * self.radius_powers[entry]
         scale = np.zeros(has_pole.shape)
         one = (scaled != 0).sum(axis=1) <= 1
         if one.any():
-            scale[entry, row] = np.abs(scaled).max(axis=1) * self.factor_max[entry]
+            scale[entry, row] = np.abs(scaled.sum(axis=1)) * self.factor_max[entry]
             entry, row, scaled = entry[~one], row[~one], scaled[~one]
         for k in range(0, len(entry), _CONTOUR_BLOCK):
             part = slice(k, k + _CONTOUR_BLOCK)
@@ -483,12 +487,18 @@ class SiteEntry:
         self.radius = None
         if self.at_infinity:
             self.order = width + 1 - sum(m for _, m in den_sites)
-            factors = [(1.0, -r, m) for r, m in den_sites]
+            # a site at exactly 0 contributes the factor 1
+            factors = [(1.0, -r, m) for r, m in den_sites if r != 0]
             lead = -lead
             others = [1.0 / r for r, _ in den_sites if abs(r) > 1e-12]
         else:
-            self.order = _site_order(location, den_sites)
-            far = _other_sites(location, den_sites)
+            # the multiplicity clustered at location, and the other sites
+            self.order, far = 0, []
+            for r, m in den_sites:
+                if coincides(r, [location]):
+                    self.order += m
+                else:
+                    far.append((r, m))
             factors = [(location - r, 1.0, m) for r, m in far]
             others = [r for r, _ in far]
         if self.order <= 0:
@@ -505,10 +515,9 @@ class SiteEntry:
         return (None if self.at_infinity else self.location), self.radius
 
 
-def _big(rows: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Entries above rel_tol times their row's largest magnitude: the
-    significance rule of UniPoly.vanishing_order."""
-    mag = np.abs(rows)
+def _big(mag: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Entries of ``mag``, magnitudes, above rel_tol times their row's
+    largest: the significance rule of UniPoly.vanishing_order."""
     return mag > rel_tol * mag.max(axis=-1, keepdims=True)
 
 
@@ -562,18 +571,25 @@ class _Block:
             den = np.array(dens[: self.circled])
             self.contour = _Contour(radii, first.width, den, first.at_infinity)
 
-    def apply(self, nums: list[np.ndarray], lives: list[np.ndarray]) -> list[SiteRows]:
+    def apply(
+        self, nums: list[np.ndarray], lives: list[np.ndarray], mags: list[np.ndarray]
+    ) -> list[SiteRows]:
+        """The pole rule reads the magnitudes it is given at t = 0, reversed
+        at [1:0]; a shifted site takes those of its shifted rows."""
         num = np.array(nums)
         if self.at_infinity:
-            local = num[:, :, ::-1]
+            local, mag = num[:, :, ::-1], np.array(mags)[:, :, ::-1]
+        elif self.shift is None:
+            local, mag = num, np.array(mags)
         else:
-            local = num if self.shift is None else num @ self.shift
-        has_pole = np.array(lives) & (np.argmax(_big(local, 1e-9), axis=2) < self.order)
+            local = num @ self.shift
+            mag = np.abs(local)
+        has_pole = np.array(lives) & (np.argmax(_big(mag, 1e-9), axis=2) < self.order)
         residue = local[:, :, : self.series.shape[1]] @ self.series
         residue = np.where(has_pole, residue[..., 0], 0j)
         order = self.order
         if self.at_infinity:
-            order = order - np.argmax(local != 0, axis=2)
+            order = order - np.argmax(mag != 0, axis=2)
         order = has_pole * order
         out = [SiteRows(e, order[k], residue[k]) for k, e in enumerate(self.entries)]
         if self.contour is not None:
@@ -609,14 +625,19 @@ class SiteMap:
             for idx in blocks.values()
         ]
 
-    def apply(self, nums: list[np.ndarray], lives: list[np.ndarray]) -> list[SiteRows]:
+    def apply(
+        self, nums: list[np.ndarray], lives: list[np.ndarray], mags: list[np.ndarray]
+    ) -> list[SiteRows]:
         """SiteRows of each entry i, for the numerator rows ``nums[i]`` (rows
-        x width); rows where ``lives[i]`` is False have no pole.  A
-        base-locus collision is returned on its entry's rows, not raised, so
-        the caller can name the integrand it belongs to."""
+        x width) and their magnitudes ``mags[i]`` (``np.abs(nums[i])``, which
+        the caller has taken for its numerator-zero test); rows where
+        ``lives[i]`` is False have no pole.  A base-locus collision is
+        returned on its entry's rows, not raised, so the caller can name the
+        integrand it belongs to."""
         out = [_no_pole(e, len(n)) if e.order <= 0 else None for e, n in zip(self.entries, nums)]
         for idx, block in self.blocks:
-            rows = block.apply([nums[i] for i in idx], [lives[i] for i in idx])
+            rows = block.apply([nums[i] for i in idx], [lives[i] for i in idx],
+                               [mags[i] for i in idx])
             for i, r in zip(idx, rows):
                 out[i] = r
         return out

@@ -134,18 +134,15 @@ def _named(exc: Exception, jet: CurveJet, j0: int, j1: int) -> Exception:
 class _Pair:
     """One covering pair at one sample: the inner factor of its numerator,
     its declared denominator lead * prod (t - r)^m over ``den_sites``, its
-    sites, and per class row its live flag, numerator and site rows."""
+    sites, and per class row its live flag, numerator, the numerator's
+    magnitudes and site rows."""
 
-    def __init__(self, ctx: _SampleContext, index: int, j0: int, j1: int, nums, lives):
+    def __init__(self, ctx: _SampleContext, index: int, j0: int, j1: int, width: int, live):
         self.ctx = ctx
         self.index, self.j0, self.j1 = index, j0, j1
-        # the inner factor's degree, without its exact zero top coefficients
-        # as pair_inner returns it, fixes the coefficients of a numerator row
-        # P(x(t)) * inner
-        inner = np.flatnonzero(ctx.inners[index])
-        self.width = ctx.width + (inner[-1] if len(inner) else -1)
-        self.live = lives[index]
-        self.num = nums[index, :, : self.width]
+        self.width, self.live = width, live
+        # numerator rows and their magnitudes, None for a zero inner factor
+        self.num = self.mag = None
         self.sites: list[SiteRows] = []
         self.checks: list[SiteRows] = []
 
@@ -307,17 +304,16 @@ class _SampleContext:
 
 class _Reduction:
     """The site rows of all pairs at one sample reduced per class row, in a
-    fixed number of array operations: pair ``sums`` (in site order, as
-    Python's ``sum`` adds), ``totals``, ``vanish_scales``, the backend
-    ``disagreement`` of each site k (of pair ``owner[k]``) and its maxima per
-    pair and sample; a maximum is 0 without a site, NaN if an input is."""
+    few array operations per site slot: pair ``sums`` (in site order, as
+    Python's ``sum`` adds), ``totals`` (in pair order), ``vanish_scales``,
+    the backend ``disagreement`` of each site k (of pair ``owner[k]``) and
+    its maxima per pair and sample; a maximum is 0 without a site, NaN if an
+    input is."""
 
     def __init__(self, pairs: list[_Pair], rows: int):
         self.pairs = pairs
         sites = [site for p in pairs for site in p.sites]
         self.owner = [i for i, p in enumerate(pairs) for _ in p.sites]
-        # slot 0 of each pair holds zeros: the start of its sum and its maximum
-        slot = [k for p in pairs for k in range(1, len(p.sites) + 1)]
         # every site's residue, quadrature and scale in one complex array (a
         # scale is exact as its real part); both backends report 0 in a row
         # without a pole or at a site without a circle: disagreement 0 there
@@ -328,15 +324,25 @@ class _Reduction:
         ).reshape(len(sites), 3, rows)
         residue, quadrature, scale = stacked.transpose(1, 0, 2)
         self.disagreement = backend_disagreement(residue, quadrature, scale.real)
-        slots = (len(pairs), 1 + max(slot, default=0), rows)
-        by_pair = np.zeros(slots, dtype=complex)
-        by_pair[self.owner, slot] = residue
-        self.sums = by_pair.cumsum(axis=1)[:, -1]
-        self.totals = self.sums.cumsum(axis=0)[-1]
+        # slot n of a pair holds its n-th site, 0 where it has fewer sites
+        counts = [len(p.sites) for p in pairs]
+        slot = [n for count in counts for n in range(count)]
+        shape = (max(counts, default=0), len(pairs), rows)
+        by_slot = np.zeros(shape, dtype=complex)
+        by_slot[slot, self.owner] = residue
+        # running sums from 0: slot by slot, then pair by pair (a pair
+        # without sites adds an exact 0, which leaves a sum as it is)
+        self.sums = np.zeros(shape[1:], dtype=complex)
+        for part in by_slot:
+            self.sums += part
+        self.totals = np.zeros(rows, dtype=complex)
+        for pair_sum, count in zip(self.sums, counts):
+            if count:
+                self.totals += pair_sum
         self.vanish_scales = np.abs(self.sums).max(axis=0)
-        by_pair = np.zeros(slots)
-        by_pair[self.owner, slot] = self.disagreement
-        self.pair_max = by_pair.max(axis=1)
+        worst = np.zeros(shape)
+        worst[slot, self.owner] = self.disagreement
+        self.pair_max = worst.max(axis=0, initial=0.0)
         self.max = self.pair_max.max(axis=0)
 
 
@@ -358,22 +364,37 @@ def _assemble(ctx: _SampleContext, p_rows: np.ndarray, checks: bool = False) -> 
     The class enters last: each pair's inner factor, denominator, sites and
     quadrature weights are built once, from the charts and roots ``ctx``
     shares between pairs; the sites of all pairs then run through one
-    ``SiteMap``, and each row costs matrix products.  A row's numerator is
-    zero when it cancels to 1e-12 of its pre-cancellation scale, the rule of
-    ``verification.reference_period``.
+    ``SiteMap``, and each row costs matrix products.  Numerator rows are
+    formed, and their magnitudes taken once, only for the pairs whose inner
+    factor is not zero; a pair with a zero inner factor has a zero numerator
+    in every row.  A row's numerator is zero when it cancels to 1e-12 of its
+    pre-cancellation scale, the rule of ``verification.reference_period``.
 
     An error names its pair: the first pair, in pair order, whose sites
     cannot be planned or whose rows have a pole at a base-locus collision.
     """
     p_scale = np.maximum(np.abs(p_rows).max(axis=1), 1e-300)
-    # numerator rows of all pairs at once; a pair's own end at its width
-    nums = _convolve_rows(p_rows, ctx.inners)
-    num_scales = np.maximum(ctx.term_scales[:, None] * p_scale, 1e-300)
-    lives = np.abs(nums).max(axis=2) > NUMERATOR_ZERO_REL_TOL * num_scales
+    # each inner factor's degree without its exact zero top coefficients, as
+    # pair_inner returns it, -1 for a zero factor; it fixes the width of the
+    # pair's numerator rows P(x(t)) * inner
+    nonzero = ctx.inners != 0
+    degrees = nonzero.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    degrees[~nonzero.any(axis=1)] = -1
+    inner = np.flatnonzero(degrees >= 0)
+    # numerator rows of those pairs at once; a pair's own end at its width
+    nums = _convolve_rows(p_rows, ctx.inners[inner])
+    mags = np.abs(nums)
+    num_scales = np.maximum(ctx.term_scales[inner, None] * p_scale, 1e-300)
+    lives = np.zeros((len(ctx.inners), len(p_rows)), dtype=bool)
+    lives[inner] = mags.max(axis=2) > NUMERATOR_ZERO_REL_TOL * num_scales
+    widths = (ctx.width + degrees).tolist()
     pairs = [
-        _Pair(ctx, index, j0, j1, nums, lives)
+        _Pair(ctx, index, j0, j1, widths[index], lives[index])
         for index, (j0, j1) in enumerate(combinations(range(ctx.jet.ncoords), 2))
     ]
+    for k, index in enumerate(inner.tolist()):
+        pair = pairs[index]
+        pair.num, pair.mag = nums[k, :, : pair.width], mags[k, :, : pair.width]
     errors: dict[int, Exception] = {}
     planned = []  # per pair with a live row: the pair, its sites and check sites
     for pair in pairs:
@@ -385,7 +406,9 @@ def _assemble(ctx: _SampleContext, p_rows: np.ndarray, checks: bool = False) -> 
     entries = [e for _, sites, more in planned for e in sites + more]
     owners = [pair for pair, sites, more in planned for _ in sites + more]
     site_map = SiteMap(entries, ctx.dens_on_circles(entries, owners))
-    found = iter(site_map.apply([pair.num for pair in owners], [pair.live for pair in owners]))
+    found = iter(site_map.apply(
+        [pair.num for pair in owners], [pair.live for pair in owners], [pair.mag for pair in owners]
+    ))
     for pair, sites, more in planned:
         pair.sites = [next(found) for _ in sites]
         pair.checks = [next(found) for _ in more]
@@ -606,8 +629,8 @@ def monomial_scan(
     want = required_degree(X.degree, X.m, 1)
     if degree != want:
         raise DegreeError(f"scan degree must be {want} for this hypersurface, got {degree}")
-    rows = [ScanRow(exps, text, [], []) for exps, text in _scan_labels(X.nvars, degree)]
-    worst_backend = []
+    labels = _scan_labels(X.nvars, degree)
+    worst_backend, columns = [], []
     for s in s_list:
         jet = fam.jet_at(s)
         _check_shape(X, jet)
@@ -617,14 +640,15 @@ def monomial_scan(
         if per_site.size:
             k, r = np.unravel_index(np.argmax(per_site), per_site.shape)
             pair = red.pairs[red.owner[k]]
-            worst_backend.append((float(per_site[k, r]), (pair.j0, pair.j1), rows[r].monomial))
+            worst_backend.append((float(per_site[k, r]), (pair.j0, pair.j1), labels[r][1]))
         else:
             worst_backend.append((0.0, None, ""))
-        totals, scales, worst = red.totals.tolist(), red.vanish_scales.tolist(), red.max.tolist()
-        for row, t, sc, d in zip(rows, totals, scales, worst):
-            row.totals.append(t)
-            row.vanish_scales.append(sc)
-            row.max_backend_disagreements.append(d)
+        columns.append((red.totals.tolist(), red.vanish_scales.tolist(), red.max.tolist()))
+    totals, scales, worst = (zip(*column) for column in zip(*columns))
+    rows = [
+        ScanRow(exps, text, list(t), list(sc), list(d))
+        for (exps, text), t, sc, d in zip(labels, totals, scales, worst)
+    ]
     return ScanTable(
         rows=rows,
         s_list=[complex(s) for s in s_list],

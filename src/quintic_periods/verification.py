@@ -181,8 +181,8 @@ def check_residue_engine() -> CheckResult:
         entries = [SiteEntry(p, 1, lead, declared, len(num.coeffs), contour=True) for p in poles]
         entries.append(SiteEntry(None, 1, lead, declared, len(num.coeffs), contour=True))
         dens = [den(circle_points(*e.circle, QUAD_NODES)) if e.radius else None for e in entries]
-        n = len(entries)
-        rows = SiteMap(entries, dens).apply([np.array([num.coeffs])] * n, [np.array([True])] * n)
+        n, row = len(entries), np.array([num.coeffs])
+        rows = SiteMap(entries, dens).apply([row] * n, [np.array([True])] * n, [np.abs(row)] * n)
         residues = [complex(r.residue[0]) for r in rows]
         hit = [r for r in rows if r.order[0]]
         sites += len(hit)

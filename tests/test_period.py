@@ -133,8 +133,8 @@ class TestDiagnostics:
         # zeros of x_{j0}, must show in each pair's residue-theorem check
         apply = SiteMap.apply
 
-        def skewed(site_map, nums, lives):
-            found = apply(site_map, nums, lives)
+        def skewed(site_map, *args):
+            found = apply(site_map, *args)
             for rows in found:
                 if rows.site.zero_multiplicity > 0:
                     rows.residue = rows.residue * (1 + 1e-6)
@@ -255,6 +255,31 @@ class TestDiagnostics:
         for (j0, j1), c in rep.per_pair.items():
             if 3 in (j0, j1):
                 assert c.numerator_zero
+
+    def test_numerator_rows_only_for_nonzero_inner_factors(self, fermat, monkeypatch):
+        # on a catalog line 4 of the 10 inner factors are exactly 0: only the
+        # other 6 are convolved with the class rows, and the 4 pairs still
+        # report a zero numerator
+        from quintic_periods.griffiths import pair_inners
+
+        convolve, convolved = period._convolve_rows, []
+
+        def counting(rows, coeffs):
+            convolved.append(len(coeffs))
+            return convolve(rows, coeffs)
+
+        monkeypatch.setattr(period, "_convolve_rows", counting)
+        P, s = MultiPoly.monomial(5, 1.0, (0, 3, 2, 0, 0)), 0.1 + 0.05j
+        for d in line_families()[::10]:
+            fam = d.family()
+            inners, _ = pair_inners(fam.jet_at(s))
+            rep = period_at(fermat, P, fam, s)
+            dead = [not row.any() for row in inners]
+            assert [c.numerator_zero for _, c in sorted(rep.per_pair.items())] == dead
+            assert sum(dead) == 4 and convolved == [6], d.identifier
+            monomial_scan(fermat, fam, [s], 5)
+            assert convolved == [6, 6], d.identifier
+            convolved.clear()
 
     def test_chart_missing_curve_with_live_numerator(self, fermat):
         # x3 identically zero while the (0,3) numerator survives: the pair
@@ -641,6 +666,42 @@ class TestReduction:
             assert np.isnan(red.vanish_scales[0]) and np.isnan(red.totals[0])
 
 
+    def test_running_sums_are_python_sums_in_site_order(self):
+        # pair sums add each pair's site residues from 0 in site order, and
+        # totals add the pair sums in pair order, as Python's sum does: the
+        # same bits with -0.0, NaN and pairs of 0 to 3 sites
+        import numpy as np
+
+        from quintic_periods.numkernel.residues import SiteRows
+
+        nan, neg = complex("nan"), complex(-0.0, -0.0)
+
+        def site(*residues):
+            rows = len(residues)
+            return SiteRows(None, np.ones(rows, dtype=int), np.array(residues, dtype=complex))
+
+        class Pair:
+            def __init__(self, *sites):
+                self.sites = list(sites)
+
+        # row 1 depends on the site order, row 4 on the pair order
+        pairs = [
+            Pair(site(neg, 1e16, 1.0, neg, 1e16)),
+            Pair(),
+            Pair(site(neg, 1e16, nan, -1e-300, 1.0), site(neg, 1.0, 2.0, 1e-300, neg),
+                 site(complex(-0.0, 1.0), 1.0, 0.5, neg, 0.0)),
+            Pair(site(1.0 + 1e-17j, 1.0, -2.5, neg, 0.5), site(neg, neg, 1e-17, neg, 0.5)),
+        ]
+        red = period._Reduction(pairs, 5)
+        zero = np.zeros(5, dtype=complex)
+        sums = [sum((s.residue for s in pair.sites), zero) for pair in pairs]
+        assert np.array(sums).tobytes() == red.sums.tobytes()
+        assert sum(sums).tobytes() == red.totals.tobytes()
+        # a sum from 0 is never -0.0
+        parts = np.concatenate([red.sums.real, red.sums.imag])
+        assert not (np.signbit(parts) & (parts == 0)).any() and np.isnan(red.totals[2])
+
+
 class TestLocationMaps:
     """The residue engine runs every site and check site of every pair at a
     sample through one SiteMap, stacked into blocks by exact location,
@@ -756,6 +817,43 @@ class TestLocationMaps:
                     assert abs(site.residue - ref) <= 1e-12 * abs(ref), (seed, j0, j1)
                     zeros += site.residue == 0
         assert mixed >= 10 and zeros > 0
+
+    def test_pole_rule_reads_the_shared_magnitudes(self, fermat, monkeypatch):
+        # at t = 0 and [1:0] a block's pole rule reads the magnitudes the
+        # numerator-zero test took, reversed at [1:0], and a shifted site
+        # those of its shifted rows: each must decide as the rule does on
+        # the rows in the local coordinate
+        import numpy as np
+
+        from quintic_periods.numkernel.residues import _Block
+
+        apply, seen = _Block.apply, set()
+
+        def checked(block, nums, lives, mags):
+            out = apply(block, nums, lives, mags)
+            num = np.array(nums)
+            if block.at_infinity:
+                local, kind = num[:, :, ::-1], "[1:0]"
+            elif block.shift is None:
+                local, kind = num, "t = 0"
+            else:
+                local, kind = num @ block.shift, "shifted"
+            mag = np.abs(local)
+            big = mag > 1e-9 * mag.max(axis=-1, keepdims=True)
+            has_pole = np.array(lives) & (np.argmax(big, axis=2) < block.order)
+            assert np.array_equal([rows.order > 0 for rows in out], has_pole), kind
+            assert not np.array([rows.residue for rows in out])[~has_pole].any(), kind
+            seen.add(kind)
+            return out
+
+        monkeypatch.setattr(_Block, "apply", checked)
+        for d in line_families()[::10]:
+            monomial_scan(fermat, d.family(), [0.1 + 0.05j], 5)
+        for seed in range(11, 15):
+            jet = self._dropped_jet(seed)
+            period_of_jet(fermat, MultiPoly.monomial(5, 1.0, (3, 2, 0, 0, 0)), jet)
+            monomial_scan(fermat, CurveFamily("dropped", lambda s: jet), [jet.s], 5)
+        assert seen == {"t = 0", "[1:0]", "shifted"}
 
     def test_collision_names_its_own_pair(self, fermat, monkeypatch):
         # the zero of x_0 at t = 0 is a site of pairs (0,1) and (0,2) in one

@@ -30,11 +30,17 @@ def site_map(den, location, zero_multiplicity, sites, width, nodes=None):
     return SiteMap([entry], dens)
 
 
+def apply(site_map, nums, lives):
+    """``site_map.apply`` with the magnitudes of the rows, as the period
+    assembly passes them."""
+    return site_map.apply(nums, lives, [np.abs(n) for n in nums])
+
+
 def one_row(den, location, sites, num):
     """The SiteRows of the one row num over den at one of its declared
     sites, a simple pole, with both backends."""
     site = site_map(den, location, 1, sites, len(num.coeffs), nodes=QUAD_NODES)
-    (rows,) = site.apply([np.array([num.coeffs])], [np.array([True])])
+    (rows,) = apply(site, [np.array([num.coeffs])], [np.array([True])])
     assert rows.order[0] == 1
     return rows
 
@@ -130,7 +136,7 @@ class TestResidueTheorem:
             if num.is_zero():
                 num = UniPoly.one()
             site = site_map(den, None, 1, [(r, 1) for r in roots], len(num.coeffs), nodes=256)
-            (rows,) = site.apply([np.array([num.coeffs])], [np.array([True])])
+            (rows,) = apply(site, [np.array([num.coeffs])], [np.array([True])])
             assert rows.order[0] > 0
             ra, rq = rows.residue[0], rows.quadrature[0]
             assert abs(ra - rq) <= 1e-8 * max(abs(ra), abs(rq), 1e-10)
@@ -167,7 +173,7 @@ class TestResidueTheorem:
         sites = [(complex(r), 4) for q in qs for r in np.roots(q.coeffs[::-1])]
         maps = [site_map(den, loc, 0, sites, 16) for loc, _ in sites]
         maps.append(site_map(den, None, 0, sites, 16))
-        rows = [site.apply([num], [np.array([True])])[0] for site in maps]
+        rows = [apply(site, [num], [np.array([True])])[0] for site in maps]
         assert [int(r.order[0]) for r in rows[:4]] == [4, 4, 4, 4]
         residues = [r.residue[0] for r in rows]
         assert abs(sum(residues)) < 1e-8 * max(map(abs, residues))
@@ -290,7 +296,7 @@ class TestContourBackend:
         rows, has_pole = self._with_monomials(
             rows, has_pole, [(0, 0.7 - 1.2j, True), (1, -0.4 + 0.9j, True), (0, 1.3, True)]
         )
-        (out,) = site.apply([rows], [np.ones(len(rows), dtype=bool)])
+        (out,) = apply(site, [rows], [np.ones(len(rows), dtype=bool)])
 
         def scalar(row):
             f = RationalFunction(UniPoly(row), den)
@@ -315,13 +321,40 @@ class TestContourBackend:
             rows, has_pole,
             [(5, 0.7 - 1.2j, True), (3, -0.4 + 0.9j, True), (1, 1.3, False), (4, -2j, True)],
         )
-        (out,) = site.apply([rows], [np.ones(len(rows), dtype=bool)])
+        (out,) = apply(site, [rows], [np.ones(len(rows), dtype=bool)])
 
         def scalar(row):
             g = RationalFunction(UniPoly(row), den).at_infinity_chart()
             return _quadrature(g, 0j, radius, self.NODES)
 
         self._check(rows, out, has_pole, scalar)
+
+
+    def test_one_term_magnitude_is_the_largest_scaled_term(self):
+        # a row of at most one term takes |sum of its scaled terms| times the
+        # factor's maximum: the same bits as its largest |scaled term|, also
+        # for an all-zero row with a pole and a lone NaN term; a row of two
+        # terms is still evaluated at the nodes
+        from quintic_periods.numkernel.residues import _Contour
+
+        rng = np.random.default_rng(77)
+        den = self._rows(rng, self.NODES, 2) + 2.0
+        contour = _Contour([0.3, 0.45], 6, den, False)
+        rows = np.zeros((2, 7, 6), dtype=complex)
+        for k, c in enumerate([0.7 - 1.2j, -0.4 + 0.9j, 1.3, -2j, complex("nan"), 0.0]):
+            rows[k % 2, k, k] = c
+        rows[:, 6, 1:3] = 1.0, 0.5j
+        has_pole = np.ones((2, 7), dtype=bool)
+        has_pole[1, 2] = False
+        _, scale = contour.trapezoid(rows, has_pole)
+        one = np.abs(rows * contour.radius_powers[:, None]).max(axis=2) * contour.factor_max[:, None]
+        expect = np.where(has_pole, one, 0.0)
+        np.testing.assert_array_equal(scale[:, :6], expect[:, :6])
+        assert np.isnan(scale[0, 4]) and scale[1, 5] == 0.0 and scale[1, 2] == 0.0
+        for b in range(2):
+            on_nodes = np.abs((rows[b, 6] * contour.radius_powers[b]) @ contour.powers)
+            worst = (on_nodes * contour.factor_abs[b]).max()
+            assert abs(scale[b, 6] - worst) <= 1e-14 * worst
 
 
 class TestStackedEntries:
@@ -352,10 +385,10 @@ class TestStackedEntries:
             rows[0] = 0
             nums.append(rows)
             lives.append(np.array([False, True, True, True, True]))
-        stacked = SiteMap(entries, dens).apply(nums, lives)
+        stacked = apply(SiteMap(entries, dens), nums, lives)
         assert len(SiteMap(entries, dens).blocks) == 4
         for i, rows in enumerate(stacked):
-            (alone,) = SiteMap([entries[i]], [dens[i]]).apply([nums[i]], [lives[i]])
+            (alone,) = apply(SiteMap([entries[i]], [dens[i]]), [nums[i]], [lives[i]])
             assert rows.site is entries[i]
             for field in ("order", "residue", "quadrature", "quadrature_scale"):
                 a, b = getattr(rows, field), getattr(alone, field)
@@ -374,11 +407,11 @@ class TestStackedEntries:
         site_map = SiteMap(entries)
         assert len(site_map.blocks) == 1
         rows = np.array([[0.3, 1.0, -0.5j, 0.2, 1.1]])
-        clean, hit = site_map.apply([rows, rows], [np.array([True])] * 2)
+        clean, hit = apply(site_map, [rows, rows], [np.array([True])] * 2)
         assert clean.collision is None
         assert isinstance(hit.collision, BaseLocusCollisionError)
         assert np.array_equal(clean.residue, hit.residue) and hit.order[0] == 2
         # a numerator divisible by (t - location)^2 has no pole: no collision
         flat = (UniPoly([0.3, 1.0, -0.5j]) * UniPoly.from_roots([location, location])).coeffs
-        _, quiet = site_map.apply([rows, np.array([flat])], [np.array([True])] * 2)
+        _, quiet = apply(site_map, [rows, np.array([flat])], [np.array([True])] * 2)
         assert quiet.order[0] == 0 and quiet.collision is None

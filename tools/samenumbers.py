@@ -26,6 +26,13 @@ The corpus:
 * ``period_of_jet`` of ``x1^3 x2^2`` on 600 jets: the tests'
   ``TestDegreeTwoJets._random_jet`` seeds 0-199, each as it stands, under
   ``t -> 1/t`` and under the tests' Moebius map;
+* ``monomial_scan`` at the jet's own sample on ``_random_jet`` seeds 0-19,
+  as they stand and under ``t -> 1/t``: degree-2 jets, whose pole rows have
+  two or more terms;
+* ``period_of_jet`` of ``x1^3 x2^2`` and of ``x0^3 x1^2``, and
+  ``monomial_scan``, on the tests' ``TestLocationMaps._dropped_jet`` seeds
+  11-20: degree-2 jets whose ``x_0`` and ``x_1`` drop degree, so that pairs
+  of different numerator widths share ``[1:0]``;
 * the ``shioda-lines`` workload's ``period_of_jet`` on its first 200 inputs
   of seed 1: degree-1 jets on ``shioda_quintic()``, whose non-monomial
   partials are rooted as they stand;
@@ -42,9 +49,9 @@ round-trip text, so any difference in the last bit counts.
 
 Prints ``identical``, or the first record that differs (both values), then
 for each record kind (``cli``, ``period``, ``oracle``, ``scan``, ``jet seed``,
-``shioda seed``, ``verify``) how many of its records differ and their keys,
-then each field that differs
-between records present on both sides: in how many records, and its largest
+``dropped seed``, ``shioda seed``, ``verify``) how many of its records
+differ and their keys, then each field that differs between records present
+on both sides: in how many records, and its largest
 relative change (``inf`` where a number turns NaN or infinite, ``-`` for a
 field that is not numbers, such as a CLI output text).  Exits 0 when
 identical, 1 otherwise.
@@ -96,6 +103,8 @@ CLI_CONFIGS = {
     "shioda": {**README_CONFIG, "hypersurface": "shioda-quintic"},
 }
 JET_SEEDS = range(200)
+SCAN_JET_SEEDS = range(20)
+DROPPED_SEEDS = range(11, 21)
 SHIODA_SEED, SHIODA_INPUTS = 1, 200
 # measured values that are run times, which no two runs share
 TIMINGS = ("elapsed",)
@@ -231,7 +240,7 @@ def dump(root: Path) -> None:
     import quintic_periods
     from quintic_periods import cli, period, verification
     from quintic_periods.catalog import STANDARD_PERIOD_SAMPLES, line_families, resolve_family
-    from quintic_periods.geometry import MobiusMap, transform_jet
+    from quintic_periods.geometry import CurveFamily, MobiusMap, transform_jet
     from quintic_periods.multipoly import MultiPoly
 
     if Path(quintic_periods.__file__).resolve().parent != (src / "quintic_periods").resolve():
@@ -241,6 +250,13 @@ def dump(root: Path) -> None:
 
     X = quintic_periods.fermat_hypersurface(3, 5)
     P = MultiPoly.monomial(5, 1.0, (0, 3, 2, 0, 0))
+    # a class composing to a low degree on the dropped jets, where some pairs
+    # then have no pole at [1:0]
+    low = MultiPoly.monomial(5, 1.0, (3, 2, 0, 0, 0))
+
+    def scan_of_jet(jet):
+        return period.monomial_scan(X, CurveFamily("jet", lambda s: jet), [jet.s], 5)
+
     records = cli_records(cli)
     scan_samples = list(STANDARD_PERIOD_SAMPLES[:SCAN_SAMPLES])
     families = [(d.identifier, d.family(), STANDARD_PERIOD_SAMPLES) for d in line_families()]
@@ -274,6 +290,19 @@ def dump(root: Path) -> None:
                 return period.period_of_jet(X, P, jet if A is None else transform_jet(jet, A))
 
             records += guarded(f"jet seed {seed} {name}", run, report_records)
+    for seed in SCAN_JET_SEEDS:
+        for name in ("identity", "t->1/t"):
+            def run(seed=seed, A=maps[name]):
+                jet = tests.TestDegreeTwoJets._random_jet(seed)
+                return scan_of_jet(jet if A is None else transform_jet(jet, A))
+
+            records += guarded(f"scan jet seed {seed} {name}", run, scan_records)
+    for seed in DROPPED_SEEDS:
+        jet = tests.TestLocationMaps._dropped_jet(seed)
+        for Q in (P, low):
+            key = f"dropped seed {seed} {Q.to_text()}"
+            records += guarded(key, lambda: period.period_of_jet(X, Q, jet), report_records)
+        records += guarded(f"scan dropped seed {seed}", lambda: scan_of_jet(jet), scan_records)
     shioda = workloads.ShiodaLines()
     inputs = itertools.islice(shioda.inputs(SHIODA_SEED), SHIODA_INPUTS)
     for i, op in enumerate(inputs):
@@ -323,7 +352,8 @@ def field_changes(a: list, b: list) -> dict[str, tuple[int, float | None]]:
 
 def record_kind(key: str) -> str:
     """The part of the corpus a record key belongs to: ``cli``, ``period``,
-    ``oracle``, ``scan``, ``jet seed``, ``shioda seed`` or ``verify``."""
+    ``oracle``, ``scan``, ``jet seed``, ``dropped seed``, ``shioda seed`` or
+    ``verify``."""
     first, _, rest = key.partition(" ")
     return f"{first} seed" if rest.startswith("seed ") else first
 
