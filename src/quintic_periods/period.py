@@ -336,9 +336,8 @@ class _Reduction:
         for part in by_slot:
             self.sums += part
         self.totals = np.zeros(rows, dtype=complex)
-        for pair_sum, count in zip(self.sums, counts):
-            if count:
-                self.totals += pair_sum
+        for pair_sum in self.sums:
+            self.totals += pair_sum
         self.vanish_scales = np.abs(self.sums).max(axis=0)
         worst = np.zeros(shape)
         worst[slot, self.owner] = self.disagreement

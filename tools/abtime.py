@@ -1,12 +1,12 @@
 """Time two checkouts on the same inputs of one workload, interleaved.
 
     python3 tools/abtime.py --root A --root B --workload NAME --seed N
-                            [--ops 1200] [--chunk 50]
+                            [--ops 1200]
 
 Two long-lived worker processes, one per checkout, each import their own
 ``src`` and ``perfbench`` and draw the first ``--ops`` inputs of the seed
 from their own ``perfbench/workloads.py``.  The inputs are run in chunks of
-``--chunk``, A's chunk and B's chunk of the same inputs back to back, the
+``CHUNK`` (50), A's chunk and B's chunk of the same inputs back to back, the
 side that goes first alternating from chunk to chunk, so a slow spell of
 the host falls on both sides alike.  Each op is timed as
 ``perfbench/run.py`` times it: between two runs of the calibration kernel
@@ -29,6 +29,9 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+# ops per chunk: each side runs this many of the same inputs in a turn
+CHUNK = 50
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -77,7 +80,7 @@ def summary(a_ms: list[float | None], b_ms: list[float | None], chunk: int) -> d
     }
 
 
-def worker(root: Path, workload: str, seed: int, ops: int, chunk: int) -> None:
+def worker(root: Path, workload: str, seed: int, ops: int) -> None:
     """Serve ``start end`` lines on stdin: time ops[start:end] and write
     their normalized latencies (ms, None for a failure) as one JSON line."""
     src = root / "src"
@@ -90,7 +93,7 @@ def worker(root: Path, workload: str, seed: int, ops: int, chunk: int) -> None:
         sys.exit(f"error: imported quintic_periods from {quintic_periods.__file__}")
     w = workloads.WORKLOADS[workload]()
     inputs = list(itertools.islice(w.inputs(seed), ops))
-    for op in inputs[:chunk]:
+    for op in inputs[:CHUNK]:
         try:
             w.run(op)
         except Exception:  # a failing op is counted when it is timed
@@ -124,13 +127,12 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--ops", type=int, default=1200)
-    ap.add_argument("--chunk", type=int, default=50)
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if args.ops < 1 or args.chunk < 1:
-        ap.error("--ops and --chunk must be positive")
+    if args.ops < 1:
+        ap.error("--ops must be positive")
     if args.worker:
-        worker(args.root[0].resolve(), args.workload, args.seed, args.ops, args.chunk)
+        worker(args.root[0].resolve(), args.workload, args.seed, args.ops)
         return 0
     if len(args.root) != 2:
         ap.error("give two --root checkouts")
@@ -138,7 +140,7 @@ def main(argv=None) -> int:
         subprocess.Popen(
             [sys.executable, __file__, "--worker", "--root", str(root.resolve()),
              "--workload", args.workload, "--seed", str(args.seed),
-             "--ops", str(args.ops), "--chunk", str(args.chunk)],
+             "--ops", str(args.ops)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
         )
         for root in args.root
@@ -148,17 +150,17 @@ def main(argv=None) -> int:
             if p.stdout.readline().strip() != "ready":
                 sys.exit(f"error: a worker exited with {p.wait()}")
         times: list[list[float | None]] = [[], []]
-        for n, k in enumerate(range(0, args.ops, args.chunk)):
+        for n, k in enumerate(range(0, args.ops, CHUNK)):
             order = (0, 1) if n % 2 == 0 else (1, 0)
             for side in order:
-                procs[side].stdin.write(f"{k} {k + args.chunk}\n")
+                procs[side].stdin.write(f"{k} {k + CHUNK}\n")
                 procs[side].stdin.flush()
                 times[side].extend(json.loads(procs[side].stdout.readline()))
     finally:
         for p in procs:
             p.stdin.close()
             p.wait()
-    result = summary(times[0], times[1], args.chunk)
+    result = summary(times[0], times[1], CHUNK)
     for name, root in zip("ab", args.root):
         side = result[name]
         print(f"{name.upper()} {root}: latency_p50_ms {side['latency_p50_ms']:.4g}, "
