@@ -27,6 +27,14 @@ class BaseLocusCollisionError(QuinticPeriodsError):
     multiplicity cannot be attributed to one chart.
     """
 
+    @classmethod
+    def at_zero(cls, loc: complex) -> BaseLocusCollisionError:
+        """The error for a pole at ``loc``, a zero of both coordinates."""
+        return cls(
+            f"zero of the residue coordinate at {loc:.6g} is also a zero of the "
+            "companion coordinate and the integrand has a pole there"
+        )
+
 
 class ParseError(QuinticPeriodsError):
     """Expression source could not be parsed; carries the 0-based offset."""

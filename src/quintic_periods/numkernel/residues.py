@@ -11,14 +11,15 @@ Two independent backends are kept side by side on purpose:
 
 ``SiteMap`` runs both for every integrand at every one of its sites (a
 ``SiteEntry`` each), on matrices of numerator rows, with each denominator
-known by its declared roots; the period assembly compares them by
-``backend_disagreement`` on all sites of a sample at once.  The scalar
-oracle ``residues_at_zeros`` runs the analytic backend alone on one
-``RationalFunction``, reading each pole order at its site from the expanded
-denominator by one site rule, at [1:0] in the chart u = 1/t.  The point at
-infinity is handled through u = 1/t with dt = -du/u^2.  Two finite pole
-locations count as one site, and a zero of the residue coordinate collides
-with one of its companion, by the rule of ``coincides``.
+known by its declared roots, and returns one ``SiteTable`` of entries x
+rows; the period assembly compares the backends by ``backend_disagreement``
+on all sites of a sample at once.  The scalar oracle ``residues_at_zeros``
+runs the analytic backend alone on one ``RationalFunction``, reading each
+pole order at its site from the expanded denominator by one site rule, at
+[1:0] in the chart u = 1/t, and refuses a pole at a zero the residue
+coordinate shares with its companion.  The point at infinity is handled
+through u = 1/t with dt = -du/u^2.  Two finite pole locations count as one
+site by the rule of ``coincides``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -248,20 +250,13 @@ def coincides(loc: complex, locs) -> bool:
     return any(abs(loc - z) <= 1e-7 * (1.0 + abs(loc)) for z in locs)
 
 
-def _collision(loc: complex) -> BaseLocusCollisionError:
-    return BaseLocusCollisionError(
-        f"zero of the residue coordinate at {loc:.6g} is also a zero of the "
-        "companion coordinate and the integrand has a pole there"
-    )
-
-
 def _finite_site(f, loc, zmult, companion) -> ZeroSiteReport:
     order = f.den.vanishing_order(loc, rel_tol=1e-8)
     has_pole = order > 0 and f.num.vanishing_order(loc) < order
     if not has_pole:
         return ZeroSiteReport(loc, False, zmult, 0, 0j)
     if coincides(loc, companion):
-        raise _collision(loc)
+        raise BaseLocusCollisionError.at_zero(loc)
     return ZeroSiteReport(loc, False, zmult, order, residue_analytic(f, loc, order))
 
 
@@ -299,11 +294,14 @@ def residue_sum_check(f: RationalFunction) -> float:
 # _finite_site (which _infinity_site applies in the chart at [1:0]).
 #
 # A SiteMap runs a list of entries -- every site and check site of every
-# pair of a sample -- in one pass.  Entries of equal exact location, width
-# and order form a block, stacked along a leading axis.  numpy's stacked
-# matmul runs the same kernel on each slice, so a stacked product is
-# bit-identical to that of the entry alone; padding the contraction to a
-# common width, or merging rows into one product, is not.
+# pair of a sample -- in one pass, into one table (SiteTable) of entries x
+# rows, exact zeros where no block writes.  Entries of equal exact location,
+# width and order form a block, stacked along a leading axis, that writes
+# its entries' lines.  numpy's stacked matmul runs the same kernel on each
+# slice, so a stacked product is bit-identical to that of the entry alone;
+# padding the contraction to a common width, or merging rows into one
+# product, is not.  Which sites a pair sums, and when a pole is a base-locus
+# collision, are the caller's rules.
 #
 # The trapezoid rule, the library's only one, is linear in the numerator
 # too, so an entry folds the rest of the integrand on its circle into a
@@ -315,10 +313,11 @@ def residue_sum_check(f: RationalFunction) -> float:
 # factor's largest modulus on the circle, taken as the modulus of the sum of
 # the row's scaled terms, one hypot per row.  Only rows with two or more
 # terms evaluate the row at the nodes, in blocks of rows over all entries of
-# a block.  A row without a pole at the site reports 0 in both, and no
-# backend disagreement.  The pole rule reads the magnitudes
-# of the numerator rows that the caller took for its numerator-zero test
-# (reversed at [1:0]); only a Taylor-shifted block takes its own.
+# a block.  A row without a pole at the site, or an entry without a circle,
+# reports 0 in both, and no backend disagreement.  The pole rule reads the
+# magnitudes of the numerator rows that the caller took for its
+# numerator-zero test (reversed at [1:0]); only a Taylor-shifted block takes
+# its own.
 #
 # The Laurent data of an entry (_truncated_product, _reciprocal_series), like
 # the chart arithmetic of unipoly's trimmed_* helpers, stays in Python
@@ -463,10 +462,8 @@ class SiteEntry:
     width + 1 - sum m and g(u) = -lead * prod (1 - r u)^m.  A row's
     reported order there is its own, deg + 2 - sum m.
 
-    ``collides`` marks a site that ``coincides`` with a zero of the
-    companion coordinate: a pole of some row there is a base-locus
-    collision.  With ``contour`` an entry that has a pole gets a quadrature
-    circle of ``radius`` about the site.
+    With ``contour`` an entry that has a pole gets a quadrature circle of
+    ``radius`` about the site.
     """
 
     def __init__(
@@ -476,14 +473,12 @@ class SiteEntry:
         lead: complex,
         den_sites: list[tuple[complex, int]],
         width: int,
-        collides: bool = False,
         contour: bool = False,
     ):
         self.at_infinity = location is None
         self.location = 0j if location is None else location
         self.zero_multiplicity = zero_multiplicity
         self.width = width
-        self.collides = collides
         self.radius = None
         if self.at_infinity:
             self.order = width + 1 - sum(m for _, m in den_sites)
@@ -521,41 +516,28 @@ def _big(mag: np.ndarray, rel_tol: float) -> np.ndarray:
     return mag > rel_tol * mag.max(axis=-1, keepdims=True)
 
 
-@dataclass
-class SiteRows:
-    """Residues of num_r / den dt at one entry's site, one value per row r.
+class SiteTable(NamedTuple):
+    """Residues of num_r / den dt at the site of each entry i of a SiteMap,
+    one line per entry and one column per row r: the pole order, the
+    analytic residue, the trapezoid value and the contour magnitude.
 
-    Rows without a pole there carry order 0 and an exact 0j residue.
-    ``collision`` is the base-locus error of an entry that collides where
-    some row has a pole; the caller raises it.
+    All four are exact zeros in a row without a pole at the entry's site,
+    and the last two also at an entry without a quadrature circle.
     """
 
-    site: SiteEntry
     order: np.ndarray
     residue: np.ndarray
-    quadrature: np.ndarray | None = None
-    quadrature_scale: np.ndarray | None = None
-    collision: BaseLocusCollisionError | None = None
-
-    def report(self, r: int, disagreement: float) -> ZeroSiteReport:
-        site, order = self.site, int(self.order[r])
-        report = ZeroSiteReport(
-            site.location, site.at_infinity, site.zero_multiplicity, order, complex(self.residue[r])
-        )
-        if order and self.quadrature is not None:
-            report.residue_quadrature = complex(self.quadrature[r])
-            report.quadrature_scale = float(self.quadrature_scale[r])
-            report.backend_disagreement = disagreement
-        return report
+    quadrature: np.ndarray
+    quadrature_scale: np.ndarray
 
 
 class _Block:
     """Entries of one exact location, width and order, stacked; those with
-    a quadrature circle first."""
+    a quadrature circle first.  ``index`` holds their lines in the table."""
 
-    def __init__(self, entries: list[SiteEntry], dens, shift_matrix):
+    def __init__(self, index: list[int], entries: list[SiteEntry], dens, shift_matrix):
         first = entries[0]
-        self.entries = entries
+        self.index = index
         self.at_infinity, self.order = first.at_infinity, first.order
         self.shift = None
         if not first.at_infinity and first.location != 0:
@@ -563,7 +545,6 @@ class _Block:
         # residue = sum_{i < order} local[i] * inv[order - 1 - i], over the
         # rows' width coefficients: the reversed series, as a strided view
         self.series = np.array([e.inverse for e in entries])[:, ::-1][:, : first.width, None]
-        self.colliding = [k for k, e in enumerate(entries) if e.collides]
         self.circled = sum(e.radius is not None for e in entries)
         self.contour = None
         if self.circled:
@@ -571,11 +552,10 @@ class _Block:
             den = np.array(dens[: self.circled])
             self.contour = _Contour(radii, first.width, den, first.at_infinity)
 
-    def apply(
-        self, nums: list[np.ndarray], lives: list[np.ndarray], mags: list[np.ndarray]
-    ) -> list[SiteRows]:
-        """The pole rule reads the magnitudes it is given at t = 0, reversed
-        at [1:0]; a shifted site takes those of its shifted rows."""
+    def apply(self, nums, lives, mags, table: SiteTable) -> None:
+        """Writes the block's lines of ``table`` from its entries' rows.  The
+        pole rule reads the magnitudes it is given at t = 0, reversed at
+        [1:0]; a shifted site takes those of its shifted rows."""
         num = np.array(nums)
         if self.at_infinity:
             local, mag = num[:, :, ::-1], np.array(mags)[:, :, ::-1]
@@ -586,21 +566,15 @@ class _Block:
             mag = np.abs(local)
         has_pole = np.array(lives) & (np.argmax(_big(mag, 1e-9), axis=2) < self.order)
         residue = local[:, :, : self.series.shape[1]] @ self.series
-        residue = np.where(has_pole, residue[..., 0], 0j)
+        table.residue[self.index] = np.where(has_pole, residue[..., 0], 0j)
         order = self.order
         if self.at_infinity:
             order = order - np.argmax(mag != 0, axis=2)
-        order = has_pole * order
-        out = [SiteRows(e, order[k], residue[k]) for k, e in enumerate(self.entries)]
+        table.order[self.index] = has_pole * order
         if self.contour is not None:
-            c = self.circled
+            c, circled = self.circled, self.index[: self.circled]
             values, scales = self.contour.trapezoid(local[:c], has_pole[:c])
-            for rows, value, scale in zip(out, values, scales):
-                rows.quadrature, rows.quadrature_scale = value, scale
-        for k in self.colliding:
-            if has_pole[k].any():
-                out[k].collision = _collision(self.entries[k].location)
-        return out
+            table.quadrature[circled], table.quadrature_scale[circled] = values, scales
 
 
 class SiteMap:
@@ -621,27 +595,20 @@ class SiteMap:
                 blocks.setdefault((e.at_infinity, e.location, e.width, e.order), []).append(i)
         dens = dens or [None] * len(entries)
         self.blocks = [
-            (idx, _Block([entries[i] for i in idx], [dens[i] for i in idx], shift_matrix))
+            _Block(idx, [entries[i] for i in idx], [dens[i] for i in idx], shift_matrix)
             for idx in blocks.values()
         ]
 
     def apply(
-        self, nums: list[np.ndarray], lives: list[np.ndarray], mags: list[np.ndarray]
-    ) -> list[SiteRows]:
-        """SiteRows of each entry i, for the numerator rows ``nums[i]`` (rows
-        x width) and their magnitudes ``mags[i]`` (``np.abs(nums[i])``, which
-        the caller has taken for its numerator-zero test); rows where
-        ``lives[i]`` is False have no pole.  A base-locus collision is
-        returned on its entry's rows, not raised, so the caller can name the
-        integrand it belongs to."""
-        out = [_no_pole(e, len(n)) if e.order <= 0 else None for e, n in zip(self.entries, nums)]
-        for idx, block in self.blocks:
-            rows = block.apply([nums[i] for i in idx], [lives[i] for i in idx],
-                               [mags[i] for i in idx])
-            for i, r in zip(idx, rows):
-                out[i] = r
-        return out
-
-
-def _no_pole(site: SiteEntry, rows: int) -> SiteRows:
-    return SiteRows(site, np.zeros(rows, dtype=int), np.zeros(rows, dtype=complex))
+        self, nums: list[np.ndarray], lives: list[np.ndarray], mags: list[np.ndarray], rows: int
+    ) -> SiteTable:
+        """The table of every entry i and each of ``rows`` numerator rows
+        ``nums[i]`` (rows x width), given with their magnitudes ``mags[i]``
+        (``np.abs(nums[i])``, which the caller has taken for its
+        numerator-zero test); rows where ``lives[i]`` is False have no
+        pole.  ``rows`` sizes the table even when there is no entry."""
+        shape = (len(self.entries), rows)
+        table = SiteTable(*(np.zeros(shape, dtype) for dtype in (int, complex, complex, float)))
+        for block in self.blocks:
+            block.apply(*([a[i] for i in block.index] for a in (nums, lives, mags)), table)
+        return table

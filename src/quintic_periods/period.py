@@ -56,7 +56,7 @@ from .numkernel.residues import (  # noqa: F401
     QUAD_NODES,
     SiteEntry,
     SiteMap,
-    SiteRows,
+    SiteTable,
     ZeroSiteReport,
     backend_disagreement,
     circle_points,
@@ -133,9 +133,9 @@ def _named(exc: Exception, jet: CurveJet, j0: int, j1: int) -> Exception:
 
 class _Pair:
     """One covering pair at one sample: the inner factor of its numerator,
-    its declared denominator lead * prod (t - r)^m over ``den_sites``, its
-    sites, and per class row its live flag, numerator, the numerator's
-    magnitudes and site rows."""
+    its declared denominator lead * prod (t - r)^m over ``den_sites``, per
+    class row its live flag, numerator and the numerator's magnitudes, and
+    the lines of its sites and check sites in the sample's site table."""
 
     def __init__(self, ctx: _SampleContext, index: int, j0: int, j1: int, width: int, live):
         self.ctx = ctx
@@ -143,8 +143,7 @@ class _Pair:
         self.width, self.live = width, live
         # numerator rows and their magnitudes, None for a zero inner factor
         self.num = self.mag = None
-        self.sites: list[SiteRows] = []
-        self.checks: list[SiteRows] = []
+        self.sites = self.checks = range(0)
 
     @cached_property
     def lead(self) -> complex:
@@ -168,29 +167,24 @@ class _Pair:
     def den_sites(self) -> list[tuple[complex, int]]:
         return _merge_sites(self.ctx.chart_roots(self.j0), self.ctx.chart_roots(self.j1))
 
-    def entry(self, location, zero_multiplicity, collides=False, contour=False) -> SiteEntry:
+    def entry(self, location, zero_multiplicity, contour=False) -> SiteEntry:
         """The pair at one site of its declared denominator."""
         return SiteEntry(
-            location, zero_multiplicity, self.lead, self.den_sites, self.width, collides, contour
+            location, zero_multiplicity, self.lead, self.den_sites, self.width, contour
         )
 
     def site_entries(self) -> list[SiteEntry]:
         """The sites whose residues the period sums, with the contour
-        backend: the zeros of x_{j0}, and [1:0] when x_{j0} drops degree.
-        A zero of x_{j0} that ``coincides`` with one of x_{j1} collides."""
+        backend: the zeros of x_{j0}, and [1:0] when x_{j0} drops degree."""
         ctx = self.ctx
         if ctx.jet.x[self.j0].is_zero():
             raise BaseLocusCollisionError(
                 f"the curve lies in the hyperplane x_{self.j0} = 0, so the residue "
                 "coordinate has no isolated zeros"
             )
-        companion = [loc for loc, _ in ctx.zeros(self.j1)]
-        sites = [
-            self.entry(loc, mult, coincides(loc, companion), True)
-            for loc, mult in ctx.zeros(self.j0)
-        ]
+        sites = [self.entry(loc, mult, True) for loc, mult in ctx.zeros(self.j0)]
         if (inf_mult := ctx.infinity_orders[self.j0]) > 0:
-            sites.append(self.entry(None, inf_mult, False, True))
+            sites.append(self.entry(None, inf_mult, True))
         return sites
 
     def check_entries(self) -> list[SiteEntry]:
@@ -203,16 +197,17 @@ class _Pair:
             checks.append(self.entry(None, 0))
         return checks
 
-    def dual_sum_holds(self, checks: list[SiteRows]) -> bool:
+    def dual_sum_holds(self, entries: list[SiteEntry], order: list[int]) -> bool:
         """Whether the dual sum -- residues at the zeros of x_{j0} and of
         x_{j1}, plus the one at infinity -- adds up the same residues as the
         residue theorem: neither coordinate vanishes at [1:0], x_{j1} has
-        finite zeros, and every pole off the zeros of x_{j0} lies at one."""
+        finite zeros, and every pole off the zeros of x_{j0} lies at one.
+        ``order[k]`` is the pole order of the one class row at entry k."""
         if self.ctx.infinity_orders[self.j0] > 0 or self.ctx.infinity_orders[self.j1] > 0:
             return False
         zeros = [loc for loc, _ in self.ctx.zeros(self.j1)]
-        poles = [c.site.location for c in checks if c.order[0] and not c.site.at_infinity]
-        return bool(zeros) and all(coincides(loc, zeros) for loc in poles)
+        poles = [entries[k] for k in self.checks if order[k] and not entries[k].at_infinity]
+        return bool(zeros) and all(coincides(e.location, zeros) for e in poles)
 
 
 class _SampleContext:
@@ -303,31 +298,28 @@ class _SampleContext:
 
 
 class _Reduction:
-    """The site rows of all pairs at one sample reduced per class row, in a
-    few array operations per site slot: pair ``sums`` (in site order, as
-    Python's ``sum`` adds), ``totals`` (in pair order), ``vanish_scales``,
-    the backend ``disagreement`` of each site k (of pair ``owner[k]``) and
-    its maxima per pair and sample; a maximum is 0 without a site, NaN if an
-    input is."""
+    """The site table of all pairs at one sample, with its ``entries``,
+    reduced per class row in a few array operations per site slot: pair
+    ``sums`` (in site order, as Python's ``sum`` adds), ``totals`` (in pair
+    order), ``vanish_scales``, the backend ``disagreement`` of each site k
+    (of pair ``owner[k]``) and its maxima per pair and sample; a maximum is
+    0 without a site, NaN if an input is."""
 
-    def __init__(self, pairs: list[_Pair], rows: int):
-        self.pairs = pairs
-        sites = [site for p in pairs for site in p.sites]
+    def __init__(self, pairs: list[_Pair], entries: list[SiteEntry], table: SiteTable):
+        self.pairs, self.entries, self.table = pairs, entries, table
+        # the lines of the sites the period sums, pair by pair; both
+        # backends read 0 in a row without a pole or at a site without a
+        # circle: disagreement 0 there
+        sites = [k for p in pairs for k in p.sites]
         self.owner = [i for i, p in enumerate(pairs) for _ in p.sites]
-        # every site's residue, quadrature and scale in one complex array (a
-        # scale is exact as its real part); both backends report 0 in a row
-        # without a pole or at a site without a circle: disagreement 0 there
-        zero = np.zeros(rows)
-        stacked = np.array(
-            [(s.residue, zero, zero) if s.quadrature is None
-             else (s.residue, s.quadrature, s.quadrature_scale) for s in sites]
-        ).reshape(len(sites), 3, rows)
-        residue, quadrature, scale = stacked.transpose(1, 0, 2)
-        self.disagreement = backend_disagreement(residue, quadrature, scale.real)
+        residue = table.residue[sites]
+        self.disagreement = backend_disagreement(
+            residue, table.quadrature[sites], table.quadrature_scale[sites]
+        )
         # slot n of a pair holds its n-th site, 0 where it has fewer sites
         counts = [len(p.sites) for p in pairs]
         slot = [n for count in counts for n in range(count)]
-        shape = (max(counts, default=0), len(pairs), rows)
+        shape = (max(counts, default=0), len(pairs), table.residue.shape[1])
         by_slot = np.zeros(shape, dtype=complex)
         by_slot[slot, self.owner] = residue
         # running sums from 0: slot by slot, then pair by pair (a pair
@@ -335,7 +327,7 @@ class _Reduction:
         self.sums = np.zeros(shape[1:], dtype=complex)
         for part in by_slot:
             self.sums += part
-        self.totals = np.zeros(rows, dtype=complex)
+        self.totals = np.zeros(shape[2], dtype=complex)
         for pair_sum in self.sums:
             self.totals += pair_sum
         self.vanish_scales = np.abs(self.sums).max(axis=0)
@@ -370,7 +362,9 @@ def _assemble(ctx: _SampleContext, p_rows: np.ndarray, checks: bool = False) -> 
     pre-cancellation scale, the rule of ``verification.reference_period``.
 
     An error names its pair: the first pair, in pair order, whose sites
-    cannot be planned or whose rows have a pole at a base-locus collision.
+    cannot be planned or whose rows have a pole at a base-locus collision,
+    a zero of x_{j0} that ``coincides`` with one of x_{j1}: the pole order
+    there mixes both denominator factors.
     """
     p_scale = np.maximum(np.abs(p_rows).max(axis=1), 1e-300)
     # each inner factor's degree without its exact zero top coefficients, as
@@ -395,30 +389,40 @@ def _assemble(ctx: _SampleContext, p_rows: np.ndarray, checks: bool = False) -> 
         pair = pairs[index]
         pair.num, pair.mag = nums[k, :, : pair.width], mags[k, :, : pair.width]
     errors: dict[int, Exception] = {}
-    planned = []  # per pair with a live row: the pair, its sites and check sites
+    planned, entries, owners = [], [], []  # the pairs with a live row, their entries
     for pair in pairs:
         if pair.live.any():
             try:
-                planned.append((pair, pair.site_entries(), pair.check_entries() if checks else []))
+                sites, more = pair.site_entries(), pair.check_entries() if checks else []
             except _PAIR_ERRORS as exc:
                 errors[pair.index] = exc
-    entries = [e for _, sites, more in planned for e in sites + more]
-    owners = [pair for pair, sites, more in planned for _ in sites + more]
+                continue
+            planned.append(pair)
+            pair.sites = range(len(entries), len(entries) + len(sites))
+            pair.checks = range(pair.sites.stop, pair.sites.stop + len(more))
+            entries += sites + more
+            owners += [pair] * (len(sites) + len(more))
     site_map = SiteMap(entries, ctx.dens_on_circles(entries, owners))
-    found = iter(site_map.apply(
-        [pair.num for pair in owners], [pair.live for pair in owners], [pair.mag for pair in owners]
-    ))
-    for pair, sites, more in planned:
-        pair.sites = [next(found) for _ in sites]
-        pair.checks = [next(found) for _ in more]
-        collision = next((site.collision for site in pair.sites if site.collision), None)
-        if collision is not None:
-            errors[pair.index] = collision
+    table = site_map.apply(
+        [pair.num for pair in owners], [pair.live for pair in owners],
+        [pair.mag for pair in owners], len(p_rows),
+    )
+    poled = table.order.any(axis=1).tolist()
+    for pair in planned:
+        try:
+            companion = [loc for loc, _ in ctx.zeros(pair.j1)]
+            # [1:0] never collides: the measure dt has a pole there itself
+            for k in pair.sites:
+                site = entries[k]
+                if poled[k] and not site.at_infinity and coincides(site.location, companion):
+                    raise BaseLocusCollisionError.at_zero(site.location)
+        except _PAIR_ERRORS as exc:
+            errors[pair.index] = exc
     if errors:
         first = min(errors)
         pair = pairs[first]
         raise _named(errors[first], ctx.jet, pair.j0, pair.j1) from errors[first]
-    return _Reduction(pairs, len(p_rows))
+    return _Reduction(pairs, entries, table)
 
 
 def _check_shape(X: Hypersurface, jet: CurveJet | None = None) -> None:
@@ -442,6 +446,9 @@ def period_of_jet(X: Hypersurface, P: MultiPoly, jet: CurveJet) -> PeriodReport:
     chart = P.compose_unipoly(ctx.xs).coeffs
     p_row[0, : len(chart)] = chart
     red = _assemble(ctx, p_row, checks=True)
+    entries = red.entries
+    # the one row's column of each table field, read once
+    order, residue, quadrature, scale = (field[:, 0].tolist() for field in red.table)
     disagreement = iter(red.disagreement[:, 0].tolist())
     per_pair: dict[tuple[int, int], PairContribution] = {}
     sums, worst = red.sums[:, 0].tolist(), red.pair_max[:, 0].tolist()
@@ -450,14 +457,21 @@ def period_of_jet(X: Hypersurface, P: MultiPoly, jet: CurveJet) -> PeriodReport:
         if not pair.live[0]:
             per_pair[(j0, j1)] = PairContribution(j0, j1, 0j, [], numerator_zero=True)
             continue
-        sites = [site.report(0, next(disagreement)) for site in pair.sites]
+        sites = []
+        for k, d in zip(pair.sites, disagreement):
+            e = entries[k]
+            # every site has a circle where it has a pole
+            backends = (quadrature[k], scale[k], d) if order[k] else ()
+            sites.append(ZeroSiteReport(
+                e.location, e.at_infinity, e.zero_multiplicity, order[k], residue[k], *backends
+            ))
         contrib = PairContribution(j0, j1, residue_sum, sites, max_backend_disagreement=pair_worst)
-        others = [complex(c.residue[0]) for c in pair.checks]
+        others = [residue[k] for k in pair.checks]
         contrib.residue_theorem_check = abs(residue_sum + sum(others))
         contrib.residue_theorem_scale = max(
             [abs(site.residue) for site in sites] + list(map(abs, others)), default=0.0
         )
-        if pair.dual_sum_holds(pair.checks):
+        if pair.dual_sum_holds(entries, order):
             contrib.dual_sum_check = contrib.residue_theorem_check
         per_pair[(j0, j1)] = contrib
 

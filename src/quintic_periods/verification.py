@@ -182,13 +182,15 @@ def check_residue_engine() -> CheckResult:
         entries.append(SiteEntry(None, 1, lead, declared, len(num.coeffs), contour=True))
         dens = [den(circle_points(*e.circle, QUAD_NODES)) if e.radius else None for e in entries]
         n, row = len(entries), np.array([num.coeffs])
-        rows = SiteMap(entries, dens).apply([row] * n, [np.array([True])] * n, [np.abs(row)] * n)
-        residues = [complex(r.residue[0]) for r in rows]
-        hit = [r for r in rows if r.order[0]]
+        table = SiteMap(entries, dens).apply(
+            [row] * n, [np.array([True])] * n, [np.abs(row)] * n, 1
+        )
+        residues, quadratures = table.residue[:, 0].tolist(), table.quadrature[:, 0].tolist()
+        hit = [k for k in range(n) if table.order[k, 0]]
         sites += len(hit)
-        infinity_poles += sum(r.site.at_infinity for r in hit)
-        for r in hit:
-            ra, rq = complex(r.residue[0]), complex(r.quadrature[0])
+        infinity_poles += sum(entries[k].at_infinity for k in hit)
+        for k in hit:
+            ra, rq = residues[k], quadratures[k]
             worst_rel = max(worst_rel, abs(ra - rq) / max(abs(ra), abs(rq), 1e-30))
         worst_sum = max(worst_sum, abs(sum(residues)) / max(1.0, *map(abs, residues)))
     passed = worst_rel < 1e-8 and worst_sum < 1e-8

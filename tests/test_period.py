@@ -134,11 +134,11 @@ class TestDiagnostics:
         apply = SiteMap.apply
 
         def skewed(site_map, *args):
-            found = apply(site_map, *args)
-            for rows in found:
-                if rows.site.zero_multiplicity > 0:
-                    rows.residue = rows.residue * (1 + 1e-6)
-            return found
+            table = apply(site_map, *args)
+            for k, entry in enumerate(site_map.entries):
+                if entry.zero_multiplicity > 0:
+                    table.residue[k] = table.residue[k] * (1 + 1e-6)
+            return table
 
         monkeypatch.setattr(SiteMap, "apply", skewed)
         A = MobiusMap(1.1 + 0.3j, 0.4, -0.2 + 0.1j, 0.9 - 0.2j)
@@ -206,6 +206,21 @@ class TestDiagnostics:
         fam = CurveFamily("shared-pole", lambda s: jet)
         with pytest.raises(BaseLocusCollisionError, match=r"^pair \(0,1\) at s = 0\.1\+0j: "):
             monomial_scan(fermat, fam, [0.1], 5)
+
+    def test_collision_needs_a_pole_at_the_shared_zero(self):
+        # x0 = t and x1 = 1.3 t share the zero t = 0, a site of pair (0,1):
+        # a class whose rows have no pole there returns, with order 0 at the
+        # site, and one whose row has a pole there collides
+        base = self._line_jet(5)
+        t = BinaryForm(1, (0.0, 1.0))
+        jet = CurveJet(base.s, (t, 1.3 * t) + base.x[2:], base.y, 1)
+        for exps in ((5, 0, 0, 0, 0), (4, 0, 1, 0, 0)):
+            P = MultiPoly.monomial(5, 1.0, exps)
+            (site,) = period_of_jet(shioda_quintic(), P, jet).pair(0, 1).sites
+            assert site.location == 0 and site.pole_order == 0, exps
+        P = MultiPoly.monomial(5, 1.0, (0, 0, 5, 0, 0))
+        with pytest.raises(BaseLocusCollisionError, match=r"^pair \(0,1\) at s = 0\.1\+0j: "):
+            period_of_jet(shioda_quintic(), P, jet)
 
     @pytest.mark.parametrize("gap", [5e-8, 5e-6])
     def test_collision_is_the_site_rule(self, fermat, gap):
@@ -614,6 +629,30 @@ class TestReduction:
     sums to the bit, each site's ``backend_disagreement`` on its own rows,
     and maxima that keep a NaN wherever it sits."""
 
+    @staticmethod
+    def _reduction(pairs, rows):
+        """``period._Reduction`` of stand-in pairs, each a list of its sites'
+        table lines (residue, quadrature, contour magnitude), ``rows``
+        values each, with a pole of order 1 in every row."""
+        import numpy as np
+
+        from quintic_periods.numkernel.residues import SiteTable
+
+        class Pair:
+            def __init__(self, start, count):
+                self.sites = range(start, start + count)
+
+        stand_ins, lines = [], []
+        for sites in pairs:
+            stand_ins.append(Pair(len(lines), len(sites)))
+            lines += sites
+        shape = (len(lines), rows)
+        table = SiteTable(
+            np.ones(shape, dtype=int),
+            *(np.array([line[n] for line in lines]).reshape(shape) for n in range(3)),
+        )
+        return stand_ins, period._Reduction(stand_ins, [None] * len(lines), table)
+
     def test_against_the_site_rows(self, fermat):
         import numpy as np
 
@@ -624,17 +663,20 @@ class TestReduction:
             ctx = period._SampleContext(fermat, d.family().jet_at(0.15 + 0.05j))
             p_rows = monomial_charts(ctx.xs, 5, ctx.width)
             red = period._assemble(ctx, p_rows)
+            table = red.table
             zero = np.zeros(len(p_rows), dtype=complex)
-            sums = [sum((site.residue for site in pair.sites), zero) for pair in red.pairs]
+            sums = [sum((table.residue[k] for k in pair.sites), zero) for pair in red.pairs]
             assert np.array_equal(red.sums, sums)
             assert np.array_equal(red.totals, sum(sums))
-            sites = [(i, site) for i, pair in enumerate(red.pairs) for site in pair.sites]
+            sites = [(i, k) for i, pair in enumerate(red.pairs) for k in pair.sites]
             assert red.owner == [i for i, _ in sites]
-            for d_site, (i, site) in zip(red.disagreement, sites):
-                assert (d_site[site.order == 0] == 0).all()
-                if site.quadrature is not None:
-                    own = backend_disagreement(site.residue, site.quadrature, site.quadrature_scale)
-                    pole = site.order > 0
+            for d_site, (i, k) in zip(red.disagreement, sites):
+                assert (d_site[table.order[k] == 0] == 0).all()
+                if red.entries[k].radius is not None:
+                    own = backend_disagreement(
+                        table.residue[k], table.quadrature[k], table.quadrature_scale[k]
+                    )
+                    pole = table.order[k] > 0
                     np.testing.assert_allclose(d_site[pole], own[pole], rtol=1e-15, atol=0)
             for i, pair in enumerate(red.pairs):
                 worst = red.disagreement[[k for k, (j, _) in enumerate(sites) if j == i]]
@@ -644,23 +686,14 @@ class TestReduction:
     def test_maxima_keep_nan_wherever_it_sits(self):
         import numpy as np
 
-        from quintic_periods.numkernel.residues import SiteRows
-
         def site(residue, quadrature):
             # one row with a pole, its contour magnitude 1
-            return SiteRows(
-                None, np.array([1]), np.array([residue]), np.array([quadrature]), np.array([1.0])
-            )
-
-        class Pair:
-            def __init__(self, *sites):
-                self.sites = list(sites)
+            return residue, quadrature, 1.0
 
         nan = complex("nan")
         for first in (True, False):
             sites = [site(nan, 1.0), site(1.0, 1.5)]
-            pairs = [Pair(), Pair(*(sites if first else sites[::-1])), Pair(site(2.0, 2.0))]
-            red = period._Reduction(pairs, 1)
+            _, red = self._reduction([[], sites if first else sites[::-1], [site(2.0, 2.0)]], 1)
             assert red.pair_max[0, 0] == 0.0 and red.pair_max[2, 0] == 0.0
             assert np.isnan(red.pair_max[1, 0]) and np.isnan(red.max[0])
             assert np.isnan(red.vanish_scales[0]) and np.isnan(red.totals[0])
@@ -672,29 +705,22 @@ class TestReduction:
         # same bits with -0.0, NaN and pairs of 0 to 3 sites
         import numpy as np
 
-        from quintic_periods.numkernel.residues import SiteRows
-
         nan, neg = complex("nan"), complex(-0.0, -0.0)
 
         def site(*residues):
-            rows = len(residues)
-            return SiteRows(None, np.ones(rows, dtype=int), np.array(residues, dtype=complex))
-
-        class Pair:
-            def __init__(self, *sites):
-                self.sites = list(sites)
+            # no quadrature circle: both backend lines are 0
+            return np.array(residues, dtype=complex), [0j] * len(residues), [0.0] * len(residues)
 
         # row 1 depends on the site order, row 4 on the pair order
-        pairs = [
-            Pair(site(neg, 1e16, 1.0, neg, 1e16)),
-            Pair(),
-            Pair(site(neg, 1e16, nan, -1e-300, 1.0), site(neg, 1.0, 2.0, 1e-300, neg),
-                 site(complex(-0.0, 1.0), 1.0, 0.5, neg, 0.0)),
-            Pair(site(1.0 + 1e-17j, 1.0, -2.5, neg, 0.5), site(neg, neg, 1e-17, neg, 0.5)),
-        ]
-        red = period._Reduction(pairs, 5)
+        pairs, red = self._reduction([
+            [site(neg, 1e16, 1.0, neg, 1e16)],
+            [],
+            [site(neg, 1e16, nan, -1e-300, 1.0), site(neg, 1.0, 2.0, 1e-300, neg),
+             site(complex(-0.0, 1.0), 1.0, 0.5, neg, 0.0)],
+            [site(1.0 + 1e-17j, 1.0, -2.5, neg, 0.5), site(neg, neg, 1e-17, neg, 0.5)],
+        ], 5)
         zero = np.zeros(5, dtype=complex)
-        sums = [sum((s.residue for s in pair.sites), zero) for pair in pairs]
+        sums = [sum((red.table.residue[k] for k in pair.sites), zero) for pair in pairs]
         assert np.array(sums).tobytes() == red.sums.tobytes()
         assert sum(sums).tobytes() == red.totals.tobytes()
         # a sum from 0 is never -0.0
@@ -723,7 +749,7 @@ class TestLocationMaps:
     @staticmethod
     def _block_keys(site_map) -> list:
         """(location, width, order) of each block, location None at [1:0]."""
-        firsts = [block.entries[0] for _, block in site_map.blocks]
+        firsts = [site_map.entries[block.index[0]] for block in site_map.blocks]
         return [(None if e.at_infinity else e.location, e.width, e.order) for e in firsts]
 
     def test_one_site_map_per_pole_location(self, fermat, monkeypatch):
@@ -829,8 +855,8 @@ class TestLocationMaps:
 
         apply, seen = _Block.apply, set()
 
-        def checked(block, nums, lives, mags):
-            out = apply(block, nums, lives, mags)
+        def checked(block, nums, lives, mags, table):
+            apply(block, nums, lives, mags, table)
             num = np.array(nums)
             if block.at_infinity:
                 local, kind = num[:, :, ::-1], "[1:0]"
@@ -841,10 +867,9 @@ class TestLocationMaps:
             mag = np.abs(local)
             big = mag > 1e-9 * mag.max(axis=-1, keepdims=True)
             has_pole = np.array(lives) & (np.argmax(big, axis=2) < block.order)
-            assert np.array_equal([rows.order > 0 for rows in out], has_pole), kind
-            assert not np.array([rows.residue for rows in out])[~has_pole].any(), kind
+            assert np.array_equal(table.order[block.index] > 0, has_pole), kind
+            assert not table.residue[block.index][~has_pole].any(), kind
             seen.add(kind)
-            return out
 
         monkeypatch.setattr(_Block, "apply", checked)
         for d in line_families()[::10]:

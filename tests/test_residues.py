@@ -25,7 +25,7 @@ def site_map(den, location, zero_multiplicity, sites, width, nodes=None):
     """The SiteMap of den alone at one site, declared by its leading
     coefficient and sites; with ``nodes``, its contour backend evaluates den
     as it stands."""
-    entry = SiteEntry(location, zero_multiplicity, den.coeffs[-1], sites, width, None, bool(nodes))
+    entry = SiteEntry(location, zero_multiplicity, den.coeffs[-1], sites, width, bool(nodes))
     dens = [den(circle_points(*entry.circle, nodes))] if entry.radius is not None else None
     return SiteMap([entry], dens)
 
@@ -33,16 +33,16 @@ def site_map(den, location, zero_multiplicity, sites, width, nodes=None):
 def apply(site_map, nums, lives):
     """``site_map.apply`` with the magnitudes of the rows, as the period
     assembly passes them."""
-    return site_map.apply(nums, lives, [np.abs(n) for n in nums])
+    return site_map.apply(nums, lives, [np.abs(n) for n in nums], len(nums[0]))
 
 
 def one_row(den, location, sites, num):
-    """The SiteRows of the one row num over den at one of its declared
-    sites, a simple pole, with both backends."""
+    """The entry, and its table, of the one row num over den at one of its
+    declared sites, a simple pole, with both backends."""
     site = site_map(den, location, 1, sites, len(num.coeffs), nodes=QUAD_NODES)
-    (rows,) = apply(site, [np.array([num.coeffs])], [np.array([True])])
-    assert rows.order[0] == 1
-    return rows
+    table = apply(site, [np.array([num.coeffs])], [np.array([True])])
+    assert table.order[0, 0] == 1
+    return site.entries[0], table
 
 
 class TestAnalytic:
@@ -72,15 +72,15 @@ class TestAnalytic:
 class TestQuadrature:
     def test_unit_residue(self):
         # no other site: the circle has radius 0.5
-        rows = one_row(UniPoly([0, 1]), 0j, [(0j, 1)], UniPoly([1]))
-        assert rows.site.radius == 0.5
-        assert abs(rows.quadrature[0] - 1.0) < 1e-12
+        entry, table = one_row(UniPoly([0, 1]), 0j, [(0j, 1)], UniPoly([1]))
+        assert entry.radius == 0.5
+        assert abs(table.quadrature[0, 0] - 1.0) < 1e-12
 
     def test_partial_fraction_value(self):
         den = UniPoly([-1, 1]) * UniPoly([2, 1])
-        rows = one_row(den, 1.0 + 0j, [(1.0 + 0j, 1), (-2.0 + 0j, 1)], UniPoly([2, 3]))
-        assert rows.site.radius == 0.5
-        assert abs(rows.quadrature[0] - 5.0 / 3.0) < 1e-10
+        entry, table = one_row(den, 1.0 + 0j, [(1.0 + 0j, 1), (-2.0 + 0j, 1)], UniPoly([2, 3]))
+        assert entry.radius == 0.5
+        assert abs(table.quadrature[0, 0] - 5.0 / 3.0) < 1e-10
 
     def test_radius_rule(self):
         assert quadrature_radius(0j, [2.0 + 0j]) == 0.5
@@ -99,8 +99,8 @@ class TestBackendAgreement:
             den = UniPoly.from_roots(poles)
             num = UniPoly([complex(*rng.uniform(-1, 1, 2)) for _ in range(5)])
             for p in poles:
-                rows = one_row(den, p, [(q, 1) for q in poles], num)
-                ra, rq = rows.residue[0], rows.quadrature[0]
+                _, table = one_row(den, p, [(q, 1) for q in poles], num)
+                ra, rq = table.residue[0, 0], table.quadrature[0, 0]
                 assert abs(ra - rq) <= 1e-8 * max(abs(ra), abs(rq), 1e-12)
 
 
@@ -121,9 +121,9 @@ class TestResidueTheorem:
         den = UniPoly.from_roots(poles)
         num = UniPoly([0.3, -1.0, 0.7j])
         for p in poles:
-            rows = one_row(den, p, [(q, 1) for q in poles], num)
-            assert rows.site.radius == quadrature_radius(p, [q for q in poles if q != p])
-            ra, rq = rows.residue[0], rows.quadrature[0]
+            entry, table = one_row(den, p, [(q, 1) for q in poles], num)
+            assert entry.radius == quadrature_radius(p, [q for q in poles if q != p])
+            ra, rq = table.residue[0, 0], table.quadrature[0, 0]
             assert abs(ra - rq) <= 1e-8 * max(abs(ra), abs(rq))
 
     def test_infinity_backends_agree(self):
@@ -136,9 +136,9 @@ class TestResidueTheorem:
             if num.is_zero():
                 num = UniPoly.one()
             site = site_map(den, None, 1, [(r, 1) for r in roots], len(num.coeffs), nodes=256)
-            (rows,) = apply(site, [np.array([num.coeffs])], [np.array([True])])
-            assert rows.order[0] > 0
-            ra, rq = rows.residue[0], rows.quadrature[0]
+            table = apply(site, [np.array([num.coeffs])], [np.array([True])])
+            assert table.order[0, 0] > 0
+            ra, rq = table.residue[0, 0], table.quadrature[0, 0]
             assert abs(ra - rq) <= 1e-8 * max(abs(ra), abs(rq), 1e-10)
 
     def test_seeded_global_sums(self):
@@ -173,9 +173,9 @@ class TestResidueTheorem:
         sites = [(complex(r), 4) for q in qs for r in np.roots(q.coeffs[::-1])]
         maps = [site_map(den, loc, 0, sites, 16) for loc, _ in sites]
         maps.append(site_map(den, None, 0, sites, 16))
-        rows = [apply(site, [num], [np.array([True])])[0] for site in maps]
-        assert [int(r.order[0]) for r in rows[:4]] == [4, 4, 4, 4]
-        residues = [r.residue[0] for r in rows]
+        tables = [apply(site, [num], [np.array([True])]) for site in maps]
+        assert [int(t.order[0, 0]) for t in tables[:4]] == [4, 4, 4, 4]
+        residues = [t.residue[0, 0] for t in tables]
         assert abs(sum(residues)) < 1e-8 * max(map(abs, residues))
 
 
@@ -264,15 +264,17 @@ class TestContourBackend:
             has_pole.insert(i, pole)
         return rows, has_pole
 
-    def _check(self, rows, out, has_pole, scalar):
-        assert (out.order > 0).tolist() == has_pole
+    def _check(self, rows, table, has_pole, scalar):
+        # the one entry's line of each field
+        order, quadrature, scale = table.order[0], table.quadrature[0], table.quadrature_scale[0]
+        assert (order > 0).tolist() == has_pole
         for r, pole in enumerate(has_pole):
             if not pole:
-                assert out.quadrature[r] == 0 and out.quadrature_scale[r] == 0
+                assert quadrature[r] == 0 and scale[r] == 0
                 continue
             value, magnitude = scalar(rows[r])
-            assert abs(out.quadrature[r] - value) <= 1e-13 * magnitude
-            assert abs(out.quadrature_scale[r] - magnitude) <= 1e-13 * magnitude
+            assert abs(quadrature[r] - value) <= 1e-13 * magnitude
+            assert abs(scale[r] - magnitude) <= 1e-13 * magnitude
 
     @pytest.mark.parametrize("location", [0.3 - 0.2j, 0j])
     def test_finite_site_matches_scalar_rule(self, location):
@@ -296,13 +298,13 @@ class TestContourBackend:
         rows, has_pole = self._with_monomials(
             rows, has_pole, [(0, 0.7 - 1.2j, True), (1, -0.4 + 0.9j, True), (0, 1.3, True)]
         )
-        (out,) = apply(site, [rows], [np.ones(len(rows), dtype=bool)])
+        table = apply(site, [rows], [np.ones(len(rows), dtype=bool)])
 
         def scalar(row):
             f = RationalFunction(UniPoly(row), den)
             return _quadrature(f, location, radius, self.NODES)
 
-        self._check(rows, out, has_pole, scalar)
+        self._check(rows, table, has_pole, scalar)
 
     def test_infinity_site_matches_scalar_rule(self):
         from quintic_periods.numkernel.residues import _quadrature
@@ -321,13 +323,13 @@ class TestContourBackend:
             rows, has_pole,
             [(5, 0.7 - 1.2j, True), (3, -0.4 + 0.9j, True), (1, 1.3, False), (4, -2j, True)],
         )
-        (out,) = apply(site, [rows], [np.ones(len(rows), dtype=bool)])
+        table = apply(site, [rows], [np.ones(len(rows), dtype=bool)])
 
         def scalar(row):
             g = RationalFunction(UniPoly(row), den).at_infinity_chart()
             return _quadrature(g, 0j, radius, self.NODES)
 
-        self._check(rows, out, has_pole, scalar)
+        self._check(rows, table, has_pole, scalar)
 
 
     def test_one_term_magnitude_is_the_largest_scaled_term(self):
@@ -378,40 +380,49 @@ class TestStackedEntries:
             sites = ([(location, order)] if order else []) + others
             den = UniPoly.from_roots([r for r, m in sites for _ in range(m)], lead=c())
             at = None if width is None else location
-            entry = SiteEntry(at, 1, den.coeffs[-1], sites, width or 6, None, contour)
+            entry = SiteEntry(at, 1, den.coeffs[-1], sites, width or 6, contour)
             entries.append(entry)
             dens.append(den(circle_points(*entry.circle, nodes)) if entry.radius else None)
             rows = rng.uniform(-1, 1, (5, entry.width)) + 1j * rng.uniform(-1, 1, (5, entry.width))
             rows[0] = 0
             nums.append(rows)
             lives.append(np.array([False, True, True, True, True]))
-        stacked = apply(SiteMap(entries, dens), nums, lives)
-        assert len(SiteMap(entries, dens).blocks) == 4
-        for i, rows in enumerate(stacked):
-            (alone,) = apply(SiteMap([entries[i]], [dens[i]]), [nums[i]], [lives[i]])
-            assert rows.site is entries[i]
+        site_map = SiteMap(entries, dens)
+        stacked = apply(site_map, nums, lives)
+        assert len(site_map.blocks) == 4
+        for i in range(len(entries)):
+            alone = apply(SiteMap([entries[i]], [dens[i]]), [nums[i]], [lives[i]])
+            assert site_map.entries[i] is entries[i]
             for field in ("order", "residue", "quadrature", "quadrature_scale"):
-                a, b = getattr(rows, field), getattr(alone, field)
-                assert (a is None) == (b is None), (i, field)
-                assert a is None or np.array_equal(a, b), (i, field)
-            assert (rows.order > 0).any() == (entries[i].order > 0)
+                a, b = getattr(stacked, field)[i], getattr(alone, field)[0]
+                assert np.array_equal(a, b), (i, field)
+            assert (stacked.order[i] > 0).any() == (entries[i].order > 0)
 
-    def test_collision_stays_on_its_entry(self):
-        # two entries in one block, the second marked as colliding at the
-        # site: only that entry carries the collision, and only while some
-        # row has a pole there
+    def test_table_is_zero_without_a_pole(self):
+        # every field is an exact 0 at an entry of order <= 0 ([1:0] with
+        # width + 1 <= sum m) and in a row that is not live, and the backend
+        # fields are at an entry without a circle, stacked in one block with
+        # an entry that has one
+        rng = np.random.default_rng(7)
         location = 0.4 + 0.1j
-        sites = [(location, 2), (-1.0 + 0.5j, 1)]
-        den = UniPoly.from_roots([location, location, -1.0 + 0.5j], lead=1.5)
-        entries = [SiteEntry(location, 1, 1.5, sites, 5, collides) for collides in (False, True)]
-        site_map = SiteMap(entries)
+        sites = [(location, 2), (-1.0 + 0.5j, 3), (0.8 - 0.6j, 1)]
+        den = UniPoly.from_roots([r for r, m in sites for _ in range(m)], lead=1.5)
+        entries = [SiteEntry(None, 1, 1.5, sites, 5, True), SiteEntry(location, 1, 1.5, sites, 5),
+                   SiteEntry(location, 1, 1.5, sites, 5, True)]
+        assert entries[0].order <= 0 and entries[1].radius is None
+        dens = [None, None, den(circle_points(*entries[2].circle, 64))]
+        rows = rng.uniform(-1, 1, (3, 5)) + 1j * rng.uniform(-1, 1, (3, 5))
+        live = np.array([True, False, True])
+        site_map = SiteMap(entries, dens)
         assert len(site_map.blocks) == 1
-        rows = np.array([[0.3, 1.0, -0.5j, 0.2, 1.1]])
-        clean, hit = apply(site_map, [rows, rows], [np.array([True])] * 2)
-        assert clean.collision is None
-        assert isinstance(hit.collision, BaseLocusCollisionError)
-        assert np.array_equal(clean.residue, hit.residue) and hit.order[0] == 2
-        # a numerator divisible by (t - location)^2 has no pole: no collision
-        flat = (UniPoly([0.3, 1.0, -0.5j]) * UniPoly.from_roots([location, location])).coeffs
-        _, quiet = apply(site_map, [rows, np.array([flat])], [np.array([True])] * 2)
-        assert quiet.order[0] == 0 and quiet.collision is None
+        table = apply(site_map, [rows] * 3, [live] * 3)
+        fields = (table.order, table.residue, table.quadrature, table.quadrature_scale)
+        for field in fields:
+            assert (field[0] == 0).all() and (field[:, 1] == 0).all()
+        assert (table.quadrature[1] == 0).all() and (table.quadrature_scale[1] == 0).all()
+        # the live rows have a pole at the finite site, seen by both backends
+        # where there is a circle
+        assert (table.order[1:, ::2] == 2).all() and (table.residue[1:, ::2] != 0).all()
+        assert (table.quadrature[2, ::2] != 0).all() and (table.quadrature_scale[2, ::2] > 0).all()
+        # without entries, the table still has the caller's rows
+        assert SiteMap([]).apply([], [], [], 3).residue.shape == (0, 3)

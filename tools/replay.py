@@ -66,13 +66,19 @@ def main(argv=None) -> int:
     ap.add_argument("--inputs", type=int, required=True, help="inputs replayed per seed")
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
     args = ap.parse_args(argv)
+    try:
+        seed_list = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        ap.error(f"--seeds must be comma-separated integers, got {args.seeds!r}")
+    if args.inputs < 1:
+        ap.error("--inputs must be positive")
 
     workloads = import_workloads(args.root.resolve())
     if args.workload not in workloads.WORKLOADS:
         ap.error(f"unknown workload {args.workload!r}; one of {sorted(workloads.WORKLOADS)}")
     workload = workloads.WORKLOADS[args.workload]()
     seeds = {}
-    for seed in (int(s) for s in args.seeds.split(",")):
+    for seed in seed_list:
         failed = replay(workload, seed, args.inputs)
         seeds[str(seed)] = {
             "failed": {str(i): what for i, what in failed.items()},
