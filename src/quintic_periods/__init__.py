@@ -8,8 +8,8 @@ Library layout:
 * :mod:`quintic_periods.multipoly` -- sparse multivariate polynomials;
 * :mod:`quintic_periods.geometry`  -- hypersurfaces, curve jets, Moebius
   machinery, containment/tangency residuals;
-* :mod:`quintic_periods.griffiths` -- the residue cocycle, contraction signs
-  and their bruteforce oracle, per-pair numerators;
+* :mod:`quintic_periods.griffiths` -- contraction signs and their bruteforce
+  oracle, pair wedges, inner factors and numerators;
 * :mod:`quintic_periods.period`    -- period assembly, sweeps, closed-form
   comparison, monomial scans;
 * :mod:`quintic_periods.catalog`   -- built-in hypersurfaces and the fifty
@@ -47,9 +47,7 @@ from .geometry import (
 from .griffiths import (
     contract_bruteforce,
     contraction_sign,
-    gm_monomial_derivative,
     j2star,
-    residue_cocycle,
 )
 from .multipoly import MultiPoly
 from .numkernel import BinaryForm, UniPoly, parse_expression
@@ -74,7 +72,6 @@ __all__ = [
     "contract_bruteforce",
     "contraction_sign",
     "fermat_hypersurface",
-    "gm_monomial_derivative",
     "j2star",
     "line_families",
     "mobius_deformation",
@@ -84,7 +81,6 @@ __all__ = [
     "paper_line_slice",
     "parse_expression",
     "period_at",
-    "residue_cocycle",
     "shioda_quintic",
     "smooth_spot_check",
     "sweep",

@@ -588,7 +588,7 @@ def cmd_verify(args) -> int:
     report_dir = Path(args.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
     lines = []
-    ok = True
+    ok = bool(results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         ok = ok and r.passed

@@ -1,4 +1,4 @@
-"""Residue-cocycle calculus on the Jacobian covering.
+"""Contraction signs, pair wedges, inner factors and numerators.
 
 The class of P Omega / F^(q+1) restricts to the covering {F_j != 0} as a
 degree-q cochain whose piece at J = (j_0 < ... < j_q) is
@@ -11,9 +11,10 @@ coordinate directions in J.  Omega_J collapses to
 
     (-1)^(j_0 + ... + j_q + C(q+2, 2)) * sum_l (-1)^l x_{k_l} (complement wedge),
 
-with (k_0 < ... < k_{m-q}) the complementary indices.  ``contract_bruteforce``
-performs the interior products literally on wedge monomials and is the oracle
-for the closed-form sign.
+with (k_0 < ... < k_{m-q}) the complementary indices.  That sign is the
+one the period carries per pair: ``contraction_sign`` gives it in closed
+form, and ``contract_bruteforce`` performs the interior products literally
+on wedge monomials as its oracle.  The cochain itself is never built.
 
 For five coordinates and q = 1 the period pairing of a first-order curve
 family reduces to per-pair rational integrands in the line coordinate t; the
@@ -24,7 +25,6 @@ partials to pure powers, and all 2*pi*i factors are absorbed into one global
 constant: reported periods are unnormalized and all downstream comparisons
 are projective.
 """
-
 from __future__ import annotations
 
 import itertools
@@ -34,13 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    DegreeError,
-    DimensionMismatchError,
-    IndexSelectionError,
-    UnsupportedShapeError,
-)
-from .geometry import CurveJet, Hypersurface
+from .errors import IndexSelectionError, UnsupportedShapeError
+from .geometry import CurveJet
 from .multipoly import MultiPoly
 from .numkernel.unipoly import UniPoly, coeff_product, trimmed_product, trimmed_sum
 
@@ -133,104 +128,9 @@ def contract_bruteforce(J, m: int) -> ContractionResult:
     return ContractionResult(overall, complement, J)
 
 
-# ---------------------------------------------------------------------------
-# cocycle of the residue class
-
-
-@dataclass(frozen=True)
-class CocyclePiece:
-    coefficient: complex
-    numerator: MultiPoly
-    denominator_indices: tuple[int, ...]
-    form_indices: ContractionResult
-
-    @property
-    def weight(self) -> int:
-        """Homogeneity weight: numerator degree plus the contracted form's
-        own weight (one coefficient degree plus m-q wedge slots)."""
-        m = len(self.denominator_indices) + len(self.form_indices.complement) - 2
-        q = len(self.denominator_indices) - 1
-        return self.numerator.total_degree() + (m + 1 - q)
-
-
-@dataclass(frozen=True)
-class CechCocycle:
-    q: int
-    pieces: dict[tuple[int, ...], CocyclePiece]
-
-
 def required_degree(d: int, m: int, q: int) -> int:
+    """Degree of P for which P Omega / F^(q+1) has weight zero."""
     return d * (q + 1) - m - 2
-
-
-def residue_cocycle(P: MultiPoly, X: Hypersurface, q: int) -> CechCocycle:
-    """All covering pieces of the residue class of P Omega / F^(q+1).
-
-    Parameters
-    ----------
-    P : MultiPoly
-        Homogeneous of degree d(q+1) - m - 2.
-    X : Hypersurface
-    q : int
-        Cochain degree, 0 <= q <= m.
-    """
-    m = X.m
-    if not 0 <= q <= m:
-        raise DegreeError(f"q must lie in 0..{m}, got {q}")
-    if P.nvars != X.nvars:
-        raise DimensionMismatchError("P and X variable counts differ")
-    want = required_degree(X.degree, m, q)
-    if P.is_zero() or not P.is_homogeneous() or P.total_degree() != want:
-        raise DegreeError(
-            f"P must be homogeneous of degree {want} for (d, m, q) = "
-            f"({X.degree}, {m}, {q}); got degree {P.total_degree()}"
-        )
-    global_coeff = (-1.0 if m % 2 else 1.0) / math.factorial(q)
-    pieces = {}
-    for J in _increasing_tuples(m + 2, q + 1):
-        contr = contraction_sign(J, m)
-        pieces[J] = CocyclePiece(
-            coefficient=global_coeff * contr.sign,
-            numerator=P,
-            denominator_indices=J,
-            form_indices=contr,
-        )
-    return CechCocycle(q, pieces)
-
-
-def _increasing_tuples(n: int, k: int):
-    return itertools.combinations(range(n), k)
-
-
-# ---------------------------------------------------------------------------
-# Gauss-Manin monomial derivative rule
-
-
-def gm_monomial_derivative(
-    P: MultiPoly, k: int, beta: tuple[int, ...], d: int = 5, n: int = 1
-) -> tuple[MultiPoly, int]:
-    """Derivative rule for pole order k along the monomial direction x^beta.
-
-    Moving F along F + t x^beta sends the class of P / F^k to that of
-    -k x^beta P / F^(k+1); degree bookkeeping deg(P) = k d - (2n+3) is
-    enforced on the way in and preserved on the way out.
-    """
-    beta = tuple(int(b) for b in beta)
-    if len(beta) != P.nvars:
-        raise DimensionMismatchError("beta length must match the variable count")
-    if P.nvars != 2 * n + 3:
-        raise DegreeError(f"expected {2 * n + 3} variables for n={n}, got {P.nvars}")
-    if sum(beta) != d:
-        raise DegreeError(f"beta must have total degree d={d}, got {sum(beta)}")
-    if k < 1:
-        raise DegreeError("pole order k must be >= 1")
-    want = k * d - (2 * n + 3)
-    if P.is_zero() or not P.is_homogeneous() or P.total_degree() != want:
-        raise DegreeError(
-            f"deg(P) must equal k*d - (2n+3) = {want}, got {P.total_degree()}"
-        )
-    bump = MultiPoly.monomial(P.nvars, 1.0, beta)
-    return (P * bump) * float(-k), k + 1
 
 
 # ---------------------------------------------------------------------------

@@ -263,10 +263,6 @@ class BinaryForm:
         """Chart y=1 polynomial in t; same coefficient list."""
         return UniPoly(self.coeffs)
 
-    def chart_infinity(self) -> UniPoly:
-        """Chart x=1 polynomial in u = 1/t; the reversed coefficient list."""
-        return UniPoly(tuple(reversed(self.coeffs)))
-
     def scale(self) -> float:
         return max((abs(c) for c in self.coeffs), default=0.0)
 

@@ -32,7 +32,6 @@ from .griffiths import (
     NUMERATOR_ZERO_REL_TOL,
     contract_bruteforce,
     contraction_sign,
-    gm_monomial_derivative,
     pair_numerator,
     pair_wedges,
 )
@@ -57,7 +56,6 @@ MOBIUS_SEEDS = (0, 1, 2, 3, 4)
 REPARAM_SEED = 777
 LINEARITY_SEED = 99
 SCAN_SEED = 126
-GM_SEED = 4242
 
 
 @dataclass
@@ -486,7 +484,7 @@ def check_monomial_scan() -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# 9. catalog and degree bookkeeping
+# 9. catalog of line families
 
 
 def check_catalog() -> CheckResult:
@@ -502,35 +500,14 @@ def check_catalog() -> CheckResult:
         for s in (0.1 + 0j, 0.2 * np.exp(1j * np.pi / 7)):
             worst_cont = max(worst_cont, containment_residual(X, fam.jet_at(s)))
             worst_path = max(worst_path, d.abc_path_residual(s))
-    rng = np.random.default_rng(GM_SEED)
-    monos5 = monomials_of_degree(5, 5)
-    gm_ok = True
-    for _ in range(100):
-        k = int(rng.integers(1, 5))
-        want = 5 * k - 5
-        if want == 0:
-            P = MultiPoly.constant(5, complex(rng.uniform(0.5, 2.0)))
-        else:
-            pool = monomials_of_degree(5, want)[:: int(rng.integers(1, 7))]
-            terms = {
-                exps: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for exps in pool
-            }
-            P = MultiPoly(5, terms)
-            if P.is_zero():
-                P = MultiPoly.monomial(5, 1.0, monomials_of_degree(5, want)[0])
-        beta = monos5[int(rng.integers(0, len(monos5)))]
-        P2, k2 = gm_monomial_derivative(P, k, beta, d=5, n=1)
-        if k2 != k + 1 or P2.total_degree() != k2 * 5 - 5 or not P2.is_homogeneous():
-            gm_ok = False
-            break
-    passed = worst_cont < 1e-10 and worst_path < 1e-12 and gm_ok
+    passed = worst_cont < 1e-10 and worst_path < 1e-12
     return CheckResult(
         "catalog",
         passed,
         f"50 distinct line families; worst containment {worst_cont:.2e}; worst "
-        f"a^5+b^5+c^5 residual {worst_path:.2e}; degree rule on 100 seeded triples: {gm_ok}",
+        f"a^5+b^5+c^5 residual {worst_path:.2e}",
         measured={"worst_containment": worst_cont, "worst_path_residual": worst_path},
-        tolerance="containment < 1e-10, path < 1e-12, exact degree bookkeeping",
+        tolerance="containment < 1e-10, path < 1e-12",
     )
 
 

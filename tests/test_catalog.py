@@ -1,4 +1,5 @@
 import cmath
+import itertools
 
 import numpy as np
 import pytest
@@ -32,6 +33,10 @@ class TestFermat:
             exps = [0] * 5
             exps[i] = 4
             assert Fi.terms == {tuple(exps): 5.0 + 0j}
+        for j0, j1 in itertools.combinations(range(5), 2):
+            exps = [0] * 5
+            exps[j0] = exps[j1] = 4
+            assert (X.partials[j0] * X.partials[j1]).terms == {tuple(exps): 25.0 + 0j}
 
     def test_cubic_curve(self):
         X = fermat_hypersurface(1, 3)

@@ -637,6 +637,13 @@ class TestCommands:
         assert report["all_passed"] is True
         assert len(report["results"]) == 1
 
+    def test_verify_filter_without_a_match_fails(self, tmp_path, capsys):
+        assert main(["verify", "--filter", "nomatch", "--report-dir", str(tmp_path)]) == 1
+        assert "no checks match filter 'nomatch'" in capsys.readouterr().out
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert report["all_passed"] is False
+        assert report["results"] == []
+
     def test_verify_corrupted_golden_fixture(self, tmp_path, capsys, monkeypatch):
         import quintic_periods.verification as ver
 

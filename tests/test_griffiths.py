@@ -1,20 +1,15 @@
 import itertools
 
-import numpy as np
 import pytest
 
-from quintic_periods.catalog import fermat_hypersurface
-from quintic_periods.errors import DegreeError, IndexSelectionError
+from quintic_periods.errors import IndexSelectionError
 from quintic_periods.griffiths import (
     contract_bruteforce,
     contraction_sign,
-    gm_monomial_derivative,
     j2star,
     pair_numerator,
     pair_wedges,
-    residue_cocycle,
 )
-from quintic_periods.multipoly import MultiPoly
 
 
 class TestJ2Star:
@@ -69,81 +64,6 @@ class TestContraction:
             contraction_sign((0, 7), 3)
         with pytest.raises(IndexSelectionError):
             contract_bruteforce((0, 1, 2, 3), 2)
-
-
-class TestResidueCocycle:
-    def test_fermat_pair_pieces(self):
-        X = fermat_hypersurface(3, 5)
-        P = MultiPoly.monomial(5, 1.0, (0, 3, 2, 0, 0))
-        coc = residue_cocycle(P, X, 1)
-        assert len(coc.pieces) == 10
-        for J, piece in coc.pieces.items():
-            assert piece.denominator_indices == J
-            # for the Fermat quintic F_{j0} F_{j1} = 25 x_{j0}^4 x_{j1}^4
-            prod = X.partials[J[0]] * X.partials[J[1]]
-            exps = [0] * 5
-            exps[J[0]] += 4
-            exps[J[1]] += 4
-            assert prod.terms == {tuple(exps): 25.0 + 0j}
-            # coefficient = (-1)^m / q! * contraction sign
-            assert abs(piece.coefficient) == 1.0
-            assert piece.coefficient == -contraction_sign(J, 3).sign
-
-    def test_piece_weights_uniform(self):
-        X = fermat_hypersurface(3, 5)
-        P = MultiPoly.monomial(5, 1.0, (1, 1, 1, 1, 1))
-        coc = residue_cocycle(P, X, 1)
-        weights = {p.weight for p in coc.pieces.values()}
-        assert len(weights) == 1
-
-    def test_q_zero_constant_class(self):
-        X = fermat_hypersurface(3, 5)
-        coc = residue_cocycle(MultiPoly.constant(5, 1.0), X, 0)
-        assert len(coc.pieces) == 5
-        assert all(len(J) == 1 for J in coc.pieces)
-
-    def test_degree_error(self):
-        X = fermat_hypersurface(3, 5)
-        with pytest.raises(DegreeError):
-            residue_cocycle(MultiPoly.monomial(5, 1.0, (4, 0, 0, 0, 0)), X, 1)
-
-
-class TestGaussManinRule:
-    def test_instantiated_rule(self):
-        P = MultiPoly.constant(5, 1.0)
-        P2, k2 = gm_monomial_derivative(P, 1, (5, 0, 0, 0, 0))
-        assert k2 == 2
-        assert P2.terms == {(5, 0, 0, 0, 0): -1.0 + 0j}
-
-    def test_double_application_composes(self):
-        P = MultiPoly.constant(5, 1.0)
-        P1, k1 = gm_monomial_derivative(P, 1, (5, 0, 0, 0, 0))
-        P2, k2 = gm_monomial_derivative(P1, k1, (0, 5, 0, 0, 0))
-        assert k2 == 3
-        # -1 * -2 * x0^5 x1^5
-        assert P2.terms == {(5, 5, 0, 0, 0): 2.0 + 0j}
-
-    def test_degree_relation_preserved(self):
-        rng = np.random.default_rng(2020)
-        from quintic_periods.multipoly import monomials_of_degree
-
-        monos5 = monomials_of_degree(5, 5)
-        for _ in range(30):
-            k = int(rng.integers(1, 4))
-            deg = 5 * k - 5
-            if deg == 0:
-                P = MultiPoly.constant(5, 1.0)
-            else:
-                P = MultiPoly.monomial(5, 1.0, monomials_of_degree(5, deg)[int(rng.integers(0, 10))])
-            beta = monos5[int(rng.integers(0, len(monos5)))]
-            P2, k2 = gm_monomial_derivative(P, k, beta)
-            assert P2.total_degree() == k2 * 5 - 5
-
-    def test_wrong_degree_rejected(self):
-        with pytest.raises(DegreeError):
-            gm_monomial_derivative(MultiPoly.monomial(5, 1.0, (1, 0, 0, 0, 0)), 1, (5, 0, 0, 0, 0))
-        with pytest.raises(DegreeError):
-            gm_monomial_derivative(MultiPoly.constant(5, 1.0), 1, (4, 0, 0, 0, 0))
 
 
 class TestPairIntegrand:

@@ -82,7 +82,3 @@ def test_binary_form_substitution_matches_pointwise():
         x, y = complex(*rng.uniform(-1, 1, 2)), complex(*rng.uniform(-1, 1, 2))
         assert abs(form_eval(g, x, y) - form_eval(f, a * x + b * y, c * x + d * y)) < 1e-12
 
-
-def test_chart_swap_reverses_coefficients():
-    f = BinaryForm(2, (1.0, 2.0, 3.0))
-    assert f.chart_infinity().coeffs == (3.0, 2.0, 1.0)
