@@ -12,12 +12,10 @@ non-convergence or a sample that breaks a declared tolerance (its outputs
 are still written).
 
 Config files are JSON.  Numbers may be written as plain floats, as
-``[re, im]`` pairs, or as exact rational strings ``"p/q"``; normalization
-converts everything to ``[re, im]`` so that parse -> normalize -> serialize
--> parse is a fixed point.  CSV output uses scientific notation with 17
-significant digits and a fixed column order, so identical configs produce
-byte-identical files.  JSON output is standard JSON: a NaN or infinite
-number is written as null.
+``[re, im]`` pairs, or as exact rational strings ``"p/q"``.  CSV output uses
+scientific notation with 17 significant digits and a fixed column order, so
+identical configs produce byte-identical files.  JSON output is standard
+JSON: a NaN or infinite number is written as null.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
@@ -130,6 +128,11 @@ def _expression(text: Any, where: str) -> Expr:
         raise ConfigError(str(exc), where) from None
 
 
+DEFAULT_TOLERANCES = {
+    "backend_agreement": 1e-8,
+    "residue_theorem": 1e-8,
+    "vanish_rel": VANISH_REL_TOL,
+}
 # the keys of a family given by coordinate expressions
 EXPRESSION_KEYS = ("coordinates", "zeta_index", "jets", "name")
 
@@ -140,8 +143,8 @@ class RunConfig:
     family: dict
     p_text: str
     samples: list[complex]
-    tolerances: dict = field(default_factory=dict)
-    output: dict = field(default_factory=dict)
+    tolerances: dict  # every tolerance by name, declared or default
+    output: dict
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -173,28 +176,12 @@ class RunConfig:
         if not isinstance(out, dict):
             raise ConfigError("output must be an object", "output")
         _known_keys(tol, tuple(DEFAULT_TOLERANCES), "tolerances")
-        tol = {name: _tolerance(raw, name) for name, raw in tol.items()}
+        tol = {**DEFAULT_TOLERANCES, **{name: _tolerance(raw, name) for name, raw in tol.items()}}
         _known_keys(out, ("csv", "json"), "output")
+        for key, path in out.items():
+            if not isinstance(path, str):
+                raise ConfigError(f"an output path must be text, got {path!r}", f"output.{key}")
         return cls(hyper, family, p_text, samples, tol, out)
-
-    def normalized(self) -> dict:
-        """Canonical JSON-ready form; a fixed point of parse -> serialize."""
-        fam = dict(self.family)
-        if "coordinates" in fam:
-            fam["coordinates"] = list(fam["coordinates"])
-            fam.setdefault("jets", "analytic")
-            fam.setdefault("zeta_index", 1)
-        return {
-            "family": fam,
-            "hypersurface": self.hypersurface,
-            "output": dict(sorted(self.output.items())),
-            "p": self.p_text,
-            "samples": [[z.real, z.imag] for z in self.samples],
-            "tolerances": dict(sorted(self.tolerances.items())),
-        }
-
-    def serialize(self) -> str:
-        return json.dumps(self.normalized(), sort_keys=True, indent=2) + "\n"
 
 
 def _parse_samples(raw: Any) -> list[complex]:
@@ -282,7 +269,10 @@ def build_family(cfg: RunConfig) -> CurveFamily:
             f"unknown jets mode {fam['jets']!r} (the one mode is 'analytic')", "family.jets"
         )
     zeta_index = _converted(_whole, fam.get("zeta_index", 1), "family.zeta_index", "an integer")
-    zeta = cat.zeta_value(zeta_index)
+    try:
+        zeta = cat.zeta_value(zeta_index)
+    except ConfigError as exc:
+        raise ConfigError(str(exc), "family.zeta_index") from None
     exprs = [_expression(c, f"family.coordinates[{i}]") for i, c in enumerate(coords)]
     env = {"t": UniPoly.variable(), "zeta": zeta}
 
@@ -369,15 +359,7 @@ def period_csv_lines(reports: Sequence[PeriodReport]) -> list[str]:
     return lines
 
 
-DEFAULT_TOLERANCES = {
-    "backend_agreement": 1e-8,
-    "residue_theorem": 1e-8,
-    "vanish_rel": VANISH_REL_TOL,
-}
-
-
 def period_json_payload(reports: Sequence[PeriodReport], tolerances: dict) -> dict:
-    tolerances = {**DEFAULT_TOLERANCES, **tolerances}
     vanish_rel = tolerances["vanish_rel"]
     out = []
     for r in reports:
@@ -430,7 +412,6 @@ def period_breach(r: PeriodReport, tolerances: dict) -> str | None:
     residue theorem bounds each live pair's check relative to the largest
     |residue| summed into it; a check over no nonzero residue holds.
     """
-    tolerances = {**DEFAULT_TOLERANCES, **tolerances}
     backend, theorem = tolerances["backend_agreement"], tolerances["residue_theorem"]
     found = []
     pairs = r.per_pair.values()
@@ -456,7 +437,7 @@ def period_breach(r: PeriodReport, tolerances: dict) -> str | None:
 def scan_breaches(table: ScanTable, tolerances: dict) -> list[str]:
     """One line per sample with a non-finite total or backend disagreement,
     or whose largest one breaks the declared backend agreement."""
-    backend = {**DEFAULT_TOLERANCES, **tolerances}["backend_agreement"]
+    backend = tolerances["backend_agreement"]
     out = []
     for k, (s, (worst, pair, monomial)) in enumerate(zip(table.s_list, table.worst_backend)):
         found = []
@@ -551,7 +532,7 @@ def cmd_scan(args) -> int:
     X = build_hypersurface(cfg)
     fam = build_family(cfg)
     table = monomial_scan(X, fam, cfg.samples, args.degree)
-    vanish_rel = {**DEFAULT_TOLERANCES, **cfg.tolerances}["vanish_rel"]
+    vanish_rel = cfg.tolerances["vanish_rel"]
     csv_text = "\n".join(scan_csv_lines(table, vanish_rel)) + "\n"
     json_text = _json_text(scan_json_payload(table, vanish_rel))
     _write(args.out_csv or cfg.output.get("csv"), csv_text)

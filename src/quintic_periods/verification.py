@@ -117,8 +117,6 @@ def reference_period(X: Hypersurface, P: MultiPoly, jet: CurveJet) -> complex:
 
 
 def check_contraction_oracle() -> CheckResult:
-    import itertools
-
     count = 0
     for m in (2, 3, 4, 5):
         # contracting more than m+1 times kills the (m+1)-form, so the

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from quintic_periods.catalog import (
+    STANDARD_PERIOD_SAMPLES,
     ClosedFormRef,
     catalog_entries,
     closed_form_g,
     fermat_hypersurface,
     line_families,
+    line_family,
     mustata_conic_equations,
     mustata_residuals,
     paper_line_slice,
@@ -23,6 +25,7 @@ from quintic_periods.errors import ConfigError
 from quintic_periods.geometry import containment_residual, smooth_spot_check, tangency_residual
 from quintic_periods.numkernel.roots import poly_roots
 from quintic_periods.numkernel.unipoly import UniPoly
+from quintic_periods.period import monomial_scan
 
 
 class TestFermat:
@@ -95,6 +98,30 @@ class TestLineFamilies:
         jet = line_families()[0].family("corrected").jet_at(0j)
         comp = X.F.compose_unipoly(jet.x_chart())
         assert abs(comp(1.0)) < 1e-10
+
+    def test_fermat_group_action_relates_every_scan(self, fermat):
+        # fermat-line/pair=i,j/zeta=k is pair (0,1)'s line with its slots
+        # moved by sigma = (i, j, the other three in order) and slot j
+        # scaled by zeta^k, a symmetry of the Fermat quintic; so each row e
+        # is sign(sigma) zeta^k zeta^(k e_j) times the base row of e o sigma,
+        # (e o sigma)_n = e_sigma(n).  On these samples rounding reaches
+        # 6.5e-16 of the largest |period|, and flipping pair (0,2)'s
+        # contraction sign 0.5: the bound 1e-13 keeps 150x above rounding
+        samples = STANDARD_PERIOD_SAMPLES[:2]
+        base = monomial_scan(fermat, line_family((0, 1), 0), samples, 5)
+        base_rows = {row.exponents: np.array(row.totals) for row in base.rows}
+        largest = max(np.abs(totals).max() for totals in base_rows.values())
+        zeta = zeta_value(1)
+        for d in line_families():
+            (i, j), k = d.pair, d.zeta_index
+            sigma = (i, j, *(n for n in range(5) if n not in (i, j)))
+            sign = (-1) ** sum(a > b for a, b in itertools.combinations(sigma, 2))
+            table = monomial_scan(fermat, d.family("corrected"), samples, 5)
+            for row in table.rows:
+                e = row.exponents
+                want = sign * zeta ** (k + k * e[j]) * base_rows[tuple(e[n] for n in sigma)]
+                err = np.abs(np.array(row.totals) - want).max()
+                assert err <= 1e-13 * largest, (d.identifier, row.monomial, err / largest)
 
 
 class TestSlice:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from quintic_periods.cli import (
-    RunConfig,
     build_family,
     build_hypersurface,
     load_config,
@@ -50,13 +49,6 @@ NON_HOMOGENEOUS = [
 
 
 class TestConfig:
-    def test_round_trip_is_fixed_point(self, tmp_path):
-        path = write_config(tmp_path, tolerances={"vanish_rel": 1e-9})
-        cfg = load_config(path)
-        text1 = cfg.serialize()
-        cfg2 = RunConfig.from_dict(json.loads(text1))
-        assert cfg2.serialize() == text1
-
     def test_rational_and_pair_numbers(self, tmp_path):
         path = write_config(tmp_path, samples=["1/10", [0.0, 0.12]])
         cfg = load_config(path)
@@ -78,15 +70,16 @@ class TestConfig:
             load_config(path)
 
     def test_declared_tolerances_echo_as_numbers(self, tmp_path):
-        # a rational string and a [re, im] pair are read once, as numbers,
+        # a rational string and a [re, im] pair are read once, as numbers;
+        # the config holds them with the default of the undeclared one,
         # and the period JSON echoes those numbers
         out = {"json": str(tmp_path / "p.json")}
         tolerances = {"backend_agreement": "1/100000000", "residue_theorem": [1e-8, 0]}
         path = write_config(tmp_path, tolerances=tolerances, output=out)
-        assert load_config(path).tolerances == {"backend_agreement": 1e-8, "residue_theorem": 1e-8}
+        resolved = {"backend_agreement": 1e-8, "residue_theorem": 1e-8, "vanish_rel": 1e-9}
+        assert load_config(path).tolerances == resolved
         assert main(["period", "--config", str(path)]) == 0
-        echoed = json.loads((tmp_path / "p.json").read_text())["tolerances"]
-        assert echoed == {"backend_agreement": 1e-8, "residue_theorem": 1e-8, "vanish_rel": 1e-9}
+        assert json.loads((tmp_path / "p.json").read_text())["tolerances"] == resolved
 
     def test_missing_fields(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -537,6 +530,7 @@ class TestCommands:
                 "samples.count",
             ),
             ({"family": {"coordinates": LINE, "zeta_index": True}}, [], "family.zeta_index"),
+            ({"family": {"coordinates": LINE, "zeta_index": 7}}, [], "family.zeta_index"),
             (
                 {"family": {"coordinates": LINE, "jets": "fd", "fd_step": True}},
                 [],
@@ -575,6 +569,7 @@ class TestCommands:
                 [],
                 "hypersurface.terms[1]",
             ),
+            ({"output": {"csv": 5}}, [], "output.csv"),
         ],
         ids=[
             "s-word",
@@ -603,6 +598,7 @@ class TestCommands:
             "fd-step-zero",
             "count-bool",
             "zeta-index-bool",
+            "zeta-index-out-of-range",
             "fd-step-bool",
             "tolerance-nan",
             "tolerance-infinite",
@@ -620,6 +616,7 @@ class TestCommands:
             "line-pair-reversed",
             "segment-overflow",
             "coeff-sum-overflow",
+            "output-path-not-text",
         ],
     )
     def test_malformed_input_exits_2_naming_its_field(

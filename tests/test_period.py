@@ -343,12 +343,12 @@ class TestDegreeTwoJets:
         # the quadrature backend integrates F_j0(x(t)) F_j1(x(t)) as it
         # stands, so declared roots of F_4 moved by 1e-6, with their
         # multiplicities kept, breach the backend agreement
-        from quintic_periods.cli import period_breach
+        from quintic_periods.cli import DEFAULT_TOLERANCES, period_breach
 
         jet = self._random_jet(11)
         rep = period_of_jet(fermat, p_x1cubed_x2sq, jet)
         assert rep.max_backend_disagreement < 1e-8
-        assert period_breach(rep, {}) is None
+        assert period_breach(rep, DEFAULT_TOLERANCES) is None
         true_roots = period._SampleContext.chart_roots
 
         def moved(ctx, j):
@@ -358,7 +358,7 @@ class TestDegreeTwoJets:
         monkeypatch.setattr(period._SampleContext, "chart_roots", moved)
         rep = period_of_jet(fermat, p_x1cubed_x2sq, jet)
         assert rep.max_backend_disagreement >= 1e-8
-        assert "backend_agreement 1e-08 in pair (" in period_breach(rep, {})
+        assert "backend_agreement 1e-08 in pair (" in period_breach(rep, DEFAULT_TOLERANCES)
 
     def test_chart_roots_of_fourth_powers(self, fermat):
         # F_j(x(t)) = 5 x_j(t)^4 has two 4-fold roots; they come from the

@@ -11,8 +11,9 @@ The corpus:
   coordinate-expression family (``"jets": "analytic"``, its symbolic
   ``s``-derivatives), with three other expression lines (two ``root5``
   coordinates, a ``root5`` nested in a radicand, a coordinate with a
-  division), and on ``"shioda-quintic"`` (whose non-monomial partials are
-  rooted as they stand), through the CLI: the ``period`` and the
+  division), on ``"shioda-quintic"`` (whose non-monomial partials are
+  rooted as they stand), and with declared tolerances (a rational string,
+  a ``[re, im]`` pair and a float), through the CLI: the ``period`` and the
   ``scan --degree 5`` CSV and JSON bytes, stdout and exit code;
 * ``period_at`` of ``x1^3 x2^2`` on each of the 50 catalog lines at every
   ``STANDARD_PERIOD_SAMPLES`` value, and ``monomial_scan`` of each line at
@@ -90,6 +91,12 @@ EXPRESSION_LINES = {
     "nested root5": ["t", "-zeta*t", "1", "root5(s+2)", "root5(-1-root5(s+2)^5)"],
     "division": ["t", "-zeta*t", "1", "s/2", "root5(-1-(s/2)^5)"],
 }
+# each tolerance declared, in each way a number may be written
+DECLARED_TOLERANCES = {
+    "backend_agreement": "1/100000000",
+    "residue_theorem": [1e-8, 0],
+    "vanish_rel": 1e-6,
+}
 CLI_CONFIGS = {
     "catalog": README_CONFIG,
     "expression analytic": {
@@ -101,6 +108,7 @@ CLI_CONFIGS = {
         for name, c in EXPRESSION_LINES.items()
     },
     "shioda": {**README_CONFIG, "hypersurface": "shioda-quintic"},
+    "declared tolerances": {**README_CONFIG, "tolerances": DECLARED_TOLERANCES},
 }
 JET_SEEDS = range(200)
 SCAN_JET_SEEDS = range(20)
