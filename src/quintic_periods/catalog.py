@@ -87,10 +87,8 @@ def root5_neg1_minus_s5(s: complex) -> complex:
     return continued_root5(lambda sig: -1.0 - sig**5, complex(s))
 
 
-def d_root5_neg1_minus_s5(s: complex, w: complex | None = None) -> complex:
-    """d/ds of root5(-1 - s^5): implicit differentiation gives -s^4 / w^4."""
-    if w is None:
-        w = root5_neg1_minus_s5(s)
+def d_root5_neg1_minus_s5(s: complex, w: complex) -> complex:
+    """d/ds of w = root5(-1 - s^5): implicit differentiation gives -s^4 / w^4."""
     return -(s**4) / w**4
 
 
@@ -173,7 +171,7 @@ def line_family(pair: tuple[int, int], zeta_index: int, mode: str = MODE_CORRECT
         return CurveJet(complex(s), tuple(x), tuple(y), 1)
 
     name = f"fermat-line/pair={i},{j}/zeta={zeta_index}/{mode}"
-    return CurveFamily(name=name, jet_fn=jet, metadata={"kind": "line", "mode": mode})
+    return CurveFamily(name=name, jet_fn=jet)
 
 
 def paper_line_slice(zeta_index: int, mode: str = MODE_CORRECTED) -> CurveFamily:
@@ -220,9 +218,7 @@ def mobius_null_family(zeta_index: int, seed: int) -> CurveFamily:
     direction = tuple(amplitude * complex(g[2 * k], g[2 * k + 1]) for k in range(4))
     base_jet = paper_line_slice(zeta_index, MODE_CORRECTED).jet_at(base_s)
     name = f"mobius-null/zeta={zeta_index}/seed={seed}"
-    fam = mobius_deformation(base_jet.x, direction, name=name)
-    fam.metadata.update({"base_s": base_s, "seed": seed})
-    return fam
+    return mobius_deformation(base_jet.x, direction, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -212,9 +212,13 @@ def _parse_samples(raw: Any) -> list[complex]:
 def load_config(path: str | Path) -> RunConfig:
     p = Path(path)
     try:
-        raw = json.loads(p.read_text())
+        raw = json.loads(p.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {p}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        # a directory, an unreadable file, bytes that are not UTF-8 text
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read config file {p}: {reason}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     return RunConfig.from_dict(raw)
@@ -280,13 +284,13 @@ def build_family(cfg: RunConfig) -> CurveFamily:
         """The trees at s as polynomials in t, in one evaluation; tree i
         belongs to coordinate i modulo the coordinate count."""
         try:
-            values = eval_on_path(trees, "s", s, env)
+            values = eval_on_path(trees, s, env)
         except EvaluationError:
             # a tree that parses but is no polynomial in t: the first that
             # fails on its own is the one the evaluation stopped at
             for i, tree in enumerate(trees):
                 try:
-                    eval_on_path([tree], "s", s, env)
+                    eval_on_path([tree], s, env)
                 except EvaluationError as exc:
                     raise ConfigError(str(exc), f"family.coordinates[{i % len(exprs)}]") from None
             raise
@@ -298,7 +302,7 @@ def build_family(cfg: RunConfig) -> CurveFamily:
     if d_curve < 0:
         raise ConfigError("all coordinates vanish at every sample", "family.coordinates")
     # the coordinates, then their s-derivatives: one evaluation per jet
-    trees = exprs + [differentiate(e, "s") for e in exprs]
+    trees = exprs + [differentiate(e) for e in exprs]
 
     def charts_at(s: complex) -> tuple[list[UniPoly], list[UniPoly]]:
         out = charts(trees, s)
@@ -311,15 +315,13 @@ def build_family(cfg: RunConfig) -> CurveFamily:
                 )
         return out[: len(exprs)], out[len(exprs) :]
 
-    return family_from_charts(
-        str(fam.get("name", "config-family")), charts_at, d_curve, metadata={"source": "config"}
-    )
+    return family_from_charts(str(fam.get("name", "config-family")), charts_at, d_curve)
 
 
 def build_p(cfg: RunConfig, X: Hypersurface) -> MultiPoly:
     expr = _expression(cfg.p_text, "p")
     try:
-        return expr_to_multipoly(expr, X.nvars, constants={"zeta": cat.zeta_value(1)})
+        return expr_to_multipoly(expr, X.nvars, {"zeta": cat.zeta_value(1)})
     except EvaluationError as exc:
         raise ConfigError(str(exc), "p") from None
 
@@ -491,10 +493,38 @@ def scan_json_payload(table: ScanTable, vanish_rel: float) -> dict:
     }
 
 
-def _write(path: str | None, text: str) -> None:
-    if path:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text(text)
+def _output_paths(args, cfg: RunConfig) -> dict[str, tuple[str, str]]:
+    """Each output ("csv", "json") to write, as the field that names its path
+    (a flag before the config) and the path.  A path that is a directory
+    is refused here, before any period is computed."""
+    out = {}
+    for key in ("csv", "json"):
+        flag = getattr(args, f"out_{key}")
+        field, path = (f"--out-{key}", flag) if flag else (f"output.{key}", cfg.output.get(key))
+        if path:
+            if Path(path).is_dir():
+                raise ConfigError(f"output path {path} is a directory", field)
+            out[key] = field, path
+    return out
+
+
+def _make_dir(path: Path, field: str) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create directory {path}: {exc.strerror or exc}", field) from None
+
+
+def _write(target: tuple[str, str | Path] | None, text: str) -> None:
+    """Write text to the path of ``target`` = (field, path), if given; an
+    OSError is a ConfigError naming the field."""
+    if target:
+        field, path = target
+        _make_dir(Path(path).parent, field)
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}", field) from None
 
 
 # ---------------------------------------------------------------------------
@@ -514,14 +544,15 @@ def cmd_period(args) -> int:
     if args.s:
         # before the family is built: it reads its t-degree at the samples
         cfg = replace(cfg, samples=[_converted(_parse_s, args.s, "--s", "RE,IM")])
+    outputs = _output_paths(args, cfg)
     X = build_hypersurface(cfg)
     fam = build_family(cfg)
     P = build_p(cfg, X)
     reports = [period_at(X, P, fam, s) for s in cfg.samples]
     csv_text = "\n".join(period_csv_lines(reports)) + "\n"
     json_text = _json_text(period_json_payload(reports, cfg.tolerances))
-    _write(args.out_csv or cfg.output.get("csv"), csv_text)
-    _write(args.out_json or cfg.output.get("json"), json_text)
+    _write(outputs.get("csv"), csv_text)
+    _write(outputs.get("json"), json_text)
     sys.stdout.write(csv_text)
     breaches = [line for r in reports if (line := period_breach(r, cfg.tolerances))]
     return _report_breaches(breaches)
@@ -529,14 +560,15 @@ def cmd_period(args) -> int:
 
 def cmd_scan(args) -> int:
     cfg = load_config(args.config)
+    outputs = _output_paths(args, cfg)
     X = build_hypersurface(cfg)
     fam = build_family(cfg)
     table = monomial_scan(X, fam, cfg.samples, args.degree)
     vanish_rel = cfg.tolerances["vanish_rel"]
     csv_text = "\n".join(scan_csv_lines(table, vanish_rel)) + "\n"
     json_text = _json_text(scan_json_payload(table, vanish_rel))
-    _write(args.out_csv or cfg.output.get("csv"), csv_text)
-    _write(args.out_json or cfg.output.get("json"), json_text)
+    _write(outputs.get("csv"), csv_text)
+    _write(outputs.get("json"), json_text)
     nonzero = sum(1 for r in table.rows if not vanishes(r.totals, r.vanish_scales, vanish_rel))
     sys.stdout.write(
         f"{len(table.rows)} monomials x {len(table.s_list)} samples; "
@@ -563,11 +595,10 @@ def cmd_catalog(_args) -> int:
 def cmd_verify(args) -> int:
     from . import verification
 
-    results = verification.run_all(
-        name_filter=args.filter, refreeze=args.refreeze
-    )
     report_dir = Path(args.report_dir)
-    report_dir.mkdir(parents=True, exist_ok=True)
+    # before the checks, so that a directory that cannot be made costs none
+    _make_dir(report_dir, "--report-dir")
+    results = verification.run_all(name_filter=args.filter, refreeze=args.refreeze)
     lines = []
     ok = bool(results)
     for r in results:
@@ -590,8 +621,8 @@ def cmd_verify(args) -> int:
         ],
         "all_passed": ok,
     }
-    (report_dir / "verify.json").write_text(_json_text(payload))
-    (report_dir / "verify.txt").write_text("\n".join(lines) + "\n")
+    _write(("--report-dir", report_dir / "verify.json"), _json_text(payload))
+    _write(("--report-dir", report_dir / "verify.txt"), "\n".join(lines) + "\n")
     if not results:
         sys.stdout.write(f"no checks match filter {args.filter!r}\n")
         return 1

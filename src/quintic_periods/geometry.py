@@ -8,7 +8,7 @@ normalized residuals rather than asserted, so broken inputs are measurable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -107,11 +107,10 @@ class CurveJet:
 
 @dataclass
 class CurveFamily:
-    """Named family s -> CurveJet with free-form metadata."""
+    """Named family s -> CurveJet."""
 
     name: str
     jet_fn: Callable[[complex], CurveJet]
-    metadata: dict = field(default_factory=dict)
 
     def jet_at(self, s: complex) -> CurveJet:
         jet = self.jet_fn(complex(s))
@@ -182,12 +181,6 @@ class MobiusMap:
     def det(self) -> complex:
         return self.a * self.d - self.b * self.c
 
-    def __call__(self, t: complex) -> complex:
-        den = self.c * t + self.d
-        if den == 0:
-            raise ZeroDivisionError("Moebius image at a pole of the map")
-        return (self.a * t + self.b) / den
-
 
 def transform_jet(jet: CurveJet, A: MobiusMap) -> CurveJet:
     """Reparametrize the source line: substitute (x,y) -> A(x,y) in all forms."""
@@ -199,11 +192,7 @@ def transform_jet(jet: CurveJet, A: MobiusMap) -> CurveJet:
 def mobius_reparam(fam: CurveFamily, A: MobiusMap) -> CurveFamily:
     """Family with t replaced by A(t) in every jet (both charts handled by
     the form substitution)."""
-    return CurveFamily(
-        name=f"{fam.name}|reparam",
-        jet_fn=lambda s: transform_jet(fam.jet_at(s), A),
-        metadata={**fam.metadata, "reparam": (A.a, A.b, A.c, A.d)},
-    )
+    return CurveFamily(f"{fam.name}|reparam", lambda s: transform_jet(fam.jet_at(s), A))
 
 
 def mobius_deformation(
@@ -243,14 +232,13 @@ def mobius_deformation(
         )
         return CurveJet(s, x, y, d_curve)
 
-    return CurveFamily(name=name, jet_fn=jet, metadata={"kind": "mobius-null"})
+    return CurveFamily(name=name, jet_fn=jet)
 
 
 def family_from_charts(
     name: str,
     charts_at: Callable[[complex], tuple[Sequence[UniPoly], Sequence[UniPoly]]],
     d_curve: int,
-    metadata: dict | None = None,
 ) -> CurveFamily:
     """Family from chart polynomials: at each s, ``charts_at(s)`` gives the
     coordinates and their s-derivatives, both as polynomials in t of degree
@@ -262,7 +250,7 @@ def family_from_charts(
         ys = tuple(BinaryForm.from_unipoly(p, d_curve) for p in derivatives)
         return CurveJet(s, xs, ys, d_curve)
 
-    return CurveFamily(name=name, jet_fn=jet, metadata=metadata or {})
+    return CurveFamily(name=name, jet_fn=jet)
 
 
 # ---------------------------------------------------------------------------

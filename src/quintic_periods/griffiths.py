@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import IndexSelectionError, UnsupportedShapeError
 from .geometry import CurveJet
-from .multipoly import MultiPoly
 from .numkernel.unipoly import UniPoly, coeff_product, trimmed_product, trimmed_sum
 
 
@@ -164,7 +163,7 @@ def pair_inner(
     jet: CurveJet,
     j0: int,
     j1: int,
-    wedges: dict[tuple[int, int], tuple[UniPoly, float]] | None = None,
+    wedges: dict[tuple[int, int], tuple[UniPoly, float]],
 ) -> tuple[UniPoly, float]:
     """Class-independent factor of the pair numerator and its scale.
 
@@ -176,8 +175,6 @@ def pair_inner(
     returned as the zero polynomial.
     """
     n = jet.ncoords
-    if wedges is None:
-        wedges = pair_wedges(jet)
     # the numerator is symmetric in (j0, j1); orientation lives in the
     # caller's choice of residue coordinate
     pair_sign = contraction_sign(tuple(sorted((j0, j1))), n - 2).sign
@@ -223,7 +220,7 @@ def _inner_plan(n: int) -> tuple[tuple[tuple[int, int], ...], tuple, np.ndarray]
 
 def pair_inners(
     jet: CurveJet,
-    wedges: dict[tuple[int, int], tuple[UniPoly, float]] | None = None,
+    wedges: dict[tuple[int, int], tuple[UniPoly, float]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """``pair_inner`` of every pair (j0 < j1), in ``itertools.combinations``
     order: one row of inner coefficients per pair, zero-padded to a common
@@ -238,8 +235,6 @@ def pair_inners(
     n = jet.ncoords
     if n != 5:
         raise UnsupportedShapeError(f"pair inner factors need 5 coordinates, got {n}")
-    if wedges is None:
-        wedges = pair_wedges(jet)
     pairs, summands, sign = _inner_plan(n)
     xs = jet.x_chart()
     x_scale = [x.scale() for x in xs]
@@ -260,17 +255,15 @@ def pair_inners(
 
 
 def pair_numerator(
-    P: MultiPoly,
     jet: CurveJet,
     j0: int,
     j1: int,
-    wedges: dict[tuple[int, int], tuple[UniPoly, float]] | None = None,
-    p_chart: UniPoly | None = None,
+    wedges: dict[tuple[int, int], tuple[UniPoly, float]],
+    p_chart: UniPoly,
 ) -> tuple[UniPoly, float]:
     """Numerator P(x(t)) * inner (see ``pair_inner``) of one pair and its
-    pre-cancellation scale."""
-    if p_chart is None:
-        p_chart = P.compose_unipoly(jet.x_chart())
+    pre-cancellation scale, given the chart ``p_chart`` = P(x(t)) and the
+    jet's ``pair_wedges``."""
     inner, term_scale = pair_inner(jet, j0, j1, wedges)
     return p_chart * inner, term_scale * max(p_chart.scale(), 1e-300)
 

@@ -425,38 +425,36 @@ def _continued(radicand_of, count: int, value: complex) -> list[complex]:
     return roots
 
 
-def eval_on_path(trees, var: str, value: complex, env: dict | None = None):
-    """The values of trees, a sequence of expressions, with every root5
-    branch continued along 0 -> value in the ``var`` plane (see
-    :func:`_continued`); given one expression, its value.
+def eval_on_path(trees, value: complex, env: dict) -> list:
+    """The values of trees, a sequence of expressions, with values from env
+    and s = value, every root5 branch continued along 0 -> value in the s
+    plane (see :func:`_continued`).
 
     The root5 nodes of a tree are continued as one set, and trees with the
     same set share its continuation: a coordinate and its s-derivative,
     which reuses the coordinate's nodes, cost one continuation.
     """
-    if isinstance(trees, Expr):
-        return eval_on_path([trees], var, value, env)[0]
-    env = dict(env or {})
+    env = dict(env)
     continued: dict[_Group, list] = {}
     out = []
     for tree in trees:
         group, run = tree._compiled
         roots = continued.get(group)
         if roots is None:
-            roots = continued[group] = _continue_group(group, env, var, value)
-        env[var] = value
+            roots = continued[group] = _continue_group(group, env, value)
+        env["s"] = value
         out.append(run(env, roots))
     return out
 
 
-def _continue_group(group: _Group, env: dict, var: str, value: complex) -> list:
-    """The group's roots continued along 0 -> value; env[var] is moved."""
+def _continue_group(group: _Group, env: dict, value: complex) -> list:
+    """The group's roots continued along 0 -> value; env["s"] is moved."""
     radicands = group.radicands
     if not radicands:
         return []
 
     def radicand(k: int, sigma: complex, roots: list[complex]) -> complex:
-        env[var] = sigma
+        env["s"] = sigma
         return _require_scalar(radicands[k](env, roots), "root5")
 
     return _continued(radicand, len(radicands), value)
@@ -471,17 +469,17 @@ def continued_root5(radicand_of, value: complex) -> complex:
 # symbolic s-derivative (for analytic jets of expression families)
 
 
-def differentiate(expr: Expr, var: str) -> Expr:
-    """d(expr)/d(var).  root5(g)' = g' * root5(g) / (5 g), valid on any branch."""
+def differentiate(expr: Expr) -> Expr:
+    """d(expr)/ds.  root5(g)' = g' * root5(g) / (5 g), valid on any branch."""
     if isinstance(expr, Num):
         return Num(0j)
     if isinstance(expr, Sym):
-        return Num(1.0 + 0j) if expr.name == var else Num(0j)
+        return Num(1.0 + 0j) if expr.name == "s" else Num(0j)
     if isinstance(expr, Neg):
-        return Neg(differentiate(expr.arg, var))
+        return Neg(differentiate(expr.arg))
     if isinstance(expr, BinOp):
-        da = differentiate(expr.left, var)
-        db = differentiate(expr.right, var)
+        da = differentiate(expr.left)
+        db = differentiate(expr.right)
         if expr.op in "+-":
             return BinOp(expr.op, da, db)
         if expr.op == "*":
@@ -491,14 +489,14 @@ def differentiate(expr: Expr, var: str) -> Expr:
     if isinstance(expr, Pow):
         if expr.exponent == 0:
             return Num(0j)
-        db = differentiate(expr.base, var)
+        db = differentiate(expr.base)
         return BinOp(
             "*",
             BinOp("*", Num(complex(expr.exponent)), Pow(expr.base, expr.exponent - 1)),
             db,
         )
     if isinstance(expr, Root5):
-        dg = differentiate(expr.arg, var)
+        dg = differentiate(expr.arg)
         num = BinOp("*", dg, expr)
         den = BinOp("*", Num(5.0 + 0j), expr.arg)
         return BinOp("/", num, den)
@@ -509,9 +507,9 @@ def differentiate(expr: Expr, var: str) -> Expr:
 # exact polynomial extraction
 
 
-def expr_to_multipoly(expr: Expr, nvars: int, constants: dict[str, complex] | None = None):
+def expr_to_multipoly(expr: Expr, nvars: int, constants: dict[str, complex]):
     """Exact MultiPoly in x0..x{nvars-1}: the expression evaluated with
-    x_i -> MultiPoly.variable(nvars, i).
+    x_i -> MultiPoly.variable(nvars, i) and the named constants.
 
     Non-polynomial constructs (root5, division or negative exponents applied
     to variables, other symbols) raise EvaluationError.
@@ -521,6 +519,6 @@ def expr_to_multipoly(expr: Expr, nvars: int, constants: dict[str, complex] | No
     if any(isinstance(e, Root5) for e in _subtrees(expr)):
         raise EvaluationError("polynomial extraction: root5 is not polynomial")
     env = {f"x{i}": MultiPoly.variable(nvars, i) for i in range(nvars)}
-    env.update(constants or {})
+    env.update(constants)
     value = evaluate(expr, env)
     return value if isinstance(value, MultiPoly) else MultiPoly.constant(nvars, value)

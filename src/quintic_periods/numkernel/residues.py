@@ -473,7 +473,7 @@ class SiteEntry:
         lead: complex,
         den_sites: list[tuple[complex, int]],
         width: int,
-        contour: bool = False,
+        contour: bool,
     ):
         self.at_infinity = location is None
         self.location = 0j if location is None else location
@@ -583,17 +583,17 @@ class SiteMap:
     Entries of equal exact location, width and order run as one block, and
     blocks of equal location and width share one Taylor-shift matrix.
     ``dens[i]``, entry i's den at the ``circle_points`` of its circle, is
-    given for the entries with a radius and adds their quadrature backend.
+    given for the entries with a radius and adds their quadrature backend;
+    it is None for the others.
     """
 
-    def __init__(self, entries: list[SiteEntry], dens: list[np.ndarray | None] | None = None):
+    def __init__(self, entries: list[SiteEntry], dens: list[np.ndarray | None]):
         self.entries = entries
         shift_matrix = lru_cache(maxsize=None)(_shift_matrix)
         blocks: dict[tuple, list[int]] = {}
         for i, e in sorted(enumerate(entries), key=lambda ie: ie[1].radius is None):
             if e.order > 0:
                 blocks.setdefault((e.at_infinity, e.location, e.width, e.order), []).append(i)
-        dens = dens or [None] * len(entries)
         self.blocks = [
             _Block(idx, [entries[i] for i in idx], [dens[i] for i in idx], shift_matrix)
             for idx in blocks.values()

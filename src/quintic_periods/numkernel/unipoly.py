@@ -112,11 +112,7 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> UniPoly:
-        if isinstance(other, UniPoly):
-            if other.degree != 0:
-                raise ZeroDivisionError("UniPoly division only by nonzero constants")
-            other = other.coeffs[0]
+    def __truediv__(self, other: complex) -> UniPoly:
         return UniPoly(c / other for c in self.coeffs)
 
     def __pow__(self, n: int) -> UniPoly:

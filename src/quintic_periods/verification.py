@@ -86,7 +86,7 @@ def reference_integrands(X: Hypersurface, P: MultiPoly, jet: CurveJet):
     p_chart = P.compose_unipoly(xs)
     partials = [F.compose_unipoly(xs) for F in X.partials]
     for j0, j1 in itertools.combinations(range(X.nvars), 2):
-        num, scale = pair_numerator(P, jet, j0, j1, wedges, p_chart)
+        num, scale = pair_numerator(jet, j0, j1, wedges, p_chart)
         for j in (j0, j1):
             if partials[j].is_zero():
                 raise BaseLocusCollisionError(
@@ -246,13 +246,8 @@ def check_mobius_nullity() -> CheckResult:
     for seed in MOBIUS_SEEDS:
         fam = cat.mobius_null_family(1, seed)
         for s in samples:
-            jet = fam.jet_at(s)
-            wedges = pair_wedges(jet)
-            p_chart = P.compose_unipoly(jet.x_chart())
-            for j0 in range(5):
-                for j1 in range(j0 + 1, 5):
-                    num, scale = pair_numerator(P, jet, j0, j1, wedges, p_chart)
-                    worst_num = max(worst_num, num.scale() / max(scale, 1e-300))
+            for _, f, scale in reference_integrands(X, P, fam.jet_at(s)):
+                worst_num = max(worst_num, f.num.scale() / max(scale, 1e-300))
             rep = period_at(X, P, fam, s)
             worst_period = max(worst_period, abs(rep.total))
     passed = worst_num < 1e-10 and worst_period < 1e-9

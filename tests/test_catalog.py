@@ -226,7 +226,7 @@ class TestRegistry:
         assert X.degree == 5
         assert resolve_hypersurface("shioda-quintic").F.terms
         null = resolve_family("mobius-null/zeta=1/seed=0")
-        assert null.metadata["kind"] == "mobius-null"
+        assert null.name == "mobius-null/zeta=1/seed=0"
 
     def test_unknown_identifiers(self):
         with pytest.raises(ConfigError):

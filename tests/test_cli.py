@@ -570,6 +570,23 @@ class TestCommands:
                 "hypersurface.terms[1]",
             ),
             ({"output": {"csv": 5}}, [], "output.csv"),
+            ({"hypersurface": 5}, [], "hypersurface"),
+            ({"family": None}, [], "family"),
+            ({"family": 5}, [], "family"),
+            ({"p": 5}, [], "p"),
+            ({"tolerances": []}, [], "tolerances"),
+            ({"output": []}, [], "output"),
+            ({"samples": None}, [], "samples"),
+            ({"samples": []}, [], "samples"),
+            ({"samples": {"kind": "line"}}, [], "samples.kind"),
+            ({"samples": [[True, 0]]}, [], "samples[0]"),
+            (
+                {"hypersurface": {"nvars": 5, "terms": [{"exponents": FIFTH}]}},
+                [],
+                "hypersurface.terms[0]",
+            ),
+            ({"family": {"coordinates": []}}, [], "family"),
+            ({"family": {"coordinates": ["0"] * 5}}, [], "family.coordinates"),
         ],
         ids=[
             "s-word",
@@ -617,6 +634,19 @@ class TestCommands:
             "segment-overflow",
             "coeff-sum-overflow",
             "output-path-not-text",
+            "hypersurface-not-text-or-object",
+            "family-null",
+            "family-number",
+            "p-not-text",
+            "tolerances-not-object",
+            "output-not-object",
+            "samples-null",
+            "samples-empty",
+            "samples-unknown-kind",
+            "sample-bool",
+            "term-without-coeff",
+            "coordinates-empty",
+            "coordinates-all-zero",
         ],
     )
     def test_malformed_input_exits_2_naming_its_field(
@@ -625,6 +655,82 @@ class TestCommands:
         path = write_config(tmp_path, **overrides)
         assert main(["period", "--config", str(path), *argv]) == 2
         assert f"(field: {field})" in capsys.readouterr().err
+
+    def test_config_root_not_an_object_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        assert main(["period", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "configuration error: config root must be an object\n"
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_exits_2_naming_its_path(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"p": "x1\xff"}')
+        assert main(["period", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot read config file {path}: ")
+
+    @pytest.mark.parametrize(
+        "command, field",
+        [(["scan", "--degree", "5"], "output.json"), (["period"], "--out-csv")],
+        ids=["scan-config", "period-flag"],
+    )
+    def test_output_directory_exits_2_before_any_period(
+        self, tmp_path, capsys, monkeypatch, command, field
+    ):
+        import quintic_periods.cli as cli
+
+        def no_period(*args):
+            raise AssertionError("a period ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "period_at", no_period)
+        monkeypatch.setattr(cli, "monomial_scan", no_period)
+        out = tmp_path / "out"
+        out.mkdir()
+        if field.startswith("--"):
+            path, argv = write_config(tmp_path), [*command, field, str(out)]
+        else:
+            path, argv = write_config(tmp_path, output={field[len("output.") :]: str(out)}), command
+        assert main([*argv, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: output path") and f"(field: {field})" in err
+
+    def test_output_that_cannot_be_written_exits_2_naming_its_field(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        path = write_config(tmp_path, output={"csv": str(tmp_path / "file" / "period.csv")})
+        assert main(["period", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.endswith("(field: output.csv)\n")
+
+    def test_non_convergence_exits_3(self, tmp_path, capsys, monkeypatch):
+        import quintic_periods.cli as cli
+        from quintic_periods.errors import NonConvergenceError
+
+        def diverge(*args):
+            raise NonConvergenceError("no root after 100 iterations")
+
+        monkeypatch.setattr(cli, "period_at", diverge)
+        assert main(["period", "--config", str(write_config(tmp_path))]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical non-convergence: no root after 100 iterations\n"
+
+    def test_verify_report_dir_that_cannot_be_made_exits_2_before_any_check(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import quintic_periods.verification as ver
+
+        def no_check(*args, **kwargs):
+            raise AssertionError("a check ran before the report directory was made")
+
+        monkeypatch.setattr(ver, "run_all", no_check)
+        (tmp_path / "file").write_text("")
+        report_dir = tmp_path / "file" / "sub"
+        assert main(["verify", "--report-dir", str(report_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot create directory")
+        assert err.endswith("(field: --report-dir)\n")
 
     def test_verify_filter_contraction(self, tmp_path, capsys):
         assert main(["verify", "--filter", "contraction", "--report-dir", str(tmp_path)]) == 0

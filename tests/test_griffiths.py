@@ -74,19 +74,21 @@ class TestPairIntegrand:
         nonzero = [rest for rest, (w, _) in wedges.items() if not w.is_zero()]
         assert nonzero == [(0, 3)]
         # pairs (1,2), (1,4), (2,4) carry the only nonzero numerators
+        p_chart = p_x1cubed_x2sq.compose_unipoly(jet.x_chart())
         live = []
         for j0 in range(5):
             for j1 in range(j0 + 1, 5):
-                num, _ = pair_numerator(p_x1cubed_x2sq, jet, j0, j1)
+                num, _ = pair_numerator(jet, j0, j1, wedges, p_chart)
                 if not num.is_zero():
                     live.append((j0, j1))
         assert live == [(1, 2), (1, 4), (2, 4)]
 
     def test_numerator_symmetric_in_pair_order(self, fermat, corrected_slice, p_x1cubed_x2sq):
         jet = corrected_slice.jet_at(0.15 + 0.05j)
+        wedges, p_chart = pair_wedges(jet), p_x1cubed_x2sq.compose_unipoly(jet.x_chart())
         for (j0, j1) in ((0, 2), (1, 3), (2, 4)):
-            a, _ = pair_numerator(p_x1cubed_x2sq, jet, j0, j1)
-            b, _ = pair_numerator(p_x1cubed_x2sq, jet, j1, j0)
+            a, _ = pair_numerator(jet, j0, j1, wedges, p_chart)
+            b, _ = pair_numerator(jet, j1, j0, wedges, p_chart)
             assert a == b
 
     def test_zero_jet_zero_numerator(self, fermat, corrected_slice, p_x1cubed_x2sq):
@@ -96,9 +98,10 @@ class TestPairIntegrand:
         jet = corrected_slice.jet_at(0.1)
         zero = BinaryForm(1, (0.0, 0.0))
         dead = CurveJet(jet.s, jet.x, (zero,) * 5, 1)
+        wedges, p_chart = pair_wedges(dead), p_x1cubed_x2sq.compose_unipoly(dead.x_chart())
         for j0 in range(5):
             for j1 in range(j0 + 1, 5):
-                num, _ = pair_numerator(p_x1cubed_x2sq, dead, j0, j1)
+                num, _ = pair_numerator(dead, j0, j1, wedges, p_chart)
                 assert num.is_zero()
 
     def test_integrand_denominator_is_partial_product(

@@ -68,7 +68,7 @@ def test_to_text_round_trips_through_parser():
     from quintic_periods.numkernel.parser import expr_to_multipoly, parse_expression
 
     p = MultiPoly(3, {(2, 1, 0): 1.5, (0, 0, 3): -2j, (1, 1, 1): 1.0})
-    q = expr_to_multipoly(parse_expression(p.to_text()), nvars=3)
+    q = expr_to_multipoly(parse_expression(p.to_text()), nvars=3, constants={})
     diff = p - q
     assert diff.scale() < 1e-15
 

@@ -275,7 +275,7 @@ class TestDiagnostics:
         # on a catalog line 4 of the 10 inner factors are exactly 0: only the
         # other 6 are convolved with the class rows, and the 4 pairs still
         # report a zero numerator
-        from quintic_periods.griffiths import pair_inners
+        from quintic_periods.griffiths import pair_inners, pair_wedges
 
         convolve, convolved = period._convolve_rows, []
 
@@ -287,7 +287,8 @@ class TestDiagnostics:
         P, s = MultiPoly.monomial(5, 1.0, (0, 3, 2, 0, 0)), 0.1 + 0.05j
         for d in line_families()[::10]:
             fam = d.family()
-            inners, _ = pair_inners(fam.jet_at(s))
+            jet = fam.jet_at(s)
+            inners, _ = pair_inners(jet, pair_wedges(jet))
             rep = period_at(fermat, P, fam, s)
             dead = [not row.any() for row in inners]
             assert [c.numerator_zero for _, c in sorted(rep.per_pair.items())] == dead
@@ -434,12 +435,13 @@ class TestInnerTable:
 
         import numpy as np
 
-        from quintic_periods.griffiths import pair_inner, pair_inners
+        from quintic_periods.griffiths import pair_inner, pair_inners, pair_wedges
 
-        inners, scales = pair_inners(jet)
+        wedges = pair_wedges(jet)
+        inners, scales = pair_inners(jet, wedges)
         zeros = 0
         for k, (j0, j1) in enumerate(itertools.combinations(range(5), 2)):
-            ref, ref_scale = pair_inner(jet, j0, j1)
+            ref, ref_scale = pair_inner(jet, j0, j1, wedges)
             assert scales[k] == ref_scale
             assert inners[k].any() != ref.is_zero()
             row = np.zeros_like(inners[k])

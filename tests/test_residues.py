@@ -26,7 +26,7 @@ def site_map(den, location, zero_multiplicity, sites, width, nodes=None):
     coefficient and sites; with ``nodes``, its contour backend evaluates den
     as it stands."""
     entry = SiteEntry(location, zero_multiplicity, den.coeffs[-1], sites, width, bool(nodes))
-    dens = [den(circle_points(*entry.circle, nodes))] if entry.radius is not None else None
+    dens = [den(circle_points(*entry.circle, nodes)) if entry.radius is not None else None]
     return SiteMap([entry], dens)
 
 
@@ -407,8 +407,11 @@ class TestStackedEntries:
         location = 0.4 + 0.1j
         sites = [(location, 2), (-1.0 + 0.5j, 3), (0.8 - 0.6j, 1)]
         den = UniPoly.from_roots([r for r, m in sites for _ in range(m)], lead=1.5)
-        entries = [SiteEntry(None, 1, 1.5, sites, 5, True), SiteEntry(location, 1, 1.5, sites, 5),
-                   SiteEntry(location, 1, 1.5, sites, 5, True)]
+        entries = [
+            SiteEntry(None, 1, 1.5, sites, 5, True),
+            SiteEntry(location, 1, 1.5, sites, 5, False),
+            SiteEntry(location, 1, 1.5, sites, 5, True),
+        ]
         assert entries[0].order <= 0 and entries[1].radius is None
         dens = [None, None, den(circle_points(*entries[2].circle, 64))]
         rows = rng.uniform(-1, 1, (3, 5)) + 1j * rng.uniform(-1, 1, (3, 5))
@@ -425,4 +428,4 @@ class TestStackedEntries:
         assert (table.order[1:, ::2] == 2).all() and (table.residue[1:, ::2] != 0).all()
         assert (table.quadrature[2, ::2] != 0).all() and (table.quadrature_scale[2, ::2] > 0).all()
         # without entries, the table still has the caller's rows
-        assert SiteMap([]).apply([], [], [], 3).residue.shape == (0, 3)
+        assert SiteMap([], []).apply([], [], [], 3).residue.shape == (0, 3)
