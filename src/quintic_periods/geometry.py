@@ -35,6 +35,10 @@ class Hypersurface:
         self.nvars = F.nvars
         self.degree = F.total_degree()
         self.partials = [F.partial(i) for i in range(self.nvars)]
+        # the coordinates each partial depends on
+        self.partial_coords = [
+            {i for exps in Fi.terms for i, e in enumerate(exps) if e} for Fi in self.partials
+        ]
         err = self.euler_residual()
         if err > EULER_REL_TOL * max(self.F.scale(), 1e-300) * self.degree:
             raise ValueError(f"Euler identity violated (residual {err:.3e})")

@@ -146,13 +146,19 @@ def pair_wedges(jet: CurveJet) -> dict[tuple[int, int], tuple[UniPoly, float]]:
     or a numerator built from it is identically zero: the subtraction itself
     only cancels to rounding.
     """
-    # on coefficient tuples, by the products and sums UniPoly would take
+    # on coefficient tuples, by the products and sums UniPoly would take; a
+    # product with an empty factor is the empty tuple, and a wedge of two
+    # such products the zero polynomial of scale 0
     xp = [p.coeffs for p in jet.x_derivative_chart()]
     yc = [p.coeffs for p in jet.y_chart()]
+    zero = (UniPoly.zero(), 0.0)
     out = {}
     for a, b in itertools.combinations(range(jet.ncoords), 2):
-        left = trimmed_product(xp[a], yc[b])
-        right = trimmed_product(xp[b], yc[a])
+        left = trimmed_product(xp[a], yc[b]) if xp[a] and yc[b] else ()
+        right = trimmed_product(xp[b], yc[a]) if xp[b] and yc[a] else ()
+        if not (left or right):
+            out[(a, b)] = zero
+            continue
         wedge = trimmed_sum(left, [-c for c in right])
         scale = max(max(map(abs, left), default=0.0), max(map(abs, right), default=0.0))
         out[(a, b)] = (UniPoly.from_trimmed(wedge), scale)
@@ -240,14 +246,20 @@ def pair_inners(
     x_scale = [x.scale() for x in xs]
     ws = [wedges[ab] for ab in pairs]
     term_scale = [0.0] * len(pairs)
+    # the summands' products, zero-padded rows; a product with an empty
+    # factor is an exact zero row
     products = []
-    for p, j2, r in summands:
+    for k, (p, j2, r) in enumerate(summands):
         w, w_scale = ws[r]
-        term_scale[p] = max(term_scale[p], x_scale[j2] * w_scale)
-        products.append(coeff_product(xs[j2].coeffs, w.coeffs))
-    width = max(map(len, products)) or 1
-    terms = np.array([prod + [0j] * (width - len(prod)) for prod in products])
-    inner = (terms.reshape(*sign.shape, width) * sign[..., None]).sum(axis=1)
+        scale = x_scale[j2] * w_scale
+        if scale > term_scale[p]:  # max(term_scale[p], scale), which keeps the first
+            term_scale[p] = scale
+        if xs[j2].coeffs and w.coeffs:
+            products.append((k, coeff_product(xs[j2].coeffs, w.coeffs)))
+    terms = np.zeros((len(summands), max((len(prod) for _, prod in products), default=1)), complex)
+    for k, prod in products:
+        terms[k, : len(prod)] = prod
+    inner = (terms.reshape(*sign.shape, terms.shape[1]) * sign[..., None]).sum(axis=1)
     term_scale = np.array(term_scale)
     zero = np.abs(inner).max(axis=1) <= NUMERATOR_ZERO_REL_TOL * np.maximum(term_scale, 1e-300)
     inner[zero] = 0.0

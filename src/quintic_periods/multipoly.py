@@ -178,7 +178,7 @@ class MultiPoly:
         # on coefficient tuples, by the products and sums UniPoly would take
         coeffs = [p.coeffs for p in polys]
         powers: dict[tuple[int, int], tuple[complex, ...]] = {}
-        acc: tuple[complex, ...] = ()
+        acc: tuple[complex, ...] | None = None
         for exps, c in self.terms.items():
             term = (c,)  # a nonzero complex, as the terms hold them
             for i, e in enumerate(exps):
@@ -187,8 +187,14 @@ class MultiPoly:
                     if power is None:
                         power = powers[(i, e)] = trimmed_power(coeffs[i], e)
                     term = trimmed_product(term, power)
-            acc = trimmed_sum(acc, term)
-        return UniPoly.from_trimmed(acc)
+            if acc is None:
+                # trimmed_sum((), term): 0.0 plus each coefficient, which
+                # differs from it only in the sign of a zero part; the last
+                # coefficient of a trimmed term stays nonzero
+                acc = tuple([0.0 + t for t in term])
+            else:
+                acc = trimmed_sum(acc, term)
+        return UniPoly.from_trimmed(acc or ())
 
     # -- printing ------------------------------------------------------------
     def to_text(self) -> str:

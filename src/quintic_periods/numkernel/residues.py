@@ -247,7 +247,11 @@ def _finite_zeros(form: BinaryForm) -> list[tuple[complex, int]]:
 def coincides(loc: complex, locs) -> bool:
     """Whether loc lies within 1e-7 * (1 + |loc|) of one of locs: the rule
     by which two finite pole locations count as one site."""
-    return any(abs(loc - z) <= 1e-7 * (1.0 + abs(loc)) for z in locs)
+    tol = 1e-7 * (1.0 + abs(loc))
+    for z in locs:
+        if abs(loc - z) <= tol:
+            return True
+    return False
 
 
 def _finite_site(f, loc, zmult, companion) -> ZeroSiteReport:
@@ -435,18 +439,22 @@ def _truncated_product(lead: complex, factors, n: int) -> list[complex]:
     g = [complex(lead)] + [0j] * (n - 1)
     for a, b, m in factors:
         for _ in range(m):
-            g = [a * g[0]] + [a * g[k] + b * g[k - 1] for k in range(1, n)]
+            # in place from the top, so g[k - 1] is still the old one
+            for k in range(n - 1, 0, -1):
+                g[k] = a * g[k] + b * g[k - 1]
+            g[0] = a * g[0]
     return g
 
 
 def _reciprocal_series(d, n: int) -> list[complex]:
     """First n Taylor coefficients of 1 / sum_k d[k] t^k, d[0] != 0."""
-    inv: list[complex] = []
+    inv = [0j] * n
+    last = len(d) - 1
     for k in range(n):
         acc = 1.0 if k == 0 else 0j
-        for i in range(1, min(k, len(d) - 1) + 1):
+        for i in range(1, (k if k < last else last) + 1):
             acc -= d[i] * inv[k - i]
-        inv.append(acc / d[0])
+        inv[k] = acc / d[0]
     return inv
 
 
@@ -465,6 +473,10 @@ class SiteEntry:
     With ``contour`` an entry that has a pole gets a quadrature circle of
     ``radius`` about the site.
     """
+
+    __slots__ = (
+        "at_infinity", "location", "zero_multiplicity", "width", "radius", "order", "inverse"
+    )
 
     def __init__(
         self,
@@ -510,10 +522,10 @@ class SiteEntry:
         return (None if self.at_infinity else self.location), self.radius
 
 
-def _big(mag: np.ndarray, rel_tol: float) -> np.ndarray:
+def _big(mag: np.ndarray, top: np.ndarray, rel_tol: float) -> np.ndarray:
     """Entries of ``mag``, magnitudes, above rel_tol times their row's
-    largest: the significance rule of UniPoly.vanishing_order."""
-    return mag > rel_tol * mag.max(axis=-1, keepdims=True)
+    largest, ``top``: the significance rule of UniPoly.vanishing_order."""
+    return mag > rel_tol * top[..., None]
 
 
 class SiteTable(NamedTuple):
@@ -552,19 +564,21 @@ class _Block:
             den = np.array(dens[: self.circled])
             self.contour = _Contour(radii, first.width, den, first.at_infinity)
 
-    def apply(self, nums, lives, mags, table: SiteTable) -> None:
+    def apply(self, nums, lives, mags, tops, table: SiteTable) -> None:
         """Writes the block's lines of ``table`` from its entries' rows.  The
-        pole rule reads the magnitudes it is given at t = 0, reversed at
-        [1:0]; a shifted site takes those of its shifted rows."""
+        pole rule reads the magnitudes and row maxima it is given at t = 0,
+        the magnitudes reversed at [1:0]; a shifted site takes those of its
+        shifted rows."""
         num = np.array(nums)
         if self.at_infinity:
-            local, mag = num[:, :, ::-1], np.array(mags)[:, :, ::-1]
+            local, mag, top = num[:, :, ::-1], np.array(mags)[:, :, ::-1], np.array(tops)
         elif self.shift is None:
-            local, mag = num, np.array(mags)
+            local, mag, top = num, np.array(mags), np.array(tops)
         else:
             local = num @ self.shift
             mag = np.abs(local)
-        has_pole = np.array(lives) & (np.argmax(_big(mag, 1e-9), axis=2) < self.order)
+            top = mag.max(axis=-1)
+        has_pole = np.array(lives) & (np.argmax(_big(mag, top, 1e-9), axis=2) < self.order)
         residue = local[:, :, : self.series.shape[1]] @ self.series
         table.residue[self.index] = np.where(has_pole, residue[..., 0], 0j)
         order = self.order
@@ -600,15 +614,21 @@ class SiteMap:
         ]
 
     def apply(
-        self, nums: list[np.ndarray], lives: list[np.ndarray], mags: list[np.ndarray], rows: int
+        self,
+        nums: list[np.ndarray],
+        lives: list[np.ndarray],
+        mags: list[np.ndarray],
+        tops: list[np.ndarray],
+        rows: int,
     ) -> SiteTable:
         """The table of every entry i and each of ``rows`` numerator rows
         ``nums[i]`` (rows x width), given with their magnitudes ``mags[i]``
-        (``np.abs(nums[i])``, which the caller has taken for its
-        numerator-zero test); rows where ``lives[i]`` is False have no
-        pole.  ``rows`` sizes the table even when there is no entry."""
+        (``np.abs(nums[i])``) and each row's largest magnitude ``tops[i]``,
+        which the caller has taken for its numerator-zero test; rows where
+        ``lives[i]`` is False have no pole.  ``rows`` sizes the table even
+        when there is no entry."""
         shape = (len(self.entries), rows)
         table = SiteTable(*(np.zeros(shape, dtype) for dtype in (int, complex, complex, float)))
         for block in self.blocks:
-            block.apply(*([a[i] for i in block.index] for a in (nums, lives, mags)), table)
+            block.apply(*([a[i] for i in block.index] for a in (nums, lives, mags, tops)), table)
         return table

@@ -207,7 +207,24 @@ def trimmed_sum(a: Sequence[complex], b: Sequence[complex]) -> tuple[complex, ..
 
 
 def trimmed_power(a: Sequence[complex], n: int) -> tuple[complex, ...]:
-    """a^n by binary powering from the constant 1."""
+    """a^n by binary powering from the constant 1.  A one-coefficient a
+    takes the same products on its coefficient; a product that is zero ends
+    the powering with the zero polynomial, which every later product of
+    its empty tuple would keep."""
+    if len(a) == 1:
+        (c,) = a
+        power = 1 + 0j
+        while n:
+            if n & 1:
+                power = power * c
+                if power == 0:
+                    return ()
+            n >>= 1
+            if n:
+                c = c * c
+                if c == 0:
+                    return ()
+        return (power,)
     out: tuple[complex, ...] = (1 + 0j,)
     while n:
         if n & 1:

@@ -25,7 +25,7 @@ of a sample are evaluated in one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -133,69 +133,60 @@ def _named(exc: Exception, jet: CurveJet, j0: int, j1: int) -> Exception:
 
 class _Pair:
     """One covering pair at one sample: the inner factor of its numerator,
-    its declared denominator lead * prod (t - r)^m over ``den_sites``, per
-    class row its live flag, numerator and the numerator's magnitudes, and
-    the lines of its sites and check sites in the sample's site table."""
+    per class row its live flag, numerator, the numerator's magnitudes and
+    their maxima, and the lines of its sites and check sites in the
+    sample's site table."""
 
     def __init__(self, ctx: _SampleContext, index: int, j0: int, j1: int, width: int, live):
         self.ctx = ctx
         self.index, self.j0, self.j1 = index, j0, j1
         self.width, self.live = width, live
-        # numerator rows and their magnitudes, None for a zero inner factor
-        self.num = self.mag = None
+        # numerator rows, their magnitudes and row maxima, None for a zero
+        # inner factor
+        self.num = self.mag = self.top = None
         self.sites = self.checks = range(0)
 
-    @cached_property
-    def lead(self) -> complex:
-        """Product of each partial chart's coefficient at the degree its
-        declared multiplicities sum to."""
-        lead = 1.0 + 0j
-        for j in (self.j0, self.j1):
-            chart, declared = self.ctx.partial_charts[j], sum(m for _, m in self.ctx.chart_roots(j))
-            if chart.is_zero():
-                raise BaseLocusCollisionError(
-                    f"covering chart {j} misses the curve (F_{j}(x(t)) vanishes identically)"
-                )
-            if declared > chart.degree:
-                raise PoleMismatchError(
-                    f"F_{j}(x(t)) has degree {chart.degree} but {declared} declared zeros"
-                )
-            lead *= chart.coeffs[declared]
-        return lead
-
-    @cached_property
-    def den_sites(self) -> list[tuple[complex, int]]:
-        return _merge_sites(self.ctx.chart_roots(self.j0), self.ctx.chart_roots(self.j1))
-
-    def entry(self, location, zero_multiplicity, contour=False) -> SiteEntry:
-        """The pair at one site of its declared denominator."""
-        return SiteEntry(
-            location, zero_multiplicity, self.lead, self.den_sites, self.width, contour
-        )
-
-    def site_entries(self) -> list[SiteEntry]:
+    def entries(self, checks: bool) -> tuple[list[SiteEntry], list[SiteEntry]]:
         """The sites whose residues the period sums, with the contour
-        backend: the zeros of x_{j0}, and [1:0] when x_{j0} drops degree."""
-        ctx = self.ctx
-        if ctx.jet.x[self.j0].is_zero():
+        backend: the zeros of x_{j0}, and [1:0] when x_{j0} drops degree;
+        with ``checks`` also the poles those leave out: the denominator's
+        roots away from the zeros of x_{j0}, and [1:0] when x_{j0} does not
+        vanish there.  With those they cover every pole of the pair
+        integrand.
+
+        Each entry holds the pair's declared denominator lead * prod (t -
+        r)^m: the product of both partials' lead factors, and their chart
+        roots merged.  A pair without an entry reads neither."""
+        ctx, j0, j1 = self.ctx, self.j0, self.j1
+        if ctx.jet.x[j0].is_zero():
             raise BaseLocusCollisionError(
-                f"the curve lies in the hyperplane x_{self.j0} = 0, so the residue "
+                f"the curve lies in the hyperplane x_{j0} = 0, so the residue "
                 "coordinate has no isolated zeros"
             )
-        sites = [self.entry(loc, mult, True) for loc, mult in ctx.zeros(self.j0)]
-        if (inf_mult := ctx.infinity_orders[self.j0]) > 0:
-            sites.append(self.entry(None, inf_mult, True))
-        return sites
-
-    def check_entries(self) -> list[SiteEntry]:
-        """The poles ``site_entries`` leaves out: the denominator's roots
-        away from the zeros of x_{j0}, and [1:0] when x_{j0} does not vanish
-        there.  With those they cover every pole of the pair integrand."""
-        zeros = [loc for loc, _ in self.ctx.zeros(self.j0)]
-        checks = [self.entry(loc, 0) for loc, _ in self.den_sites if not coincides(loc, zeros)]
-        if self.ctx.infinity_orders[self.j0] == 0:
-            checks.append(self.entry(None, 0))
-        return checks
+        zeros, inf_mult = ctx.zeros(j0), ctx.infinity_orders[j0]
+        # the lead factors are read for an entry only; a pair without a site
+        # has inf_mult 0, so with checks it has one at [1:0]
+        if not (zeros or inf_mult or checks):
+            return [], []
+        lead = 1.0 + 0j
+        lead *= ctx.lead(j0)
+        lead *= ctx.lead(j1)
+        den_sites = _merge_sites(ctx.chart_roots(j0), ctx.chart_roots(j1))
+        width = self.width
+        sites = [SiteEntry(loc, mult, lead, den_sites, width, True) for loc, mult in zeros]
+        if inf_mult > 0:
+            sites.append(SiteEntry(None, inf_mult, lead, den_sites, width, True))
+        if not checks:
+            return sites, []
+        locations = ctx.locations(j0)
+        more = [
+            SiteEntry(loc, 0, lead, den_sites, width, False)
+            for loc, _ in den_sites
+            if not coincides(loc, locations)
+        ]
+        if inf_mult == 0:
+            more.append(SiteEntry(None, 0, lead, den_sites, width, False))
+        return sites, more
 
     def dual_sum_holds(self, entries: list[SiteEntry], order: list[int]) -> bool:
         """Whether the dual sum -- residues at the zeros of x_{j0} and of
@@ -205,13 +196,18 @@ class _Pair:
         ``order[k]`` is the pole order of the one class row at entry k."""
         if self.ctx.infinity_orders[self.j0] > 0 or self.ctx.infinity_orders[self.j1] > 0:
             return False
-        zeros = [loc for loc, _ in self.ctx.zeros(self.j1)]
+        zeros = self.ctx.locations(self.j1)
         poles = [entries[k] for k in self.checks if order[k] and not entries[k].at_infinity]
         return bool(zeros) and all(coincides(e.location, zeros) for e in poles)
 
 
 class _SampleContext:
-    """Per-(jet, hypersurface) data shared by all classes P at one sample."""
+    """Per-(jet, hypersurface) data shared by all classes P at one sample.
+
+    What depends on one coordinate j -- its finite zeros and their
+    locations, the declared roots of the partial chart F_j(x(t)) and that
+    chart's lead factor -- is found once, when a pair first needs it, and
+    every pair reads it from here."""
 
     def __init__(self, X: Hypersurface, jet: CurveJet):
         self.X = X
@@ -229,9 +225,11 @@ class _SampleContext:
         self.width = required_degree(X.degree, X.m, 1) * jet.d_curve + 1
         self._roots: dict[int, list[tuple[complex, int]]] = {}
         self._zeros: dict[int, list[tuple[complex, int]]] = {}
+        self._locations: dict[int, list[complex]] = {}
+        self._leads: dict[int, complex] = {}
 
-    def dens_on_circles(self, entries: list[SiteEntry], pairs: list[_Pair]) -> list:
-        """F_j0(x(t)) * F_j1(x(t)) of ``pairs[i]`` at the nodes of the
+    def dens_on_circles(self, entries: list[SiteEntry], owners: list[_Pair]) -> list:
+        """F_j0(x(t)) * F_j1(x(t)) of ``owners[i]`` at the nodes of the
         circle of ``entries[i]``, None for an entry without one.  The nodes
         of all circles form one array; each coordinate a partial uses, and
         each partial, is evaluated on it once."""
@@ -239,16 +237,17 @@ class _SampleContext:
         dens = [None] * len(entries)
         if not circled:
             return dens
-        circles = list(dict.fromkeys(entries[i].circle for i in circled))
-        t = np.array([circle_points(loc, radius, QUAD_NODES) for loc, radius in circles])
-        js = list(dict.fromkeys(j for i in circled for j in (pairs[i].j0, pairs[i].j1)))
-        partials = [self.X.partials[j] for j in js]
-        used = {i for F in partials for exps in F.terms for i, e in enumerate(exps) if e}
+        circles = [entries[i].circle for i in circled]
+        row = {circle: k for k, circle in enumerate(dict.fromkeys(circles))}
+        t = np.array([circle_points(loc, radius, QUAD_NODES) for loc, radius in row])
+        pairs = [owners[i] for i in circled]
+        js = {j: k for k, j in enumerate(dict.fromkeys(j for p in pairs for j in (p.j0, p.j1)))}
+        used = {i for j in js for i in self.X.partial_coords[j]}
         coords = [x(t) if i in used else None for i, x in enumerate(self.xs)]
-        values = np.array([F.evaluate(coords) for F in partials])
-        c = [circles.index(entries[i].circle) for i in circled]
-        a = [js.index(pairs[i].j0) for i in circled]
-        b = [js.index(pairs[i].j1) for i in circled]
+        values = np.array([self.X.partials[j].evaluate(coords) for j in js])
+        c = [row[circle] for circle in circles]
+        a = [js[p.j0] for p in pairs]
+        b = [js[p.j1] for p in pairs]
         for i, den in zip(circled, values[a, c] * values[b, c]):
             dens[i] = den
         return dens
@@ -276,12 +275,35 @@ class _SampleContext:
                 self._roots[j] = poly_roots(pj)
         return self._roots[j]
 
+    def lead(self, j: int) -> complex:
+        """The coefficient of the partial chart F_j(x(t)) at the degree its
+        declared multiplicities sum to: its factor of a pair's declared
+        denominator lead."""
+        if j not in self._leads:
+            chart, declared = self.partial_charts[j], sum(m for _, m in self.chart_roots(j))
+            if chart.is_zero():
+                raise BaseLocusCollisionError(
+                    f"covering chart {j} misses the curve (F_{j}(x(t)) vanishes identically)"
+                )
+            if declared > chart.degree:
+                raise PoleMismatchError(
+                    f"F_{j}(x(t)) has degree {chart.degree} but {declared} declared zeros"
+                )
+            self._leads[j] = chart.coeffs[declared]
+        return self._leads[j]
+
     def zeros(self, j: int) -> list[tuple[complex, int]]:
         """Finite zeros of the coordinate x_j with multiplicities."""
         if j not in self._zeros:
             chart = self.charts[j]
             self._zeros[j] = poly_roots(chart) if chart.degree >= 1 else []
         return self._zeros[j]
+
+    def locations(self, j: int) -> list[complex]:
+        """The locations of ``zeros(j)``."""
+        if j not in self._locations:
+            self._locations[j] = [loc for loc, _ in self.zeros(j)]
+        return self._locations[j]
 
     def min_pole_separation(self) -> float:
         """The least distance between two declared roots that do not coincide."""
@@ -377,9 +399,14 @@ def _assemble(ctx: _SampleContext, p_rows: np.ndarray, checks: bool = False) -> 
     # numerator rows of those pairs at once; a pair's own end at its width
     nums = _convolve_rows(p_rows, ctx.inners[inner])
     mags = np.abs(nums)
+    # each row's largest magnitude, over the full convolution: past a pair's
+    # width the inner factor's zero padding adds only zeros, and a NaN only
+    # where an inf or NaN lies within the width too, so the pole rule
+    # decides on it as on the pair's own rows
+    tops = mags.max(axis=2)
     num_scales = np.maximum(ctx.term_scales[inner, None] * p_scale, 1e-300)
     lives = np.zeros((len(ctx.inners), len(p_rows)), dtype=bool)
-    lives[inner] = mags.max(axis=2) > NUMERATOR_ZERO_REL_TOL * num_scales
+    lives[inner] = tops > NUMERATOR_ZERO_REL_TOL * num_scales
     widths = (ctx.width + degrees).tolist()
     pairs = [
         _Pair(ctx, index, j0, j1, widths[index], lives[index])
@@ -388,12 +415,13 @@ def _assemble(ctx: _SampleContext, p_rows: np.ndarray, checks: bool = False) -> 
     for k, index in enumerate(inner.tolist()):
         pair = pairs[index]
         pair.num, pair.mag = nums[k, :, : pair.width], mags[k, :, : pair.width]
+        pair.top = tops[k]
     errors: dict[int, Exception] = {}
     planned, entries, owners = [], [], []  # the pairs with a live row, their entries
-    for pair in pairs:
-        if pair.live.any():
+    for pair, live in zip(pairs, lives.any(axis=1).tolist()):
+        if live:
             try:
-                sites, more = pair.site_entries(), pair.check_entries() if checks else []
+                sites, more = pair.entries(checks)
             except _PAIR_ERRORS as exc:
                 errors[pair.index] = exc
                 continue
@@ -405,12 +433,12 @@ def _assemble(ctx: _SampleContext, p_rows: np.ndarray, checks: bool = False) -> 
     site_map = SiteMap(entries, ctx.dens_on_circles(entries, owners))
     table = site_map.apply(
         [pair.num for pair in owners], [pair.live for pair in owners],
-        [pair.mag for pair in owners], len(p_rows),
+        [pair.mag for pair in owners], [pair.top for pair in owners], len(p_rows),
     )
     poled = table.order.any(axis=1).tolist()
     for pair in planned:
         try:
-            companion = [loc for loc, _ in ctx.zeros(pair.j1)]
+            companion = ctx.locations(pair.j1)
             # [1:0] never collides: the measure dt has a pole there itself
             for k in pair.sites:
                 site = entries[k]

@@ -178,8 +178,9 @@ def check_residue_engine() -> CheckResult:
         entries.append(SiteEntry(None, 1, lead, declared, len(num.coeffs), contour=True))
         dens = [den(circle_points(*e.circle, QUAD_NODES)) if e.radius else None for e in entries]
         n, row = len(entries), np.array([num.coeffs])
+        mag = np.abs(row)
         table = SiteMap(entries, dens).apply(
-            [row] * n, [np.array([True])] * n, [np.abs(row)] * n, 1
+            [row] * n, [np.array([True])] * n, [mag] * n, [mag.max(axis=1)] * n, 1
         )
         residues, quadratures = table.residue[:, 0].tolist(), table.quadrature[:, 0].tolist()
         hit = [k for k in range(n) if table.order[k, 0]]

@@ -1,0 +1,38 @@
+"""tools/callcount.py on this checkout: the Python calls per op of a few ops
+of the catalog workload, counted the same by two workers, and its argument
+errors."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "callcount.py"
+
+
+def _run(*args):
+    return subprocess.run(
+        [sys.executable, str(TOOL), *args], capture_output=True, text=True, timeout=300
+    )
+
+
+def test_counts_the_calls_per_op_of_each_checkout():
+    done = _run("--root", str(ROOT), "--root", str(ROOT), "--workload", "catalog-periods",
+                "--seed", "7", "--ops", "3")
+    assert done.returncode == 0, done.stderr
+    record = json.loads(done.stdout.splitlines()[-1])
+    assert (record["workload"], record["seed"], record["ops"]) == ("catalog-periods", 7, 3)
+    first, second = record["roots"]
+    assert Path(first["root"]) == ROOT and first["failed"] == 0
+    assert first["calls_per_op"] > 0 and len(first["top"]) == 15
+    counts = [row["calls_per_op"] for row in first["top"]]
+    assert counts == sorted(counts, reverse=True)
+    # a count, unlike a time, repeats exactly on the same inputs
+    assert second == first
+    assert f"{first['calls_per_op']:.1f} calls per op over 3 ops" in done.stdout
+
+
+def test_rejects_ops_below_one():
+    done = _run("--root", str(ROOT), "--workload", "catalog-periods", "--seed", "7", "--ops", "0")
+    assert done.returncode == 2 and "--ops must be positive" in done.stderr

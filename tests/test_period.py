@@ -297,6 +297,51 @@ class TestDiagnostics:
             assert convolved == [6, 6], d.identifier
             convolved.clear()
 
+    def test_per_sample_work_once_per_coordinate(self, fermat, monkeypatch):
+        # one period on a catalog line: no coefficient product has an empty
+        # factor, and each partial chart's lead factor is read once per
+        # coordinate, not by each live pair for both of its coordinates
+        from quintic_periods import griffiths
+        from quintic_periods.numkernel import unipoly
+
+        product, empty = unipoly.coeff_product, []
+        compose, reads = MultiPoly.compose_unipoly, []
+
+        def checked(a, b):
+            if not (len(a) and len(b)):
+                empty.append((a, b))
+            return product(a, b)
+
+        class Read(tuple):
+            """A partial chart's coefficients, recording each one read."""
+
+            def __getitem__(self, k):
+                if isinstance(k, int):
+                    reads.append(self.j)
+                return tuple.__getitem__(self, k)
+
+        def recorded(F, polys):
+            chart = compose(F, polys)
+            for j, partial in enumerate(fermat.partials):
+                if F is partial:
+                    coeffs = Read(chart.coeffs)
+                    coeffs.j = j
+                    return unipoly.UniPoly.from_trimmed(coeffs)
+            return chart
+
+        P, s = MultiPoly.monomial(5, 1.0, (0, 3, 2, 0, 0)), 0.1 + 0.05j
+        for d in line_families()[::10]:
+            jet = d.family().jet_at(s)
+            with monkeypatch.context() as patch:
+                for module in (unipoly, griffiths):
+                    patch.setattr(module, "coeff_product", checked)
+                patch.setattr(MultiPoly, "compose_unipoly", recorded)
+                rep = period_of_jet(fermat, P, jet)
+            assert rep == period_of_jet(fermat, P, jet), d.identifier
+            assert not empty, d.identifier
+            assert sorted(reads) == list(range(5)), d.identifier
+            reads.clear()
+
     def test_chart_missing_curve_with_live_numerator(self, fermat):
         # x3 identically zero while the (0,3) numerator survives: the pair
         # denominator F_3(x(t)) is the zero polynomial, a hard error
@@ -857,8 +902,8 @@ class TestLocationMaps:
 
         apply, seen = _Block.apply, set()
 
-        def checked(block, nums, lives, mags, table):
-            apply(block, nums, lives, mags, table)
+        def checked(block, nums, lives, mags, tops, table):
+            apply(block, nums, lives, mags, tops, table)
             num = np.array(nums)
             if block.at_infinity:
                 local, kind = num[:, :, ::-1], "[1:0]"

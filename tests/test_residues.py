@@ -31,9 +31,10 @@ def site_map(den, location, zero_multiplicity, sites, width, nodes=None):
 
 
 def apply(site_map, nums, lives):
-    """``site_map.apply`` with the magnitudes of the rows, as the period
-    assembly passes them."""
-    return site_map.apply(nums, lives, [np.abs(n) for n in nums], len(nums[0]))
+    """``site_map.apply`` with the magnitudes of the rows and their maxima,
+    as the period assembly passes them."""
+    mags = [np.abs(n) for n in nums]
+    return site_map.apply(nums, lives, mags, [m.max(axis=1) for m in mags], len(nums[0]))
 
 
 def one_row(den, location, sites, num):
@@ -428,4 +429,4 @@ class TestStackedEntries:
         assert (table.order[1:, ::2] == 2).all() and (table.residue[1:, ::2] != 0).all()
         assert (table.quadrature[2, ::2] != 0).all() and (table.quadrature_scale[2, ::2] > 0).all()
         # without entries, the table still has the caller's rows
-        assert SiteMap([], []).apply([], [], [], 3).residue.shape == (0, 3)
+        assert SiteMap([], []).apply([], [], [], [], 3).residue.shape == (0, 3)

@@ -1,7 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
-from quintic_periods.numkernel.unipoly import BinaryForm, UniPoly
+from quintic_periods.multipoly import MultiPoly
+from quintic_periods.numkernel.unipoly import (
+    BinaryForm,
+    UniPoly,
+    trimmed_power,
+    trimmed_product,
+    trimmed_sum,
+)
 
 
 def test_construction_trims_exact_leading_zeros():
@@ -82,3 +91,80 @@ def test_binary_form_substitution_matches_pointwise():
         x, y = complex(*rng.uniform(-1, 1, 2)), complex(*rng.uniform(-1, 1, 2))
         assert abs(form_eval(g, x, y) - form_eval(f, a * x + b * y, c * x + d * y)) < 1e-12
 
+
+
+# zeros of either sign, NaN, infinities, subnormals, and values whose
+# products overflow to inf or underflow to 0
+SPECIAL = [
+    0j,
+    complex(-0.0, 0.0),
+    complex(0.0, -0.0),
+    complex(-0.0, -0.0),
+    1 + 0j,
+    -1.5 + 2j,
+    complex(math.nan, 0.0),
+    complex(0.5, math.nan),
+    complex(math.inf, 0.0),
+    complex(-math.inf, 1.0),
+    complex(math.inf, math.inf),
+    complex(5e-324, 0.0),
+    complex(1e-310, -3e-320),
+    complex(1e-200, 1e-170),
+    complex(1e200, 1e200),
+    complex(1e160, -1e160),
+    complex(-3e-90, 2e-90),
+]
+
+
+def _bits(coeffs):
+    """The coefficients as hex text: a zero's sign counts, every NaN is alike."""
+    return [(c.real.hex(), c.imag.hex()) for c in coeffs]
+
+
+def _general_power(a, n):
+    """a^n by binary powering from 1, every step a general tuple product."""
+    out = (1 + 0j,)
+    while n:
+        if n & 1:
+            out = trimmed_product(out, a)
+        n >>= 1
+        if n:
+            a = trimmed_product(a, a)
+    return out
+
+
+def _general_compose(P, polys):
+    """MultiPoly.compose_unipoly's coefficients by general products and sums
+    from the empty accumulator."""
+    acc = ()
+    for exps, c in P.terms.items():
+        term = (c,)
+        for i, e in enumerate(exps):
+            if e:
+                term = trimmed_product(term, _general_power(polys[i].coeffs, e))
+        acc = trimmed_sum(acc, term)
+    return acc
+
+
+def test_one_coefficient_power_is_the_general_product_path():
+    for c in SPECIAL:
+        for n in range(10):
+            assert _bits(trimmed_power((c,), n)) == _bits(_general_power((c,), n)), (c, n)
+
+
+def test_first_composed_term_is_the_general_sum():
+    # a class of one term and of two, over one-coefficient charts and
+    # two-coefficient ones; -0.0 inside a chart, and 0.0 + -0.0 in the sum
+    coefficients = [c for c in SPECIAL if c != 0]
+    for c in SPECIAL:
+        for other in (1 + 0j, complex(-0.0, 2.0), complex(1e-170, -0.0)):
+            charts = [
+                [UniPoly.from_trimmed((c,)) if c != 0 else UniPoly.zero(), UniPoly((other,))],
+                [UniPoly.from_trimmed((c, other)), UniPoly((complex(-0.0, -0.0), other))],
+            ]
+            for coeff in coefficients:
+                for polys in charts:
+                    for terms in ({(2, 1): coeff}, {(0, 3): coeff, (1, 2): -1.5 + 2j}):
+                        P = MultiPoly(2, terms)
+                        got = P.compose_unipoly(polys).coeffs
+                        assert _bits(got) == _bits(_general_compose(P, polys)), (c, other, terms)

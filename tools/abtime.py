@@ -80,19 +80,27 @@ def summary(a_ms: list[float | None], b_ms: list[float | None], chunk: int) -> d
     }
 
 
-def worker(root: Path, workload: str, seed: int, ops: int) -> None:
-    """Serve ``start end`` lines on stdin: time ops[start:end] and write
-    their normalized latencies (ms, None for a failure) as one JSON line."""
+def load_inputs(root: Path, workload: str, seed: int, ops: int):
+    """The checkout's workload, built from its own ``src`` and
+    ``perfbench`` (put first on ``sys.path``), and the first ``ops`` inputs
+    of the seed."""
     src = root / "src"
     sys.path[:0] = [str(src), str(root / "perfbench")]
-    import calibration
     import quintic_periods
     import workloads
 
     if Path(quintic_periods.__file__).resolve().parent != (src / "quintic_periods").resolve():
         sys.exit(f"error: imported quintic_periods from {quintic_periods.__file__}")
     w = workloads.WORKLOADS[workload]()
-    inputs = list(itertools.islice(w.inputs(seed), ops))
+    return w, list(itertools.islice(w.inputs(seed), ops))
+
+
+def worker(root: Path, workload: str, seed: int, ops: int) -> None:
+    """Serve ``start end`` lines on stdin: time ops[start:end] and write
+    their normalized latencies (ms, None for a failure) as one JSON line."""
+    w, inputs = load_inputs(root, workload, seed, ops)
+    import calibration
+
     for op in inputs[:CHUNK]:
         try:
             w.run(op)
