@@ -10,10 +10,11 @@ Two independent backends are kept side by side on purpose:
   one rule is ``_Contour``, one value product per block of site entries.
 
 ``SiteMap`` runs both for every integrand at every one of its sites (a
-``SiteEntry`` each), on matrices of numerator rows, with each denominator
-known by its declared roots, and returns one ``SiteTable`` of entries x
-rows; the period assembly compares the backends by ``backend_disagreement``
-on all sites of a sample at once.  The scalar oracle ``residues_at_zeros``
+``SiteEntry`` each), on the caller's stacked arrays of numerator rows, each
+entry reading the stack it names, with each denominator known by its
+declared roots, and returns one ``SiteTable`` of entries x rows; the period
+assembly compares the backends by ``backend_disagreement`` on all sites of
+a sample at once.  The scalar oracle ``residues_at_zeros``
 runs the analytic backend alone on one ``RationalFunction``, reading each
 pole order at its site from the expanded denominator by one site rule, at
 [1:0] in the chart u = 1/t, and refuses a pole at a zero the residue
@@ -299,11 +300,13 @@ def residue_sum_check(f: RationalFunction) -> float:
 #
 # A SiteMap runs a list of entries -- every site and check site of every
 # pair of a sample -- in one pass, into one table (SiteTable) of entries x
-# rows, exact zeros where no block writes.  Entries of equal exact location,
-# width and order form a block, stacked along a leading axis, that writes
-# its entries' lines.  numpy's stacked matmul runs the same kernel on each
-# slice, so a stacked product is bit-identical to that of the entry alone;
-# padding the contraction to a common width, or merging rows into one
+# rows, exact zeros where no block writes.  Each entry names the stack of
+# numerator rows it reads, on the leading axis of the caller's arrays (one
+# stack per pair in the period assembly).  Entries of equal exact location,
+# width and order form a block, which gathers their stacks with one index
+# and writes their lines.  numpy's stacked matmul runs the same kernel on
+# each slice, so a stacked product is bit-identical to that of the entry
+# alone; padding the contraction to a common width, or merging rows into one
 # product, is not.  Which sites a pair sums, and when a pole is a base-locus
 # collision, are the caller's rules.
 #
@@ -545,11 +548,12 @@ class SiteTable(NamedTuple):
 
 class _Block:
     """Entries of one exact location, width and order, stacked; those with
-    a quadrature circle first.  ``index`` holds their lines in the table."""
+    a quadrature circle first.  ``index`` holds their lines in the table,
+    ``stacks`` the stacks of their rows."""
 
-    def __init__(self, index: list[int], entries: list[SiteEntry], dens, shift_matrix):
+    def __init__(self, index: list[int], entries: list[SiteEntry], dens, stacks, shift_matrix):
         first = entries[0]
-        self.index = index
+        self.index, self.stacks, self.width = index, stacks, first.width
         self.at_infinity, self.order = first.at_infinity, first.order
         self.shift = None
         if not first.at_infinity and first.location != 0:
@@ -565,20 +569,21 @@ class _Block:
             self.contour = _Contour(radii, first.width, den, first.at_infinity)
 
     def apply(self, nums, lives, mags, tops, table: SiteTable) -> None:
-        """Writes the block's lines of ``table`` from its entries' rows.  The
-        pole rule reads the magnitudes and row maxima it is given at t = 0,
-        the magnitudes reversed at [1:0]; a shifted site takes those of its
-        shifted rows."""
-        num = np.array(nums)
+        """Writes the block's lines of ``table`` from its entries' rows, the
+        first ``width`` coefficients of their stacks.  The pole rule reads
+        the magnitudes and row maxima it is given at t = 0, the magnitudes
+        reversed at [1:0]; a shifted site takes those of its shifted rows."""
+        stacks, width = self.stacks, self.width
+        num = nums[stacks, :, :width]
         if self.at_infinity:
-            local, mag, top = num[:, :, ::-1], np.array(mags)[:, :, ::-1], np.array(tops)
+            local, mag, top = num[:, :, ::-1], mags[stacks, :, :width][:, :, ::-1], tops[stacks]
         elif self.shift is None:
-            local, mag, top = num, np.array(mags), np.array(tops)
+            local, mag, top = num, mags[stacks, :, :width], tops[stacks]
         else:
             local = num @ self.shift
             mag = np.abs(local)
             top = mag.max(axis=-1)
-        has_pole = np.array(lives) & (np.argmax(_big(mag, top, 1e-9), axis=2) < self.order)
+        has_pole = lives[stacks] & (np.argmax(_big(mag, top, 1e-9), axis=2) < self.order)
         residue = local[:, :, : self.series.shape[1]] @ self.series
         table.residue[self.index] = np.where(has_pole, residue[..., 0], 0j)
         order = self.order
@@ -598,37 +603,36 @@ class SiteMap:
     blocks of equal location and width share one Taylor-shift matrix.
     ``dens[i]``, entry i's den at the ``circle_points`` of its circle, is
     given for the entries with a radius and adds their quadrature backend;
-    it is None for the others.
+    it is None for the others.  ``stacks[i]`` is the first-axis index of
+    entry i's rows in the arrays ``apply`` takes.
     """
 
-    def __init__(self, entries: list[SiteEntry], dens: list[np.ndarray | None]):
+    def __init__(self, entries: list[SiteEntry], dens: list[np.ndarray | None], stacks: list[int]):
         self.entries = entries
+        stacks = np.array(stacks, dtype=int)
         shift_matrix = lru_cache(maxsize=None)(_shift_matrix)
         blocks: dict[tuple, list[int]] = {}
         for i, e in sorted(enumerate(entries), key=lambda ie: ie[1].radius is None):
             if e.order > 0:
                 blocks.setdefault((e.at_infinity, e.location, e.width, e.order), []).append(i)
         self.blocks = [
-            _Block(idx, [entries[i] for i in idx], [dens[i] for i in idx], shift_matrix)
-            for idx in blocks.values()
+            _Block(ix, [entries[i] for i in ix], [dens[i] for i in ix], stacks[ix], shift_matrix)
+            for ix in blocks.values()
         ]
 
     def apply(
-        self,
-        nums: list[np.ndarray],
-        lives: list[np.ndarray],
-        mags: list[np.ndarray],
-        tops: list[np.ndarray],
-        rows: int,
+        self, nums: np.ndarray, lives: np.ndarray, mags: np.ndarray, tops: np.ndarray
     ) -> SiteTable:
-        """The table of every entry i and each of ``rows`` numerator rows
-        ``nums[i]`` (rows x width), given with their magnitudes ``mags[i]``
-        (``np.abs(nums[i])``) and each row's largest magnitude ``tops[i]``,
-        which the caller has taken for its numerator-zero test; rows where
-        ``lives[i]`` is False have no pole.  ``rows`` sizes the table even
-        when there is no entry."""
-        shape = (len(self.entries), rows)
+        """The table of every entry i and each numerator row r of its stack
+        k = ``stacks[i]``: the first width coefficients of ``nums[k, r]``
+        (stacks x rows x at least the widest entry's width), given with
+        their magnitudes ``mags`` (``np.abs(nums)``) and each row's largest
+        magnitude ``tops[k, r]``, which the caller has taken for its
+        numerator-zero test; rows where ``lives[k, r]`` is False have no
+        pole.  The rows of ``nums`` size the table even when there is no
+        entry."""
+        shape = (len(self.entries), nums.shape[1])
         table = SiteTable(*(np.zeros(shape, dtype) for dtype in (int, complex, complex, float)))
         for block in self.blocks:
-            block.apply(*([a[i] for i in block.index] for a in (nums, lives, mags, tops)), table)
+            block.apply(nums, lives, mags, tops, table)
         return table

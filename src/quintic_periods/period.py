@@ -132,18 +132,14 @@ def _named(exc: Exception, jet: CurveJet, j0: int, j1: int) -> Exception:
 
 
 class _Pair:
-    """One covering pair at one sample: the inner factor of its numerator,
-    per class row its live flag, numerator, the numerator's magnitudes and
-    their maxima, and the lines of its sites and check sites in the
-    sample's site table."""
+    """One covering pair at one sample: the width of its numerator rows,
+    per class row its live flag, and the lines of its sites and check sites
+    in the sample's site table."""
 
     def __init__(self, ctx: _SampleContext, index: int, j0: int, j1: int, width: int, live):
         self.ctx = ctx
         self.index, self.j0, self.j1 = index, j0, j1
         self.width, self.live = width, live
-        # numerator rows, their magnitudes and row maxima, None for a zero
-        # inner factor
-        self.num = self.mag = self.top = None
         self.sites = self.checks = range(0)
 
     def entries(self, checks: bool) -> tuple[list[SiteEntry], list[SiteEntry]]:
@@ -379,8 +375,9 @@ def _assemble(ctx: _SampleContext, p_rows: np.ndarray, checks: bool = False) -> 
     shares between pairs; the sites of all pairs then run through one
     ``SiteMap``, and each row costs matrix products.  Numerator rows are
     formed, and their magnitudes taken once, only for the pairs whose inner
-    factor is not zero; a pair with a zero inner factor has a zero numerator
-    in every row.  A row's numerator is zero when it cancels to 1e-12 of its
+    factor is not zero, one stack each, which the site map reads whole; a
+    pair with a zero inner factor has a zero numerator in every row.  A
+    row's numerator is zero when it cancels to 1e-12 of its
     pre-cancellation scale, the rule of ``verification.reference_period``.
 
     An error names its pair: the first pair, in pair order, whose sites
@@ -405,36 +402,34 @@ def _assemble(ctx: _SampleContext, p_rows: np.ndarray, checks: bool = False) -> 
     # decides on it as on the pair's own rows
     tops = mags.max(axis=2)
     num_scales = np.maximum(ctx.term_scales[inner, None] * p_scale, 1e-300)
+    live = tops > NUMERATOR_ZERO_REL_TOL * num_scales
     lives = np.zeros((len(ctx.inners), len(p_rows)), dtype=bool)
-    lives[inner] = tops > NUMERATOR_ZERO_REL_TOL * num_scales
+    lives[inner] = live
     widths = (ctx.width + degrees).tolist()
     pairs = [
         _Pair(ctx, index, j0, j1, widths[index], lives[index])
         for index, (j0, j1) in enumerate(combinations(range(ctx.jet.ncoords), 2))
     ]
-    for k, index in enumerate(inner.tolist()):
-        pair = pairs[index]
-        pair.num, pair.mag = nums[k, :, : pair.width], mags[k, :, : pair.width]
-        pair.top = tops[k]
     errors: dict[int, Exception] = {}
-    planned, entries, owners = [], [], []  # the pairs with a live row, their entries
-    for pair, live in zip(pairs, lives.any(axis=1).tolist()):
-        if live:
+    # the pairs with a live row, their entries, and each entry's pair and stack
+    planned, entries, owners, stacks = [], [], [], []
+    for stack, (index, any_live) in enumerate(zip(inner.tolist(), live.any(axis=1).tolist())):
+        if any_live:
+            pair = pairs[index]
             try:
                 sites, more = pair.entries(checks)
             except _PAIR_ERRORS as exc:
-                errors[pair.index] = exc
+                errors[index] = exc
                 continue
             planned.append(pair)
             pair.sites = range(len(entries), len(entries) + len(sites))
             pair.checks = range(pair.sites.stop, pair.sites.stop + len(more))
             entries += sites + more
-            owners += [pair] * (len(sites) + len(more))
-    site_map = SiteMap(entries, ctx.dens_on_circles(entries, owners))
-    table = site_map.apply(
-        [pair.num for pair in owners], [pair.live for pair in owners],
-        [pair.mag for pair in owners], [pair.top for pair in owners], len(p_rows),
-    )
+            count = len(sites) + len(more)
+            owners += [pair] * count
+            stacks += [stack] * count
+    site_map = SiteMap(entries, ctx.dens_on_circles(entries, owners), stacks)
+    table = site_map.apply(nums, live, mags, tops)
     poled = table.order.any(axis=1).tolist()
     for pair in planned:
         try:

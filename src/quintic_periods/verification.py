@@ -177,11 +177,11 @@ def check_residue_engine() -> CheckResult:
         entries = [SiteEntry(p, 1, lead, declared, len(num.coeffs), contour=True) for p in poles]
         entries.append(SiteEntry(None, 1, lead, declared, len(num.coeffs), contour=True))
         dens = [den(circle_points(*e.circle, QUAD_NODES)) if e.radius else None for e in entries]
-        n, row = len(entries), np.array([num.coeffs])
-        mag = np.abs(row)
-        table = SiteMap(entries, dens).apply(
-            [row] * n, [np.array([True])] * n, [mag] * n, [mag.max(axis=1)] * n, 1
-        )
+        # every entry reads the one row, on one stack
+        n, rows = len(entries), np.array([[num.coeffs]])
+        mags = np.abs(rows)
+        live = np.array([[True]])
+        table = SiteMap(entries, dens, [0] * n).apply(rows, live, mags, mags.max(axis=2))
         residues, quadratures = table.residue[:, 0].tolist(), table.quadrature[:, 0].tolist()
         hit = [k for k in range(n) if table.order[k, 0]]
         sites += len(hit)

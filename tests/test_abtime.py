@@ -1,13 +1,16 @@
 """tools/abtime.py's summary of two sides' latencies on the same ops: the
 median of per-chunk ratios of medians, their quartiles and spread, with
-failed ops left out of every median."""
+failed ops left out of every median; and its exit on an unknown workload."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "abtime.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "abtime.py"
 
 
 def _load_tool():
@@ -47,3 +50,15 @@ def test_summary_skips_chunks_without_a_passed_op_on_either_side():
         tool.summary([None, 1.0], [1.0, None], chunk=1)
     with pytest.raises(ValueError):
         tool.summary([1.0], [1.0, 1.0], chunk=1)
+
+
+def test_rejects_an_unknown_workload():
+    # one line that names the known workloads, exit 2, before any op runs
+    done = subprocess.run(
+        [sys.executable, str(TOOL), "--root", str(ROOT), "--root", str(ROOT),
+         "--workload", "nope", "--seed", "1", "--ops", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    (line,) = done.stderr.splitlines()
+    assert "'nope'" in line and "catalog-periods" in line and "monomial-scan" in line

@@ -1,6 +1,6 @@
 """tools/callcount.py on this checkout: the Python calls per op of a few ops
-of the catalog workload, counted the same by two workers, and its argument
-errors."""
+of the catalog and reparametrized workloads, counted and named the same by
+two workers, and its argument errors."""
 
 import json
 import subprocess
@@ -36,3 +36,21 @@ def test_counts_the_calls_per_op_of_each_checkout():
 def test_rejects_ops_below_one():
     done = _run("--root", str(ROOT), "--workload", "catalog-periods", "--seed", "7", "--ops", "0")
     assert done.returncode == 2 and "--ops must be positive" in done.stderr
+
+
+def test_names_carry_no_address():
+    # cProfile names object.__new__ "<built-in method __new__ of type object
+    # at 0x...>", an address that differs between the two workers
+    done = _run("--root", str(ROOT), "--root", str(ROOT), "--workload", "reparam-periods",
+                "--seed", "7", "--ops", "3")
+    assert done.returncode == 0, done.stderr
+    first, second = json.loads(done.stdout.splitlines()[-1])["roots"]
+    assert second == first
+    assert not any(" at 0x" in row["function"] for row in first["top"])
+
+
+def test_rejects_an_unknown_workload():
+    done = _run("--root", str(ROOT), "--workload", "nope", "--seed", "7", "--ops", "1")
+    assert done.returncode == 2 and done.stdout == ""
+    (line,) = done.stderr.splitlines()
+    assert "'nope'" in line and "catalog-periods" in line and "monomial-scan" in line

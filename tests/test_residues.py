@@ -27,14 +27,18 @@ def site_map(den, location, zero_multiplicity, sites, width, nodes=None):
     as it stands."""
     entry = SiteEntry(location, zero_multiplicity, den.coeffs[-1], sites, width, bool(nodes))
     dens = [den(circle_points(*entry.circle, nodes)) if entry.radius is not None else None]
-    return SiteMap([entry], dens)
+    return SiteMap([entry], dens, [0])
 
 
 def apply(site_map, nums, lives):
-    """``site_map.apply`` with the magnitudes of the rows and their maxima,
-    as the period assembly passes them."""
-    mags = [np.abs(n) for n in nums]
-    return site_map.apply(nums, lives, mags, [m.max(axis=1) for m in mags], len(nums[0]))
+    """``site_map.apply`` on the stacks ``nums[k]``, zero-padded to the
+    widest, with the magnitudes of the rows and their maxima, as the period
+    assembly passes them."""
+    stacked = np.zeros((len(nums), len(nums[0]), max(n.shape[1] for n in nums)), dtype=complex)
+    for k, n in enumerate(nums):
+        stacked[k, :, : n.shape[1]] = n
+    mags = np.abs(stacked)
+    return site_map.apply(stacked, np.array(lives), mags, mags.max(axis=2))
 
 
 def one_row(den, location, sites, num):
@@ -388,16 +392,54 @@ class TestStackedEntries:
             rows[0] = 0
             nums.append(rows)
             lives.append(np.array([False, True, True, True, True]))
-        site_map = SiteMap(entries, dens)
+        site_map = SiteMap(entries, dens, list(range(len(entries))))
         stacked = apply(site_map, nums, lives)
         assert len(site_map.blocks) == 4
         for i in range(len(entries)):
-            alone = apply(SiteMap([entries[i]], [dens[i]]), [nums[i]], [lives[i]])
+            alone = apply(SiteMap([entries[i]], [dens[i]], [0]), [nums[i]], [lives[i]])
             assert site_map.entries[i] is entries[i]
             for field in ("order", "residue", "quadrature", "quadrature_scale"):
                 a, b = getattr(stacked, field)[i], getattr(alone, field)[0]
                 assert np.array_equal(a, b), (i, field)
             assert (stacked.order[i] > 0).any() == (entries[i].order > 0)
+
+    def test_entries_read_their_own_stack(self):
+        # entries name their stacks out of order, and two share a stack;
+        # each reads the first ``width`` coefficients of its stack's rows,
+        # to the bit what it reads alone on that stack
+        rng = np.random.default_rng(31)
+
+        def c():
+            return complex(*rng.uniform(-1, 1, 2))
+
+        nodes, location = 64, -0.2 + 0.4j
+        nums = rng.uniform(-1, 1, (3, 4, 7)) + 1j * rng.uniform(-1, 1, (3, 4, 7))
+        nums[1, 0] = 0
+        lives = np.array([[True, True, False, True]] * 3)
+        mags = np.abs(nums)
+        tops = mags.max(axis=2)
+        entries, dens = [], []
+        for at, width in [(location, 6), (None, 7), (location, 6), (location, 7)]:
+            sites = [(location, 2), (c() + 1.5, 1), (c() - 1.5, 1)]
+            den = UniPoly.from_roots([r for r, m in sites for _ in range(m)], lead=c())
+            entry = SiteEntry(at, 1, den.coeffs[-1], sites, width, True)
+            entries.append(entry)
+            dens.append(den(circle_points(*entry.circle, nodes)))
+        stacks = [2, 0, 2, 1]
+        site_map = SiteMap(entries, dens, stacks)
+        table = site_map.apply(nums, lives, mags, tops)
+        assert len(site_map.blocks) == 3
+        for i, k in enumerate(stacks):
+            one = slice(k, k + 1)
+            alone = SiteMap([entries[i]], [dens[i]], [0]).apply(
+                nums[one], lives[one], mags[one], tops[one]
+            )
+            for field in ("order", "residue", "quadrature", "quadrature_scale"):
+                a, b = getattr(table, field)[i], getattr(alone, field)[0]
+                assert np.array_equal(a, b), (i, field)
+            assert (table.order[i] > 0).any()
+        # the two entries on stack 2 declare different denominators
+        assert not np.array_equal(table.residue[0], table.residue[2])
 
     def test_table_is_zero_without_a_pole(self):
         # every field is an exact 0 at an entry of order <= 0 ([1:0] with
@@ -417,7 +459,7 @@ class TestStackedEntries:
         dens = [None, None, den(circle_points(*entries[2].circle, 64))]
         rows = rng.uniform(-1, 1, (3, 5)) + 1j * rng.uniform(-1, 1, (3, 5))
         live = np.array([True, False, True])
-        site_map = SiteMap(entries, dens)
+        site_map = SiteMap(entries, dens, [0, 1, 2])
         assert len(site_map.blocks) == 1
         table = apply(site_map, [rows] * 3, [live] * 3)
         fields = (table.order, table.residue, table.quadrature, table.quadrature_scale)
@@ -429,4 +471,5 @@ class TestStackedEntries:
         assert (table.order[1:, ::2] == 2).all() and (table.residue[1:, ::2] != 0).all()
         assert (table.quadrature[2, ::2] != 0).all() and (table.quadrature_scale[2, ::2] > 0).all()
         # without entries, the table still has the caller's rows
-        assert SiteMap([], []).apply([], [], [], [], 3).residue.shape == (0, 3)
+        rows, flags = np.zeros((0, 3, 1)), np.zeros((0, 3))
+        assert SiteMap([], [], []).apply(rows, flags > 0, rows, flags).residue.shape == (0, 3)

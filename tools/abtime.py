@@ -80,18 +80,30 @@ def summary(a_ms: list[float | None], b_ms: list[float | None], chunk: int) -> d
     }
 
 
-def load_inputs(root: Path, workload: str, seed: int, ops: int):
-    """The checkout's workload, built from its own ``src`` and
-    ``perfbench`` (put first on ``sys.path``), and the first ``ops`` inputs
-    of the seed."""
+def load_workload(root: Path, name: str):
+    """The checkout's workload ``name``, built from its own ``src`` and
+    ``perfbench`` (put first on ``sys.path``).  An unknown name ends the
+    process with one line on stderr that names the known ones, exit 2."""
     src = root / "src"
+    if not (src / "quintic_periods" / "__init__.py").is_file():
+        sys.exit(f"error: no library sources at {src / 'quintic_periods'}")
     sys.path[:0] = [str(src), str(root / "perfbench")]
     import quintic_periods
     import workloads
 
     if Path(quintic_periods.__file__).resolve().parent != (src / "quintic_periods").resolve():
         sys.exit(f"error: imported quintic_periods from {quintic_periods.__file__}")
-    w = workloads.WORKLOADS[workload]()
+    if name not in workloads.WORKLOADS:
+        print(f"error: unknown workload {name!r}; one of {sorted(workloads.WORKLOADS)}",
+              file=sys.stderr)
+        sys.exit(2)
+    return workloads.WORKLOADS[name]()
+
+
+def load_inputs(root: Path, workload: str, seed: int, ops: int):
+    """The checkout's workload, as ``load_workload`` loads it, and the
+    first ``ops`` inputs of the seed."""
+    w = load_workload(root, workload)
     return w, list(itertools.islice(w.inputs(seed), ops))
 
 
@@ -144,19 +156,19 @@ def main(argv=None) -> int:
         return 0
     if len(args.root) != 2:
         ap.error("give two --root checkouts")
-    procs = [
-        subprocess.Popen(
-            [sys.executable, __file__, "--worker", "--root", str(root.resolve()),
-             "--workload", args.workload, "--seed", str(args.seed),
-             "--ops", str(args.ops)],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
-        )
-        for root in args.root
-    ]
+    procs = []
     try:
-        for p in procs:
-            if p.stdout.readline().strip() != "ready":
-                sys.exit(f"error: a worker exited with {p.wait()}")
+        # one after the other, so that a worker that cannot start (it says
+        # why on stderr) is the only one
+        for root in args.root:
+            procs.append(subprocess.Popen(
+                [sys.executable, __file__, "--worker", "--root", str(root.resolve()),
+                 "--workload", args.workload, "--seed", str(args.seed),
+                 "--ops", str(args.ops)],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            ))
+            if procs[-1].stdout.readline().strip() != "ready":
+                return procs[-1].wait() or 1
         times: list[list[float | None]] = [[], []]
         for n, k in enumerate(range(0, args.ops, CHUNK)):
             order = (0, 1) if n % 2 == 0 else (1, 0)

@@ -21,6 +21,7 @@ import argparse
 import cProfile
 import json
 import pstats
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,8 +33,12 @@ TOP = 15
 
 
 def _function_name(key: tuple[str, int, str]) -> str:
+    """cProfile's name of a function, without the per-process address that
+    some built-in methods carry (``... of type object at 0x7f1e...>``)."""
     file, line, name = key
-    return name if file == "~" else f"{Path(file).name}:{line}({name})"
+    if file == "~":
+        return re.sub(r" at 0x[0-9a-f]+", "", name)
+    return f"{Path(file).name}:{line}({name})"
 
 
 def worker(root: Path, workload: str, seed: int, ops: int) -> None:
@@ -87,8 +92,8 @@ def main(argv=None) -> int:
              "--workload", args.workload, "--seed", str(args.seed), "--ops", str(args.ops)],
             stdout=subprocess.PIPE, text=True,
         )
-        if done.returncode:
-            sys.exit(f"error: the worker for {root} exited with {done.returncode}")
+        if done.returncode:  # the worker has said why on stderr
+            return done.returncode
         sides.append(json.loads(done.stdout.splitlines()[-1]))
     for name, side in zip("ABCDEFGHIJKLMNOPQRSTUVWXYZ", sides):
         print(f"{name} {side['root']}: {side['calls_per_op']:.1f} calls per op over "

@@ -27,18 +27,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-
-def import_workloads(root: Path):
-    src = root / "src"
-    if not (src / "quintic_periods" / "__init__.py").is_file():
-        sys.exit(f"error: no library sources at {src / 'quintic_periods'}")
-    sys.path[:0] = [str(src), str(root / "perfbench")]
-    import quintic_periods
-    import workloads
-
-    if Path(quintic_periods.__file__).resolve().parent != (src / "quintic_periods").resolve():
-        sys.exit(f"error: imported quintic_periods from {quintic_periods.__file__}")
-    return workloads
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from abtime import load_workload  # noqa: E402
 
 
 def outcome(workload, op) -> str | None:
@@ -73,10 +63,7 @@ def main(argv=None) -> int:
     if args.inputs < 1:
         ap.error("--inputs must be positive")
 
-    workloads = import_workloads(args.root.resolve())
-    if args.workload not in workloads.WORKLOADS:
-        ap.error(f"unknown workload {args.workload!r}; one of {sorted(workloads.WORKLOADS)}")
-    workload = workloads.WORKLOADS[args.workload]()
+    workload = load_workload(args.root.resolve(), args.workload)
     seeds = {}
     for seed in seed_list:
         failed = replay(workload, seed, args.inputs)
