@@ -598,7 +598,9 @@ def cmd_verify(args) -> int:
     report_dir = Path(args.report_dir)
     # before the checks, so that a directory that cannot be made costs none
     _make_dir(report_dir, "--report-dir")
-    results = verification.run_all(name_filter=args.filter, refreeze=args.refreeze)
+    if args.refreeze:
+        verification.refreeze_golden()
+    results = verification.run_all(name_filter=args.filter)
     lines = []
     ok = bool(results)
     for r in results:
@@ -642,7 +644,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--refreeze",
         action="store_true",
-        help="regenerate the golden regression fixture (maintainer use)",
+        help="rewrite the golden regression fixture before any check runs (maintainer use)",
     )
     v.set_defaults(func=cmd_verify)
 

@@ -55,7 +55,6 @@ class ContractionResult:
 
     sign: int
     complement: tuple[int, ...]
-    J: tuple[int, ...]
 
 
 def _validate_J(J, m: int) -> tuple[int, ...]:
@@ -78,7 +77,7 @@ def contraction_sign(J, m: int) -> ContractionResult:
     q = len(J) - 1
     sign = -1 if (sum(J) + math.comb(q + 2, 2)) % 2 else 1
     complement = tuple(k for k in range(m + 2) if k not in J)
-    return ContractionResult(sign, complement, J)
+    return ContractionResult(sign, complement)
 
 
 def contract_bruteforce(J, m: int) -> ContractionResult:
@@ -124,12 +123,13 @@ def contract_bruteforce(J, m: int) -> ContractionResult:
         elif overall != ratio:
             raise AssertionError(f"inconsistent contraction signs for J={J}")
     assert overall in (1, -1)
-    return ContractionResult(overall, complement, J)
+    return ContractionResult(overall, complement)
 
 
-def required_degree(d: int, m: int, q: int) -> int:
-    """Degree of P for which P Omega / F^(q+1) has weight zero."""
-    return d * (q + 1) - m - 2
+def required_degree(d: int, m: int) -> int:
+    """Degree of P for which P Omega / F^(q+1) has weight zero,
+    d (q + 1) - m - 2, at the period's q = 1."""
+    return 2 * d - m - 2
 
 
 # ---------------------------------------------------------------------------

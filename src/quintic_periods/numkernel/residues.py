@@ -355,10 +355,10 @@ def _unit_powers(count: int, nodes: int) -> np.ndarray:
     return _frozen(_unit_circle(nodes)[turns])
 
 
-def circle_points(location: complex | None, radius: float, nodes: int) -> np.ndarray:
-    """The nodes t of a site's quadrature circle |u| = radius: t = location
-    + u, or t = 1/u at [1:0] (location None)."""
-    u = radius * _unit_circle(nodes)
+def circle_points(location: complex | None, radius: float) -> np.ndarray:
+    """The QUAD_NODES nodes t of a site's quadrature circle |u| = radius:
+    t = location + u, or t = 1/u at [1:0] (location None)."""
+    u = radius * _unit_circle(QUAD_NODES)
     return 1.0 / u if location is None else location + u
 
 
@@ -525,10 +525,10 @@ class SiteEntry:
         return (None if self.at_infinity else self.location), self.radius
 
 
-def _big(mag: np.ndarray, top: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Entries of ``mag``, magnitudes, above rel_tol times their row's
-    largest, ``top``: the significance rule of UniPoly.vanishing_order."""
-    return mag > rel_tol * top[..., None]
+def _big(mag: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Entries of ``mag``, magnitudes, above 1e-9 times their row's largest,
+    ``top``: the significance rule of UniPoly.vanishing_order."""
+    return mag > 1e-9 * top[..., None]
 
 
 class SiteTable(NamedTuple):
@@ -583,7 +583,7 @@ class _Block:
             local = num @ self.shift
             mag = np.abs(local)
             top = mag.max(axis=-1)
-        has_pole = lives[stacks] & (np.argmax(_big(mag, top, 1e-9), axis=2) < self.order)
+        has_pole = lives[stacks] & (np.argmax(_big(mag, top), axis=2) < self.order)
         residue = local[:, :, : self.series.shape[1]] @ self.series
         table.residue[self.index] = np.where(has_pole, residue[..., 0], 0j)
         order = self.order

@@ -109,10 +109,7 @@ def _cluster_sites(approx: np.ndarray, q: UniPoly) -> list[tuple[complex, int]]:
 
     sites = [[sum(cl) / len(cl), len(cl)] for cl in clusters]
     _merge_multiplicities(sites, q, max_r)
-    out = []
-    for center, mult in sites:
-        out.append((_polish_center(q, center, mult), mult))
-    return [(c, m) for c, m in out]
+    return [(_polish_center(q, center, mult), mult) for center, mult in sites]
 
 
 def _merge_multiplicities(sites: list[list], q: UniPoly, max_r: float) -> None:

@@ -53,7 +53,6 @@ from .griffiths import (  # noqa: F401
 from .multipoly import MultiPoly, monomial_charts, monomial_text, monomials_of_degree
 # residue_sum_check, residues_at_zeros, residue_at_infinity_analytic: as pair_numerator
 from .numkernel.residues import (  # noqa: F401
-    QUAD_NODES,
     SiteEntry,
     SiteMap,
     SiteTable,
@@ -109,8 +108,6 @@ class PeriodReport:
 @dataclass
 class SweepResult:
     samples: list[PeriodReport]
-    family_name: str
-    p_text: str
     vanishes_identically: bool
 
 
@@ -208,9 +205,8 @@ class _SampleContext:
     def __init__(self, X: Hypersurface, jet: CurveJet):
         self.X = X
         self.jet = jet
-        self.wedges = pair_wedges(jet)
         # inner factors of all pairs, one row each in combinations order
-        self.inners, self.term_scales = pair_inners(jet, self.wedges)
+        self.inners, self.term_scales = pair_inners(jet, pair_wedges(jet))
         self.xs = jet.x_chart()
         # each coordinate's chart without negligible top coefficients, and
         # the multiplicity of its zero at [1:0], the degree it drops
@@ -218,7 +214,7 @@ class _SampleContext:
         self.infinity_orders = [x.degree - c.degree for x, c in zip(jet.x, self.charts)]
         self.partial_charts = [Fi.compose_unipoly(self.xs) for Fi in X.partials]
         # coefficients of P(x(t)) for a class of the period degree
-        self.width = required_degree(X.degree, X.m, 1) * jet.d_curve + 1
+        self.width = required_degree(X.degree, X.m) * jet.d_curve + 1
         self._roots: dict[int, list[tuple[complex, int]]] = {}
         self._zeros: dict[int, list[tuple[complex, int]]] = {}
         self._locations: dict[int, list[complex]] = {}
@@ -235,7 +231,7 @@ class _SampleContext:
             return dens
         circles = [entries[i].circle for i in circled]
         row = {circle: k for k, circle in enumerate(dict.fromkeys(circles))}
-        t = np.array([circle_points(loc, radius, QUAD_NODES) for loc, radius in row])
+        t = np.array([circle_points(loc, radius) for loc, radius in row])
         pairs = [owners[i] for i in circled]
         js = {j: k for k, j in enumerate(dict.fromkeys(j for p in pairs for j in (p.j0, p.j1)))}
         used = {i for j in js for i in self.X.partial_coords[j]}
@@ -461,7 +457,7 @@ def _check_shape(X: Hypersurface, jet: CurveJet | None = None) -> None:
 
 def period_of_jet(X: Hypersurface, P: MultiPoly, jet: CurveJet) -> PeriodReport:
     _check_shape(X, jet)
-    want = required_degree(X.degree, X.m, 1)
+    want = required_degree(X.degree, X.m)
     if P.is_zero() or not P.is_homogeneous() or P.total_degree() != want:
         raise DegreeError(f"P must be homogeneous of degree {want}")
     ctx = _SampleContext(X, jet)
@@ -552,12 +548,7 @@ def sweep(
     if not s_list:
         raise ValueError("sample list must be nonempty")
     samples = [period_at(X, P, fam, s) for s in s_list]
-    return SweepResult(
-        samples=samples,
-        family_name=fam.name,
-        p_text=P.to_text(),
-        vanishes_identically=all(r.vanishes for r in samples),
-    )
+    return SweepResult(samples, all(r.vanishes for r in samples))
 
 
 def geometric_median(points: Sequence[complex]) -> complex:
@@ -662,7 +653,7 @@ def monomial_scan(
     if not s_list:
         raise ValueError("sample list must be nonempty")
     _check_shape(X)
-    want = required_degree(X.degree, X.m, 1)
+    want = required_degree(X.degree, X.m)
     if degree != want:
         raise DegreeError(f"scan degree must be {want} for this hypersurface, got {degree}")
     labels = _scan_labels(X.nvars, degree)

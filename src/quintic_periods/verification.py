@@ -37,7 +37,6 @@ from .griffiths import (
 )
 from .multipoly import MultiPoly, monomials_of_degree
 from .numkernel.residues import (
-    QUAD_NODES,
     RationalFunction,
     SiteEntry,
     SiteMap,
@@ -176,7 +175,7 @@ def check_residue_engine() -> CheckResult:
         den, declared = UniPoly.from_roots(poles, lead), [(p, 1) for p in poles]
         entries = [SiteEntry(p, 1, lead, declared, len(num.coeffs), contour=True) for p in poles]
         entries.append(SiteEntry(None, 1, lead, declared, len(num.coeffs), contour=True))
-        dens = [den(circle_points(*e.circle, QUAD_NODES)) if e.radius else None for e in entries]
+        dens = [den(circle_points(*e.circle)) if e.radius else None for e in entries]
         # every entry reads the one row, on one stack
         n, rows = len(entries), np.array([[num.coeffs]])
         mags = np.abs(rows)
@@ -372,17 +371,13 @@ def load_golden() -> dict:
     return data
 
 
-def refreeze_golden() -> dict:
+def refreeze_golden() -> None:
     path = GOLDEN_PATH
-    data = _regression_run()
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
-    return data
+    path.write_text(json.dumps(_regression_run(), sort_keys=True, indent=2) + "\n")
 
 
-def check_paper_regression(refreeze: bool = False) -> CheckResult:
-    if refreeze:
-        refreeze_golden()
+def check_paper_regression() -> CheckResult:
     try:
         golden = load_golden()
     except GoldenFixtureError as exc:
@@ -507,7 +502,7 @@ def check_catalog() -> CheckResult:
 
 # ---------------------------------------------------------------------------
 
-ALL_CHECKS: list[tuple[str, Callable[..., CheckResult]]] = [
+ALL_CHECKS: list[tuple[str, Callable[[], CheckResult]]] = [
     ("contraction", check_contraction_oracle),
     ("residues", check_residue_engine),
     ("geometry", check_geometry_fixtures),
@@ -520,13 +515,5 @@ ALL_CHECKS: list[tuple[str, Callable[..., CheckResult]]] = [
 ]
 
 
-def run_all(name_filter: str | None = None, refreeze: bool = False) -> list[CheckResult]:
-    results = []
-    for name, fn in ALL_CHECKS:
-        if name_filter and name_filter not in name:
-            continue
-        if name == "regression":
-            results.append(_timed(lambda: check_paper_regression(refreeze=refreeze)))
-        else:
-            results.append(_timed(fn))
-    return results
+def run_all(name_filter: str | None = None) -> list[CheckResult]:
+    return [_timed(fn) for name, fn in ALL_CHECKS if not name_filter or name_filter in name]

@@ -5,9 +5,12 @@ the measured values (visible with pytest -s or in CI logs); the assertion
 pins the outcome.  The same checks back `quintic-periods verify`.
 """
 
+import json
+
 import pytest
 
 from quintic_periods import verification as ver
+from quintic_periods.errors import GoldenFixtureError
 
 CRITERIA = [
     ("1 contraction-sign oracle", ver.check_contraction_oracle, 1.0),
@@ -55,3 +58,24 @@ def test_residue_engine_runs_the_contour_at_infinity_and_on_dense_rows(monkeypat
     monkeypatch.setattr(_Contour, "trapezoid", spied_trapezoid)
     assert ver.check_residue_engine().passed
     assert seen["infinity"] > 0 and seen["dense"] > 0
+
+
+@pytest.mark.parametrize(
+    "drop, message",
+    [(None, "golden fixture missing"), ("tolerance", r"malformed \(missing tolerance\)"),
+     ("literal", r"malformed \(missing mode literal\)")],
+    ids=["file", "key", "mode"],
+)
+def test_load_golden_refuses_an_incomplete_fixture(tmp_path, monkeypatch, drop, message):
+    # the shipped fixture less one key or one mode, or no file at all
+    golden = ver.load_golden()
+    path = tmp_path / "line_slice_regression.json"
+    if drop == "literal":
+        del golden["modes"]["literal"]
+    elif drop is not None:
+        del golden[drop]
+    if drop is not None:
+        path.write_text(json.dumps(golden))
+    monkeypatch.setattr(ver, "GOLDEN_PATH", path)
+    with pytest.raises(GoldenFixtureError, match=message):
+        ver.load_golden()

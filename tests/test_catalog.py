@@ -233,3 +233,11 @@ class TestRegistry:
             resolve_hypersurface("fermat/m=x")
         with pytest.raises(ConfigError):
             resolve_family("fermat-line/pair=0,1/zeta=9/corrected")
+
+    def test_identifiers_that_match_no_pattern(self):
+        with pytest.raises(ConfigError, match="unknown hypersurface identifier 'quartic'") as exc:
+            resolve_hypersurface("quartic")
+        assert exc.value.field == "hypersurface"
+        with pytest.raises(ConfigError, match="unknown family identifier 'conic/seed=0'") as exc:
+            resolve_family("conic/seed=0")
+        assert exc.value.field == "family"

@@ -747,6 +747,29 @@ class TestCommands:
         assert report["all_passed"] is False
         assert report["results"] == []
 
+    def test_verify_refreeze_writes_the_regression_payload(self, tmp_path, capsys, monkeypatch):
+        import quintic_periods.verification as ver
+
+        golden = tmp_path / "goldens" / "line_slice_regression.json"
+        monkeypatch.setattr(ver, "GOLDEN_PATH", golden)
+        argv = ["verify", "--filter", "regression", "--refreeze", "--report-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert "PASS  regression" in capsys.readouterr().out
+        payload = json.loads(json.dumps(ver._regression_run()))
+        assert json.loads(golden.read_text()) == payload
+
+    def test_verify_refreeze_rewrites_the_golden_whatever_the_filter(self, tmp_path, monkeypatch):
+        # the golden is rewritten once, before the checks, also when the
+        # filter leaves the regression check out
+        import quintic_periods.verification as ver
+
+        golden = tmp_path / "line_slice_regression.json"
+        monkeypatch.setattr(ver, "GOLDEN_PATH", golden)
+        monkeypatch.setattr(ver, "_regression_run", lambda: {"frozen": [1.5, -2.0]})
+        argv = ["verify", "--filter", "contraction", "--refreeze", "--report-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert json.loads(golden.read_text()) == {"frozen": [1.5, -2.0]}
+
     def test_verify_corrupted_golden_fixture(self, tmp_path, capsys, monkeypatch):
         import quintic_periods.verification as ver
 

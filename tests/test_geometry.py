@@ -6,6 +6,7 @@ import pytest
 from quintic_periods.catalog import STANDARD_GEOMETRY_SAMPLES, fermat_hypersurface
 from quintic_periods.errors import DegenerateMapError, DimensionMismatchError
 from quintic_periods.geometry import (
+    CurveFamily,
     CurveJet,
     Hypersurface,
     MobiusMap,
@@ -80,6 +81,31 @@ def test_zero_jet_has_zero_tangency(fermat, corrected_slice):
     jet = corrected_slice.jet_at(0.1)
     zeroed = CurveJet(jet.s, jet.x, (ZERO1,) * 5, jet.d_curve)
     assert tangency_residual(fermat, zeroed) == 0.0
+
+
+@pytest.mark.parametrize(
+    "x, y, error, message",
+    [
+        ((X_FORM, Y_FORM), (X_FORM,), DimensionMismatchError, "different lengths"),
+        ((), (), DimensionMismatchError, "empty coordinate list"),
+        ((X_FORM, BinaryForm.constant(1.0)), (X_FORM, Y_FORM), DimensionMismatchError,
+         "degree d_curve"),
+        ((X_FORM, Y_FORM), (X_FORM, BinaryForm(2, (0.0, 0.0, 1.0))), DimensionMismatchError,
+         "share one degree"),
+        ((ZERO1, ZERO1), (X_FORM, Y_FORM), ValueError, "identically zero"),
+    ],
+    ids=["lengths", "empty", "x-degrees", "y-degrees", "all-zero"],
+)
+def test_curve_jet_refusals(x, y, error, message):
+    # each shape is refused by its own check, which the message names
+    with pytest.raises(error, match=message):
+        CurveJet(0j, x, y, 1)
+
+
+def test_family_refuses_a_jet_at_another_s(corrected_slice):
+    fam = CurveFamily("shifted", lambda s: corrected_slice.jet_at(s + 1e-6))
+    with pytest.raises(ValueError, match="'shifted' returned a jet at"):
+        fam.jet_at(0.1)
 
 
 def test_dimension_mismatch(fermat):

@@ -21,12 +21,12 @@ def rf(num, den):
     return RationalFunction(UniPoly(num), UniPoly(den))
 
 
-def site_map(den, location, zero_multiplicity, sites, width, nodes=None):
+def site_map(den, location, zero_multiplicity, sites, width, contour=False):
     """The SiteMap of den alone at one site, declared by its leading
-    coefficient and sites; with ``nodes``, its contour backend evaluates den
-    as it stands."""
-    entry = SiteEntry(location, zero_multiplicity, den.coeffs[-1], sites, width, bool(nodes))
-    dens = [den(circle_points(*entry.circle, nodes)) if entry.radius is not None else None]
+    coefficient and sites; with ``contour``, its contour backend evaluates
+    den as it stands."""
+    entry = SiteEntry(location, zero_multiplicity, den.coeffs[-1], sites, width, contour)
+    dens = [den(circle_points(*entry.circle)) if entry.radius is not None else None]
     return SiteMap([entry], dens, [0])
 
 
@@ -44,7 +44,7 @@ def apply(site_map, nums, lives):
 def one_row(den, location, sites, num):
     """The entry, and its table, of the one row num over den at one of its
     declared sites, a simple pole, with both backends."""
-    site = site_map(den, location, 1, sites, len(num.coeffs), nodes=QUAD_NODES)
+    site = site_map(den, location, 1, sites, len(num.coeffs), contour=True)
     table = apply(site, [np.array([num.coeffs])], [np.array([True])])
     assert table.order[0, 0] == 1
     return site.entries[0], table
@@ -140,7 +140,7 @@ class TestResidueTheorem:
             num = UniPoly([complex(*rng.uniform(-1, 1, 2)) for _ in range(4)])
             if num.is_zero():
                 num = UniPoly.one()
-            site = site_map(den, None, 1, [(r, 1) for r in roots], len(num.coeffs), nodes=256)
+            site = site_map(den, None, 1, [(r, 1) for r in roots], len(num.coeffs), contour=True)
             table = apply(site, [np.array([num.coeffs])], [np.array([True])])
             assert table.order[0, 0] > 0
             ra, rq = table.residue[0, 0], table.quadrature[0, 0]
@@ -249,8 +249,6 @@ class TestContourBackend:
     the scalar rule _quadrature on each row's own rational function at the
     same centre, radius and nodes."""
 
-    NODES = 256
-
     @staticmethod
     def _rows(rng, width, count):
         g = rng.uniform(-1, 1, (count, width, 2))
@@ -289,7 +287,7 @@ class TestContourBackend:
         others = [1.1 + 0.4j, -0.7 - 0.9j]
         den = UniPoly.from_roots([location, location] + others, lead=0.8 - 0.3j)
         sites = [(location, 2)] + [(p, 1) for p in others]
-        site = site_map(den, location, 1, sites, 6, nodes=self.NODES)
+        site = site_map(den, location, 1, sites, 6, contour=True)
         radius = quadrature_radius(location, others)
         rows = self._rows(rng, 6, 20)
         # rows divisible by (t - location)^2 have no pole at the site
@@ -307,7 +305,7 @@ class TestContourBackend:
 
         def scalar(row):
             f = RationalFunction(UniPoly(row), den)
-            return _quadrature(f, location, radius, self.NODES)
+            return _quadrature(f, location, radius, QUAD_NODES)
 
         self._check(rows, table, has_pole, scalar)
 
@@ -317,7 +315,7 @@ class TestContourBackend:
         rng = np.random.default_rng(1515)
         roots = [0.4 + 0.1j, -0.8 + 0.6j, 1.3 - 0.2j, -0.3 - 1.1j]
         den = UniPoly.from_roots(roots, lead=1.2 + 0.5j)
-        site = site_map(den, None, 1, [(p, 1) for p in roots], 6, nodes=self.NODES)
+        site = site_map(den, None, 1, [(p, 1) for p in roots], 6, contour=True)
         radius = quadrature_radius(0j, [1.0 / p for p in roots])
         rows = self._rows(rng, 6, 20)
         # below degree deg(den) - 1 the form is regular at [1:0]
@@ -332,7 +330,7 @@ class TestContourBackend:
 
         def scalar(row):
             g = RationalFunction(UniPoly(row), den).at_infinity_chart()
-            return _quadrature(g, 0j, radius, self.NODES)
+            return _quadrature(g, 0j, radius, QUAD_NODES)
 
         self._check(rows, table, has_pole, scalar)
 
@@ -345,7 +343,7 @@ class TestContourBackend:
         from quintic_periods.numkernel.residues import _Contour
 
         rng = np.random.default_rng(77)
-        den = self._rows(rng, self.NODES, 2) + 2.0
+        den = self._rows(rng, QUAD_NODES, 2) + 2.0
         contour = _Contour([0.3, 0.45], 6, den, False)
         rows = np.zeros((2, 7, 6), dtype=complex)
         for k, c in enumerate([0.7 - 1.2j, -0.4 + 0.9j, 1.3, -2j, complex("nan"), 0.0]):
@@ -374,7 +372,6 @@ class TestStackedEntries:
         def c():
             return complex(*rng.uniform(-1, 1, 2))
 
-        nodes = 64
         location = 0.3 - 0.2j
         entries, dens, nums, lives = [], [], [], []
         # widths 6 and 7, poles of order 1 and 2 at the location, with and
@@ -387,7 +384,7 @@ class TestStackedEntries:
             at = None if width is None else location
             entry = SiteEntry(at, 1, den.coeffs[-1], sites, width or 6, contour)
             entries.append(entry)
-            dens.append(den(circle_points(*entry.circle, nodes)) if entry.radius else None)
+            dens.append(den(circle_points(*entry.circle)) if entry.radius else None)
             rows = rng.uniform(-1, 1, (5, entry.width)) + 1j * rng.uniform(-1, 1, (5, entry.width))
             rows[0] = 0
             nums.append(rows)
@@ -412,7 +409,7 @@ class TestStackedEntries:
         def c():
             return complex(*rng.uniform(-1, 1, 2))
 
-        nodes, location = 64, -0.2 + 0.4j
+        location = -0.2 + 0.4j
         nums = rng.uniform(-1, 1, (3, 4, 7)) + 1j * rng.uniform(-1, 1, (3, 4, 7))
         nums[1, 0] = 0
         lives = np.array([[True, True, False, True]] * 3)
@@ -424,7 +421,7 @@ class TestStackedEntries:
             den = UniPoly.from_roots([r for r, m in sites for _ in range(m)], lead=c())
             entry = SiteEntry(at, 1, den.coeffs[-1], sites, width, True)
             entries.append(entry)
-            dens.append(den(circle_points(*entry.circle, nodes)))
+            dens.append(den(circle_points(*entry.circle)))
         stacks = [2, 0, 2, 1]
         site_map = SiteMap(entries, dens, stacks)
         table = site_map.apply(nums, lives, mags, tops)
@@ -456,7 +453,7 @@ class TestStackedEntries:
             SiteEntry(location, 1, 1.5, sites, 5, True),
         ]
         assert entries[0].order <= 0 and entries[1].radius is None
-        dens = [None, None, den(circle_points(*entries[2].circle, 64))]
+        dens = [None, None, den(circle_points(*entries[2].circle))]
         rows = rng.uniform(-1, 1, (3, 5)) + 1j * rng.uniform(-1, 1, (3, 5))
         live = np.array([True, False, True])
         site_map = SiteMap(entries, dens, [0, 1, 2])

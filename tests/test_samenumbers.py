@@ -4,6 +4,8 @@ differing field with its largest relative change."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "samenumbers.py"
@@ -105,3 +107,14 @@ def test_verify_records_keep_numbers_and_drop_timings():
         ("verify scan", {"passed": False, "rows": 126}),
     ]
     assert {tool.record_kind(key) for key, _ in records} == {"verify"}
+
+
+def test_dump_of_a_checkout_without_sources_ends_with_one_error_line(tmp_path):
+    # as abtime, callcount and replay end: no traceback, one line naming
+    # where the library sources should be
+    done = subprocess.run(
+        [sys.executable, str(TOOL), "--root", str(tmp_path), "--dump"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == f"error: no library sources at {tmp_path / 'src' / 'quintic_periods'}\n"

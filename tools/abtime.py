@@ -80,19 +80,30 @@ def summary(a_ms: list[float | None], b_ms: list[float | None], chunk: int) -> d
     }
 
 
-def load_workload(root: Path, name: str):
-    """The checkout's workload ``name``, built from its own ``src`` and
-    ``perfbench`` (put first on ``sys.path``).  An unknown name ends the
-    process with one line on stderr that names the known ones, exit 2."""
+def import_checkout(root: Path):
+    """The checkout's ``quintic_periods``, imported from its own ``src``
+    (put first on ``sys.path``, then its ``perfbench``).  A checkout without
+    library sources, or an import that resolves elsewhere, ends the process
+    with one ``error:`` line on stderr."""
     src = root / "src"
     if not (src / "quintic_periods" / "__init__.py").is_file():
         sys.exit(f"error: no library sources at {src / 'quintic_periods'}")
     sys.path[:0] = [str(src), str(root / "perfbench")]
     import quintic_periods
-    import workloads
 
     if Path(quintic_periods.__file__).resolve().parent != (src / "quintic_periods").resolve():
         sys.exit(f"error: imported quintic_periods from {quintic_periods.__file__}")
+    return quintic_periods
+
+
+def load_workload(root: Path, name: str):
+    """The checkout's workload ``name``, built from its own ``src`` and
+    ``perfbench``, as ``import_checkout`` imports them.  An unknown name
+    ends the process with one line on stderr that names the known ones,
+    exit 2."""
+    import_checkout(root)
+    import workloads
+
     if name not in workloads.WORKLOADS:
         print(f"error: unknown workload {name!r}; one of {sorted(workloads.WORKLOADS)}",
               file=sys.stderr)

@@ -8,8 +8,9 @@ and ``perfbench`` and draws the first ``--ops`` inputs of the seed, as
 ``tools/abtime.py`` loads them.  The worker runs the first input once
 unprofiled, so caches are warm, then all ``--ops`` inputs under cProfile.
 The count is cProfile's ``total_calls`` over ``--ops``; an op that raises is
-counted as failed and its calls stay in the count.  Unlike a time, the count
-repeats exactly on the same inputs.
+counted as failed and its calls stay in the count.  The cyclic garbage
+collector is off while the ops run.  Unlike a time, the count repeats
+exactly on the same inputs.
 
 Prints per checkout its calls per op and failures, then its 15 most-called
 functions (calls per op).  The last line is one JSON object of the same.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import json
 import pstats
 import re
@@ -49,6 +51,11 @@ def worker(root: Path, workload: str, seed: int, ops: int) -> None:
     except Exception:  # a failing op is counted when it is profiled
         pass
     failed = 0
+    # a cyclic collection can start a few Python calls (a frozen dataclass's
+    # __hash__) at points that move with the hash seed, so the collector
+    # stays off while the ops are profiled
+    gc.collect()
+    gc.disable()
     profile = cProfile.Profile()
     for op in inputs:
         profile.enable()

@@ -2,9 +2,10 @@
 
     python3 tools/samenumbers.py --root A --root B
 
-Each checkout runs in its own process, importing its own ``src`` (and, for
-the jets, its own ``tests/test_period.py`` and ``perfbench/workloads.py``),
-and writes one record per line.
+Each checkout runs in its own process, importing its own ``src`` as
+``tools/abtime.py`` imports it (and, for the jets, its own
+``tests/test_period.py`` and ``perfbench/workloads.py``), and writes one
+record per line.
 The corpus:
 
 * the README example config, the same config with the README's
@@ -71,6 +72,9 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from abtime import import_checkout  # noqa: E402
 
 # the README example config, without its output paths
 README_CONFIG = {
@@ -243,16 +247,12 @@ def load_module(name: str, path: Path):
 
 def dump(root: Path) -> None:
     """Write the corpus records of the checkout at root, one JSON line each."""
-    src = root / "src"
-    sys.path[:0] = [str(src)]
-    import quintic_periods
+    quintic_periods = import_checkout(root)
     from quintic_periods import cli, period, verification
     from quintic_periods.catalog import STANDARD_PERIOD_SAMPLES, line_families, resolve_family
     from quintic_periods.geometry import CurveFamily, MobiusMap, transform_jet
     from quintic_periods.multipoly import MultiPoly
 
-    if Path(quintic_periods.__file__).resolve().parent != (src / "quintic_periods").resolve():
-        sys.exit(f"error: imported quintic_periods from {quintic_periods.__file__}")
     tests = load_module("_tests_period", root / "tests" / "test_period.py")
     workloads = load_module("_workloads", root / "perfbench" / "workloads.py")
 
