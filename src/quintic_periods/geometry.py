@@ -8,6 +8,7 @@ normalized residuals rather than asserted, so broken inputs are measurable.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -17,13 +18,49 @@ from .multipoly import MultiPoly
 from .numkernel.unipoly import BinaryForm, UniPoly
 
 EULER_REL_TOL = 1e-12
+# entries of a hypersurface's line data: room for what the s-independent
+# slots of all 50 Fermat line families use (33 entries) while the moving
+# slots pass through.  A partial's entry holds its values on at most two
+# quadrature circles, 4 KiB each, so the cache holds at most about 0.5 MB.
+# Twice the size cost 2-3% of the time of workloads whose lines never
+# repeat, which only fill it and empty it again
+LINE_DATA_SIZE = 64
+
+
+class LineData:
+    """A cache of at most ``LINE_DATA_SIZE`` entries that drops the least
+    recently used one when it is full.  ``get`` returns None for a key it
+    lacks."""
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key):
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+        return value
+
+    def put(self, key, value) -> None:
+        self._entries[key] = value
+        if len(self._entries) > LINE_DATA_SIZE:
+            self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        self._entries.clear()
 
 
 class Hypersurface:
     """Smooth degree-d hypersurface {F = 0} in P^(m+1), F homogeneous.
 
     Partial derivatives are cached; the Euler identity
-    sum_i x_i F_i = d F is validated at construction.
+    sum_i x_i F_i = d F is validated at construction.  ``line_data`` holds
+    what the period assembly reads of the partials along a line, keyed by
+    the exact coefficients of the coordinate charts it depends on, so lines
+    that share a coordinate share it across samples.
     """
 
     def __init__(self, F: MultiPoly):
@@ -35,10 +72,12 @@ class Hypersurface:
         self.nvars = F.nvars
         self.degree = F.total_degree()
         self.partials = [F.partial(i) for i in range(self.nvars)]
-        # the coordinates each partial depends on
+        # the coordinates each partial depends on, in order
         self.partial_coords = [
-            {i for exps in Fi.terms for i, e in enumerate(exps) if e} for Fi in self.partials
+            tuple(sorted({i for exps in Fi.terms for i, e in enumerate(exps) if e}))
+            for Fi in self.partials
         ]
+        self.line_data = LineData()
         err = self.euler_residual()
         if err > EULER_REL_TOL * max(self.F.scale(), 1e-300) * self.degree:
             raise ValueError(f"Euler identity violated (residual {err:.3e})")

@@ -19,11 +19,15 @@ Only the factor P(x(t)) of a pair numerator depends on the class, so one
 assembly takes a matrix of class charts: ``period_of_jet`` passes one row,
 ``monomial_scan`` every monomial of a sample at once.  One ``SiteMap`` holds
 every pair's sites and check sites at a sample, and the quadrature circles
-of a sample are evaluated in one pass.
+of a sample are evaluated in one pass.  What a partial reads of a line --
+its chart, roots and lead factor, the coordinates' zeros, its values on a
+circle -- is kept on the hypersurface and read again by the next sample
+with the same coordinate charts.
 """
 
 from __future__ import annotations
 
+import marshal
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -53,6 +57,7 @@ from .griffiths import (  # noqa: F401
 from .multipoly import MultiPoly, monomial_charts, monomial_text, monomials_of_degree
 # residue_sum_check, residues_at_zeros, residue_at_infinity_analytic: as pair_numerator
 from .numkernel.residues import (  # noqa: F401
+    QUAD_NODES,
     SiteEntry,
     SiteMap,
     SiteTable,
@@ -67,6 +72,9 @@ from .numkernel.residues import (  # noqa: F401
 from .numkernel.roots import poly_roots
 
 VANISH_REL_TOL = 1e-9
+# quadrature circles whose values a reused partial line keeps: every pole of
+# a Fermat line lies at t = 0 or [1:0], each with one circle
+CIRCLES_PER_LINE = 2
 
 
 def vanishes(totals: Sequence[complex], scales: Sequence[float], rel=VANISH_REL_TOL) -> bool:
@@ -194,13 +202,37 @@ class _Pair:
         return bool(zeros) and all(coincides(e.location, zeros) for e in poles)
 
 
+class _PartialLine:
+    """What the partial F_j reads of one line: its chart F_j(x(t)), and,
+    once a sample has needed them, the chart's declared roots and lead
+    factor.  A record that a later sample found in the hypersurface's line
+    data is reused, and from then on keeps its values on up to
+    ``CIRCLES_PER_LINE`` quadrature circles in ``circles``, keyed by the
+    circles' exact bits; so a line that never repeats stores no arrays.
+    Every sample that reads the record shares its roots list, and none
+    changes it."""
+
+    __slots__ = ("chart", "roots", "lead", "circles")
+
+    def __init__(self, chart):
+        self.chart = chart
+        self.roots = self.lead = self.circles = None
+
+
 class _SampleContext:
     """Per-(jet, hypersurface) data shared by all classes P at one sample.
 
     What depends on one coordinate j -- its finite zeros and their
     locations, the declared roots of the partial chart F_j(x(t)) and that
     chart's lead factor -- is found once, when a pair first needs it, and
-    every pair reads it from here."""
+    every pair reads it from here.
+
+    What depends only on coordinate charts -- the partial charts with their
+    roots and lead factors, the coordinates' zeros, and a partial's values
+    on a quadrature circle -- comes from ``X.line_data`` when a sample
+    before this one computed it from the same chart coefficients, bit for
+    bit (and the same circle).  A computation that raises stores nothing,
+    so it raises again at the next sample."""
 
     def __init__(self, X: Hypersurface, jet: CurveJet):
         self.X = X
@@ -208,35 +240,68 @@ class _SampleContext:
         # inner factors of all pairs, one row each in combinations order
         self.inners, self.term_scales = pair_inners(jet, pair_wedges(jet))
         self.xs = jet.x_chart()
+        # the exact bits of each coordinate chart, which key the line data
+        self.keys = [marshal.dumps(x.coeffs, 2) for x in self.xs]
         # each coordinate's chart without negligible top coefficients, and
         # the multiplicity of its zero at [1:0], the degree it drops
         self.charts = [x.trimmed() for x in self.xs]
         self.infinity_orders = [x.degree - c.degree for x, c in zip(jet.x, self.charts)]
-        self.partial_charts = [Fi.compose_unipoly(self.xs) for Fi in X.partials]
+        self.lines = [self._line(j) for j in range(X.nvars)]
+        self.partial_charts = [line.chart for line in self.lines]
         # coefficients of P(x(t)) for a class of the period degree
         self.width = required_degree(X.degree, X.m) * jet.d_curve + 1
         self._roots: dict[int, list[tuple[complex, int]]] = {}
         self._zeros: dict[int, list[tuple[complex, int]]] = {}
         self._locations: dict[int, list[complex]] = {}
-        self._leads: dict[int, complex] = {}
+
+    def _line(self, j: int) -> _PartialLine:
+        """The line record of F_j, from the line data or composed here."""
+        key = (j, *[self.keys[i] for i in self.X.partial_coords[j]])
+        line = self.X.line_data.get(key)
+        if line is None:
+            line = _PartialLine(self.X.partials[j].compose_unipoly(self.xs))
+            self.X.line_data.put(key, line)
+        elif line.circles is None:
+            line.circles = {}
+        return line
 
     def dens_on_circles(self, entries: list[SiteEntry], owners: list[_Pair]) -> list:
         """F_j0(x(t)) * F_j1(x(t)) of ``owners[i]`` at the nodes of the
         circle of ``entries[i]``, None for an entry without one.  The nodes
         of all circles form one array; each coordinate a partial uses, and
-        each partial, is evaluated on it once."""
+        each partial, is evaluated on it once, but for a reused partial
+        whose values on every circle are in the line data."""
         circled = [i for i, e in enumerate(entries) if e.radius is not None]
         dens = [None] * len(entries)
         if not circled:
             return dens
         circles = [entries[i].circle for i in circled]
         row = {circle: k for k, circle in enumerate(dict.fromkeys(circles))}
-        t = np.array([circle_points(loc, radius) for loc, radius in row])
         pairs = [owners[i] for i in circled]
         js = {j: k for k, j in enumerate(dict.fromkeys(j for p in pairs for j in (p.j0, p.j1)))}
-        used = {i for j in js for i in self.X.partial_coords[j]}
-        coords = [x(t) if i in used else None for i, x in enumerate(self.xs)]
-        values = np.array([self.X.partials[j].evaluate(coords) for j in js])
+        values = np.empty((len(js), len(row), QUAD_NODES), dtype=complex)
+        evaluate = [j for j in js if self.lines[j].circles is None]
+        if len(evaluate) < len(js):
+            circle_keys = [marshal.dumps(circle, 2) for circle in row]
+            for j in js:
+                kept = self.lines[j].circles
+                if kept is not None:
+                    found = [kept.get(c) for c in circle_keys]
+                    if any(v is None for v in found):
+                        evaluate.append(j)
+                    else:
+                        values[js[j]] = found
+        if evaluate:
+            t = np.array([circle_points(loc, radius) for loc, radius in row])
+            used = {i for j in evaluate for i in self.X.partial_coords[j]}
+            coords = [x(t) if i in used else None for i, x in enumerate(self.xs)]
+            for j in evaluate:
+                k, kept = js[j], self.lines[j].circles
+                values[k] = self.X.partials[j].evaluate(coords)
+                if kept is not None:
+                    for c, v in zip(circle_keys, values[k]):
+                        if c not in kept and len(kept) < CIRCLES_PER_LINE:
+                            kept[c] = v.copy()
         c = [row[circle] for circle in circles]
         a = [js[p.j0] for p in pairs]
         b = [js[p.j1] for p in pairs]
@@ -255,24 +320,28 @@ class _SampleContext:
         [1:0] stay there.  Other partials are rooted as they stand.
         """
         if j not in self._roots:
-            pj, terms = self.partial_charts[j], self.X.partials[j].terms
-            if pj.degree < 1:
-                self._roots[j] = []
-            elif len(terms) == 1:
-                (exps,) = terms
-                self._roots[j] = _merge_sites(
-                    *([(loc, a * m) for loc, m in self.zeros(i)] for i, a in enumerate(exps) if a)
-                )
-            else:
-                self._roots[j] = poly_roots(pj)
+            line = self.lines[j]
+            if line.roots is None:
+                pj, terms = line.chart, self.X.partials[j].terms
+                if pj.degree < 1:
+                    line.roots = []
+                elif len(terms) == 1:
+                    (exps,) = terms
+                    line.roots = _merge_sites(*(
+                        [(loc, a * m) for loc, m in self.zeros(i)] for i, a in enumerate(exps) if a
+                    ))
+                else:
+                    line.roots = poly_roots(pj)
+            self._roots[j] = line.roots
         return self._roots[j]
 
     def lead(self, j: int) -> complex:
         """The coefficient of the partial chart F_j(x(t)) at the degree its
         declared multiplicities sum to: its factor of a pair's declared
         denominator lead."""
-        if j not in self._leads:
-            chart, declared = self.partial_charts[j], sum(m for _, m in self.chart_roots(j))
+        line = self.lines[j]
+        if line.lead is None:
+            chart, declared = line.chart, sum(m for _, m in self.chart_roots(j))
             if chart.is_zero():
                 raise BaseLocusCollisionError(
                     f"covering chart {j} misses the curve (F_{j}(x(t)) vanishes identically)"
@@ -281,14 +350,21 @@ class _SampleContext:
                 raise PoleMismatchError(
                     f"F_{j}(x(t)) has degree {chart.degree} but {declared} declared zeros"
                 )
-            self._leads[j] = chart.coeffs[declared]
-        return self._leads[j]
+            line.lead = chart.coeffs[declared]
+        return line.lead
 
     def zeros(self, j: int) -> list[tuple[complex, int]]:
         """Finite zeros of the coordinate x_j with multiplicities."""
         if j not in self._zeros:
-            chart = self.charts[j]
-            self._zeros[j] = poly_roots(chart) if chart.degree >= 1 else []
+            chart, zeros = self.charts[j], []
+            # a constant has no zeros to keep
+            if chart.degree >= 1:
+                key = ("zeros", self.keys[j])
+                zeros = self.X.line_data.get(key)
+                if zeros is None:
+                    zeros = poly_roots(chart)
+                    self.X.line_data.put(key, zeros)
+            self._zeros[j] = zeros
         return self._zeros[j]
 
     def locations(self, j: int) -> list[complex]:
@@ -338,17 +414,23 @@ class _Reduction:
         by_slot[slot, self.owner] = residue
         # running sums from 0: slot by slot, then pair by pair (a pair
         # without sites adds an exact 0, which leaves a sum as it is)
-        self.sums = np.zeros(shape[1:], dtype=complex)
-        for part in by_slot:
-            self.sums += part
-        self.totals = np.zeros(shape[2], dtype=complex)
-        for pair_sum in self.sums:
-            self.totals += pair_sum
+        self.sums = _running_sum(by_slot)
+        self.totals = _running_sum(self.sums)
         self.vanish_scales = np.abs(self.sums).max(axis=0)
         worst = np.zeros(shape)
         worst[slot, self.owner] = self.disagreement
         self.pair_max = worst.max(axis=0, initial=0.0)
         self.max = self.pair_max.max(axis=0)
+
+
+def _running_sum(x: np.ndarray) -> np.ndarray:
+    """The sum of ``x`` along its first axis as a loop adds it to zeros:
+    from +0, one element after another.  ``np.add.accumulate`` adds in that
+    order and the leading +0 makes a -0 sum +0, as the loop's start does;
+    ``np.add.reduce`` would sum a contiguous axis of 8 or more pairwise."""
+    if not len(x):
+        return np.zeros(x.shape[1:], dtype=complex)
+    return 0j + np.add.accumulate(x, axis=0)[-1]
 
 
 def _convolve_rows(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

@@ -8,6 +8,13 @@ def fermat():
     return fermat_hypersurface(3, 5)
 
 
+@pytest.fixture(autouse=True)
+def fresh_line_data(fermat):
+    """Each test starts from an empty line data cache on the shared
+    hypersurface, so no test reads what an earlier one left there."""
+    fermat.line_data.clear()
+
+
 @pytest.fixture(scope="session")
 def corrected_slice():
     return paper_line_slice(1, "corrected")

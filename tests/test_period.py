@@ -332,6 +332,8 @@ class TestDiagnostics:
         P, s = MultiPoly.monomial(5, 1.0, (0, 3, 2, 0, 0)), 0.1 + 0.05j
         for d in line_families()[::10]:
             jet = d.family().jet_at(s)
+            # the charts of the earlier families' x- and 1-slots are kept
+            fermat.line_data.clear()
             with monkeypatch.context() as patch:
                 for module in (unipoly, griffiths):
                     patch.setattr(module, "coeff_product", checked)
@@ -774,6 +776,43 @@ class TestReduction:
         parts = np.concatenate([red.sums.real, red.sums.imag])
         assert not (np.signbit(parts) & (parts == 0)).any() and np.isnan(red.totals[2])
 
+    @pytest.mark.parametrize("rows", [1, 126])
+    def test_running_sums_add_one_element_after_another(self, rows):
+        # pair sums and totals as loops of += from zeros add them, under
+        # repr, for 1 to 11 pairs of 0 to 10 sites with +-0, +-inf and NaN
+        # parts among values of many magnitudes; a pairwise sum (numpy's
+        # add.reduce along a contiguous axis of 8 or more) moves the bits
+        import numpy as np
+
+        rng = np.random.default_rng(rows)
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan]
+
+        def parts(n):
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+            special = rng.random(n) < 0.04
+            x[special] = rng.choice(specials, special.sum())
+            return x
+
+        def site():
+            residues = np.empty(rows, dtype=complex)
+            residues.real, residues.imag = parts(rows), parts(rows)
+            return residues, np.zeros(rows, dtype=complex), np.zeros(rows)
+
+        # inf - inf is NaN, as are the backend disagreements it meets
+        with np.errstate(invalid="ignore"):
+            for npairs in range(1, 12):
+                for _ in range(4):
+                    sites = [[site() for _ in range(rng.integers(11))] for _ in range(npairs)]
+                    pairs, red = self._reduction(sites, rows)
+                    sums = np.zeros((npairs, rows), dtype=complex)
+                    for i, pair in enumerate(pairs):
+                        for k in pair.sites:
+                            sums[i] += red.table.residue[k]
+                    totals = np.zeros(rows, dtype=complex)
+                    for pair_sum in sums:
+                        totals += pair_sum
+                    assert repr(red.sums.tolist()) == repr(sums.tolist()), npairs
+                    assert repr(red.totals.tolist()) == repr(totals.tolist()), npairs
 
 class TestLocationMaps:
     """The residue engine runs every site and check site of every pair at a
@@ -957,3 +996,104 @@ class TestLocationMaps:
         fam = CurveFamily("collision", lambda s: jet)
         with pytest.raises(BaseLocusCollisionError, match=named):
             monomial_scan(fermat, fam, [0.1], 5)
+
+
+class TestLineData:
+    """``Hypersurface.line_data``: what the period assembly reads of the
+    partials along a line, kept across samples by the exact coordinate
+    charts it depends on, within a constant size, and never a failure."""
+
+    def test_slots_that_do_not_move_are_reused_across_samples(self, fermat, monkeypatch):
+        # on a catalog line the x-, -zeta x- and 1-slots do not depend on s:
+        # from the second sample on their partials are neither composed nor
+        # rooted, and from the third (the first after one that reused them)
+        # they are not evaluated on the quadrature circles either; every
+        # report equals the one computed without kept data, to the bit
+        from quintic_periods.numkernel import roots
+
+        d = line_families()[13]
+        moving = [k for k in range(5) if k not in d.pair][1:]
+        fam, P = d.family(), MultiPoly.monomial(5, 1.0, (0, 3, 2, 0, 0))
+        compose, evaluate = MultiPoly.compose_unipoly, MultiPoly.evaluate
+        composed, evaluated, rooted = set(), set(), []
+
+        def partial_index(F):
+            return next((j for j, Fj in enumerate(fermat.partials) if Fj is F), None)
+
+        def composing(F, polys):
+            composed.add(partial_index(F))
+            return compose(F, polys)
+
+        def evaluating(F, point):
+            evaluated.add(partial_index(F))
+            return evaluate(F, point)
+
+        def rooting(p):
+            rooted.append(p)
+            return roots.poly_roots(p)
+
+        samples = STANDARD_PERIOD_SAMPLES[:3]
+        reports = []
+        for n, s in enumerate(samples):
+            composed.clear(), evaluated.clear(), rooted.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(MultiPoly, "compose_unipoly", composing)
+                patch.setattr(MultiPoly, "evaluate", evaluating)
+                patch.setattr(period, "poly_roots", rooting)
+                reports.append(period_at(fermat, P, fam, s))
+            # the class chart is composed too; it is no partial
+            composed.discard(None)
+            if n == 0:
+                assert composed == evaluated == set(range(5)) and rooted
+            else:
+                assert composed == set(moving) and not rooted, n
+            if n == 2:
+                assert evaluated == set(moving)
+        for s, rep in zip(samples, reports):
+            fermat.line_data.clear()
+            assert repr(rep) == repr(period_at(fermat, P, fam, s)), s
+
+    def test_size_stays_constant(self, fermat):
+        # a Moebius-moved catalog family: every sample brings new charts for
+        # the moving slots, and the kept ones reach their circles; then jets
+        # whose x_4 has a moving zero, which moves the circles of the kept
+        # partials too
+        from quintic_periods.geometry import LINE_DATA_SIZE
+
+        d = line_families()[21]
+        fam = mobius_reparam(d.family(), MobiusMap(0.7 - 0.2j, 0.3, 1.1 + 0.4j, -0.6))
+        P = MultiPoly.monomial(5, 1.0, (0, 3, 2, 0, 0))
+        for k in range(1000):
+            period_at(fermat, P, fam, 0.1 + 0.15j * k / 1000)
+        assert len(fermat.line_data) == LINE_DATA_SIZE
+        base = TestDiagnostics._line_jet(11)
+        for k in range(100):
+            x4 = BinaryForm(1, (-(0.3 + 0.01j * k), 1.0))
+            period_of_jet(fermat, P, CurveJet(base.s, (*base.x[:4], x4), base.y, 1))
+        lines = list(fermat.line_data._entries.values())
+        assert len(lines) == LINE_DATA_SIZE
+        kept = [len(line.circles) for line in lines if getattr(line, "circles", None)]
+        assert kept and max(kept) == period.CIRCLES_PER_LINE
+
+    def test_a_failure_is_not_kept(self, fermat, monkeypatch):
+        # a covering chart that misses the curve, and declared roots one
+        # more than the chart's degree: each raises at every sample of the
+        # same charts, named for the same first pair
+        base = TestDiagnostics._line_jet(0, zero=3)
+        P = MultiPoly.monomial(5, 1.0, (5, 0, 0, 0, 0))
+        for s in (0.1, 0.2, 0.2):
+            jet = CurveJet(complex(s), base.x, base.y, 1)
+            with pytest.raises(BaseLocusCollisionError, match=r"^pair \(0,3\) at s = "):
+                period_of_jet(fermat, P, jet)
+        true_roots = period._SampleContext.chart_roots
+
+        def inflated(ctx, j):
+            return [(loc, mult + 1) for loc, mult in true_roots(ctx, j)]
+
+        fam = line_families()[0].family()
+        P = MultiPoly.monomial(5, 1.0, (0, 3, 2, 0, 0))
+        with monkeypatch.context() as patch:
+            patch.setattr(period._SampleContext, "chart_roots", inflated)
+            for s in STANDARD_PERIOD_SAMPLES[:3]:
+                with pytest.raises(PoleMismatchError, match=r"^pair \(0,2\) at s = "):
+                    period_at(fermat, P, fam, s)
