@@ -151,6 +151,38 @@ def worker(root: Path, workload: str, seed: int, ops: int) -> None:
         print(json.dumps(out), flush=True)
 
 
+def interleave(script: str, roots: list[Path], workload: str, seed: int, ops: int) -> list[list]:
+    """Start one worker of ``script`` per checkout (``--worker`` with the
+    same options), one after the other, and send each the chunks of
+    ``CHUNK`` of the first ``ops`` inputs, all sides' turn at a chunk back
+    to back and the side that goes first alternating from chunk to chunk.
+    Returns per checkout its JSON replies in chunk order.  A worker that
+    cannot start (it says why on stderr) ends the process with its exit
+    code, as the only one started."""
+    procs = []
+    try:
+        for root in roots:
+            procs.append(subprocess.Popen(
+                [sys.executable, script, "--worker", "--root", str(root.resolve()),
+                 "--workload", workload, "--seed", str(seed), "--ops", str(ops)],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            ))
+            if procs[-1].stdout.readline().strip() != "ready":
+                sys.exit(procs[-1].wait() or 1)
+        replies: list[list] = [[] for _ in procs]
+        for n, k in enumerate(range(0, ops, CHUNK)):
+            sides = range(len(procs))
+            for side in sides if n % 2 == 0 else reversed(sides):
+                procs[side].stdin.write(f"{k} {k + CHUNK}\n")
+                procs[side].stdin.flush()
+                replies[side].append(json.loads(procs[side].stdout.readline()))
+        return replies
+    finally:
+        for p in procs:
+            p.stdin.close()
+            p.wait()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, action="append", required=True,
@@ -167,30 +199,8 @@ def main(argv=None) -> int:
         return 0
     if len(args.root) != 2:
         ap.error("give two --root checkouts")
-    procs = []
-    try:
-        # one after the other, so that a worker that cannot start (it says
-        # why on stderr) is the only one
-        for root in args.root:
-            procs.append(subprocess.Popen(
-                [sys.executable, __file__, "--worker", "--root", str(root.resolve()),
-                 "--workload", args.workload, "--seed", str(args.seed),
-                 "--ops", str(args.ops)],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
-            ))
-            if procs[-1].stdout.readline().strip() != "ready":
-                return procs[-1].wait() or 1
-        times: list[list[float | None]] = [[], []]
-        for n, k in enumerate(range(0, args.ops, CHUNK)):
-            order = (0, 1) if n % 2 == 0 else (1, 0)
-            for side in order:
-                procs[side].stdin.write(f"{k} {k + CHUNK}\n")
-                procs[side].stdin.flush()
-                times[side].extend(json.loads(procs[side].stdout.readline()))
-    finally:
-        for p in procs:
-            p.stdin.close()
-            p.wait()
+    replies = interleave(__file__, args.root, args.workload, args.seed, args.ops)
+    times = [[ms for chunk in side for ms in chunk] for side in replies]
     result = summary(times[0], times[1], CHUNK)
     for name, root in zip("ab", args.root):
         side = result[name]

@@ -31,13 +31,12 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
-import subprocess
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from abtime import CHUNK, load_inputs  # noqa: E402
+from abtime import CHUNK, interleave, load_inputs  # noqa: E402
 
 # (stage, module, attribute path, enclosing stage or None)
 STAGES = [
@@ -191,28 +190,7 @@ def main(argv=None) -> int:
         return 0
     if len(args.root) > 2:
         ap.error("give one or two --root checkouts")
-    procs = []
-    try:
-        for root in args.root:
-            procs.append(subprocess.Popen(
-                [sys.executable, __file__, "--worker", "--root", str(root.resolve()),
-                 "--workload", args.workload, "--seed", str(args.seed),
-                 "--ops", str(args.ops)],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
-            ))
-            if procs[-1].stdout.readline().strip() != "ready":
-                return procs[-1].wait() or 1
-        chunks: list[list[dict]] = [[] for _ in procs]
-        for n, k in enumerate(range(0, args.ops, CHUNK)):
-            order = range(len(procs)) if n % 2 == 0 else reversed(range(len(procs)))
-            for side in order:
-                procs[side].stdin.write(f"{k} {k + CHUNK}\n")
-                procs[side].stdin.flush()
-                chunks[side].append(json.loads(procs[side].stdout.readline()))
-    finally:
-        for p in procs:
-            p.stdin.close()
-            p.wait()
+    chunks = interleave(__file__, args.root, args.workload, args.seed, args.ops)
     sides = [side_summary(c) for c in chunks]
     for name, root, side in zip("AB", args.root, sides):
         print(f"{name} {root}: {side['ops']} ops passed")
