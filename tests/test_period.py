@@ -1035,7 +1035,9 @@ class TestLineData:
         samples = STANDARD_PERIOD_SAMPLES[:3]
         reports = []
         for n, s in enumerate(samples):
-            composed.clear(), evaluated.clear(), rooted.clear()
+            composed.clear()
+            evaluated.clear()
+            rooted.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(MultiPoly, "compose_unipoly", composing)
                 patch.setattr(MultiPoly, "evaluate", evaluating)
