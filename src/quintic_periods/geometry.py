@@ -20,17 +20,14 @@ from .numkernel.unipoly import BinaryForm, UniPoly
 EULER_REL_TOL = 1e-12
 # entries of a hypersurface's line data: room for what the s-independent
 # slots of all 50 Fermat line families use (33 entries) while the moving
-# slots pass through.  A partial's entry holds its values on at most two
-# quadrature circles, 4 KiB each, so the cache holds at most about 0.5 MB.
-# Twice the size cost 2-3% of the time of workloads whose lines never
-# repeat, which only fill it and empty it again
+# slots pass through.  Twice the size cost 2-3% of the time of workloads
+# whose lines never repeat, which only fill it and empty it again
 LINE_DATA_SIZE = 64
 
 
 class LineData:
     """A cache of at most ``LINE_DATA_SIZE`` entries that drops the least
-    recently used one when it is full.  ``get`` returns None for a key it
-    lacks."""
+    recently used one when it is full."""
 
     def __init__(self):
         self._entries: OrderedDict = OrderedDict()
@@ -38,16 +35,16 @@ class LineData:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key):
+    def get(self, key, compute: Callable[[], object]):
+        """The value kept for ``key``, or ``compute()``, kept if it returns."""
         value = self._entries.get(key)
-        if value is not None:
+        if value is None:
+            value = self._entries[key] = compute()
+            if len(self._entries) > LINE_DATA_SIZE:
+                self._entries.popitem(last=False)
+        else:
             self._entries.move_to_end(key)
         return value
-
-    def put(self, key, value) -> None:
-        self._entries[key] = value
-        if len(self._entries) > LINE_DATA_SIZE:
-            self._entries.popitem(last=False)
 
     def clear(self) -> None:
         self._entries.clear()

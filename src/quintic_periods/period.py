@@ -20,9 +20,9 @@ assembly takes a matrix of class charts: ``period_of_jet`` passes one row,
 ``monomial_scan`` every monomial of a sample at once.  One ``SiteMap`` holds
 every pair's sites and check sites at a sample, and the quadrature circles
 of a sample are evaluated in one pass.  What a partial reads of a line --
-its chart, roots and lead factor, the coordinates' zeros, its values on a
-circle -- is kept on the hypersurface and read again by the next sample
-with the same coordinate charts.
+its chart, roots and lead factor, and the coordinates' zeros -- is kept on
+the hypersurface and read again by the next sample with the same
+coordinate charts.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .griffiths import (  # noqa: F401
 from .multipoly import MultiPoly, monomial_charts, monomial_text, monomials_of_degree
 # residue_sum_check, residues_at_zeros, residue_at_infinity_analytic: as pair_numerator
 from .numkernel.residues import (  # noqa: F401
-    QUAD_NODES,
     SiteEntry,
     SiteMap,
     SiteTable,
@@ -72,9 +71,6 @@ from .numkernel.residues import (  # noqa: F401
 from .numkernel.roots import poly_roots
 
 VANISH_REL_TOL = 1e-9
-# quadrature circles whose values a reused partial line keeps: every pole of
-# a Fermat line lies at t = 0 or [1:0], each with one circle
-CIRCLES_PER_LINE = 2
 
 
 def vanishes(totals: Sequence[complex], scales: Sequence[float], rel=VANISH_REL_TOL) -> bool:
@@ -205,18 +201,14 @@ class _Pair:
 class _PartialLine:
     """What the partial F_j reads of one line: its chart F_j(x(t)), and,
     once a sample has needed them, the chart's declared roots and lead
-    factor.  A record that a later sample found in the hypersurface's line
-    data is reused, and from then on keeps its values on up to
-    ``CIRCLES_PER_LINE`` quadrature circles in ``circles``, keyed by the
-    circles' exact bits; so a line that never repeats stores no arrays.
-    Every sample that reads the record shares its roots list, and none
-    changes it."""
+    factor.  Every sample that reads the record shares its roots list, and
+    none changes it."""
 
-    __slots__ = ("chart", "roots", "lead", "circles")
+    __slots__ = ("chart", "roots", "lead")
 
     def __init__(self, chart):
         self.chart = chart
-        self.roots = self.lead = self.circles = None
+        self.roots = self.lead = None
 
 
 class _SampleContext:
@@ -228,11 +220,10 @@ class _SampleContext:
     every pair reads it from here.
 
     What depends only on coordinate charts -- the partial charts with their
-    roots and lead factors, the coordinates' zeros, and a partial's values
-    on a quadrature circle -- comes from ``X.line_data`` when a sample
-    before this one computed it from the same chart coefficients, bit for
-    bit (and the same circle).  A computation that raises stores nothing,
-    so it raises again at the next sample."""
+    roots and lead factors, and the coordinates' zeros -- comes from
+    ``X.line_data`` when a sample before this one computed it from the same
+    chart coefficients, bit for bit.  A computation that raises stores
+    nothing, so it raises again at the next sample."""
 
     def __init__(self, X: Hypersurface, jet: CurveJet):
         self.X = X
@@ -247,7 +238,6 @@ class _SampleContext:
         self.charts = [x.trimmed() for x in self.xs]
         self.infinity_orders = [x.degree - c.degree for x, c in zip(jet.x, self.charts)]
         self.lines = [self._line(j) for j in range(X.nvars)]
-        self.partial_charts = [line.chart for line in self.lines]
         # coefficients of P(x(t)) for a class of the period degree
         self.width = required_degree(X.degree, X.m) * jet.d_curve + 1
         self._roots: dict[int, list[tuple[complex, int]]] = {}
@@ -257,51 +247,27 @@ class _SampleContext:
     def _line(self, j: int) -> _PartialLine:
         """The line record of F_j, from the line data or composed here."""
         key = (j, *[self.keys[i] for i in self.X.partial_coords[j]])
-        line = self.X.line_data.get(key)
-        if line is None:
-            line = _PartialLine(self.X.partials[j].compose_unipoly(self.xs))
-            self.X.line_data.put(key, line)
-        elif line.circles is None:
-            line.circles = {}
-        return line
+        return self.X.line_data.get(
+            key, lambda: _PartialLine(self.X.partials[j].compose_unipoly(self.xs))
+        )
 
     def dens_on_circles(self, entries: list[SiteEntry], owners: list[_Pair]) -> list:
         """F_j0(x(t)) * F_j1(x(t)) of ``owners[i]`` at the nodes of the
         circle of ``entries[i]``, None for an entry without one.  The nodes
         of all circles form one array; each coordinate a partial uses, and
-        each partial, is evaluated on it once, but for a reused partial
-        whose values on every circle are in the line data."""
+        each partial, is evaluated on it once."""
         circled = [i for i, e in enumerate(entries) if e.radius is not None]
         dens = [None] * len(entries)
         if not circled:
             return dens
         circles = [entries[i].circle for i in circled]
         row = {circle: k for k, circle in enumerate(dict.fromkeys(circles))}
+        t = np.array([circle_points(loc, radius) for loc, radius in row])
         pairs = [owners[i] for i in circled]
         js = {j: k for k, j in enumerate(dict.fromkeys(j for p in pairs for j in (p.j0, p.j1)))}
-        values = np.empty((len(js), len(row), QUAD_NODES), dtype=complex)
-        evaluate = [j for j in js if self.lines[j].circles is None]
-        if len(evaluate) < len(js):
-            circle_keys = [marshal.dumps(circle, 2) for circle in row]
-            for j in js:
-                kept = self.lines[j].circles
-                if kept is not None:
-                    found = [kept.get(c) for c in circle_keys]
-                    if any(v is None for v in found):
-                        evaluate.append(j)
-                    else:
-                        values[js[j]] = found
-        if evaluate:
-            t = np.array([circle_points(loc, radius) for loc, radius in row])
-            used = {i for j in evaluate for i in self.X.partial_coords[j]}
-            coords = [x(t) if i in used else None for i, x in enumerate(self.xs)]
-            for j in evaluate:
-                k, kept = js[j], self.lines[j].circles
-                values[k] = self.X.partials[j].evaluate(coords)
-                if kept is not None:
-                    for c, v in zip(circle_keys, values[k]):
-                        if c not in kept and len(kept) < CIRCLES_PER_LINE:
-                            kept[c] = v.copy()
+        used = {i for j in js for i in self.X.partial_coords[j]}
+        coords = [x(t) if i in used else None for i, x in enumerate(self.xs)]
+        values = np.array([self.X.partials[j].evaluate(coords) for j in js])
         c = [row[circle] for circle in circles]
         a = [js[p.j0] for p in pairs]
         b = [js[p.j1] for p in pairs]
@@ -359,11 +325,7 @@ class _SampleContext:
             chart, zeros = self.charts[j], []
             # a constant has no zeros to keep
             if chart.degree >= 1:
-                key = ("zeros", self.keys[j])
-                zeros = self.X.line_data.get(key)
-                if zeros is None:
-                    zeros = poly_roots(chart)
-                    self.X.line_data.put(key, zeros)
+                zeros = self.X.line_data.get(("zeros", self.keys[j]), lambda: poly_roots(chart))
             self._zeros[j] = zeros
         return self._zeros[j]
 

@@ -1,9 +1,13 @@
 """tools/replay.py's record of a workload's failed inputs, on a stand-in
 workload: a raised error by its class name, an oracle breach as
-``oracle:<check>``, a passing input not at all; and its argument errors."""
+``oracle:<check>``, a passing input not at all; its argument errors; and its
+exit when stdout closes early."""
 
 import importlib.util
 import itertools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,3 +70,20 @@ def test_bad_arguments_exit_with_usage(args, message, capsys):
     assert exit_.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: ") and message in err
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    # stdout is a pipe whose read end is closed before the tool starts, so
+    # its one line of output cannot be written
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, str(TOOL), "--workload", "catalog-periods", "--seeds", "1",
+             "--inputs", "1"],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr

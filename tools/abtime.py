@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -213,5 +214,20 @@ def main(argv=None) -> int:
     return 0
 
 
+def run_main(main) -> None:
+    """Exit with ``main()``'s status, or with 1 and no traceback when
+    stdout closes before the output is written (a pipe into ``head -1``).
+    As in the note on SIGPIPE in Python's ``signal`` documentation, stdout
+    is then pointed at ``os.devnull``, so the flush at exit cannot fail
+    again."""
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run_main(main)

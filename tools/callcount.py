@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from abtime import load_inputs  # noqa: E402
+from abtime import load_inputs, run_main  # noqa: E402
 
 TOP = 15
 
@@ -113,4 +113,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_main(main)

@@ -28,7 +28,7 @@ from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from abtime import load_workload  # noqa: E402
+from abtime import load_workload, run_main  # noqa: E402
 
 
 def outcome(workload, op) -> str | None:
@@ -82,4 +82,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_main(main)

@@ -74,7 +74,7 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from abtime import import_checkout  # noqa: E402
+from abtime import import_checkout, run_main  # noqa: E402
 
 # the README example config, without its output paths
 README_CONFIG = {
@@ -454,4 +454,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_main(main)

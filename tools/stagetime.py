@@ -36,7 +36,7 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from abtime import CHUNK, interleave, load_inputs  # noqa: E402
+from abtime import CHUNK, interleave, load_inputs, run_main  # noqa: E402
 
 # (stage, module, attribute path, enclosing stage or None)
 STAGES = [
@@ -203,4 +203,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_main(main)
