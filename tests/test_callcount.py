@@ -1,7 +1,11 @@
 """tools/callcount.py on this checkout: the Python calls per op of a few ops
 of the catalog and reparametrized workloads, counted and named the same by
-two workers, and its argument errors."""
+two workers, its tally of functions that share a label, and its argument
+errors."""
 
+import cProfile
+import dataclasses
+import importlib.util
 import json
 import subprocess
 import sys
@@ -9,6 +13,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "callcount.py"
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("callcount", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def _run(*args):
@@ -31,6 +42,30 @@ def test_counts_the_calls_per_op_of_each_checkout():
     # a count, unlike a time, repeats exactly on the same inputs
     assert second == first
     assert f"{first['calls_per_op']:.1f} calls per op over 3 ops" in done.stdout
+
+
+def test_methods_that_share_a_label_are_all_counted():
+    # cProfile labels every dataclass-generated __init__ ('<string>', 2,
+    # '__init__'); pstats keeps one function per label, the tally adds them
+    @dataclasses.dataclass
+    class Point:
+        x: int
+
+    @dataclasses.dataclass
+    class Pair:
+        a: int
+        b: int
+
+    profile = cProfile.Profile()
+    profile.enable()
+    for i in range(3):
+        Point(i)
+    for i in range(5):
+        Pair(i, i)
+    profile.disable()
+    calls = _load_tool().tally(profile)
+    assert calls["<string>:2(__init__)"] == 8
+    assert sum(calls.values()) == sum(entry.callcount for entry in profile.getstats())
 
 
 def test_rejects_ops_below_one():

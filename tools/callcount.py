@@ -7,10 +7,10 @@ Each checkout runs in its own worker process, which imports its own ``src``
 and ``perfbench`` and draws the first ``--ops`` inputs of the seed, as
 ``tools/abtime.py`` loads them.  The worker runs the first input once
 unprofiled, so caches are warm, then all ``--ops`` inputs under cProfile.
-The count is cProfile's ``total_calls`` over ``--ops``; an op that raises is
-counted as failed and its calls stay in the count.  The cyclic garbage
-collector is off while the ops run.  Unlike a time, the count repeats
-exactly on the same inputs.
+The count is the sum of the profiler's per-function call counts over
+``--ops``, with the cyclic garbage collector left as it is; an op that raises
+is counted as failed and its calls stay in the count.  Unlike a time, the
+count repeats exactly on the same inputs.
 
 Prints per checkout its calls per op and failures, then its 15 most-called
 functions (calls per op).  The last line is one JSON object of the same.
@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
-import gc
 import json
-import pstats
 import re
 import subprocess
 import sys
@@ -43,6 +41,15 @@ def _function_name(key: tuple[str, int, str]) -> str:
     return f"{Path(file).name}:{line}({name})"
 
 
+def tally(profile: cProfile.Profile) -> dict[str, int]:
+    """Each name's calls in ``profile``, summed over all functions that share it."""
+    calls: dict[str, int] = {}
+    for entry in profile.getstats():
+        name = _function_name(cProfile.label(entry.code))
+        calls[name] = calls.get(name, 0) + entry.callcount
+    return calls
+
+
 def worker(root: Path, workload: str, seed: int, ops: int) -> None:
     """Profile the ops and write their count as one JSON line."""
     w, inputs = load_inputs(root, workload, seed, ops)
@@ -51,11 +58,6 @@ def worker(root: Path, workload: str, seed: int, ops: int) -> None:
     except Exception:  # a failing op is counted when it is profiled
         pass
     failed = 0
-    # a cyclic collection can start a few Python calls (a frozen dataclass's
-    # __hash__) at points that move with the hash seed, so the collector
-    # stays off while the ops are profiled
-    gc.collect()
-    gc.disable()
     profile = cProfile.Profile()
     for op in inputs:
         profile.enable()
@@ -65,16 +67,13 @@ def worker(root: Path, workload: str, seed: int, ops: int) -> None:
             failed += 1
         finally:
             profile.disable()
-    stats = pstats.Stats(profile)
-    top = sorted(stats.stats.items(), key=lambda kv: (-kv[1][1], _function_name(kv[0])))[:TOP]
+    calls = tally(profile)
+    top = sorted(calls.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP]
     print(json.dumps({
         "root": str(root),
-        "calls_per_op": stats.total_calls / len(inputs),
+        "calls_per_op": sum(calls.values()) / len(inputs),
         "failed": failed,
-        "top": [
-            {"function": _function_name(key), "calls_per_op": value[1] / len(inputs)}
-            for key, value in top
-        ],
+        "top": [{"function": name, "calls_per_op": n / len(inputs)} for name, n in top],
     }))
 
 
