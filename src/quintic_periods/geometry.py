@@ -21,7 +21,8 @@ EULER_REL_TOL = 1e-12
 # entries of a hypersurface's line data: room for what the s-independent
 # slots of all 50 Fermat line families use (33 entries) while the moving
 # slots pass through.  Twice the size cost 2-3% of the time of workloads
-# whose lines never repeat, which only fill it and empty it again
+# whose lines never repeat, which only fill it and empty it again.  The
+# site plans of all 50 families' periods and scans take 20 entries
 LINE_DATA_SIZE = 64
 
 
@@ -57,7 +58,9 @@ class Hypersurface:
     sum_i x_i F_i = d F is validated at construction.  ``line_data`` holds
     what the period assembly reads of the partials along a line, keyed by
     the exact coefficients of the coordinate charts it depends on, so lines
-    that share a coordinate share it across samples.
+    that share a coordinate share it across samples.  ``site_plans`` holds
+    the period assembly's site plans, keyed by the exact inputs each is
+    planned from.
     """
 
     def __init__(self, F: MultiPoly):
@@ -75,6 +78,7 @@ class Hypersurface:
             for Fi in self.partials
         ]
         self.line_data = LineData()
+        self.site_plans = LineData()
         err = self.euler_residual()
         if err > EULER_REL_TOL * max(self.F.scale(), 1e-300) * self.degree:
             raise ValueError(f"Euler identity violated (residual {err:.3e})")

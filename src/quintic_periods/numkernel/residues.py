@@ -10,9 +10,10 @@ Two independent backends are kept side by side on purpose:
   one rule is ``_Contour``, one value product per block of site entries.
 
 ``SiteMap`` runs both for every integrand at every one of its sites (a
-``SiteEntry`` each), on the caller's stacked arrays of numerator rows, each
-entry reading the stack it names, with each denominator known by its
-declared roots, and returns one ``SiteTable`` of entries x rows; the period
+``SiteEntry`` each, laid out in blocks by a ``SiteLayout``), on the
+caller's stacked arrays of numerator rows, each entry reading the stack it
+names, with each denominator known by its declared roots and lead, and
+returns one ``SiteTable`` of entries x rows; the period
 assembly compares the backends by ``backend_disagreement`` on all sites of
 a sample at once.  The scalar oracle ``residues_at_zeros``
 runs the analytic backend alone on one ``RationalFunction``, reading each
@@ -310,6 +311,13 @@ def residue_sum_check(f: RationalFunction) -> float:
 # product, is not.  Which sites a pair sums, and when a pole is a base-locus
 # collision, are the caller's rules.
 #
+# The entries and their blocks (a SiteLayout) hold structure alone: the
+# sites, orders, far-site factors and radii, the block grouping with its
+# stack and index arrays, and the shift matrices.  So one layout serves
+# every sample whose structure is the same; a SiteMap realizes it for one
+# set of numbers, each entry's Laurent series from the lead of its declared
+# denominator and each block's contour from the denominator on its circles.
+#
 # The trapezoid rule, the library's only one, is linear in the numerator
 # too, so an entry folds the rest of the integrand on its circle into a
 # covector once (_Contour), and the values of all rows of a block are one
@@ -462,15 +470,16 @@ def _reciprocal_series(d, n: int) -> list[complex]:
 
 
 class SiteEntry:
-    """One integrand at one site: numerator rows of ``width`` coefficients
-    over den = lead * prod (t - r)^m, with (r, m) the declared finite sites.
+    """One integrand's site, planned from its structure: numerator rows of
+    ``width`` coefficients over den = lead * prod (t - r)^m, with (r, m) the
+    declared finite sites and the lead given to ``inverse``.
 
     At a finite ``location`` u = t - location, the rows are Taylor-shifted
     (not at 0), the order is the multiplicity declared there and g(u) =
-    lead * prod (u + location - r)^m over the other sites.  ``location``
-    None is [1:0]: u = 1/t, the rows reversed are R(u) = u^(width-1)
-    num(1/u), and the form -R(u) du / (u^(width+1) den(1/u)) has order
-    width + 1 - sum m and g(u) = -lead * prod (1 - r u)^m.  A row's
+    lead * prod (u + location - r)^m over the other sites, the ``factors``.
+    ``location`` None is [1:0]: u = 1/t, the rows reversed are R(u) =
+    u^(width-1) num(1/u), and the form -R(u) du / (u^(width+1) den(1/u)) has
+    order width + 1 - sum m and g(u) = -lead * prod (1 - r u)^m.  A row's
     reported order there is its own, deg + 2 - sum m.
 
     With ``contour`` an entry that has a pole gets a quadrature circle of
@@ -478,14 +487,13 @@ class SiteEntry:
     """
 
     __slots__ = (
-        "at_infinity", "location", "zero_multiplicity", "width", "radius", "order", "inverse"
+        "at_infinity", "location", "zero_multiplicity", "width", "radius", "order", "factors"
     )
 
     def __init__(
         self,
         location: complex | None,
         zero_multiplicity: int,
-        lead: complex,
         den_sites: list[tuple[complex, int]],
         width: int,
         contour: bool,
@@ -498,8 +506,7 @@ class SiteEntry:
         if self.at_infinity:
             self.order = width + 1 - sum(m for _, m in den_sites)
             # a site at exactly 0 contributes the factor 1
-            factors = [(1.0, -r, m) for r, m in den_sites if r != 0]
-            lead = -lead
+            self.factors = [(1.0, -r, m) for r, m in den_sites if r != 0]
             others = [1.0 / r for r, _ in den_sites if abs(r) > 1e-12]
         else:
             # the multiplicity clustered at location, and the other sites
@@ -509,14 +516,16 @@ class SiteEntry:
                     self.order += m
                 else:
                     far.append((r, m))
-            factors = [(location - r, 1.0, m) for r, m in far]
+            self.factors = [(location - r, 1.0, m) for r, m in far]
             others = [r for r, _ in far]
-        if self.order <= 0:
-            return
-        # the first ``order`` coefficients of 1/g
-        self.inverse = _reciprocal_series(_truncated_product(lead, factors, self.order), self.order)
-        if contour:
+        if self.order > 0 and contour:
             self.radius = quadrature_radius(self.location, others)
+
+    def inverse(self, lead: complex) -> list[complex]:
+        """The first ``order`` coefficients of 1/g for the declared ``lead``."""
+        if self.at_infinity:
+            lead = -lead
+        return _reciprocal_series(_truncated_product(lead, self.factors, self.order), self.order)
 
     @property
     def circle(self) -> tuple[complex | None, float]:
@@ -549,29 +558,35 @@ class SiteTable(NamedTuple):
 class _Block:
     """Entries of one exact location, width and order, stacked; those with
     a quadrature circle first.  ``index`` holds their lines in the table,
-    ``stacks`` the stacks of their rows."""
+    ``stacks`` the stacks of their rows, ``rows`` the circled ones' rows of
+    the ``dens`` a SiteMap takes.  A block is planned once; ``realize``
+    gives its numbers for one set of leads and dens."""
 
-    def __init__(self, index: list[int], entries: list[SiteEntry], dens, stacks, shift_matrix):
+    def __init__(self, index: list[int], entries: list[SiteEntry], stacks, rows, shift_matrix):
         first = entries[0]
-        self.index, self.stacks, self.width = index, stacks, first.width
-        self.at_infinity, self.order = first.at_infinity, first.order
+        self.index, self.entries, self.stacks, self.rows = index, entries, stacks, rows
+        self.width, self.at_infinity, self.order = first.width, first.at_infinity, first.order
         self.shift = None
         if not first.at_infinity and first.location != 0:
             self.shift = shift_matrix(first.location, first.width)
+        self.radii = [e.radius for e in entries[: len(rows)]]
+
+    def realize(self, leads, dens) -> tuple[np.ndarray, _Contour | None]:
+        """The block's Laurent series, from ``leads[i]`` of each entry i,
+        and its contour, from the rows of ``dens``."""
         # residue = sum_{i < order} local[i] * inv[order - 1 - i], over the
         # rows' width coefficients: the reversed series, as a strided view
-        self.series = np.array([e.inverse for e in entries])[:, ::-1][:, : first.width, None]
-        self.circled = sum(e.radius is not None for e in entries)
-        self.contour = None
-        if self.circled:
-            radii = [e.radius for e in entries[: self.circled]]
-            den = np.array(dens[: self.circled])
-            self.contour = _Contour(radii, first.width, den, first.at_infinity)
+        inverses = [e.inverse(leads[i]) for i, e in zip(self.index, self.entries)]
+        series = np.array(inverses)[:, ::-1][:, : self.width, None]
+        if not self.rows:
+            return series, None
+        return series, _Contour(self.radii, self.width, dens[self.rows], self.at_infinity)
 
-    def apply(self, nums, lives, mags, tops, table: SiteTable) -> None:
+    def apply(self, nums, lives, mags, tops, table: SiteTable, series, contour) -> None:
         """Writes the block's lines of ``table`` from its entries' rows, the
-        first ``width`` coefficients of their stacks.  The pole rule reads
-        the magnitudes and row maxima it is given at t = 0, the magnitudes
+        first ``width`` coefficients of their stacks, with the ``series``
+        and ``contour`` that ``realize`` gave.  The pole rule reads the
+        magnitudes and row maxima it is given at t = 0, the magnitudes
         reversed at [1:0]; a shifted site takes those of its shifted rows."""
         stacks, width = self.stacks, self.width
         num = nums[stacks, :, :width]
@@ -584,41 +599,58 @@ class _Block:
             mag = np.abs(local)
             top = mag.max(axis=-1)
         has_pole = lives[stacks] & (np.argmax(_big(mag, top), axis=2) < self.order)
-        residue = local[:, :, : self.series.shape[1]] @ self.series
+        residue = local[:, :, : series.shape[1]] @ series
         table.residue[self.index] = np.where(has_pole, residue[..., 0], 0j)
         order = self.order
         if self.at_infinity:
             order = order - np.argmax(mag != 0, axis=2)
         table.order[self.index] = has_pole * order
-        if self.contour is not None:
-            c, circled = self.circled, self.index[: self.circled]
-            values, scales = self.contour.trapezoid(local[:c], has_pole[:c])
+        if contour is not None:
+            c = len(self.rows)
+            values, scales = contour.trapezoid(local[:c], has_pole[:c])
+            circled = self.index[:c]
             table.quadrature[circled], table.quadrature_scale[circled] = values, scales
 
 
-class SiteMap:
-    """Residues of every entry at its site.
+class SiteLayout:
+    """The blocks of a list of entries, planned once for every SiteMap
+    built on it.
 
-    Entries of equal exact location, width and order run as one block, and
+    Entries of equal exact location, width and order form one block, and
     blocks of equal location and width share one Taylor-shift matrix.
-    ``dens[i]``, entry i's den at the ``circle_points`` of its circle, is
-    given for the entries with a radius and adds their quadrature backend;
-    it is None for the others.  ``stacks[i]`` is the first-axis index of
-    entry i's rows in the arrays ``apply`` takes.
+    ``stacks[i]`` is the first-axis index of entry i's rows in the arrays
+    ``SiteMap.apply`` takes.
     """
 
-    def __init__(self, entries: list[SiteEntry], dens: list[np.ndarray | None], stacks: list[int]):
+    def __init__(self, entries: list[SiteEntry], stacks: list[int]):
         self.entries = entries
         stacks = np.array(stacks, dtype=int)
         shift_matrix = lru_cache(maxsize=None)(_shift_matrix)
+        # each circled entry's row of the dens a SiteMap takes
+        circled = [i for i, e in enumerate(entries) if e.radius is not None]
+        row = {i: n for n, i in enumerate(circled)}
         blocks: dict[tuple, list[int]] = {}
         for i, e in sorted(enumerate(entries), key=lambda ie: ie[1].radius is None):
             if e.order > 0:
                 blocks.setdefault((e.at_infinity, e.location, e.width, e.order), []).append(i)
         self.blocks = [
-            _Block(ix, [entries[i] for i in ix], [dens[i] for i in ix], stacks[ix], shift_matrix)
+            _Block(ix, [entries[i] for i in ix], stacks[ix], [row[i] for i in ix if i in row],
+                   shift_matrix)
             for ix in blocks.values()
         ]
+
+
+class SiteMap:
+    """Residues of every entry of a layout at its site, for one set of
+    numbers: ``leads[i]``, the lead of entry i's declared denominator, and
+    ``dens``, one row per entry with a radius, in entry order: its den at
+    the ``circle_points`` of its circle, which adds its quadrature backend
+    (None when no entry has a radius).
+    """
+
+    def __init__(self, layout: SiteLayout, leads: list[complex], dens: np.ndarray | None):
+        self.entries, self.blocks = layout.entries, layout.blocks
+        self.realized = [block.realize(leads, dens) for block in self.blocks]
 
     def apply(
         self, nums: np.ndarray, lives: np.ndarray, mags: np.ndarray, tops: np.ndarray
@@ -633,6 +665,6 @@ class SiteMap:
         entry."""
         shape = (len(self.entries), nums.shape[1])
         table = SiteTable(*(np.zeros(shape, dtype) for dtype in (int, complex, complex, float)))
-        for block in self.blocks:
-            block.apply(nums, lives, mags, tops, table)
+        for block, (series, contour) in zip(self.blocks, self.realized):
+            block.apply(nums, lives, mags, tops, table, series, contour)
         return table

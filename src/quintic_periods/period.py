@@ -23,6 +23,25 @@ of a sample are evaluated in one pass.  What a partial reads of a line --
 its chart, roots and lead factor, and the coordinates' zeros -- is kept on
 the hypersurface and read again by the next sample with the same
 coordinate charts.
+
+What an assembly decides from structure alone is its site plan: the pairs
+it plans, each site entry's location, [1:0] flag, zero multiplicity, width,
+order, far-site factors and radius, the site map's blocks with their stack
+and index arrays and shift matrices, the quadrature circles' nodes with the
+partials and index lists their values need, and which sites lie at a zero
+of the companion coordinate.  Its key holds, in exact bits, every input the
+planning reads: the width of P(x(t)), whether check sites are planned, the
+pairs with a nonzero inner factor with their degrees, the live ones, and
+per planned pair the zeros and [1:0] orders of x_{j0} and x_{j1} and the
+declared roots of F_{j0} and F_{j1}.  On a Fermat line the plan does not
+depend on s or zeta.  The hypersurface keeps a key from its first sample
+and its plan from the second, so a line that never repeats keeps no plan;
+a plan with a pair that could not be planned is not kept.  Each sample
+still computes its own numbers on the plan, with the same functions in the
+same order -- the leads, each entry's Laurent series, the coordinates and
+partials on the plan's nodes, the blocks' series and contours, the site
+table, the collision test, the reduction and the report -- so a kept plan
+changes no bit.
 """
 
 from __future__ import annotations
@@ -58,6 +77,7 @@ from .multipoly import MultiPoly, monomial_charts, monomial_text, monomials_of_d
 # residue_sum_check, residues_at_zeros, residue_at_infinity_analytic: as pair_numerator
 from .numkernel.residues import (  # noqa: F401
     SiteEntry,
+    SiteLayout,
     SiteMap,
     SiteTable,
     ZeroSiteReport,
@@ -125,6 +145,8 @@ class ComparisonReport:
 
 
 _PAIR_ERRORS = (BaseLocusCollisionError, NonConvergenceError, PoleMismatchError)
+# the covering pairs (j0, j1) of the five coordinates, in pair order
+_PAIRS = list(combinations(range(5), 2))
 
 
 def _named(exc: Exception, jet: CurveJet, j0: int, j1: int) -> Exception:
@@ -133,69 +155,135 @@ def _named(exc: Exception, jet: CurveJet, j0: int, j1: int) -> Exception:
 
 
 class _Pair:
-    """One covering pair at one sample: the width of its numerator rows,
-    per class row its live flag, and the lines of its sites and check sites
-    in the sample's site table."""
+    """One covering pair as a site plan lays it out: whether a class row is
+    live in it, and the lines of its sites and check sites in the plan's
+    entries.  ``shared`` holds the sites at a zero of x_{j1}, the
+    ``companion`` locations: a pole there is a base-locus collision.
+    ``dual`` says whether neither coordinate vanishes at [1:0] and x_{j1}
+    has finite zeros."""
 
-    def __init__(self, ctx: _SampleContext, index: int, j0: int, j1: int, width: int, live):
-        self.ctx = ctx
+    def __init__(self, index: int, j0: int, j1: int):
         self.index, self.j0, self.j1 = index, j0, j1
-        self.width, self.live = width, live
+        self.live = self.dual = False
         self.sites = self.checks = range(0)
+        self.companion: list[complex] = []
+        self.shared: list[int] = []
 
-    def entries(self, checks: bool) -> tuple[list[SiteEntry], list[SiteEntry]]:
-        """The sites whose residues the period sums, with the contour
-        backend: the zeros of x_{j0}, and [1:0] when x_{j0} drops degree;
-        with ``checks`` also the poles those leave out: the denominator's
-        roots away from the zeros of x_{j0}, and [1:0] when x_{j0} does not
-        vanish there.  With those they cover every pole of the pair
-        integrand.
+    def plan(
+        self, start: int, width: int, checks: bool,
+        zeros, inf_mult, roots0, roots1, companion, inf_companion,
+    ) -> list[SiteEntry]:
+        """The pair's entries, laid out from line ``start`` of the plan on:
+        the sites whose residues the period sums, with the contour backend
+        -- the ``zeros`` of x_{j0}, and [1:0] when x_{j0} drops degree (by
+        ``inf_mult``) -- and with ``checks`` the poles those leave out: the
+        denominator's roots away from the zeros of x_{j0}, and [1:0] when
+        x_{j0} does not vanish there.  With those they cover every pole of
+        the pair integrand.
 
-        Each entry holds the pair's declared denominator lead * prod (t -
-        r)^m: the product of both partials' lead factors, and their chart
-        roots merged.  A pair without an entry reads neither."""
-        ctx, j0, j1 = self.ctx, self.j0, self.j1
-        if ctx.jet.x[j0].is_zero():
-            raise BaseLocusCollisionError(
-                f"the curve lies in the hyperplane x_{j0} = 0, so the residue "
-                "coordinate has no isolated zeros"
-            )
-        zeros, inf_mult = ctx.zeros(j0), ctx.infinity_orders[j0]
-        # the lead factors are read for an entry only; a pair without a site
-        # has inf_mult 0, so with checks it has one at [1:0]
-        if not (zeros or inf_mult or checks):
-            return [], []
-        lead = 1.0 + 0j
-        lead *= ctx.lead(j0)
-        lead *= ctx.lead(j1)
-        den_sites = _merge_sites(ctx.chart_roots(j0), ctx.chart_roots(j1))
-        width = self.width
-        sites = [SiteEntry(loc, mult, lead, den_sites, width, True) for loc, mult in zeros]
-        if inf_mult > 0:
-            sites.append(SiteEntry(None, inf_mult, lead, den_sites, width, True))
-        if not checks:
-            return sites, []
-        locations = ctx.locations(j0)
-        more = [
-            SiteEntry(loc, 0, lead, den_sites, width, False)
-            for loc, _ in den_sites
-            if not coincides(loc, locations)
+        Each entry reads the finite sites of the pair's declared
+        denominator: the chart roots of F_{j0} and F_{j1} merged.  A pair
+        whose chart roots were not read (None) has no entry.  ``companion``
+        and ``inf_companion`` are the zeros and [1:0] order of x_{j1}."""
+        sites, more = [], []
+        if roots0 is not None:
+            den_sites = _merge_sites(roots0, roots1)
+            sites = [SiteEntry(loc, mult, den_sites, width, True) for loc, mult in zeros]
+            if inf_mult > 0:
+                sites.append(SiteEntry(None, inf_mult, den_sites, width, True))
+            if checks:
+                locations = [loc for loc, _ in zeros]
+                more = [
+                    SiteEntry(loc, 0, den_sites, width, False)
+                    for loc, _ in den_sites
+                    if not coincides(loc, locations)
+                ]
+                if inf_mult == 0:
+                    more.append(SiteEntry(None, 0, den_sites, width, False))
+        self.sites = range(start, start + len(sites))
+        self.checks = range(self.sites.stop, self.sites.stop + len(more))
+        self.companion = [loc for loc, _ in companion]
+        # [1:0] never collides: the measure dt has a pole there itself
+        self.shared = [
+            k for k, e in zip(self.sites, sites)
+            if not e.at_infinity and coincides(e.location, self.companion)
         ]
-        if inf_mult == 0:
-            more.append(SiteEntry(None, 0, lead, den_sites, width, False))
-        return sites, more
+        self.dual = inf_mult == 0 and inf_companion == 0 and bool(self.companion)
+        return sites + more
 
     def dual_sum_holds(self, entries: list[SiteEntry], order: list[int]) -> bool:
         """Whether the dual sum -- residues at the zeros of x_{j0} and of
         x_{j1}, plus the one at infinity -- adds up the same residues as the
-        residue theorem: neither coordinate vanishes at [1:0], x_{j1} has
-        finite zeros, and every pole off the zeros of x_{j0} lies at one.
-        ``order[k]`` is the pole order of the one class row at entry k."""
-        if self.ctx.infinity_orders[self.j0] > 0 or self.ctx.infinity_orders[self.j1] > 0:
-            return False
-        zeros = self.ctx.locations(self.j1)
+        residue theorem: ``dual`` holds, and every pole off the zeros of
+        x_{j0} lies at a zero of x_{j1}.  ``order[k]`` is the pole order of
+        the one class row at entry k."""
         poles = [entries[k] for k in self.checks if order[k] and not entries[k].at_infinity]
-        return bool(zeros) and all(coincides(e.location, zeros) for e in poles)
+        return self.dual and all(coincides(e.location, self.companion) for e in poles)
+
+
+class _SitePlan:
+    """What one assembly decides from structure alone, kept in
+    ``Hypersurface.site_plans`` for the samples with the same inputs: the
+    pairs with their lines, the ``entries`` of all planned pairs with each
+    one's pair (``owner``, whose lead it reads), their ``layout`` of site
+    blocks, and the quadrature circles: their ``nodes``, the ``partials``
+    evaluated there and the coordinates they use, and per circled entry its
+    circle's row of the nodes and its two partials' rows of the values.
+
+    ``inputs`` maps each live pair whose inputs were read to them, as
+    ``_Pair.plan`` takes them; a live pair without inputs is not
+    planned."""
+
+    def __init__(self, X: Hypersurface, width: int, checks: bool, inner, degrees, live, inputs):
+        self.pairs = [_Pair(index, j0, j1) for index, (j0, j1) in enumerate(_PAIRS)]
+        self.planned: list[_Pair] = []
+        self.entries: list[SiteEntry] = []
+        self.owner: list[int] = []
+        stacks: list[int] = []
+        for stack, index in enumerate(inner):
+            pair = self.pairs[index]
+            pair.live = live[stack]
+            if index in inputs:
+                start = len(self.entries)
+                entries = pair.plan(start, width + degrees[index], checks, *inputs[index])
+                self.planned.append(pair)
+                self.entries += entries
+                self.owner += [index] * len(entries)
+                stacks += [stack] * len(entries)
+        self.layout = SiteLayout(self.entries, stacks)
+        self._plan_circles(X)
+
+    def _plan_circles(self, X: Hypersurface) -> None:
+        """The circles' nodes and index lists, as ``dens_on_circles`` reads
+        them; ``nodes`` is None without a circle."""
+        circled = [i for i, e in enumerate(self.entries) if e.radius is not None]
+        self.nodes = None
+        if not circled:
+            return
+        circles = [self.entries[i].circle for i in circled]
+        row = {circle: k for k, circle in enumerate(dict.fromkeys(circles))}
+        self.nodes = np.array([circle_points(loc, radius) for loc, radius in row])
+        pairs = [self.pairs[self.owner[i]] for i in circled]
+        js = {j: k for k, j in enumerate(dict.fromkeys(j for p in pairs for j in (p.j0, p.j1)))}
+        self.partials = list(js)
+        self.used = {i for j in js for i in X.partial_coords[j]}
+        self.circle_rows = np.array([row[circle] for circle in circles])
+        self.rows0 = np.array([js[p.j0] for p in pairs])
+        self.rows1 = np.array([js[p.j1] for p in pairs])
+
+
+class _PlanSlot:
+    """The entry of one key in ``Hypersurface.site_plans``: made at the
+    first sample with the key, it keeps the plan from the second on.  So a
+    line that never repeats keeps no plan: kept, each new plan would be
+    made in memory last touched many samples before, which costs more
+    than the planning it saves."""
+
+    __slots__ = ("seen", "plan")
+
+    def __init__(self):
+        self.seen = False
+        self.plan: _SitePlan | None = None
 
 
 class _PartialLine:
@@ -214,10 +302,10 @@ class _PartialLine:
 class _SampleContext:
     """Per-(jet, hypersurface) data shared by all classes P at one sample.
 
-    What depends on one coordinate j -- its finite zeros and their
-    locations, the declared roots of the partial chart F_j(x(t)) and that
-    chart's lead factor -- is found once, when a pair first needs it, and
-    every pair reads it from here.
+    What depends on one coordinate j -- its finite zeros, the declared
+    roots of the partial chart F_j(x(t)) and that chart's lead factor -- is
+    found once, when a pair first needs it, and every pair reads it from
+    here.
 
     What depends only on coordinate charts -- the partial charts with their
     roots and lead factors, and the coordinates' zeros -- comes from
@@ -242,7 +330,6 @@ class _SampleContext:
         self.width = required_degree(X.degree, X.m) * jet.d_curve + 1
         self._roots: dict[int, list[tuple[complex, int]]] = {}
         self._zeros: dict[int, list[tuple[complex, int]]] = {}
-        self._locations: dict[int, list[complex]] = {}
 
     def _line(self, j: int) -> _PartialLine:
         """The line record of F_j, from the line data or composed here."""
@@ -251,29 +338,79 @@ class _SampleContext:
             key, lambda: _PartialLine(self.X.partials[j].compose_unipoly(self.xs))
         )
 
-    def dens_on_circles(self, entries: list[SiteEntry], owners: list[_Pair]) -> list:
-        """F_j0(x(t)) * F_j1(x(t)) of ``owners[i]`` at the nodes of the
-        circle of ``entries[i]``, None for an entry without one.  The nodes
-        of all circles form one array; each coordinate a partial uses, and
-        each partial, is evaluated on it once."""
-        circled = [i for i, e in enumerate(entries) if e.radius is not None]
-        dens = [None] * len(entries)
-        if not circled:
-            return dens
-        circles = [entries[i].circle for i in circled]
-        row = {circle: k for k, circle in enumerate(dict.fromkeys(circles))}
-        t = np.array([circle_points(loc, radius) for loc, radius in row])
-        pairs = [owners[i] for i in circled]
-        js = {j: k for k, j in enumerate(dict.fromkeys(j for p in pairs for j in (p.j0, p.j1)))}
-        used = {i for j in js for i in self.X.partial_coords[j]}
-        coords = [x(t) if i in used else None for i, x in enumerate(self.xs)]
-        values = np.array([self.X.partials[j].evaluate(coords) for j in js])
-        c = [row[circle] for circle in circles]
-        a = [js[p.j0] for p in pairs]
-        b = [js[p.j1] for p in pairs]
-        for i, den in zip(circled, values[a, c] * values[b, c]):
-            dens[i] = den
-        return dens
+    def dens_on_circles(self, plan: _SitePlan) -> np.ndarray | None:
+        """F_j0(x(t)) * F_j1(x(t)) of each circled entry's pair at the nodes
+        of its circle, one row per entry with a radius, in entry order, as
+        a SiteMap takes them; None without a circle.  Each coordinate a
+        partial uses, and each partial, is evaluated on the plan's nodes
+        once."""
+        if plan.nodes is None:
+            return None
+        coords = [x(plan.nodes) if i in plan.used else None for i, x in enumerate(self.xs)]
+        values = np.array([self.X.partials[j].evaluate(coords) for j in plan.partials])
+        return values[plan.rows0, plan.circle_rows] * values[plan.rows1, plan.circle_rows]
+
+    def site_plan(self, inner: list[int], degrees: list[int], live: list[bool], checks: bool):
+        """The site plan of the pairs ``inner`` (one stack of numerator rows
+        each, of inner factor degree ``degrees[index]``) of which those with
+        ``live[stack]`` have a live row; with each planned pair's declared
+        denominator lead and the error of each live pair whose inputs could
+        not be read, by pair index.
+
+        The plan comes from ``X.site_plans`` when samples before this one
+        planned it from the same inputs, bit for bit: every input the
+        planning reads is in the key.  A plan with a pair left out for an
+        error is not kept, and its key is not read."""
+        leads: dict[int, complex] = {}
+        inputs: dict[int, tuple] = {}
+        errors: dict[int, Exception] = {}
+        for stack, index in enumerate(inner):
+            if live[stack]:
+                j0, j1 = _PAIRS[index]
+                try:
+                    inputs[index], lead = self._pair_inputs(j0, j1, checks)
+                except _PAIR_ERRORS as exc:
+                    errors[index] = exc
+                else:
+                    if lead is not None:
+                        leads[index] = lead
+
+        def plan() -> _SitePlan:
+            return _SitePlan(self.X, self.width, checks, inner, degrees, live, inputs)
+
+        if errors:
+            return plan(), leads, errors
+        key = marshal.dumps((self.width, checks, inner, degrees, live, inputs), 2)
+        slot = self.X.site_plans.get(key, _PlanSlot)
+        if slot.plan is not None:
+            return slot.plan, leads, errors
+        built = plan()
+        if slot.seen:
+            slot.plan = built
+        slot.seen = True
+        return built, leads, errors
+
+    def _pair_inputs(self, j0: int, j1: int, checks: bool) -> tuple[tuple, complex | None]:
+        """What the site plan reads of pair (j0, j1), as ``_SitePlan`` takes
+        it, and the pair's declared denominator lead, the product of both
+        partials' lead factors; None for a pair without an entry."""
+        if self.jet.x[j0].is_zero():
+            raise BaseLocusCollisionError(
+                f"the curve lies in the hyperplane x_{j0} = 0, so the residue "
+                "coordinate has no isolated zeros"
+            )
+        zeros, inf_mult = self.zeros(j0), self.infinity_orders[j0]
+        lead = roots0 = roots1 = None
+        # the lead factors and chart roots are read for an entry only; a
+        # pair without a site has inf_mult 0, so with checks it has one at
+        # [1:0]
+        if zeros or inf_mult or checks:
+            lead = 1.0 + 0j
+            lead *= self.lead(j0)
+            lead *= self.lead(j1)
+            roots0, roots1 = self.chart_roots(j0), self.chart_roots(j1)
+        inputs = zeros, inf_mult, roots0, roots1, self.zeros(j1), self.infinity_orders[j1]
+        return inputs, lead
 
     def chart_roots(self, j: int) -> list[tuple[complex, int]]:
         """Finite zeros of the partial chart F_j(x(t)) with multiplicities:
@@ -328,12 +465,6 @@ class _SampleContext:
                 zeros = self.X.line_data.get(("zeros", self.keys[j]), lambda: poly_roots(chart))
             self._zeros[j] = zeros
         return self._zeros[j]
-
-    def locations(self, j: int) -> list[complex]:
-        """The locations of ``zeros(j)``."""
-        if j not in self._locations:
-            self._locations[j] = [loc for loc, _ in self.zeros(j)]
-        return self._locations[j]
 
     def min_pole_separation(self) -> float:
         """The least distance between two declared roots that do not coincide."""
@@ -412,8 +543,8 @@ def _assemble(ctx: _SampleContext, p_rows: np.ndarray, checks: bool = False) -> 
 
     The class enters last: each pair's inner factor, denominator, sites and
     quadrature weights are built once, from the charts and roots ``ctx``
-    shares between pairs; the sites of all pairs then run through one
-    ``SiteMap``, and each row costs matrix products.  Numerator rows are
+    shares between pairs and the sample's site plan; the sites of all pairs
+    then run through one ``SiteMap``, and each row costs matrix products.  Numerator rows are
     formed, and their magnitudes taken once, only for the pairs whose inner
     factor is not zero, one stack each, which the site map reads whole; a
     pair with a zero inner factor has a zero numerator in every row.  A
@@ -443,49 +574,22 @@ def _assemble(ctx: _SampleContext, p_rows: np.ndarray, checks: bool = False) -> 
     tops = mags.max(axis=2)
     num_scales = np.maximum(ctx.term_scales[inner, None] * p_scale, 1e-300)
     live = tops > NUMERATOR_ZERO_REL_TOL * num_scales
-    lives = np.zeros((len(ctx.inners), len(p_rows)), dtype=bool)
-    lives[inner] = live
-    widths = (ctx.width + degrees).tolist()
-    pairs = [
-        _Pair(ctx, index, j0, j1, widths[index], lives[index])
-        for index, (j0, j1) in enumerate(combinations(range(ctx.jet.ncoords), 2))
-    ]
-    errors: dict[int, Exception] = {}
-    # the pairs with a live row, their entries, and each entry's pair and stack
-    planned, entries, owners, stacks = [], [], [], []
-    for stack, (index, any_live) in enumerate(zip(inner.tolist(), live.any(axis=1).tolist())):
-        if any_live:
-            pair = pairs[index]
-            try:
-                sites, more = pair.entries(checks)
-            except _PAIR_ERRORS as exc:
-                errors[index] = exc
-                continue
-            planned.append(pair)
-            pair.sites = range(len(entries), len(entries) + len(sites))
-            pair.checks = range(pair.sites.stop, pair.sites.stop + len(more))
-            entries += sites + more
-            count = len(sites) + len(more)
-            owners += [pair] * count
-            stacks += [stack] * count
-    site_map = SiteMap(entries, ctx.dens_on_circles(entries, owners), stacks)
+    plan, leads, errors = ctx.site_plan(
+        inner.tolist(), degrees.tolist(), live.any(axis=1).tolist(), checks
+    )
+    dens = ctx.dens_on_circles(plan)
+    site_map = SiteMap(plan.layout, [leads[index] for index in plan.owner], dens)
     table = site_map.apply(nums, live, mags, tops)
     poled = table.order.any(axis=1).tolist()
-    for pair in planned:
-        try:
-            companion = ctx.locations(pair.j1)
-            # [1:0] never collides: the measure dt has a pole there itself
-            for k in pair.sites:
-                site = entries[k]
-                if poled[k] and not site.at_infinity and coincides(site.location, companion):
-                    raise BaseLocusCollisionError.at_zero(site.location)
-        except _PAIR_ERRORS as exc:
-            errors[pair.index] = exc
+    for pair in plan.planned:
+        k = next((k for k in pair.shared if poled[k]), None)
+        if k is not None:
+            errors[pair.index] = BaseLocusCollisionError.at_zero(plan.entries[k].location)
     if errors:
         first = min(errors)
-        pair = pairs[first]
+        pair = plan.pairs[first]
         raise _named(errors[first], ctx.jet, pair.j0, pair.j1) from errors[first]
-    return _Reduction(pairs, entries, table)
+    return _Reduction(plan.pairs, plan.entries, table)
 
 
 def _check_shape(X: Hypersurface, jet: CurveJet | None = None) -> None:
@@ -517,7 +621,7 @@ def period_of_jet(X: Hypersurface, P: MultiPoly, jet: CurveJet) -> PeriodReport:
     sums, worst = red.sums[:, 0].tolist(), red.pair_max[:, 0].tolist()
     for pair, residue_sum, pair_worst in zip(red.pairs, sums, worst):
         j0, j1 = pair.j0, pair.j1
-        if not pair.live[0]:
+        if not pair.live:
             per_pair[(j0, j1)] = PairContribution(j0, j1, 0j, [], numerator_zero=True)
             continue
         sites = []

@@ -39,6 +39,7 @@ from .multipoly import MultiPoly, monomials_of_degree
 from .numkernel.residues import (
     RationalFunction,
     SiteEntry,
+    SiteLayout,
     SiteMap,
     circle_points,
     residues_at_zeros,
@@ -173,14 +174,15 @@ def check_residue_engine() -> CheckResult:
     for _ in range(RESIDUE_CASES):
         num, lead, poles = _seeded_rational(rng)
         den, declared = UniPoly.from_roots(poles, lead), [(p, 1) for p in poles]
-        entries = [SiteEntry(p, 1, lead, declared, len(num.coeffs), contour=True) for p in poles]
-        entries.append(SiteEntry(None, 1, lead, declared, len(num.coeffs), contour=True))
-        dens = [den(circle_points(*e.circle)) if e.radius else None for e in entries]
+        entries = [SiteEntry(p, 1, declared, len(num.coeffs), contour=True) for p in poles]
+        entries.append(SiteEntry(None, 1, declared, len(num.coeffs), contour=True))
+        dens = np.array([den(circle_points(*e.circle)) for e in entries if e.radius])
         # every entry reads the one row, on one stack
         n, rows = len(entries), np.array([[num.coeffs]])
         mags = np.abs(rows)
         live = np.array([[True]])
-        table = SiteMap(entries, dens, [0] * n).apply(rows, live, mags, mags.max(axis=2))
+        site_map = SiteMap(SiteLayout(entries, [0] * n), [lead] * n, dens)
+        table = site_map.apply(rows, live, mags, mags.max(axis=2))
         residues, quadratures = table.residue[:, 0].tolist(), table.quadrature[:, 0].tolist()
         hit = [k for k in range(n) if table.order[k, 0]]
         sites += len(hit)

@@ -10,9 +10,11 @@ def fermat():
 
 @pytest.fixture(autouse=True)
 def fresh_line_data(fermat):
-    """Each test starts from an empty line data cache on the shared
-    hypersurface, so no test reads what an earlier one left there."""
+    """Each test starts from an empty line data cache and no site plans on
+    the shared hypersurface, so no test reads what an earlier one left
+    there."""
     fermat.line_data.clear()
+    fermat.site_plans.clear()
 
 
 @pytest.fixture(scope="session")

@@ -941,8 +941,8 @@ class TestLocationMaps:
 
         apply, seen = _Block.apply, set()
 
-        def checked(block, nums, lives, mags, tops, table):
-            apply(block, nums, lives, mags, tops, table)
+        def checked(block, nums, lives, mags, tops, table, series, contour):
+            apply(block, nums, lives, mags, tops, table, series, contour)
             num = nums[block.stacks, :, : block.width]
             if block.at_infinity:
                 local, kind = num[:, :, ::-1], "[1:0]"
@@ -1118,3 +1118,91 @@ class TestLineData:
             for s in STANDARD_PERIOD_SAMPLES[:3]:
                 with pytest.raises(PoleMismatchError, match=r"^pair \(0,2\) at s = "):
                     period_at(fermat, P, fam, s)
+
+
+class TestSitePlans:
+    """``Hypersurface.site_plans``: each assembly's site plan, kept by
+    every input its planning reads, gives the numbers a plan made afresh
+    gives, to the bit; a plan with a pair that could not be planned is not
+    kept."""
+
+    def test_a_failed_plan_is_not_kept(self, fermat):
+        # a covering chart that misses the curve: no plan is kept, and each
+        # sample of the same charts raises again, named for the same pair;
+        # a collision is found on the sample's rows, after a plan that is
+        # kept, and raises again at the next sample too
+        base = TestDiagnostics._line_jet(0, zero=3)
+        P = MultiPoly.monomial(5, 1.0, (5, 0, 0, 0, 0))
+        for s in (0.1, 0.2, 0.2):
+            jet = CurveJet(complex(s), base.x, base.y, 1)
+            with pytest.raises(BaseLocusCollisionError, match=r"^pair \(0,3\) at s = "):
+                period_of_jet(fermat, P, jet)
+            assert len(fermat.site_plans) == 0, s
+        fam = CurveFamily("missing", lambda s: CurveJet(s, base.x, base.y, 1))
+        with pytest.raises(BaseLocusCollisionError, match=r"^pair \(0,3\) at s = "):
+            monomial_scan(fermat, fam, [0.1, 0.2], 5)
+        assert len(fermat.site_plans) == 0
+        x, y = BinaryForm(1, (0.0, 1.0)), BinaryForm(1, (1.0, 0.0))
+        zero = BinaryForm(1, (0.0, 0.0))
+        xs = (x, 1.3 * x, y, BinaryForm(1, (0.2, 1.0)), BinaryForm(1, (0.9, 0.0)))
+        shared = CurveFamily("shared-pole", lambda s: CurveJet(s, xs, (zero, zero, zero, y, y), 1))
+        for s in (0.1, 0.2):
+            with pytest.raises(BaseLocusCollisionError, match=r"^pair \(0,1\) at s = "):
+                period_at(fermat, P, shared, s)
+        # the key is kept from the first sample, its plan from the second
+        (slot,) = fermat.site_plans._entries.values()
+        assert slot.plan is not None
+
+    def test_warm_plans_give_cold_plans_bits(self, fermat, monkeypatch):
+        # period_at (with check sites) and a one-sample monomial_scan
+        # (without) on all 50 catalog families at three samples: every
+        # call with the plans of the calls before it kept gives the bits
+        # of the same call with no plan kept; the kept calls plan one site
+        # layout per pair (j0, j1) of the catalog's moving slots, shared
+        # across zeta, s and families, for each of the two assemblies
+        built = []
+
+        class Counting(period._SitePlan):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(period, "_SitePlan", Counting)
+        P = MultiPoly.monomial(5, 1.0, (0, 3, 2, 0, 0))
+        families = [d.family() for d in line_families()]
+        calls = [
+            (fam, s, run)
+            for s in STANDARD_PERIOD_SAMPLES[:3]
+            for fam in families
+            for run in (lambda f, s: period_at(fermat, P, f, s),
+                        lambda f, s: monomial_scan(fermat, f, [s], 5))
+        ]
+        warm = [repr(run(fam, s)) for fam, s, run in calls]
+        # a key's first sample plans without keeping, its second keeps
+        assert len(fermat.site_plans) == 20 and len(built) == 40
+        for (fam, s, run), kept in zip(calls, warm):
+            fermat.site_plans.clear()
+            built.clear()
+            assert repr(run(fam, s)) == kept, (fam.name, s)
+            assert len(built) == 1
+        # one random line moved by t -> t + c: the pairs stay as they are
+        # and the zeros and roots move, so a plan read for another c shows
+        from quintic_periods.geometry import transform_jet
+
+        base = TestDiagnostics._line_jet(0)
+        jets = [transform_jet(base, MobiusMap(1, c, 0, 1)) for c in (0, 0.1, 0.2, 0.3)]
+        fermat.site_plans.clear()
+        warm = [repr(period_of_jet(fermat, P, jet)) for jet in jets]
+        for jet, kept in zip(jets, warm):
+            fermat.site_plans.clear()
+            assert repr(period_of_jet(fermat, P, jet)) == kept
+        # the reduction's arrays, to the bit, with and without a kept plan
+        for d in line_families()[::7]:
+            ctx = period._SampleContext(fermat, d.family().jet_at(STANDARD_PERIOD_SAMPLES[1]))
+            p_rows = monomial_charts(ctx.xs, 5, ctx.width)
+            fermat.site_plans.clear()
+            cold = period._assemble(ctx, p_rows)
+            hot = period._assemble(ctx, p_rows)
+            for field in ("sums", "totals", "vanish_scales", "disagreement", "max"):
+                assert getattr(hot, field).tobytes() == getattr(cold, field).tobytes(), field
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(hot.table, cold.table))

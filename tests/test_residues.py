@@ -6,6 +6,7 @@ from quintic_periods.numkernel.residues import (
     QUAD_NODES,
     RationalFunction,
     SiteEntry,
+    SiteLayout,
     SiteMap,
     circle_points,
     quadrature_radius,
@@ -21,13 +22,20 @@ def rf(num, den):
     return RationalFunction(UniPoly(num), UniPoly(den))
 
 
+def built(entries, leads, dens, stacks):
+    """The SiteMap of ``entries`` on ``stacks``, with each entry's lead and
+    its den at the nodes of its circle, None without one."""
+    circled = [den for den in dens if den is not None]
+    return SiteMap(SiteLayout(entries, stacks), leads, np.array(circled) if circled else None)
+
+
 def site_map(den, location, zero_multiplicity, sites, width, contour=False):
     """The SiteMap of den alone at one site, declared by its leading
     coefficient and sites; with ``contour``, its contour backend evaluates
     den as it stands."""
-    entry = SiteEntry(location, zero_multiplicity, den.coeffs[-1], sites, width, contour)
+    entry = SiteEntry(location, zero_multiplicity, sites, width, contour)
     dens = [den(circle_points(*entry.circle)) if entry.radius is not None else None]
-    return SiteMap([entry], dens, [0])
+    return built([entry], [den.coeffs[-1]], dens, [0])
 
 
 def apply(site_map, nums, lives):
@@ -373,7 +381,7 @@ class TestStackedEntries:
             return complex(*rng.uniform(-1, 1, 2))
 
         location = 0.3 - 0.2j
-        entries, dens, nums, lives = [], [], [], []
+        entries, leads, dens, nums, lives = [], [], [], [], []
         # widths 6 and 7, poles of order 1 and 2 at the location, with and
         # without a contour, and one entry without a pole there
         for width, order, contour in [(6, 2, True), (7, 2, True), (6, 2, False), (6, 1, True),
@@ -382,18 +390,19 @@ class TestStackedEntries:
             sites = ([(location, order)] if order else []) + others
             den = UniPoly.from_roots([r for r, m in sites for _ in range(m)], lead=c())
             at = None if width is None else location
-            entry = SiteEntry(at, 1, den.coeffs[-1], sites, width or 6, contour)
+            entry = SiteEntry(at, 1, sites, width or 6, contour)
             entries.append(entry)
+            leads.append(den.coeffs[-1])
             dens.append(den(circle_points(*entry.circle)) if entry.radius else None)
             rows = rng.uniform(-1, 1, (5, entry.width)) + 1j * rng.uniform(-1, 1, (5, entry.width))
             rows[0] = 0
             nums.append(rows)
             lives.append(np.array([False, True, True, True, True]))
-        site_map = SiteMap(entries, dens, list(range(len(entries))))
+        site_map = built(entries, leads, dens, list(range(len(entries))))
         stacked = apply(site_map, nums, lives)
         assert len(site_map.blocks) == 4
         for i in range(len(entries)):
-            alone = apply(SiteMap([entries[i]], [dens[i]], [0]), [nums[i]], [lives[i]])
+            alone = apply(built([entries[i]], [leads[i]], [dens[i]], [0]), [nums[i]], [lives[i]])
             assert site_map.entries[i] is entries[i]
             for field in ("order", "residue", "quadrature", "quadrature_scale"):
                 a, b = getattr(stacked, field)[i], getattr(alone, field)[0]
@@ -415,20 +424,21 @@ class TestStackedEntries:
         lives = np.array([[True, True, False, True]] * 3)
         mags = np.abs(nums)
         tops = mags.max(axis=2)
-        entries, dens = [], []
+        entries, leads, dens = [], [], []
         for at, width in [(location, 6), (None, 7), (location, 6), (location, 7)]:
             sites = [(location, 2), (c() + 1.5, 1), (c() - 1.5, 1)]
             den = UniPoly.from_roots([r for r, m in sites for _ in range(m)], lead=c())
-            entry = SiteEntry(at, 1, den.coeffs[-1], sites, width, True)
+            entry = SiteEntry(at, 1, sites, width, True)
             entries.append(entry)
+            leads.append(den.coeffs[-1])
             dens.append(den(circle_points(*entry.circle)))
         stacks = [2, 0, 2, 1]
-        site_map = SiteMap(entries, dens, stacks)
+        site_map = built(entries, leads, dens, stacks)
         table = site_map.apply(nums, lives, mags, tops)
         assert len(site_map.blocks) == 3
         for i, k in enumerate(stacks):
             one = slice(k, k + 1)
-            alone = SiteMap([entries[i]], [dens[i]], [0]).apply(
+            alone = built([entries[i]], [leads[i]], [dens[i]], [0]).apply(
                 nums[one], lives[one], mags[one], tops[one]
             )
             for field in ("order", "residue", "quadrature", "quadrature_scale"):
@@ -448,15 +458,15 @@ class TestStackedEntries:
         sites = [(location, 2), (-1.0 + 0.5j, 3), (0.8 - 0.6j, 1)]
         den = UniPoly.from_roots([r for r, m in sites for _ in range(m)], lead=1.5)
         entries = [
-            SiteEntry(None, 1, 1.5, sites, 5, True),
-            SiteEntry(location, 1, 1.5, sites, 5, False),
-            SiteEntry(location, 1, 1.5, sites, 5, True),
+            SiteEntry(None, 1, sites, 5, True),
+            SiteEntry(location, 1, sites, 5, False),
+            SiteEntry(location, 1, sites, 5, True),
         ]
         assert entries[0].order <= 0 and entries[1].radius is None
         dens = [None, None, den(circle_points(*entries[2].circle))]
         rows = rng.uniform(-1, 1, (3, 5)) + 1j * rng.uniform(-1, 1, (3, 5))
         live = np.array([True, False, True])
-        site_map = SiteMap(entries, dens, [0, 1, 2])
+        site_map = built(entries, [1.5] * 3, dens, [0, 1, 2])
         assert len(site_map.blocks) == 1
         table = apply(site_map, [rows] * 3, [live] * 3)
         fields = (table.order, table.residue, table.quadrature, table.quadrature_scale)
@@ -469,4 +479,4 @@ class TestStackedEntries:
         assert (table.quadrature[2, ::2] != 0).all() and (table.quadrature_scale[2, ::2] > 0).all()
         # without entries, the table still has the caller's rows
         rows, flags = np.zeros((0, 3, 1)), np.zeros((0, 3))
-        assert SiteMap([], [], []).apply(rows, flags > 0, rows, flags).residue.shape == (0, 3)
+        assert built([], [], [], []).apply(rows, flags > 0, rows, flags).residue.shape == (0, 3)

@@ -44,7 +44,7 @@ STAGES = [
     ("sample context", "quintic_periods.period", "_SampleContext.__init__", None),
     ("pair_wedges", "quintic_periods.period", "pair_wedges", "sample context"),
     ("pair_inners", "quintic_periods.period", "pair_inners", "sample context"),
-    ("site planning", "quintic_periods.period", "_Pair.entries", None),
+    ("site plan", "quintic_periods.period", "_SampleContext.site_plan", None),
     ("circle values", "quintic_periods.period", "_SampleContext.dens_on_circles", None),
     ("site-map set-up", "quintic_periods.numkernel.residues", "SiteMap.__init__", None),
     ("site-map apply", "quintic_periods.numkernel.residues", "SiteMap.apply", None),
