@@ -9,10 +9,10 @@ Two independent backends are kept side by side on purpose:
   converges exponentially for the analytic integrands handled here: the
   one rule is ``_Contour``, one value product per block of site entries.
 
-``SiteMap`` runs both for every integrand at every one of its sites (a
-``SiteEntry`` each, laid out in blocks by a ``SiteLayout``), on the
-caller's stacked arrays of numerator rows, each entry reading the stack it
-names, with each denominator known by its declared roots and lead, and
+``SiteLayout.apply`` runs both for every integrand at every one of its
+sites (a ``SiteEntry`` each, laid out in blocks by the ``SiteLayout``), on
+the caller's stacked arrays of numerator rows, each entry reading the stack
+it names, with each denominator known by its declared roots and lead, and
 returns one ``SiteTable`` of entries x rows; the period
 assembly compares the backends by ``backend_disagreement`` on all sites of
 a sample at once.  The scalar oracle ``residues_at_zeros``
@@ -299,40 +299,41 @@ def residue_sum_check(f: RationalFunction) -> float:
 # one matrix product.  Whether a row has a pole stays a per-row rule, that of
 # _finite_site (which _infinity_site applies in the chart at [1:0]).
 #
-# A SiteMap runs a list of entries -- every site and check site of every
+# A SiteLayout applies a list of entries -- every site and check site of every
 # pair of a sample -- in one pass, into one table (SiteTable) of entries x
 # rows, exact zeros where no block writes.  Each entry names the stack of
 # numerator rows it reads, on the leading axis of the caller's arrays (one
 # stack per pair in the period assembly).  Entries of equal exact location,
-# width and order form a block, which gathers their stacks with one index
-# and writes their lines.  numpy's stacked matmul runs the same kernel on
-# each slice, so a stacked product is bit-identical to that of the entry
-# alone; padding the contraction to a common width, or merging rows into one
-# product, is not.  Which sites a pair sums, and when a pole is a base-locus
-# collision, are the caller's rules.
+# width and order form a block, which gathers their stacks with one index and
+# writes their lines.  numpy's stacked matmul runs the same kernel on each
+# slice, so a stacked product is bit-identical to that of the entry alone;
+# padding the contraction to a common width, or merging rows into one product,
+# is not.  Which sites a pair sums, and when a pole is a base-locus collision,
+# are the caller's rules.
 #
-# The entries and their blocks (a SiteLayout) hold structure alone: the
-# sites, orders, far-site factors and radii, the block grouping with its
-# stack and index arrays, and the shift matrices.  So one layout serves
-# every sample whose structure is the same; a SiteMap realizes it for one
-# set of numbers, each entry's Laurent series from the lead of its declared
-# denominator and each block's contour from the denominator on its circles.
+# The entries and their blocks hold structure alone: the sites, orders,
+# far-site factors and radii, the block grouping with its stack and index
+# arrays, the shift matrices, and each block's contour nodes and radius
+# powers.  So one layout serves every sample whose structure is the same;
+# its ``apply`` takes one set of numbers, and each block builds its
+# entries' Laurent series from the leads of their declared denominators,
+# folds the denominators on its circles into its contour and writes its
+# lines, in one call.
 #
-# The trapezoid rule, the library's only one, is linear in the numerator
-# too, so an entry folds the rest of the integrand on its circle into a
-# covector once (_Contour), and the values of all rows of a block are one
-# stacked product.  That rest holds the denominator as it stands, evaluated
-# by the caller at the nodes: a wrong declaration shows as a backend
-# disagreement.  A row's contour magnitude is closed-form when the row has
-# at most one term (every row of a Fermat line): |c_k| r^k times the
-# factor's largest modulus on the circle, taken as the modulus of the sum of
-# the row's scaled terms, one hypot per row.  Only rows with two or more
-# terms evaluate the row at the nodes, in blocks of rows over all entries of
-# a block.  A row without a pole at the site, or an entry without a circle,
-# reports 0 in both, and no backend disagreement.  The pole rule reads the
-# magnitudes of the numerator rows that the caller took for its
-# numerator-zero test (reversed at [1:0]); only a Taylor-shifted block takes
-# its own.
+# The trapezoid rule, the library's only one, is linear in the numerator too,
+# so an entry folds the rest of the integrand on its circle into a covector
+# once per sample (_Contour), and the values of all rows of a block are one
+# stacked product.  That rest holds the denominator as it stands, evaluated by
+# the caller at the nodes: a wrong declaration shows as a backend
+# disagreement.  A row's contour magnitude is closed-form when the row has at
+# most one term (every row of a Fermat line): |c_k| r^k times the factor's
+# largest modulus on the circle, taken as the modulus of the sum of the row's
+# scaled terms, one hypot per row.  Only rows with two or more terms evaluate
+# the row at the nodes, in blocks of rows over all entries of a block.  A row
+# without a pole at the site, or an entry without a circle, reports 0 in both,
+# and no backend disagreement.  The pole rule reads the magnitudes of the
+# numerator rows that the caller took for its numerator-zero test (reversed at
+# [1:0]); only a Taylor-shifted block takes its own.
 #
 # The Laurent data of an entry (_truncated_product, _reciprocal_series), like
 # the chart arithmetic of unipoly's trimmed_* helpers, stays in Python
@@ -384,29 +385,28 @@ class _Contour:
     terms and factor_b = u / den_b(t(u)), or -1 / (u^width den_b(1/u)) at
     [1:0], from den_b given at the nodes.
 
-    The trapezoid value is linear in c, so each factor folds into a
-    covector q_k = r^k mean_n(e^(i k theta_n) factor_n) once; a row's value
-    is then c @ q, one product for every row of every entry.  Its magnitude
-    max_n |p(u_n)| |factor_n| is |c_k| r^k max_n |factor_n| for a row of
-    one term c_k u^k, with the factor's maximum folded once per entry; only
-    a row of two or more terms needs p on the circle: one matrix product per
-    block of such rows, over all entries."""
+    What depends on the radii alone -- the nodes u, the powers of the unit
+    circle and of the radii, and u^width at [1:0] -- is built once, with
+    the block.  The trapezoid value is linear in c, so each factor folds
+    into a covector q_k = r^k mean_n(e^(i k theta_n) factor_n); a row's
+    value is then c @ q, one product for every row of every entry.  Its
+    magnitude max_n |p(u_n)| |factor_n| is |c_k| r^k max_n |factor_n| for a
+    row of one term c_k u^k, with the factor's maximum folded once per
+    entry; only a row of two or more terms needs p on the circle: one matrix
+    product per block of such rows, over all entries."""
 
-    def __init__(self, radii: list[float], width: int, den: np.ndarray, at_infinity: bool):
-        nodes = den.shape[1]
+    def __init__(self, radii: list[float], width: int, at_infinity: bool):
         radii = np.array(radii)[:, None]
-        u = radii * _unit_circle(nodes)
-        factor = -1.0 / (u**width * den) if at_infinity else u / den
-        self.powers = _unit_powers(width, nodes)
+        self.u = radii * _unit_circle(QUAD_NODES)
+        self.u_width = self.u**width if at_infinity else None
+        self.powers = _unit_powers(width, QUAD_NODES)
         self.radius_powers = radii ** np.arange(width)
-        self.covector = self.radius_powers * (self.powers @ factor[:, :, None])[..., 0] / nodes
-        self.factor_abs = np.abs(factor)
-        self.factor_max = self.factor_abs.max(axis=1)
 
-    def trapezoid(self, rows: np.ndarray, has_pole: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def trapezoid(self, rows, has_pole, den) -> tuple[np.ndarray, np.ndarray]:
         """Per entry b and row r of ``rows[b, r]``, the trapezoid value and the
-        contour magnitude of p(u) * factor_b(u), as _quadrature returns them;
-        0 where ``has_pole`` is False.
+        contour magnitude of p(u) * factor_b(u), with den_b at the nodes
+        ``den[b]``, as _quadrature returns them; 0 where ``has_pole`` is
+        False.
 
         The values of all entries are one stacked product, masked.  A row of
         at most one term has a constant modulus on the circle, so its
@@ -414,18 +414,21 @@ class _Contour:
         hypot per row), times the factor's maximum; only rows of two or more
         terms are evaluated at the nodes, in blocks, and their magnitudes
         replace the closed form."""
-        value = np.where(has_pole, (rows @ self.covector[:, :, None])[..., 0], 0j)
+        factor = self.u / den if self.u_width is None else -1.0 / (self.u_width * den)
+        covector = self.radius_powers * (self.powers @ factor[:, :, None])[..., 0] / QUAD_NODES
+        factor_abs = np.abs(factor)
+        value = np.where(has_pole, (rows @ covector[:, :, None])[..., 0], 0j)
         entry, row = np.nonzero(has_pole)
         scaled = rows[entry, row] * self.radius_powers[entry]
         scale = np.zeros(has_pole.shape)
         one = (scaled != 0).sum(axis=1) <= 1
         if one.any():
-            scale[entry, row] = np.abs(scaled.sum(axis=1)) * self.factor_max[entry]
+            scale[entry, row] = np.abs(scaled.sum(axis=1)) * factor_abs.max(axis=1)[entry]
             entry, row, scaled = entry[~one], row[~one], scaled[~one]
         for k in range(0, len(entry), _CONTOUR_BLOCK):
             part = slice(k, k + _CONTOUR_BLOCK)
             mag = np.abs(scaled[part] @ self.powers)
-            mag *= self.factor_abs[entry[part]]
+            mag *= factor_abs[entry[part]]
             scale[entry[part], row[part]] = mag.max(axis=1)
         return value, scale
 
@@ -541,7 +544,7 @@ def _big(mag: np.ndarray, top: np.ndarray) -> np.ndarray:
 
 
 class SiteTable(NamedTuple):
-    """Residues of num_r / den dt at the site of each entry i of a SiteMap,
+    """Residues of num_r / den dt at the site of each entry i of a SiteLayout,
     one line per entry and one column per row r: the pole order, the
     analytic residue, the trapezoid value and the contour magnitude.
 
@@ -559,8 +562,9 @@ class _Block:
     """Entries of one exact location, width and order, stacked; those with
     a quadrature circle first.  ``index`` holds their lines in the table,
     ``stacks`` the stacks of their rows, ``rows`` the circled ones' rows of
-    the ``dens`` a SiteMap takes.  A block is planned once; ``realize``
-    gives its numbers for one set of leads and dens."""
+    the ``dens`` that ``SiteLayout.apply`` takes.  A block is planned once,
+    with its contour on the circled entries' radii; ``apply`` computes its
+    numbers for one set of leads, dens and numerator rows."""
 
     def __init__(self, index: list[int], entries: list[SiteEntry], stacks, rows, shift_matrix):
         first = entries[0]
@@ -569,25 +573,20 @@ class _Block:
         self.shift = None
         if not first.at_infinity and first.location != 0:
             self.shift = shift_matrix(first.location, first.width)
-        self.radii = [e.radius for e in entries[: len(rows)]]
+        radii = [e.radius for e in entries[: len(rows)]]
+        self.contour = _Contour(radii, self.width, self.at_infinity) if rows else None
 
-    def realize(self, leads, dens) -> tuple[np.ndarray, _Contour | None]:
-        """The block's Laurent series, from ``leads[i]`` of each entry i,
-        and its contour, from the rows of ``dens``."""
+    def apply(self, leads, dens, nums, lives, mags, tops, table: SiteTable) -> None:
+        """Writes the block's lines of ``table`` from its entries' rows, the
+        first ``width`` coefficients of their stacks: the Laurent series
+        from ``leads[i]`` of each entry i, and the contour from the rows of
+        ``dens``.  The pole rule reads the magnitudes and row maxima it is
+        given at t = 0, the magnitudes reversed at [1:0]; a shifted site
+        takes those of its shifted rows."""
         # residue = sum_{i < order} local[i] * inv[order - 1 - i], over the
         # rows' width coefficients: the reversed series, as a strided view
         inverses = [e.inverse(leads[i]) for i, e in zip(self.index, self.entries)]
         series = np.array(inverses)[:, ::-1][:, : self.width, None]
-        if not self.rows:
-            return series, None
-        return series, _Contour(self.radii, self.width, dens[self.rows], self.at_infinity)
-
-    def apply(self, nums, lives, mags, tops, table: SiteTable, series, contour) -> None:
-        """Writes the block's lines of ``table`` from its entries' rows, the
-        first ``width`` coefficients of their stacks, with the ``series``
-        and ``contour`` that ``realize`` gave.  The pole rule reads the
-        magnitudes and row maxima it is given at t = 0, the magnitudes
-        reversed at [1:0]; a shifted site takes those of its shifted rows."""
         stacks, width = self.stacks, self.width
         num = nums[stacks, :, :width]
         if self.at_infinity:
@@ -605,30 +604,30 @@ class _Block:
         if self.at_infinity:
             order = order - np.argmax(mag != 0, axis=2)
         table.order[self.index] = has_pole * order
-        if contour is not None:
+        if self.contour is not None:
             c = len(self.rows)
-            values, scales = contour.trapezoid(local[:c], has_pole[:c])
+            values, scales = self.contour.trapezoid(local[:c], has_pole[:c], dens[self.rows])
             circled = self.index[:c]
             table.quadrature[circled], table.quadrature_scale[circled] = values, scales
 
 
 class SiteLayout:
-    """The blocks of a list of entries, planned once for every SiteMap
-    built on it.
+    """The blocks of a list of entries, planned once, and applied to the
+    numbers of every sample whose structure is the same.
 
     Entries of equal exact location, width and order form one block, and
     blocks of equal location and width share one Taylor-shift matrix.
     ``stacks[i]`` is the first-axis index of entry i's rows in the arrays
-    ``SiteMap.apply`` takes.
+    ``apply`` takes, and ``circled`` lists the entries with a radius, in
+    entry order: the order of the rows of its ``dens``.
     """
 
     def __init__(self, entries: list[SiteEntry], stacks: list[int]):
         self.entries = entries
         stacks = np.array(stacks, dtype=int)
         shift_matrix = lru_cache(maxsize=None)(_shift_matrix)
-        # each circled entry's row of the dens a SiteMap takes
-        circled = [i for i, e in enumerate(entries) if e.radius is not None]
-        row = {i: n for n, i in enumerate(circled)}
+        self.circled = [i for i, e in enumerate(entries) if e.radius is not None]
+        row = {i: n for n, i in enumerate(self.circled)}
         blocks: dict[tuple, list[int]] = {}
         for i, e in sorted(enumerate(entries), key=lambda ie: ie[1].radius is None):
             if e.order > 0:
@@ -639,32 +638,20 @@ class SiteLayout:
             for ix in blocks.values()
         ]
 
-
-class SiteMap:
-    """Residues of every entry of a layout at its site, for one set of
-    numbers: ``leads[i]``, the lead of entry i's declared denominator, and
-    ``dens``, one row per entry with a radius, in entry order: its den at
-    the ``circle_points`` of its circle, which adds its quadrature backend
-    (None when no entry has a radius).
-    """
-
-    def __init__(self, layout: SiteLayout, leads: list[complex], dens: np.ndarray | None):
-        self.entries, self.blocks = layout.entries, layout.blocks
-        self.realized = [block.realize(leads, dens) for block in self.blocks]
-
-    def apply(
-        self, nums: np.ndarray, lives: np.ndarray, mags: np.ndarray, tops: np.ndarray
-    ) -> SiteTable:
+    def apply(self, leads, dens, nums, lives, mags, tops) -> SiteTable:
         """The table of every entry i and each numerator row r of its stack
-        k = ``stacks[i]``: the first width coefficients of ``nums[k, r]``
-        (stacks x rows x at least the widest entry's width), given with
-        their magnitudes ``mags`` (``np.abs(nums)``) and each row's largest
-        magnitude ``tops[k, r]``, which the caller has taken for its
-        numerator-zero test; rows where ``lives[k, r]`` is False have no
-        pole.  The rows of ``nums`` size the table even when there is no
-        entry."""
+        k = ``stacks[i]``, for one set of numbers: ``leads[i]``, the lead of
+        entry i's declared denominator; ``dens``, one row per ``circled``
+        entry, its den at the ``circle_points`` of its circle, which adds
+        its quadrature backend (None without a circled entry); and the first
+        width coefficients of ``nums[k, r]`` (stacks x rows x at least the
+        widest entry's width), given with their magnitudes ``mags``
+        (``np.abs(nums)``) and each row's largest magnitude ``tops[k, r]``,
+        which the caller has taken for its numerator-zero test; rows where
+        ``lives[k, r]`` is False have no pole.  The rows of ``nums`` size
+        the table even when there is no entry."""
         shape = (len(self.entries), nums.shape[1])
         table = SiteTable(*(np.zeros(shape, dtype) for dtype in (int, complex, complex, float)))
-        for block, (series, contour) in zip(self.blocks, self.realized):
-            block.apply(nums, lives, mags, tops, table, series, contour)
+        for block in self.blocks:
+            block.apply(leads, dens, nums, lives, mags, tops, table)
         return table

@@ -17,31 +17,31 @@ stands, so it checks that structure.
 
 Only the factor P(x(t)) of a pair numerator depends on the class, so one
 assembly takes a matrix of class charts: ``period_of_jet`` passes one row,
-``monomial_scan`` every monomial of a sample at once.  One ``SiteMap`` holds
-every pair's sites and check sites at a sample, and the quadrature circles
-of a sample are evaluated in one pass.  What a partial reads of a line --
-its chart, roots and lead factor, and the coordinates' zeros -- is kept on
-the hypersurface and read again by the next sample with the same
-coordinate charts.
+``monomial_scan`` every monomial of a sample at once.  One ``SiteLayout``
+holds every pair's sites and check sites at a sample, one ``apply`` of it
+gives all their residues, and the quadrature circles of a sample are
+evaluated in one pass.  What a partial reads of a line -- its chart, roots
+and lead factor, and the coordinates' zeros -- is kept on the hypersurface
+and read again by the next sample with the same coordinate charts.
 
 What an assembly decides from structure alone is its site plan: the pairs
 it plans, each site entry's location, [1:0] flag, zero multiplicity, width,
-order, far-site factors and radius, the site map's blocks with their stack
-and index arrays and shift matrices, the quadrature circles' nodes with the
-partials and index lists their values need, and which sites lie at a zero
-of the companion coordinate.  Its key holds, in exact bits, every input the
-planning reads: the width of P(x(t)), whether check sites are planned, the
-pairs with a nonzero inner factor with their degrees, the live ones, and
-per planned pair the zeros and [1:0] orders of x_{j0} and x_{j1} and the
-declared roots of F_{j0} and F_{j1}.  On a Fermat line the plan does not
-depend on s or zeta.  The hypersurface keeps a key from its first sample
-and its plan from the second, so a line that never repeats keeps no plan;
-a plan with a pair that could not be planned is not kept.  Each sample
-still computes its own numbers on the plan, with the same functions in the
-same order -- the leads, each entry's Laurent series, the coordinates and
-partials on the plan's nodes, the blocks' series and contours, the site
-table, the collision test, the reduction and the report -- so a kept plan
-changes no bit.
+order, far-site factors and radius, the layout's blocks with their stack
+and index arrays, shift matrices and contours, the quadrature circles'
+nodes with the partials and index lists their values need, and which sites
+lie at a zero of the companion coordinate.  Its key holds, in exact bits,
+every input the planning reads: the width of P(x(t)), whether check sites
+are planned, the pairs with a nonzero inner factor with their degrees, the
+live ones, and per planned pair the zeros and [1:0] orders of x_{j0} and
+x_{j1} and the declared roots of F_{j0} and F_{j1}.  On a Fermat line the
+plan does not depend on s or zeta.  The hypersurface keeps a key from its
+first sample and its plan from the second, so a line that never repeats
+keeps no plan; a plan with a pair that could not be planned is not kept.
+Each sample still computes its own numbers on the plan, with the same
+functions in the same order -- the leads, the coordinates and partials on
+the plan's nodes, the layout's apply, in which each block takes its
+entries' Laurent series and its contour's covectors, the collision test,
+the reduction and the report -- so a kept plan changes no bit.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ from .multipoly import MultiPoly, monomial_charts, monomial_text, monomials_of_d
 from .numkernel.residues import (  # noqa: F401
     SiteEntry,
     SiteLayout,
-    SiteMap,
     SiteTable,
     ZeroSiteReport,
     backend_disagreement,
@@ -255,8 +254,9 @@ class _SitePlan:
 
     def _plan_circles(self, X: Hypersurface) -> None:
         """The circles' nodes and index lists, as ``dens_on_circles`` reads
-        them; ``nodes`` is None without a circle."""
-        circled = [i for i, e in enumerate(self.entries) if e.radius is not None]
+        them, for the layout's circled entries in its order; ``nodes`` is
+        None without a circle."""
+        circled = self.layout.circled
         self.nodes = None
         if not circled:
             return
@@ -340,8 +340,8 @@ class _SampleContext:
 
     def dens_on_circles(self, plan: _SitePlan) -> np.ndarray | None:
         """F_j0(x(t)) * F_j1(x(t)) of each circled entry's pair at the nodes
-        of its circle, one row per entry with a radius, in entry order, as
-        a SiteMap takes them; None without a circle.  Each coordinate a
+        of its circle, one row per circled entry of the plan's layout, as
+        its ``apply`` takes them; None without a circle.  Each coordinate a
         partial uses, and each partial, is evaluated on the plan's nodes
         once."""
         if plan.nodes is None:
@@ -544,12 +544,13 @@ def _assemble(ctx: _SampleContext, p_rows: np.ndarray, checks: bool = False) -> 
     The class enters last: each pair's inner factor, denominator, sites and
     quadrature weights are built once, from the charts and roots ``ctx``
     shares between pairs and the sample's site plan; the sites of all pairs
-    then run through one ``SiteMap``, and each row costs matrix products.  Numerator rows are
-    formed, and their magnitudes taken once, only for the pairs whose inner
-    factor is not zero, one stack each, which the site map reads whole; a
-    pair with a zero inner factor has a zero numerator in every row.  A
-    row's numerator is zero when it cancels to 1e-12 of its
-    pre-cancellation scale, the rule of ``verification.reference_period``.
+    then run through one apply of the plan's layout, and each row costs
+    matrix products.  Numerator rows are formed, and their magnitudes taken
+    once, only for the pairs whose inner factor is not zero, one stack each,
+    which the layout reads whole; a pair with a zero inner factor has a zero
+    numerator in every row.  A row's numerator is zero when it cancels to
+    1e-12 of its pre-cancellation scale, the rule of
+    ``verification.reference_period``.
 
     An error names its pair: the first pair, in pair order, whose sites
     cannot be planned or whose rows have a pole at a base-locus collision,
@@ -578,8 +579,7 @@ def _assemble(ctx: _SampleContext, p_rows: np.ndarray, checks: bool = False) -> 
         inner.tolist(), degrees.tolist(), live.any(axis=1).tolist(), checks
     )
     dens = ctx.dens_on_circles(plan)
-    site_map = SiteMap(plan.layout, [leads[index] for index in plan.owner], dens)
-    table = site_map.apply(nums, live, mags, tops)
+    table = plan.layout.apply([leads[index] for index in plan.owner], dens, nums, live, mags, tops)
     poled = table.order.any(axis=1).tolist()
     for pair in plan.planned:
         k = next((k for k in pair.shared if poled[k]), None)

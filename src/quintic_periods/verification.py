@@ -40,7 +40,6 @@ from .numkernel.residues import (
     RationalFunction,
     SiteEntry,
     SiteLayout,
-    SiteMap,
     circle_points,
     residues_at_zeros,
 )
@@ -163,7 +162,7 @@ def _seeded_rational(rng: np.random.Generator) -> tuple[UniPoly, complex, list[c
 
 
 def check_residue_engine() -> CheckResult:
-    """The engine's site map on seeded num / (lead * prod (t - p)): at every
+    """The engine's site layout on seeded num / (lead * prod (t - p)): at every
     pole p and at [1:0], the analytic residue, read from the declared poles,
     against the contour, which integrates the expanded denominator; and the
     residue theorem over all those sites."""
@@ -181,8 +180,8 @@ def check_residue_engine() -> CheckResult:
         n, rows = len(entries), np.array([[num.coeffs]])
         mags = np.abs(rows)
         live = np.array([[True]])
-        site_map = SiteMap(SiteLayout(entries, [0] * n), [lead] * n, dens)
-        table = site_map.apply(rows, live, mags, mags.max(axis=2))
+        layout = SiteLayout(entries, [0] * n)
+        table = layout.apply([lead] * n, dens, rows, live, mags, mags.max(axis=2))
         residues, quadratures = table.residue[:, 0].tolist(), table.quadrature[:, 0].tolist()
         hit = [k for k in range(n) if table.order[k, 0]]
         sites += len(hit)

@@ -45,14 +45,14 @@ def test_residue_engine_runs_the_contour_at_infinity_and_on_dense_rows(monkeypat
     init, trapezoid = _Contour.__init__, _Contour.trapezoid
     seen = {"infinity": 0, "dense": 0}
 
-    def spied_init(self, radii, width, den, at_infinity):
-        init(self, radii, width, den, at_infinity)
+    def spied_init(self, radii, width, at_infinity):
+        init(self, radii, width, at_infinity)
         self.at_infinity = at_infinity
 
-    def spied_trapezoid(self, rows, has_pole):
+    def spied_trapezoid(self, rows, has_pole, den):
         seen["infinity"] += int(has_pole.sum()) if self.at_infinity else 0
         seen["dense"] += int(((rows[has_pole] != 0).sum(axis=-1) >= 2).sum())
-        return trapezoid(self, rows, has_pole)
+        return trapezoid(self, rows, has_pole, den)
 
     monkeypatch.setattr(_Contour, "__init__", spied_init)
     monkeypatch.setattr(_Contour, "trapezoid", spied_trapezoid)

@@ -21,7 +21,7 @@ from quintic_periods.errors import (
 )
 from quintic_periods.geometry import CurveFamily, CurveJet, MobiusMap, mobius_reparam
 from quintic_periods.multipoly import MultiPoly, monomial_charts
-from quintic_periods.numkernel.residues import SiteMap
+from quintic_periods.numkernel.residues import SiteLayout
 from quintic_periods.numkernel.unipoly import BinaryForm
 from quintic_periods.period import (
     compare_closed_form,
@@ -131,16 +131,16 @@ class TestDiagnostics:
     ):
         # a relative error of 1e-6 in the residues the period sums, at the
         # zeros of x_{j0}, must show in each pair's residue-theorem check
-        apply = SiteMap.apply
+        apply = SiteLayout.apply
 
-        def skewed(site_map, *args):
-            table = apply(site_map, *args)
-            for k, entry in enumerate(site_map.entries):
+        def skewed(layout, *args):
+            table = apply(layout, *args)
+            for k, entry in enumerate(layout.entries):
                 if entry.zero_multiplicity > 0:
                     table.residue[k] = table.residue[k] * (1 + 1e-6)
             return table
 
-        monkeypatch.setattr(SiteMap, "apply", skewed)
+        monkeypatch.setattr(SiteLayout, "apply", skewed)
         A = MobiusMap(1.1 + 0.3j, 0.4, -0.2 + 0.1j, 0.9 - 0.2j)
         rep = period_at(fermat, p_x1cubed_x2sq, mobius_reparam(corrected_slice, A), 0.1)
         live = [c for c in rep.per_pair.values() if not c.numerator_zero]
@@ -816,20 +816,20 @@ class TestReduction:
 
 class TestLocationMaps:
     """The residue engine runs every site and check site of every pair at a
-    sample through one SiteMap, stacked into blocks by exact location,
-    width and order."""
+    sample through one apply of a SiteLayout, stacked into blocks by exact
+    location, width and order."""
 
     @staticmethod
     def _counting(monkeypatch) -> list:
-        """Records every SiteMap the assembly builds."""
+        """Records the SiteLayout of every apply the assembly makes."""
         built = []
+        apply = SiteLayout.apply
 
-        class Counting(SiteMap):
-            def __init__(self, entries, *args, **kwargs):
-                super().__init__(entries, *args, **kwargs)
-                built.append(self)
+        def counting(layout, *args):
+            built.append(layout)
+            return apply(layout, *args)
 
-        monkeypatch.setattr(period, "SiteMap", Counting)
+        monkeypatch.setattr(SiteLayout, "apply", counting)
         return built
 
     @staticmethod
@@ -941,8 +941,8 @@ class TestLocationMaps:
 
         apply, seen = _Block.apply, set()
 
-        def checked(block, nums, lives, mags, tops, table, series, contour):
-            apply(block, nums, lives, mags, tops, table, series, contour)
+        def checked(block, leads, dens, nums, lives, mags, tops, table):
+            apply(block, leads, dens, nums, lives, mags, tops, table)
             num = nums[block.stacks, :, : block.width]
             if block.at_infinity:
                 local, kind = num[:, :, ::-1], "[1:0]"
@@ -1206,3 +1206,30 @@ class TestSitePlans:
             for field in ("sums", "totals", "vanish_scales", "disagreement", "max"):
                 assert getattr(hot, field).tobytes() == getattr(cold, field).tobytes(), field
             assert all(a.tobytes() == b.tobytes() for a, b in zip(hot.table, cold.table))
+
+    def test_a_kept_plan_builds_no_contour(self, fermat, monkeypatch):
+        # each block builds its contour with the layout, from the radii
+        # alone: the third and fourth samples of a family read the plan
+        # kept at the second and build none, and their reports are those
+        # of a plan made afresh
+        from quintic_periods.numkernel.residues import _Contour
+
+        init, contours = _Contour.__init__, []
+
+        def counted(self, *args):
+            init(self, *args)
+            contours.append(self)
+
+        monkeypatch.setattr(_Contour, "__init__", counted)
+        fam = line_families()[0].family()
+        P = MultiPoly.monomial(5, 1.0, (0, 3, 2, 0, 0))
+        samples = STANDARD_PERIOD_SAMPLES[:4]
+        built, warm = [], []
+        for s in samples:
+            contours.clear()
+            warm.append(repr(period_at(fermat, P, fam, s)))
+            built.append(len(contours))
+        assert built[0] > 0 and built[1] > 0 and built[2:] == [0, 0], built
+        for s, kept in zip(samples[2:], warm[2:]):
+            fermat.site_plans.clear()
+            assert repr(period_at(fermat, P, fam, s)) == kept, s

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from quintic_periods.numkernel.residues import (
     RationalFunction,
     SiteEntry,
     SiteLayout,
-    SiteMap,
     circle_points,
     quadrature_radius,
     residue_analytic,
@@ -23,39 +24,41 @@ def rf(num, den):
 
 
 def built(entries, leads, dens, stacks):
-    """The SiteMap of ``entries`` on ``stacks``, with each entry's lead and
-    its den at the nodes of its circle, None without one."""
+    """The SiteLayout of ``entries`` on ``stacks``, and its ``apply`` bound
+    to each entry's lead and its den at the nodes of its circle, None
+    without one."""
     circled = [den for den in dens if den is not None]
-    return SiteMap(SiteLayout(entries, stacks), leads, np.array(circled) if circled else None)
+    layout = SiteLayout(entries, stacks)
+    return layout, partial(layout.apply, leads, np.array(circled) if circled else None)
 
 
 def site_map(den, location, zero_multiplicity, sites, width, contour=False):
-    """The SiteMap of den alone at one site, declared by its leading
-    coefficient and sites; with ``contour``, its contour backend evaluates
-    den as it stands."""
+    """The layout, and its bound ``apply``, of den alone at one site,
+    declared by its leading coefficient and sites; with ``contour``, its
+    contour backend evaluates den as it stands."""
     entry = SiteEntry(location, zero_multiplicity, sites, width, contour)
     dens = [den(circle_points(*entry.circle)) if entry.radius is not None else None]
     return built([entry], [den.coeffs[-1]], dens, [0])
 
 
-def apply(site_map, nums, lives):
-    """``site_map.apply`` on the stacks ``nums[k]``, zero-padded to the
-    widest, with the magnitudes of the rows and their maxima, as the period
-    assembly passes them."""
+def apply(run, nums, lives):
+    """A bound ``apply``, ``run``, on the stacks ``nums[k]``, zero-padded to
+    the widest, with the magnitudes of the rows and their maxima, as the
+    period assembly passes them."""
     stacked = np.zeros((len(nums), len(nums[0]), max(n.shape[1] for n in nums)), dtype=complex)
     for k, n in enumerate(nums):
         stacked[k, :, : n.shape[1]] = n
     mags = np.abs(stacked)
-    return site_map.apply(stacked, np.array(lives), mags, mags.max(axis=2))
+    return run(stacked, np.array(lives), mags, mags.max(axis=2))
 
 
 def one_row(den, location, sites, num):
     """The entry, and its table, of the one row num over den at one of its
     declared sites, a simple pole, with both backends."""
-    site = site_map(den, location, 1, sites, len(num.coeffs), contour=True)
+    layout, site = site_map(den, location, 1, sites, len(num.coeffs), contour=True)
     table = apply(site, [np.array([num.coeffs])], [np.array([True])])
     assert table.order[0, 0] == 1
-    return site.entries[0], table
+    return layout.entries[0], table
 
 
 class TestAnalytic:
@@ -148,7 +151,7 @@ class TestResidueTheorem:
             num = UniPoly([complex(*rng.uniform(-1, 1, 2)) for _ in range(4)])
             if num.is_zero():
                 num = UniPoly.one()
-            site = site_map(den, None, 1, [(r, 1) for r in roots], len(num.coeffs), contour=True)
+            _, site = site_map(den, None, 1, [(r, 1) for r in roots], len(num.coeffs), contour=True)
             table = apply(site, [np.array([num.coeffs])], [np.array([True])])
             assert table.order[0, 0] > 0
             ra, rq = table.residue[0, 0], table.quadrature[0, 0]
@@ -184,8 +187,8 @@ class TestResidueTheorem:
         num = np.array([[c() for _ in range(16)]])
         den = 5 * qs[0] ** 4 * (5 * qs[1] ** 4)
         sites = [(complex(r), 4) for q in qs for r in np.roots(q.coeffs[::-1])]
-        maps = [site_map(den, loc, 0, sites, 16) for loc, _ in sites]
-        maps.append(site_map(den, None, 0, sites, 16))
+        maps = [site_map(den, loc, 0, sites, 16)[1] for loc, _ in sites]
+        maps.append(site_map(den, None, 0, sites, 16)[1])
         tables = [apply(site, [num], [np.array([True])]) for site in maps]
         assert [int(t.order[0, 0]) for t in tables[:4]] == [4, 4, 4, 4]
         residues = [t.residue[0, 0] for t in tables]
@@ -295,7 +298,7 @@ class TestContourBackend:
         others = [1.1 + 0.4j, -0.7 - 0.9j]
         den = UniPoly.from_roots([location, location] + others, lead=0.8 - 0.3j)
         sites = [(location, 2)] + [(p, 1) for p in others]
-        site = site_map(den, location, 1, sites, 6, contour=True)
+        _, site = site_map(den, location, 1, sites, 6, contour=True)
         radius = quadrature_radius(location, others)
         rows = self._rows(rng, 6, 20)
         # rows divisible by (t - location)^2 have no pole at the site
@@ -323,7 +326,7 @@ class TestContourBackend:
         rng = np.random.default_rng(1515)
         roots = [0.4 + 0.1j, -0.8 + 0.6j, 1.3 - 0.2j, -0.3 - 1.1j]
         den = UniPoly.from_roots(roots, lead=1.2 + 0.5j)
-        site = site_map(den, None, 1, [(p, 1) for p in roots], 6, contour=True)
+        _, site = site_map(den, None, 1, [(p, 1) for p in roots], 6, contour=True)
         radius = quadrature_radius(0j, [1.0 / p for p in roots])
         rows = self._rows(rng, 6, 20)
         # below degree deg(den) - 1 the form is regular at [1:0]
@@ -352,27 +355,30 @@ class TestContourBackend:
 
         rng = np.random.default_rng(77)
         den = self._rows(rng, QUAD_NODES, 2) + 2.0
-        contour = _Contour([0.3, 0.45], 6, den, False)
+        contour = _Contour([0.3, 0.45], 6, False)
+        factor_abs = np.abs(contour.u / den)
+        factor_max = factor_abs.max(axis=1)
         rows = np.zeros((2, 7, 6), dtype=complex)
         for k, c in enumerate([0.7 - 1.2j, -0.4 + 0.9j, 1.3, -2j, complex("nan"), 0.0]):
             rows[k % 2, k, k] = c
         rows[:, 6, 1:3] = 1.0, 0.5j
         has_pole = np.ones((2, 7), dtype=bool)
         has_pole[1, 2] = False
-        _, scale = contour.trapezoid(rows, has_pole)
-        one = np.abs(rows * contour.radius_powers[:, None]).max(axis=2) * contour.factor_max[:, None]
+        _, scale = contour.trapezoid(rows, has_pole, den)
+        one = np.abs(rows * contour.radius_powers[:, None]).max(axis=2) * factor_max[:, None]
         expect = np.where(has_pole, one, 0.0)
         np.testing.assert_array_equal(scale[:, :6], expect[:, :6])
         assert np.isnan(scale[0, 4]) and scale[1, 5] == 0.0 and scale[1, 2] == 0.0
         for b in range(2):
             on_nodes = np.abs((rows[b, 6] * contour.radius_powers[b]) @ contour.powers)
-            worst = (on_nodes * contour.factor_abs[b]).max()
+            worst = (on_nodes * factor_abs[b]).max()
             assert abs(scale[b, 6] - worst) <= 1e-14 * worst
 
 
 class TestStackedEntries:
-    """A SiteMap stacks the entries at its location; every number an entry
-    reports must be the one its own single-entry map gives, to the bit."""
+    """A SiteLayout stacks the entries at its location; every number an
+    entry reports must be the one its own single-entry layout gives, to the
+    bit."""
 
     def test_entries_match_each_alone(self):
         rng = np.random.default_rng(2024)
@@ -398,12 +404,12 @@ class TestStackedEntries:
             rows[0] = 0
             nums.append(rows)
             lives.append(np.array([False, True, True, True, True]))
-        site_map = built(entries, leads, dens, list(range(len(entries))))
-        stacked = apply(site_map, nums, lives)
-        assert len(site_map.blocks) == 4
+        layout, run = built(entries, leads, dens, list(range(len(entries))))
+        stacked = apply(run, nums, lives)
+        assert len(layout.blocks) == 4
         for i in range(len(entries)):
-            alone = apply(built([entries[i]], [leads[i]], [dens[i]], [0]), [nums[i]], [lives[i]])
-            assert site_map.entries[i] is entries[i]
+            alone = apply(built([entries[i]], [leads[i]], [dens[i]], [0])[1], [nums[i]], [lives[i]])
+            assert layout.entries[i] is entries[i]
             for field in ("order", "residue", "quadrature", "quadrature_scale"):
                 a, b = getattr(stacked, field)[i], getattr(alone, field)[0]
                 assert np.array_equal(a, b), (i, field)
@@ -433,12 +439,12 @@ class TestStackedEntries:
             leads.append(den.coeffs[-1])
             dens.append(den(circle_points(*entry.circle)))
         stacks = [2, 0, 2, 1]
-        site_map = built(entries, leads, dens, stacks)
-        table = site_map.apply(nums, lives, mags, tops)
-        assert len(site_map.blocks) == 3
+        layout, run = built(entries, leads, dens, stacks)
+        table = run(nums, lives, mags, tops)
+        assert len(layout.blocks) == 3
         for i, k in enumerate(stacks):
             one = slice(k, k + 1)
-            alone = built([entries[i]], [leads[i]], [dens[i]], [0]).apply(
+            alone = built([entries[i]], [leads[i]], [dens[i]], [0])[1](
                 nums[one], lives[one], mags[one], tops[one]
             )
             for field in ("order", "residue", "quadrature", "quadrature_scale"):
@@ -466,9 +472,9 @@ class TestStackedEntries:
         dens = [None, None, den(circle_points(*entries[2].circle))]
         rows = rng.uniform(-1, 1, (3, 5)) + 1j * rng.uniform(-1, 1, (3, 5))
         live = np.array([True, False, True])
-        site_map = built(entries, [1.5] * 3, dens, [0, 1, 2])
-        assert len(site_map.blocks) == 1
-        table = apply(site_map, [rows] * 3, [live] * 3)
+        layout, run = built(entries, [1.5] * 3, dens, [0, 1, 2])
+        assert len(layout.blocks) == 1
+        table = apply(run, [rows] * 3, [live] * 3)
         fields = (table.order, table.residue, table.quadrature, table.quadrature_scale)
         for field in fields:
             assert (field[0] == 0).all() and (field[:, 1] == 0).all()
@@ -479,4 +485,4 @@ class TestStackedEntries:
         assert (table.quadrature[2, ::2] != 0).all() and (table.quadrature_scale[2, ::2] > 0).all()
         # without entries, the table still has the caller's rows
         rows, flags = np.zeros((0, 3, 1)), np.zeros((0, 3))
-        assert built([], [], [], []).apply(rows, flags > 0, rows, flags).residue.shape == (0, 3)
+        assert built([], [], [], [])[1](rows, flags > 0, rows, flags).residue.shape == (0, 3)

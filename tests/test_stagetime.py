@@ -44,7 +44,7 @@ def test_times_every_stage_of_both_checkouts():
         assert top < side["op_us"]
         nested = stages["pair_wedges"]["us_per_op"] + stages["pair_inners"]["us_per_op"]
         assert nested < stages["sample context"]["us_per_op"]
-    assert "site-map apply" in done.stdout and "B / A" in done.stdout
+    assert "site map" in done.stdout and "B / A" in done.stdout
 
 
 def test_summary_and_table_of_a_checkout_without_a_stage():
@@ -55,15 +55,15 @@ def test_summary_and_table_of_a_checkout_without_a_stage():
     chunks = [{"ops": 1, "op": 2e-3, "stages": stages}] * 2
     full = tool.side_summary(chunks)
     assert full["ops"] == 2 and full["op_us"] == pytest.approx(2000.0)
-    # seven top-level stages of 100 us each; the two nested ones are not
+    # six top-level stages of 100 us each; the two nested ones are not
     # subtracted again
-    assert full["stages"]["other"]["us_per_op"] == pytest.approx(1300.0)
+    assert full["stages"]["other"]["us_per_op"] == pytest.approx(1400.0)
     assert full["stages"]["jets"]["share"] == pytest.approx(0.05)
     lacking = dict(stages)
     del lacking["reduction"]
     part = tool.side_summary([{"ops": 1, "op": 2e-3, "stages": lacking}])
     assert part["stages"]["reduction"] is None
-    assert part["stages"]["other"]["us_per_op"] == pytest.approx(1400.0)
+    assert part["stages"]["other"]["us_per_op"] == pytest.approx(1500.0)
     lines = tool.table([full, part])
     (row,) = [line for line in lines if line.startswith("reduction")]
     assert row.split()[1:] == ["100.0", "5.0%", "-", "-"]

@@ -46,8 +46,7 @@ STAGES = [
     ("pair_inners", "quintic_periods.period", "pair_inners", "sample context"),
     ("site plan", "quintic_periods.period", "_SampleContext.site_plan", None),
     ("circle values", "quintic_periods.period", "_SampleContext.dens_on_circles", None),
-    ("site-map set-up", "quintic_periods.numkernel.residues", "SiteMap.__init__", None),
-    ("site-map apply", "quintic_periods.numkernel.residues", "SiteMap.apply", None),
+    ("site map", "quintic_periods.numkernel.residues", "SiteLayout.apply", None),
     ("reduction", "quintic_periods.period", "_Reduction.__init__", None),
 ]
 TOP_LEVEL = [name for name, _, _, parent in STAGES if parent is None]
