@@ -313,9 +313,10 @@ def residue_sum_check(f: RationalFunction) -> float:
 #
 # The entries and their blocks hold structure alone: the sites, orders,
 # far-site factors and radii, the block grouping with its stack and index
-# arrays, the shift matrices, and each block's contour nodes and radius
-# powers.  So one layout serves every sample whose structure is the same;
-# its ``apply`` takes one set of numbers, and each block builds its
+# arrays, the shift matrices, each block's contour nodes and radius powers,
+# and the nodes t of each distinct circle, where the caller evaluates its
+# denominators.  So one layout serves every sample whose structure is the
+# same; its ``apply`` takes one set of numbers, and each block builds its
 # entries' Laurent series from the leads of their declared denominators,
 # folds the denominators on its circles into its contour and writes its
 # lines, in one call.
@@ -362,13 +363,6 @@ def _unit_powers(count: int, nodes: int) -> np.ndarray:
     """e^(i k theta_n), one row per exponent k < count, one column per node."""
     turns = np.outer(np.arange(count), np.arange(nodes)) % nodes
     return _frozen(_unit_circle(nodes)[turns])
-
-
-def circle_points(location: complex | None, radius: float) -> np.ndarray:
-    """The QUAD_NODES nodes t of a site's quadrature circle |u| = radius:
-    t = location + u, or t = 1/u at [1:0] (location None)."""
-    u = radius * _unit_circle(QUAD_NODES)
-    return 1.0 / u if location is None else location + u
 
 
 # Rows per block of the contour magnitude of rows with two or more terms
@@ -530,12 +524,6 @@ class SiteEntry:
             lead = -lead
         return _reciprocal_series(_truncated_product(lead, self.factors, self.order), self.order)
 
-    @property
-    def circle(self) -> tuple[complex | None, float]:
-        """(location, radius) of the quadrature circle, as ``circle_points``
-        takes them."""
-        return (None if self.at_infinity else self.location), self.radius
-
 
 def _big(mag: np.ndarray, top: np.ndarray) -> np.ndarray:
     """Entries of ``mag``, magnitudes, above 1e-9 times their row's largest,
@@ -620,6 +608,11 @@ class SiteLayout:
     ``stacks[i]`` is the first-axis index of entry i's rows in the arrays
     ``apply`` takes, and ``circled`` lists the entries with a radius, in
     entry order: the order of the rows of its ``dens``.
+
+    Each distinct circle, by [1:0] flag, location and radius, is placed
+    once: ``nodes`` holds its QUAD_NODES nodes t = location + u, or t = 1/u
+    at [1:0], on |u| = radius (None without a circle), and ``circle_of[n]``
+    is the row of ``nodes`` on which circled entry n takes its den.
     """
 
     def __init__(self, entries: list[SiteEntry], stacks: list[int]):
@@ -627,6 +620,14 @@ class SiteLayout:
         stacks = np.array(stacks, dtype=int)
         shift_matrix = lru_cache(maxsize=None)(_shift_matrix)
         self.circled = [i for i, e in enumerate(entries) if e.radius is not None]
+        circles: dict[tuple, int] = {}
+        self.circle_of = np.array([
+            circles.setdefault((e.at_infinity, e.location, e.radius), len(circles))
+            for e in map(entries.__getitem__, self.circled)
+        ], dtype=int)
+        unit = _unit_circle(QUAD_NODES)
+        nodes = [1.0 / (r * unit) if inf else loc + r * unit for inf, loc, r in circles]
+        self.nodes = np.array(nodes) if nodes else None
         row = {i: n for n, i in enumerate(self.circled)}
         blocks: dict[tuple, list[int]] = {}
         for i, e in sorted(enumerate(entries), key=lambda ie: ie[1].radius is None):
@@ -642,14 +643,14 @@ class SiteLayout:
         """The table of every entry i and each numerator row r of its stack
         k = ``stacks[i]``, for one set of numbers: ``leads[i]``, the lead of
         entry i's declared denominator; ``dens``, one row per ``circled``
-        entry, its den at the ``circle_points`` of its circle, which adds
-        its quadrature backend (None without a circled entry); and the first
-        width coefficients of ``nums[k, r]`` (stacks x rows x at least the
-        widest entry's width), given with their magnitudes ``mags``
-        (``np.abs(nums)``) and each row's largest magnitude ``tops[k, r]``,
-        which the caller has taken for its numerator-zero test; rows where
-        ``lives[k, r]`` is False have no pole.  The rows of ``nums`` size
-        the table even when there is no entry."""
+        entry n, its den at the nodes ``nodes[circle_of[n]]`` of its circle,
+        which adds its quadrature backend (None without a circled entry);
+        and the first width coefficients of ``nums[k, r]`` (stacks x rows x
+        at least the widest entry's width), given with their magnitudes
+        ``mags`` (``np.abs(nums)``) and each row's largest magnitude
+        ``tops[k, r]``, which the caller has taken for its numerator-zero
+        test; rows where ``lives[k, r]`` is False have no pole.  The rows of
+        ``nums`` size the table even when there is no entry."""
         shape = (len(self.entries), nums.shape[1])
         table = SiteTable(*(np.zeros(shape, dtype) for dtype in (int, complex, complex, float)))
         for block in self.blocks:

@@ -27,19 +27,20 @@ and read again by the next sample with the same coordinate charts.
 What an assembly decides from structure alone is its site plan: the pairs
 it plans, each site entry's location, [1:0] flag, zero multiplicity, width,
 order, far-site factors and radius, the layout's blocks with their stack
-and index arrays, shift matrices and contours, the quadrature circles'
-nodes with the partials and index lists their values need, and which sites
-lie at a zero of the companion coordinate.  Its key holds, in exact bits,
-every input the planning reads: the width of P(x(t)), whether check sites
-are planned, the pairs with a nonzero inner factor with their degrees, the
-live ones, and per planned pair the zeros and [1:0] orders of x_{j0} and
-x_{j1} and the declared roots of F_{j0} and F_{j1}.  On a Fermat line the
-plan does not depend on s or zeta.  The hypersurface keeps a key from its
-first sample and its plan from the second, so a line that never repeats
-keeps no plan; a plan with a pair that could not be planned is not kept.
+and index arrays, shift matrices and contours, the nodes of the circles
+the layout places, the partials and index lists their values need, and
+which sites lie at a zero of the companion coordinate.  Its key holds, in
+exact bits, every input the planning reads: the width of P(x(t)), whether
+check sites are planned, the pairs with a nonzero inner factor with their
+degrees, the live ones, and per planned pair the zeros and [1:0] orders of
+x_{j0} and x_{j1} and the declared roots of F_{j0} and F_{j1}.  On a Fermat
+line the plan does not depend on s or zeta.  The hypersurface keeps a key
+from its first sample and its plan from the second, so a line that never
+repeats keeps no plan; a plan with a pair that could not be planned is not
+kept.
 Each sample still computes its own numbers on the plan, with the same
 functions in the same order -- the leads, the coordinates and partials on
-the plan's nodes, the layout's apply, in which each block takes its
+the layout's nodes, the layout's apply, in which each block takes its
 entries' Laurent series and its contour's covectors, the collision test,
 the reduction and the report -- so a kept plan changes no bit.
 """
@@ -81,7 +82,6 @@ from .numkernel.residues import (  # noqa: F401
     SiteTable,
     ZeroSiteReport,
     backend_disagreement,
-    circle_points,
     coincides,
     residue_at_infinity_analytic,
     residue_sum_check,
@@ -223,11 +223,11 @@ class _Pair:
 class _SitePlan:
     """What one assembly decides from structure alone, kept in
     ``Hypersurface.site_plans`` for the samples with the same inputs: the
-    pairs with their lines, the ``entries`` of all planned pairs with each
-    one's pair (``owner``, whose lead it reads), their ``layout`` of site
-    blocks, and the quadrature circles: their ``nodes``, the ``partials``
-    evaluated there and the coordinates they use, and per circled entry its
-    circle's row of the nodes and its two partials' rows of the values.
+    pairs with their lines, the ``layout`` of the site entries of all
+    planned pairs, with its blocks and quadrature circles, each entry's
+    pair (``owner``, whose lead it reads), and what the circles' den values
+    need: the ``partials`` evaluated on the layout's nodes, the coordinates
+    they use, and per circled entry its two partials' rows of the values.
 
     ``inputs`` maps each live pair whose inputs were read to them, as
     ``_Pair.plan`` takes them; a live pair without inputs is not
@@ -236,38 +236,31 @@ class _SitePlan:
     def __init__(self, X: Hypersurface, width: int, checks: bool, inner, degrees, live, inputs):
         self.pairs = [_Pair(index, j0, j1) for index, (j0, j1) in enumerate(_PAIRS)]
         self.planned: list[_Pair] = []
-        self.entries: list[SiteEntry] = []
         self.owner: list[int] = []
+        entries: list[SiteEntry] = []
         stacks: list[int] = []
         for stack, index in enumerate(inner):
             pair = self.pairs[index]
             pair.live = live[stack]
             if index in inputs:
-                start = len(self.entries)
-                entries = pair.plan(start, width + degrees[index], checks, *inputs[index])
+                planned = pair.plan(len(entries), width + degrees[index], checks, *inputs[index])
                 self.planned.append(pair)
-                self.entries += entries
-                self.owner += [index] * len(entries)
-                stacks += [stack] * len(entries)
-        self.layout = SiteLayout(self.entries, stacks)
+                entries += planned
+                self.owner += [index] * len(planned)
+                stacks += [stack] * len(planned)
+        self.layout = SiteLayout(entries, stacks)
         self._plan_circles(X)
 
     def _plan_circles(self, X: Hypersurface) -> None:
-        """The circles' nodes and index lists, as ``dens_on_circles`` reads
-        them, for the layout's circled entries in its order; ``nodes`` is
-        None without a circle."""
+        """The partials and index lists ``dens_on_circles`` reads, for the
+        layout's circled entries in its order; none without a circle."""
         circled = self.layout.circled
-        self.nodes = None
         if not circled:
             return
-        circles = [self.entries[i].circle for i in circled]
-        row = {circle: k for k, circle in enumerate(dict.fromkeys(circles))}
-        self.nodes = np.array([circle_points(loc, radius) for loc, radius in row])
         pairs = [self.pairs[self.owner[i]] for i in circled]
         js = {j: k for k, j in enumerate(dict.fromkeys(j for p in pairs for j in (p.j0, p.j1)))}
         self.partials = list(js)
         self.used = {i for j in js for i in X.partial_coords[j]}
-        self.circle_rows = np.array([row[circle] for circle in circles])
         self.rows0 = np.array([js[p.j0] for p in pairs])
         self.rows1 = np.array([js[p.j1] for p in pairs])
 
@@ -342,13 +335,15 @@ class _SampleContext:
         """F_j0(x(t)) * F_j1(x(t)) of each circled entry's pair at the nodes
         of its circle, one row per circled entry of the plan's layout, as
         its ``apply`` takes them; None without a circle.  Each coordinate a
-        partial uses, and each partial, is evaluated on the plan's nodes
+        partial uses, and each partial, is evaluated on the layout's nodes
         once."""
-        if plan.nodes is None:
+        layout = plan.layout
+        if layout.nodes is None:
             return None
-        coords = [x(plan.nodes) if i in plan.used else None for i, x in enumerate(self.xs)]
+        coords = [x(layout.nodes) if i in plan.used else None for i, x in enumerate(self.xs)]
         values = np.array([self.X.partials[j].evaluate(coords) for j in plan.partials])
-        return values[plan.rows0, plan.circle_rows] * values[plan.rows1, plan.circle_rows]
+        circle = layout.circle_of
+        return values[plan.rows0, circle] * values[plan.rows1, circle]
 
     def site_plan(self, inner: list[int], degrees: list[int], live: list[bool], checks: bool):
         """The site plan of the pairs ``inner`` (one stack of numerator rows
@@ -584,12 +579,12 @@ def _assemble(ctx: _SampleContext, p_rows: np.ndarray, checks: bool = False) -> 
     for pair in plan.planned:
         k = next((k for k in pair.shared if poled[k]), None)
         if k is not None:
-            errors[pair.index] = BaseLocusCollisionError.at_zero(plan.entries[k].location)
+            errors[pair.index] = BaseLocusCollisionError.at_zero(plan.layout.entries[k].location)
     if errors:
         first = min(errors)
         pair = plan.pairs[first]
         raise _named(errors[first], ctx.jet, pair.j0, pair.j1) from errors[first]
-    return _Reduction(plan.pairs, plan.entries, table)
+    return _Reduction(plan.pairs, plan.layout.entries, table)
 
 
 def _check_shape(X: Hypersurface, jet: CurveJet | None = None) -> None:
@@ -672,15 +667,16 @@ def period_at(X: Hypersurface, P: MultiPoly, fam: CurveFamily, s: complex) -> Pe
 
 
 def _merge_sites(*site_lists):
-    """The sites of all lists, sorted, with locations that ``coincides``
-    with the previous one merged and their multiplicities added."""
+    """The sites of all lists, sorted, each merged into the first merged
+    site it ``coincides`` with (not always the last), multiplicities added."""
     sites = [site for sl in site_lists for site in sl]
     merged: list[tuple[complex, int]] = []
     for loc, mult in sorted(sites, key=lambda s: (s[0].real, s[0].imag)):
-        if merged and coincides(loc, [merged[-1][0]]):
-            merged[-1] = (merged[-1][0], merged[-1][1] + mult)
-        else:
+        k = next((k for k, (at, _) in enumerate(merged) if coincides(loc, [at])), None)
+        if k is None:
             merged.append((loc, mult))
+        else:
+            merged[k] = (merged[k][0], merged[k][1] + mult)
     return merged
 
 

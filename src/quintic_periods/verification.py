@@ -40,7 +40,6 @@ from .numkernel.residues import (
     RationalFunction,
     SiteEntry,
     SiteLayout,
-    circle_points,
     residues_at_zeros,
 )
 from .numkernel.unipoly import UniPoly
@@ -175,12 +174,12 @@ def check_residue_engine() -> CheckResult:
         den, declared = UniPoly.from_roots(poles, lead), [(p, 1) for p in poles]
         entries = [SiteEntry(p, 1, declared, len(num.coeffs), contour=True) for p in poles]
         entries.append(SiteEntry(None, 1, declared, len(num.coeffs), contour=True))
-        dens = np.array([den(circle_points(*e.circle)) for e in entries if e.radius])
         # every entry reads the one row, on one stack
         n, rows = len(entries), np.array([[num.coeffs]])
         mags = np.abs(rows)
         live = np.array([[True]])
         layout = SiteLayout(entries, [0] * n)
+        dens = den(layout.nodes)[layout.circle_of]
         table = layout.apply([lead] * n, dens, rows, live, mags, mags.max(axis=2))
         residues, quadratures = table.residue[:, 0].tolist(), table.quadrature[:, 0].tolist()
         hit = [k for k in range(n) if table.order[k, 0]]

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quintic_periods import period
 from quintic_periods.catalog import (
@@ -1233,3 +1235,110 @@ class TestSitePlans:
         for s, kept in zip(samples[2:], warm[2:]):
             fermat.site_plans.clear()
             assert repr(period_at(fermat, P, fam, s)) == kept, s
+
+    def test_the_layout_places_each_circle_once(self, fermat, monkeypatch):
+        # every plan that period_at of x1^3 x2^2 and a one-sample
+        # monomial_scan build, on the 50 catalog lines at the first sample
+        # and on the dropped jets of seeds 11-20: each circled entry reads
+        # its den on the nodes t = location + u, or t = 1/u at [1:0], with
+        # u = r e^(i theta) on the circle of its radius r, to the bit, and
+        # the layout places one row of nodes per distinct circle
+        import numpy as np
+
+        from quintic_periods.numkernel.residues import QUAD_NODES
+
+        built = []
+
+        class Counting(period._SitePlan):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(period, "_SitePlan", Counting)
+        P = MultiPoly.monomial(5, 1.0, (0, 3, 2, 0, 0))
+        s = STANDARD_PERIOD_SAMPLES[0]
+        for d in line_families():
+            period_at(fermat, P, d.family(), s)
+            monomial_scan(fermat, d.family(), [s], 5)
+        for seed in range(11, 21):
+            jet = TestLocationMaps._dropped_jet(seed)
+            period_of_jet(fermat, P, jet)
+            monomial_scan(fermat, CurveFamily("dropped", lambda s, jet=jet: jet), [jet.s], 5)
+        unit = np.exp(1j * (2.0 * np.pi * np.arange(QUAD_NODES) / QUAD_NODES))
+        circled = at_infinity = 0
+        for plan in built:
+            layout, circles = plan.layout, set()
+            for n, i in enumerate(layout.circled):
+                entry = layout.entries[i]
+                u = entry.radius * unit
+                nodes = 1.0 / u if entry.at_infinity else entry.location + u
+                assert layout.nodes[layout.circle_of[n]].tobytes() == nodes.tobytes()
+                circles.add((entry.at_infinity, entry.location, entry.radius))
+                at_infinity += entry.at_infinity
+            circled += len(layout.circled)
+            assert len(layout.nodes) == len(circles) if circles else layout.nodes is None
+        assert circled > len(built) and at_infinity > 0
+
+
+class TestMergeSites:
+    """``period._merge_sites``: the declared sites of a pair's denominator,
+    each pole once, with the multiplicities of the sites that
+    ``coincides`` there added."""
+
+    def test_a_site_merges_past_one_sorted_between(self):
+        # sorted by real part, the site at 1 + 2e-8 + 10j lies between two
+        # that coincide
+        merged = period._merge_sites([(1 + 0j, 4)], [(1 + 5e-8 + 0j, 4), (1 + 2e-8 + 10j, 1)])
+        assert merged == [(1 + 0j, 8), (1 + 2e-8 + 10j, 1)]
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(st.tuples(
+        st.integers(0, 2), st.integers(0, 2), st.floats(-4e-8, 4e-8), st.integers(1, 5)
+    ), max_size=6), min_size=1, max_size=3))
+    def test_merged_sites_are_distinct_and_cover_the_input(self, lists):
+        # sites jittered by less than the coincidence tolerance about
+        # points of a unit grid: no merged site coincides with one before
+        # it, the multiplicities add up, and each input coincides with a
+        # merged site
+        from quintic_periods.numkernel.residues import coincides
+
+        site_lists = [[(complex(a + jitter, b), m) for a, b, jitter, m in sl] for sl in lists]
+        merged = period._merge_sites(*site_lists)
+        locations = [loc for loc, _ in merged]
+        for n, loc in enumerate(locations):
+            assert not coincides(loc, locations[:n]), (loc, locations)
+        assert sum(m for _, m in merged) == sum(m for sl in site_lists for _, m in sl)
+        for sl in site_lists:
+            assert all(coincides(loc, locations) for loc, _ in sl)
+
+
+class TestCatalogIdentity:
+    """ROADMAP item 1, measured, not derived: on the catalog family
+    ``pair=i,j/zeta=k``, whose slots a < b < c hold 1, s and
+    c = root5(-1 - s^5), the period of a monomial class is
+    (6/25) (-1)^(i+j) zeta^k c^-4 [t^3] P(x(t)), and [t^3] P(x(t)) is
+    (-zeta^k)^e_j s^e_b c^e_c when e_i + e_j = 3, else 0."""
+
+    def test_every_catalog_scan_cell_is_the_identity(self, fermat):
+        # all 50 families x 126 monomials x 8 samples: the predicted zeros
+        # are exact, the other cells within 1e-13 relative (4.5e-15
+        # measured)
+        samples = list(STANDARD_PERIOD_SAMPLES)
+        zeros = nonzero = 0
+        for d in line_families():
+            (i, j), zeta = d.pair, zeta_value(d.zeta_index)
+            _, b, c_slot = [k for k in range(5) if k not in d.pair]
+            table = monomial_scan(fermat, d.family(), samples, 5)
+            for n, s in enumerate(samples):
+                c = root5_neg1_minus_s5(s)
+                kappa = 6 / 25 * (-1) ** (i + j) * zeta * c**-4
+                for row in table.rows:
+                    e, total = row.exponents, row.totals[n]
+                    if e[i] + e[j] != 3:
+                        assert total == 0, (d.identifier, s, row.monomial)
+                        zeros += 1
+                        continue
+                    want = kappa * (-zeta) ** e[j] * s ** e[b] * c ** e[c_slot]
+                    assert abs(total - want) <= 1e-13 * abs(want), (d.identifier, s, row.monomial)
+                    nonzero += 1
+        assert (nonzero, zeros) == (50 * 24 * 8, 50 * 102 * 8)

@@ -9,7 +9,6 @@ from quintic_periods.numkernel.residues import (
     RationalFunction,
     SiteEntry,
     SiteLayout,
-    circle_points,
     quadrature_radius,
     residue_analytic,
     residue_at_infinity_analytic,
@@ -25,10 +24,10 @@ def rf(num, den):
 
 def built(entries, leads, dens, stacks):
     """The SiteLayout of ``entries`` on ``stacks``, and its ``apply`` bound
-    to each entry's lead and its den at the nodes of its circle, None
-    without one."""
-    circled = [den for den in dens if den is not None]
+    to each entry's lead and its den, ``dens[i]``, at the layout's nodes of
+    its circle; an entry without a circle reads no den."""
     layout = SiteLayout(entries, stacks)
+    circled = [dens[i](layout.nodes[n]) for i, n in zip(layout.circled, layout.circle_of)]
     return layout, partial(layout.apply, leads, np.array(circled) if circled else None)
 
 
@@ -37,8 +36,7 @@ def site_map(den, location, zero_multiplicity, sites, width, contour=False):
     declared by its leading coefficient and sites; with ``contour``, its
     contour backend evaluates den as it stands."""
     entry = SiteEntry(location, zero_multiplicity, sites, width, contour)
-    dens = [den(circle_points(*entry.circle)) if entry.radius is not None else None]
-    return built([entry], [den.coeffs[-1]], dens, [0])
+    return built([entry], [den.coeffs[-1]], [den], [0])
 
 
 def apply(run, nums, lives):
@@ -399,7 +397,7 @@ class TestStackedEntries:
             entry = SiteEntry(at, 1, sites, width or 6, contour)
             entries.append(entry)
             leads.append(den.coeffs[-1])
-            dens.append(den(circle_points(*entry.circle)) if entry.radius else None)
+            dens.append(den)
             rows = rng.uniform(-1, 1, (5, entry.width)) + 1j * rng.uniform(-1, 1, (5, entry.width))
             rows[0] = 0
             nums.append(rows)
@@ -437,7 +435,7 @@ class TestStackedEntries:
             entry = SiteEntry(at, 1, sites, width, True)
             entries.append(entry)
             leads.append(den.coeffs[-1])
-            dens.append(den(circle_points(*entry.circle)))
+            dens.append(den)
         stacks = [2, 0, 2, 1]
         layout, run = built(entries, leads, dens, stacks)
         table = run(nums, lives, mags, tops)
@@ -469,7 +467,7 @@ class TestStackedEntries:
             SiteEntry(location, 1, sites, 5, True),
         ]
         assert entries[0].order <= 0 and entries[1].radius is None
-        dens = [None, None, den(circle_points(*entries[2].circle))]
+        dens = [None, None, den]
         rows = rng.uniform(-1, 1, (3, 5)) + 1j * rng.uniform(-1, 1, (3, 5))
         live = np.array([True, False, True])
         layout, run = built(entries, [1.5] * 3, dens, [0, 1, 2])
