@@ -18,17 +18,26 @@ from .multipoly import MultiPoly
 from .numkernel.unipoly import BinaryForm, UniPoly
 
 EULER_REL_TOL = 1e-12
-# entries of a hypersurface's line data: room for what the s-independent
-# slots of all 50 Fermat line families use (33 entries) while the moving
-# slots pass through.  Twice the size cost 2-3% of the time of workloads
-# whose lines never repeat, which only fill it and empty it again.  The
-# site plans of all 50 families' periods and scans take 20 entries
+# keys of a hypersurface's line data, marks included: room for what the
+# s-independent slots of all 50 Fermat line families use (33 keys) while
+# the moving slots pass through as marks.  Twice the size cost 2-3% of the
+# time of workloads whose lines never repeat, which only fill it and empty
+# it again.  The site plans of all 50 families' periods and scans take 20
+# keys.
 LINE_DATA_SIZE = 64
+# the entry of a key computed once, which keeps no value
+_MARK = object()
 
 
 class LineData:
-    """A cache of at most ``LINE_DATA_SIZE`` entries that drops the least
-    recently used one when it is full."""
+    """A store of at most ``LINE_DATA_SIZE`` keys that keeps a value from
+    its key's second compute.  The first compute of a key that returns
+    leaves a mark and keeps no value; the next keeps its value, and a kept
+    key is read without computing.  A compute that raises stores nothing.
+    Above ``LINE_DATA_SIZE`` keys, marks included, the least recently used
+    one goes.  So a line that never repeats keeps nothing: kept, each new
+    value would be read again from memory last touched many samples
+    before, which costs more than the computing it saves."""
 
     def __init__(self):
         self._entries: OrderedDict = OrderedDict()
@@ -37,14 +46,17 @@ class LineData:
         return len(self._entries)
 
     def get(self, key, compute: Callable[[], object]):
-        """The value kept for ``key``, or ``compute()``, kept if it returns."""
+        """The value kept for ``key``, or ``compute()``."""
         value = self._entries.get(key)
         if value is None:
-            value = self._entries[key] = compute()
+            value = compute()
+            self._entries[key] = _MARK
             if len(self._entries) > LINE_DATA_SIZE:
                 self._entries.popitem(last=False)
-        else:
-            self._entries.move_to_end(key)
+            return value
+        if value is _MARK:
+            value = self._entries[key] = compute()
+        self._entries.move_to_end(key)
         return value
 
     def clear(self) -> None:
@@ -58,9 +70,10 @@ class Hypersurface:
     sum_i x_i F_i = d F is validated at construction.  ``line_data`` holds
     what the period assembly reads of the partials along a line, keyed by
     the exact coefficients of the coordinate charts it depends on, so lines
-    that share a coordinate share it across samples.  ``site_plans`` holds
-    the period assembly's site plans, keyed by the exact inputs each is
-    planned from.
+    that share a coordinate share it across samples, while the moving slots
+    pass through as marks.  ``site_plans`` holds the period assembly's site
+    plans, keyed by the exact inputs each is planned from.  Both are
+    ``LineData``, which says what they keep.
     """
 
     def __init__(self, F: MultiPoly):

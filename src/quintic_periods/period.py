@@ -22,7 +22,7 @@ holds every pair's sites and check sites at a sample, one ``apply`` of it
 gives all their residues, and the quadrature circles of a sample are
 evaluated in one pass.  What a partial reads of a line -- its chart, roots
 and lead factor, and the coordinates' zeros -- is kept on the hypersurface
-and read again by the next sample with the same coordinate charts.
+for the samples with the same coordinate charts, as ``LineData`` says.
 
 What an assembly decides from structure alone is its site plan: the pairs
 it plans, each site entry's location, [1:0] flag, zero multiplicity, width,
@@ -34,10 +34,8 @@ exact bits, every input the planning reads: the width of P(x(t)), whether
 check sites are planned, the pairs with a nonzero inner factor with their
 degrees, the live ones, and per planned pair the zeros and [1:0] orders of
 x_{j0} and x_{j1} and the declared roots of F_{j0} and F_{j1}.  On a Fermat
-line the plan does not depend on s or zeta.  The hypersurface keeps a key
-from its first sample and its plan from the second, so a line that never
-repeats keeps no plan; a plan with a pair that could not be planned is not
-kept.
+line the plan does not depend on s or zeta.  ``LineData`` says what the
+hypersurface keeps of the plans and of the line data.
 Each sample still computes its own numbers on the plan, with the same
 functions in the same order -- the leads, the coordinates and partials on
 the layout's nodes, the layout's apply, in which each block takes its
@@ -235,7 +233,6 @@ class _SitePlan:
 
     def __init__(self, X: Hypersurface, width: int, checks: bool, inner, degrees, live, inputs):
         self.pairs = [_Pair(index, j0, j1) for index, (j0, j1) in enumerate(_PAIRS)]
-        self.planned: list[_Pair] = []
         self.owner: list[int] = []
         entries: list[SiteEntry] = []
         stacks: list[int] = []
@@ -244,7 +241,6 @@ class _SitePlan:
             pair.live = live[stack]
             if index in inputs:
                 planned = pair.plan(len(entries), width + degrees[index], checks, *inputs[index])
-                self.planned.append(pair)
                 entries += planned
                 self.owner += [index] * len(planned)
                 stacks += [stack] * len(planned)
@@ -263,20 +259,6 @@ class _SitePlan:
         self.used = {i for j in js for i in X.partial_coords[j]}
         self.rows0 = np.array([js[p.j0] for p in pairs])
         self.rows1 = np.array([js[p.j1] for p in pairs])
-
-
-class _PlanSlot:
-    """The entry of one key in ``Hypersurface.site_plans``: made at the
-    first sample with the key, it keeps the plan from the second on.  So a
-    line that never repeats keeps no plan: kept, each new plan would be
-    made in memory last touched many samples before, which costs more
-    than the planning it saves."""
-
-    __slots__ = ("seen", "plan")
-
-    def __init__(self):
-        self.seen = False
-        self.plan: _SitePlan | None = None
 
 
 class _PartialLine:
@@ -302,9 +284,8 @@ class _SampleContext:
 
     What depends only on coordinate charts -- the partial charts with their
     roots and lead factors, and the coordinates' zeros -- comes from
-    ``X.line_data`` when a sample before this one computed it from the same
-    chart coefficients, bit for bit.  A computation that raises stores
-    nothing, so it raises again at the next sample."""
+    ``X.line_data``, a ``LineData``, by the exact chart coefficients it
+    depends on."""
 
     def __init__(self, X: Hypersurface, jet: CurveJet):
         self.X = X
@@ -322,6 +303,7 @@ class _SampleContext:
         # coefficients of P(x(t)) for a class of the period degree
         self.width = required_degree(X.degree, X.m) * jet.d_curve + 1
         self._roots: dict[int, list[tuple[complex, int]]] = {}
+        # a coordinate's zeros once per sample: a second read is no second compute
         self._zeros: dict[int, list[tuple[complex, int]]] = {}
 
     def _line(self, j: int) -> _PartialLine:
@@ -352,10 +334,9 @@ class _SampleContext:
         denominator lead and the error of each live pair whose inputs could
         not be read, by pair index.
 
-        The plan comes from ``X.site_plans`` when samples before this one
-        planned it from the same inputs, bit for bit: every input the
-        planning reads is in the key.  A plan with a pair left out for an
-        error is not kept, and its key is not read."""
+        The plan comes from ``X.site_plans``, a ``LineData``, by a key that
+        holds every input the planning reads, bit for bit; a pair left out
+        for an error is one of them."""
         leads: dict[int, complex] = {}
         inputs: dict[int, tuple] = {}
         errors: dict[int, Exception] = {}
@@ -369,21 +350,11 @@ class _SampleContext:
                 else:
                     if lead is not None:
                         leads[index] = lead
-
-        def plan() -> _SitePlan:
-            return _SitePlan(self.X, self.width, checks, inner, degrees, live, inputs)
-
-        if errors:
-            return plan(), leads, errors
         key = marshal.dumps((self.width, checks, inner, degrees, live, inputs), 2)
-        slot = self.X.site_plans.get(key, _PlanSlot)
-        if slot.plan is not None:
-            return slot.plan, leads, errors
-        built = plan()
-        if slot.seen:
-            slot.plan = built
-        slot.seen = True
-        return built, leads, errors
+        plan = self.X.site_plans.get(
+            key, lambda: _SitePlan(self.X, self.width, checks, inner, degrees, live, inputs)
+        )
+        return plan, leads, errors
 
     def _pair_inputs(self, j0: int, j1: int, checks: bool) -> tuple[tuple, complex | None]:
         """What the site plan reads of pair (j0, j1), as ``_SitePlan`` takes
@@ -576,7 +547,7 @@ def _assemble(ctx: _SampleContext, p_rows: np.ndarray, checks: bool = False) -> 
     dens = ctx.dens_on_circles(plan)
     table = plan.layout.apply([leads[index] for index in plan.owner], dens, nums, live, mags, tops)
     poled = table.order.any(axis=1).tolist()
-    for pair in plan.planned:
+    for pair in plan.pairs:
         k = next((k for k in pair.shared if poled[k]), None)
         if k is not None:
             errors[pair.index] = BaseLocusCollisionError.at_zero(plan.layout.entries[k].location)

@@ -1,14 +1,19 @@
 import cmath
+from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quintic_periods.catalog import STANDARD_GEOMETRY_SAMPLES, fermat_hypersurface
 from quintic_periods.errors import DegenerateMapError, DimensionMismatchError
 from quintic_periods.geometry import (
+    LINE_DATA_SIZE,
     CurveFamily,
     CurveJet,
     Hypersurface,
+    LineData,
     MobiusMap,
     containment_residual,
     mobius_deformation,
@@ -259,3 +264,85 @@ class TestSpotChecks:
                 pts.append(tuple(p(complex(t)) for p in jet.x_chart()))
         report = smooth_spot_check(fermat, pts)
         assert report.all_smooth
+
+
+class TestLineData:
+    """``LineData``: a key's first compute leaves a mark, its second keeps
+    the value, a kept key is read; a compute that raises stores nothing;
+    above ``LINE_DATA_SIZE`` keys the least recently used goes."""
+
+    @staticmethod
+    def _counted():
+        calls = []
+
+        def compute():
+            calls.append(len(calls))
+            return ("value", len(calls))
+
+        return calls, compute
+
+    def test_a_key_computes_twice_then_reads(self):
+        store, (calls, compute) = LineData(), self._counted()
+        first, second, third = (store.get("k", compute) for _ in range(3))
+        assert calls == [0, 1]
+        assert first == ("value", 1) and second == ("value", 2)
+        assert third is second
+
+    def test_a_compute_that_raises_leaves_no_mark(self):
+        store, (calls, compute) = LineData(), self._counted()
+
+        def failing():
+            raise ArithmeticError("no value")
+
+        with pytest.raises(ArithmeticError):
+            store.get("k", failing)
+        assert len(store) == 0
+        store.get("k", compute)
+        store.get("k", compute)
+        assert calls == [0, 1]
+
+    def test_a_kept_key_outlives_older_marks(self):
+        # the keep moves key 0 to the recent end, so the next key evicts
+        # key 1, the least recently used
+        store, (_, compute) = LineData(), self._counted()
+        for key in range(LINE_DATA_SIZE):
+            store.get(key, compute)
+        kept = store.get(0, compute)
+        store.get(LINE_DATA_SIZE, compute)
+        assert len(store) == LINE_DATA_SIZE
+        assert 0 in store._entries and 1 not in store._entries
+        assert store.get(0, lambda: pytest.fail("a kept key computes")) is kept
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.integers(0, 79), st.integers(0, 4)), max_size=400))
+    def test_the_store_follows_the_rule(self, gets):
+        # random gets over 80 keys, one compute in five raising, against an
+        # OrderedDict model of the rule, in which a mark holds None
+        store, model = LineData(), OrderedDict()
+        for n, (key, draw) in enumerate(gets):
+            called = []
+
+            def compute():
+                called.append(key)
+                if draw == 0:
+                    raise ArithmeticError(key)
+                return ("value", n)
+
+            kept = model.get(key)
+            try:
+                got = store.get(key, compute)
+            except ArithmeticError:
+                pass
+            else:
+                if key not in model:
+                    model[key] = None
+                    if len(model) > LINE_DATA_SIZE:
+                        model.popitem(last=False)
+                else:
+                    if kept is None:
+                        model[key] = got
+                    model.move_to_end(key)
+                assert got == (kept or ("value", n))
+            assert called == ([] if kept else [key])
+            assert len(store) <= LINE_DATA_SIZE
+            assert list(store._entries) == list(model)

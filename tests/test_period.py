@@ -1007,8 +1007,9 @@ class TestLineData:
 
     def test_slots_that_do_not_move_are_reused_across_samples(self, fermat, monkeypatch):
         # on a catalog line the x-, -zeta x- and 1-slots do not depend on s:
-        # from the second sample on their partials are neither composed nor
-        # rooted; every report equals the one computed without kept data,
+        # from the third sample on their partials are neither composed nor
+        # rooted, as the line data keeps a value from a key's second
+        # compute; every report equals the one computed without kept data,
         # to the bit
         from quintic_periods.numkernel import roots
 
@@ -1033,7 +1034,7 @@ class TestLineData:
             rooted.append(p)
             return roots.poly_roots(p)
 
-        samples = STANDARD_PERIOD_SAMPLES[:3]
+        samples = STANDARD_PERIOD_SAMPLES[:4]
         reports = []
         for n, s in enumerate(samples):
             composed.clear()
@@ -1046,13 +1047,32 @@ class TestLineData:
                 reports.append(period_at(fermat, P, fam, s))
             # the class chart is composed too; it is no partial
             composed.discard(None)
-            if n == 0:
-                assert composed == evaluated == set(range(5)) and rooted
+            if n < 2:
+                assert composed == evaluated == set(range(5)) and rooted, n
             else:
                 assert composed == set(moving) and not rooted, n
         for s, rep in zip(samples, reports):
             fermat.line_data.clear()
             assert repr(rep) == repr(period_at(fermat, P, fam, s)), s
+
+    def test_a_line_that_never_repeats_keeps_only_what_repeats(self, fermat):
+        # a catalog family moved by a new t -> t + c at each of 20 samples:
+        # no zero list and no site plan repeats, so both stores hold marks
+        # only; t -> t + c leaves the 1-slot's chart as it is, so its
+        # partial's line is the one value kept
+        from quintic_periods.geometry import _MARK
+
+        d = line_families()[13]
+        a_slot = min(k for k in range(5) if k not in d.pair)
+        P = MultiPoly.monomial(5, 1.0, (0, 3, 2, 0, 0))
+        for k in range(20):
+            fam = mobius_reparam(d.family(), MobiusMap(1, 0.1 + 0.05j * k, 0, 1))
+            period_at(fermat, P, fam, 0.1 + 0.01 * k)
+        kept = [key for key, v in fermat.line_data._entries.items() if v is not _MARK]
+        assert [key[0] for key in kept] == [a_slot]
+        assert isinstance(fermat.line_data._entries[kept[0]], period._PartialLine)
+        assert len(fermat.site_plans) == 20
+        assert all(v is _MARK for v in fermat.site_plans._entries.values())
 
     def test_the_catalog_fits_across_samples(self, fermat, monkeypatch):
         # one pass over all 50 catalog families per sample: the first leaves
@@ -1125,35 +1145,46 @@ class TestLineData:
 class TestSitePlans:
     """``Hypersurface.site_plans``: each assembly's site plan, kept by
     every input its planning reads, gives the numbers a plan made afresh
-    gives, to the bit; a plan with a pair that could not be planned is not
-    kept."""
+    gives, to the bit."""
 
-    def test_a_failed_plan_is_not_kept(self, fermat):
-        # a covering chart that misses the curve: no plan is kept, and each
-        # sample of the same charts raises again, named for the same pair;
-        # a collision is found on the sample's rows, after a plan that is
-        # kept, and raises again at the next sample too
+    def test_a_failed_sample_raises_again_on_a_kept_plan(self, fermat, monkeypatch):
+        # a covering chart that misses the curve: the plan of the pairs
+        # that could be planned is kept like any other, from its key's
+        # second sample, and each sample of the same charts raises again,
+        # named for the same pair; a collision is found on the sample's
+        # rows, after the plan, and raises again on the kept plan too
+        built = []
+
+        class Counting(period._SitePlan):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(period, "_SitePlan", Counting)
         base = TestDiagnostics._line_jet(0, zero=3)
         P = MultiPoly.monomial(5, 1.0, (5, 0, 0, 0, 0))
+        builds = []
         for s in (0.1, 0.2, 0.2):
+            built.clear()
             jet = CurveJet(complex(s), base.x, base.y, 1)
             with pytest.raises(BaseLocusCollisionError, match=r"^pair \(0,3\) at s = "):
                 period_of_jet(fermat, P, jet)
-            assert len(fermat.site_plans) == 0, s
+            builds.append(len(built))
+        assert builds == [1, 1, 0]
         fam = CurveFamily("missing", lambda s: CurveJet(s, base.x, base.y, 1))
         with pytest.raises(BaseLocusCollisionError, match=r"^pair \(0,3\) at s = "):
             monomial_scan(fermat, fam, [0.1, 0.2], 5)
-        assert len(fermat.site_plans) == 0
         x, y = BinaryForm(1, (0.0, 1.0)), BinaryForm(1, (1.0, 0.0))
         zero = BinaryForm(1, (0.0, 0.0))
         xs = (x, 1.3 * x, y, BinaryForm(1, (0.2, 1.0)), BinaryForm(1, (0.9, 0.0)))
         shared = CurveFamily("shared-pole", lambda s: CurveJet(s, xs, (zero, zero, zero, y, y), 1))
-        for s in (0.1, 0.2):
+        builds = []
+        for s in (0.1, 0.2, 0.3):
+            built.clear()
             with pytest.raises(BaseLocusCollisionError, match=r"^pair \(0,1\) at s = "):
                 period_at(fermat, P, shared, s)
-        # the key is kept from the first sample, its plan from the second
-        (slot,) = fermat.site_plans._entries.values()
-        assert slot.plan is not None
+            builds.append(len(built))
+        assert builds == [1, 1, 0]
 
     def test_warm_plans_give_cold_plans_bits(self, fermat, monkeypatch):
         # period_at (with check sites) and a one-sample monomial_scan
