@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
     QuinticPeriodsError,
 )
-from .geometry import CurveFamily, Hypersurface, family_from_charts
+from .geometry import CurveFamily, CurveJet, Hypersurface
 from .multipoly import MultiPoly
 from .numkernel.parser import (
     Expr,
@@ -49,7 +49,7 @@ from .numkernel.parser import (
     expr_to_multipoly,
     parse_expression,
 )
-from .numkernel.unipoly import UniPoly
+from .numkernel.unipoly import BinaryForm, UniPoly
 from .period import VANISH_REL_TOL, PeriodReport, ScanTable, monomial_scan, period_at, vanishes
 
 
@@ -304,7 +304,7 @@ def build_family(cfg: RunConfig) -> CurveFamily:
     # the coordinates, then their s-derivatives: one evaluation per jet
     trees = exprs + [differentiate(e) for e in exprs]
 
-    def charts_at(s: complex) -> tuple[list[UniPoly], list[UniPoly]]:
+    def jet(s: complex) -> CurveJet:
         out = charts(trees, s)
         for i, p in enumerate(out):
             if p.degree > d_curve:
@@ -313,9 +313,10 @@ def build_family(cfg: RunConfig) -> CurveFamily:
                     f"{d_curve}, read at the config's samples",
                     f"family.coordinates[{i % len(exprs)}]",
                 )
-        return out[: len(exprs)], out[len(exprs) :]
+        forms = tuple(BinaryForm.from_unipoly(p, d_curve) for p in out)
+        return CurveJet(s, forms[: len(exprs)], forms[len(exprs) :], d_curve)
 
-    return family_from_charts(str(fam.get("name", "config-family")), charts_at, d_curve)
+    return CurveFamily(str(fam.get("name", "config-family")), jet)
 
 
 def build_p(cfg: RunConfig, X: Hypersurface) -> MultiPoly:

@@ -19,11 +19,11 @@ from .numkernel.unipoly import BinaryForm, UniPoly
 
 EULER_REL_TOL = 1e-12
 # keys of a hypersurface's line data, marks included: room for what the
-# s-independent slots of all 50 Fermat line families use (33 keys) while
-# the moving slots pass through as marks.  Twice the size cost 2-3% of the
-# time of workloads whose lines never repeat, which only fill it and empty
-# it again.  The site plans of all 50 families' periods and scans take 20
-# keys.
+# s-independent slots of all 50 Fermat line families use (13 keys: 7
+# partial records and 6 zero lists) while the moving slots pass through as
+# marks.  Twice the size cost 2-3% of the time of workloads whose lines
+# never repeat, which only fill it and empty it again.  The site plans of
+# all 50 families' periods and scans take 20 keys.
 LINE_DATA_SIZE = 64
 # the entry of a key computed once, which keeps no value
 _MARK = object()
@@ -69,11 +69,12 @@ class Hypersurface:
     Partial derivatives are cached; the Euler identity
     sum_i x_i F_i = d F is validated at construction.  ``line_data`` holds
     what the period assembly reads of the partials along a line, keyed by
-    the exact coefficients of the coordinate charts it depends on, so lines
-    that share a coordinate share it across samples, while the moving slots
-    pass through as marks.  ``site_plans`` holds the period assembly's site
-    plans, keyed by the exact inputs each is planned from.  Both are
-    ``LineData``, which says what they keep.
+    what it is a function of: a partial's ``partial_terms`` and the exact
+    bits of the charts they read, or a coordinate's chart bits.  So the
+    fixed slots of the 50 Fermat line families take 13 keys, while the
+    moving slots pass through as marks.  ``site_plans`` holds the period
+    assembly's site plans, keyed by the exact inputs each is planned from.
+    Both are ``LineData``, which says what they keep.
     """
 
     def __init__(self, F: MultiPoly):
@@ -89,6 +90,11 @@ class Hypersurface:
         self.partial_coords = [
             tuple(sorted({i for exps in Fi.terms for i, e in enumerate(exps) if e}))
             for Fi in self.partials
+        ]
+        # each partial's terms in the coordinates it uses, in the terms' order
+        self.partial_terms = [
+            tuple((tuple(exps[i] for i in coords), c) for exps, c in Fi.terms.items())
+            for Fi, coords in zip(self.partials, self.partial_coords)
         ]
         self.line_data = LineData()
         self.site_plans = LineData()
@@ -288,24 +294,6 @@ def mobius_deformation(
             BinaryForm.from_unipoly(f.derivative_chart() * mu, d_curve + 1) for f in x
         )
         return CurveJet(s, x, y, d_curve)
-
-    return CurveFamily(name=name, jet_fn=jet)
-
-
-def family_from_charts(
-    name: str,
-    charts_at: Callable[[complex], tuple[Sequence[UniPoly], Sequence[UniPoly]]],
-    d_curve: int,
-) -> CurveFamily:
-    """Family from chart polynomials: at each s, ``charts_at(s)`` gives the
-    coordinates and their s-derivatives, both as polynomials in t of degree
-    at most d_curve."""
-
-    def jet(s: complex) -> CurveJet:
-        coords, derivatives = charts_at(s)
-        xs = tuple(BinaryForm.from_unipoly(p, d_curve) for p in coords)
-        ys = tuple(BinaryForm.from_unipoly(p, d_curve) for p in derivatives)
-        return CurveJet(s, xs, ys, d_curve)
 
     return CurveFamily(name=name, jet_fn=jet)
 

@@ -285,7 +285,7 @@ class _SampleContext:
     What depends only on coordinate charts -- the partial charts with their
     roots and lead factors, and the coordinates' zeros -- comes from
     ``X.line_data``, a ``LineData``, by the exact chart coefficients it
-    depends on."""
+    depends on and, for a partial, its terms there."""
 
     def __init__(self, X: Hypersurface, jet: CurveJet):
         self.X = X
@@ -308,7 +308,7 @@ class _SampleContext:
 
     def _line(self, j: int) -> _PartialLine:
         """The line record of F_j, from the line data or composed here."""
-        key = (j, *[self.keys[i] for i in self.X.partial_coords[j]])
+        key = (self.X.partial_terms[j], *[self.keys[i] for i in self.X.partial_coords[j]])
         return self.X.line_data.get(
             key, lambda: _PartialLine(self.X.partials[j].compose_unipoly(self.xs))
         )

@@ -184,20 +184,32 @@ def interleave(script: str, roots: list[Path], workload: str, seed: int, ops: in
             p.wait()
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--root", type=Path, action="append", required=True,
-                    help="a checkout; give two, A then B")
+def command_line(argv, doc: str, ops: int, roots: str, serve):
+    """The options the timing tools share: ``--root`` (appended; ``roots``
+    is its help), ``--workload``, ``--seed``, ``--ops`` (default ``ops``,
+    refused below 1) and the hidden ``--worker``.  With ``--worker``, runs
+    ``serve`` on the first root and returns None; else returns the parser,
+    for the tool's own errors, and the options."""
+    ap = argparse.ArgumentParser(description=doc.splitlines()[0])
+    ap.add_argument("--root", type=Path, action="append", required=True, help=roots)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--ops", type=int, default=1200)
+    ap.add_argument("--ops", type=int, default=ops)
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.ops < 1:
         ap.error("--ops must be positive")
     if args.worker:
-        worker(args.root[0].resolve(), args.workload, args.seed, args.ops)
+        serve(args.root[0].resolve(), args.workload, args.seed, args.ops)
+        return None
+    return ap, args
+
+
+def main(argv=None) -> int:
+    parsed = command_line(argv, __doc__, 1200, "a checkout; give two, A then B", worker)
+    if parsed is None:
         return 0
+    ap, args = parsed
     if len(args.root) != 2:
         ap.error("give two --root checkouts")
     replies = interleave(__file__, args.root, args.workload, args.seed, args.ops)

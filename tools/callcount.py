@@ -18,7 +18,6 @@ functions (calls per op).  The last line is one JSON object of the same.
 
 from __future__ import annotations
 
-import argparse
 import cProfile
 import json
 import re
@@ -27,7 +26,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from abtime import load_inputs, run_main  # noqa: E402
+from abtime import command_line, load_inputs, run_main  # noqa: E402
 
 TOP = 15
 
@@ -78,19 +77,10 @@ def worker(root: Path, workload: str, seed: int, ops: int) -> None:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--root", type=Path, action="append", required=True,
-                    help="a checkout; give one or more")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--ops", type=int, default=400)
-    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    args = ap.parse_args(argv)
-    if args.ops < 1:
-        ap.error("--ops must be positive")
-    if args.worker:
-        worker(args.root[0].resolve(), args.workload, args.seed, args.ops)
+    parsed = command_line(argv, __doc__, 400, "a checkout; give one or more", worker)
+    if parsed is None:
         return 0
+    _, args = parsed
     sides = []
     for root in args.root:
         done = subprocess.run(

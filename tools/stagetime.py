@@ -28,7 +28,6 @@ ends with one line that names the known ones, exit 2.
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import json
 import sys
@@ -36,7 +35,7 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from abtime import CHUNK, interleave, load_inputs, run_main  # noqa: E402
+from abtime import CHUNK, command_line, interleave, load_inputs, run_main  # noqa: E402
 
 # (stage, module, attribute path, enclosing stage or None)
 STAGES = [
@@ -174,19 +173,10 @@ def table(sides: list[dict]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--root", type=Path, action="append", required=True,
-                    help="a checkout; give one, or two, A then B")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--ops", type=int, default=1200)
-    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    args = ap.parse_args(argv)
-    if args.ops < 1:
-        ap.error("--ops must be positive")
-    if args.worker:
-        worker(args.root[0].resolve(), args.workload, args.seed, args.ops)
+    parsed = command_line(argv, __doc__, 1200, "a checkout; give one, or two, A then B", worker)
+    if parsed is None:
         return 0
+    ap, args = parsed
     if len(args.root) > 2:
         ap.error("give one or two --root checkouts")
     chunks = interleave(__file__, args.root, args.workload, args.seed, args.ops)
