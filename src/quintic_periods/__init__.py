@@ -17,9 +17,11 @@ Library layout:
 * :mod:`quintic_periods.cli`       -- `quintic-periods` command line.
 
 The names below are the public API.  The scalar residue oracle
-(``verification.reference_period``, with ``RationalFunction`` and
-``residues_at_zeros`` from ``numkernel.residues``) is not among them: the
-acceptance suite and the tests import it from its module.
+(``RationalFunction`` and ``residues_at_zeros`` from ``numkernel.residues``)
+is not among them: the tests import it from its module.  On the catalog
+lines the acceptance suite checks the period engine against
+``LineFamilyDescriptor.monomial_period``, the closed form of every monomial
+period there.
 """
 
 from .catalog import (

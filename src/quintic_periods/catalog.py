@@ -122,6 +122,21 @@ class LineFamilyDescriptor:
     def family(self, mode: str = MODE_CORRECTED) -> CurveFamily:
         return line_family(self.pair, self.zeta_index, mode)
 
+    def monomial_period(self, exponents, s: complex) -> complex:
+        """Period of the monomial class with these exponents on the corrected
+        family at s, by ROADMAP item 1's identity, which is measured on every
+        catalog scan cell, not derived: with slots a < b < c holding 1, s and
+        c = root5(-1 - s^5), it is (6/25) (-1)^(i+j) zeta c^-4 [t^3] P(x(t)),
+        and [t^3] P(x(t)) is (-zeta)^e_j s^e_b c^e_c when e_i + e_j = 3 for
+        the pair (i, j), else exactly 0."""
+        (i, j), zeta = self.pair, zeta_value(self.zeta_index)
+        _, b, c_slot = [k for k in range(5) if k not in self.pair]
+        if exponents[i] + exponents[j] != 3:
+            return 0j
+        c = root5_neg1_minus_s5(s)
+        kappa = 6 / 25 * (-1) ** (i + j) * zeta * c**-4
+        return kappa * (-zeta) ** exponents[j] * s ** exponents[b] * c ** exponents[c_slot]
+
 
 def line_families() -> list[LineFamilyDescriptor]:
     """All fifty descriptors: 10 coordinate pairs x 5 roots of unity."""

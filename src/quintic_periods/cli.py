@@ -25,7 +25,7 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
@@ -610,20 +610,7 @@ def cmd_verify(args) -> int:
         line = f"{status}  {r.name}: {r.summary}"
         lines.append(line)
         sys.stdout.write(line + "\n")
-    payload = {
-        "results": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "summary": r.summary,
-                "measured": r.measured,
-                "tolerance": r.tolerance,
-                "runtime_seconds": r.runtime_seconds,
-            }
-            for r in results
-        ],
-        "all_passed": ok,
-    }
+    payload = {"results": [asdict(r) for r in results], "all_passed": ok}
     _write(("--report-dir", report_dir / "verify.json"), _json_text(payload))
     _write(("--report-dir", report_dir / "verify.txt"), "\n".join(lines) + "\n")
     if not results:

@@ -515,8 +515,8 @@ def _assemble(ctx: _SampleContext, p_rows: np.ndarray, checks: bool = False) -> 
     once, only for the pairs whose inner factor is not zero, one stack each,
     which the layout reads whole; a pair with a zero inner factor has a zero
     numerator in every row.  A row's numerator is zero when it cancels to
-    1e-12 of its pre-cancellation scale, the rule of
-    ``verification.reference_period``.
+    1e-12 of its pre-cancellation scale (``NUMERATOR_ZERO_REL_TOL``), as an
+    inner factor is in ``pair_inner``.
 
     An error names its pair: the first pair, in pair order, whose sites
     cannot be planned or whose rows have a pole at a base-locus collision,

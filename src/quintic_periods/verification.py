@@ -19,29 +19,11 @@ from typing import Callable
 import numpy as np
 
 from . import catalog as cat
-from .errors import BaseLocusCollisionError, GoldenFixtureError
-from .geometry import (
-    CurveJet,
-    Hypersurface,
-    MobiusMap,
-    containment_residual,
-    mobius_reparam,
-    tangency_residual,
-)
-from .griffiths import (
-    NUMERATOR_ZERO_REL_TOL,
-    contract_bruteforce,
-    contraction_sign,
-    pair_numerator,
-    pair_wedges,
-)
+from .errors import GoldenFixtureError
+from .geometry import MobiusMap, containment_residual, mobius_reparam, tangency_residual
+from .griffiths import contract_bruteforce, contraction_sign, pair_inners, pair_wedges
 from .multipoly import MultiPoly, monomials_of_degree
-from .numkernel.residues import (
-    RationalFunction,
-    SiteEntry,
-    SiteLayout,
-    residues_at_zeros,
-)
+from .numkernel.residues import SiteEntry, SiteLayout
 from .numkernel.unipoly import UniPoly
 from .period import compare_closed_form, monomial_scan, period_at, sweep
 
@@ -53,7 +35,6 @@ RESIDUE_CASES = 500
 MOBIUS_SEEDS = (0, 1, 2, 3, 4)
 REPARAM_SEED = 777
 LINEARITY_SEED = 99
-SCAN_SEED = 126
 
 
 @dataclass
@@ -71,43 +52,6 @@ def _timed(fn: Callable[[], CheckResult]) -> CheckResult:
     result = fn()
     result.runtime_seconds = time.perf_counter() - t0
     return result
-
-
-def reference_integrands(X: Hypersurface, P: MultiPoly, jet: CurveJet):
-    """Yield ((j0, j1), f, scale) for each covering pair j0 < j1 in order:
-    f = ``pair_numerator`` / (F_j0(x(t)) F_j1(x(t))) with the denominator
-    expanded, and the numerator's pre-cancellation scale.  A partial chart
-    that is the zero polynomial raises BaseLocusCollisionError at its first
-    pair.  The wedges, P(x(t)) and the partial charts are built once."""
-    wedges = pair_wedges(jet)
-    xs = jet.x_chart()
-    p_chart = P.compose_unipoly(xs)
-    partials = [F.compose_unipoly(xs) for F in X.partials]
-    for j0, j1 in itertools.combinations(range(X.nvars), 2):
-        num, scale = pair_numerator(jet, j0, j1, wedges, p_chart)
-        for j in (j0, j1):
-            if partials[j].is_zero():
-                raise BaseLocusCollisionError(
-                    f"covering chart {j} misses the curve entirely at s = {jet.s}: "
-                    f"F_{j}(x(t)) is the zero polynomial"
-                )
-        yield (j0, j1), RationalFunction(num, partials[j0] * partials[j1]), scale
-
-
-def reference_period(X: Hypersurface, P: MultiPoly, jet: CurveJet) -> complex:
-    """Period of the class P at one jet, the scalar oracle: pair by pair
-    through ``reference_integrands`` and ``residues_at_zeros``, one class at
-    a time, with its own numerator product, an expanded denominator and
-    scalar analytic residues.  It shares only the class-independent wedge
-    sum with the batched assembly in ``period``, so it checks that engine
-    independently.  A pole order whose last coefficient sits near the 1e-8
-    rule of ``residues_at_zeros`` can read one too many."""
-    total = 0j
-    for (j0, j1), f, scale in reference_integrands(X, P, jet):
-        if f.num.is_zero() or f.num.scale() <= NUMERATOR_ZERO_REL_TOL * max(scale, 1e-300):
-            continue
-        total += residues_at_zeros(f, jet.x[j0], guard=jet.x[j1]).total
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +190,10 @@ def check_mobius_nullity() -> CheckResult:
     for seed in MOBIUS_SEEDS:
         fam = cat.mobius_null_family(1, seed)
         for s in samples:
-            for _, f, scale in reference_integrands(X, P, fam.jet_at(s)):
-                worst_num = max(worst_num, f.num.scale() / max(scale, 1e-300))
+            jet = fam.jet_at(s)
+            inner, term_scale = pair_inners(jet, pair_wedges(jet))
+            ratio = np.abs(inner).max(axis=1) / np.maximum(term_scale, 1e-300)
+            worst_num = max(worst_num, float(ratio.max()))
             rep = period_at(X, P, fam, s)
             worst_period = max(worst_period, abs(rep.total))
     passed = worst_num < 1e-10 and worst_period < 1e-9
@@ -423,52 +369,51 @@ def check_paper_regression() -> CheckResult:
 
 
 def check_monomial_scan() -> CheckResult:
-    """Scale, byte-stable CSV, and three seeded non-vanishing rows against
-    the per-class reference path.  The scan assembles all classes in one
-    pass, so its rows are linear in P by construction; the reference keeps
-    the comparison independent."""
+    """Scale, byte-stable CSV, and every cell against the catalog's closed
+    form ``LineFamilyDescriptor.monomial_period``: its zeros exact, the other
+    cells within 1e-13 relative.  The scan assembles all classes in one
+    pass; the closed form keeps the comparison independent of it."""
     from .cli import scan_csv_lines
 
     X = cat.fermat_hypersurface(3, 5)
-    fam = cat.paper_line_slice(1, cat.MODE_CORRECTED)
+    d = cat.LineFamilyDescriptor((0, 1), 1)
+    fam = d.family()
     samples = list(cat.STANDARD_PERIOD_SAMPLES[:5])
     t0 = time.perf_counter()
     table = monomial_scan(X, fam, samples, 5)
     elapsed = time.perf_counter() - t0
     csv_a = "\n".join(scan_csv_lines(table))
     csv_b = "\n".join(scan_csv_lines(monomial_scan(X, fam, samples, 5)))
-    live = [r for r in table.rows if not r.vanishes]
-    nonzero = len(live)
-    rng = np.random.default_rng(SCAN_SEED)
-    picked = [live[int(i)] for i in rng.choice(nonzero, size=min(3, nonzero), replace=False)]
-    worst_ref = 0.0
-    for k, s in enumerate(samples):
-        jet = fam.jet_at(s)
-        for row in picked:
-            ref = reference_period(X, MultiPoly.monomial(5, 1.0, row.exponents), jet)
-            diff = abs(row.totals[k] - ref)
-            worst_ref = max(worst_ref, diff / max(row.vanish_scales[k], 1e-300) if diff else 0.0)
+    nonzero = sum(not r.vanishes for r in table.rows)
+    got = np.array([r.totals for r in table.rows])
+    want = np.array([[d.monomial_period(r.exponents, s) for s in samples] for r in table.rows])
+    zero = want == 0
+    zeros_exact = bool((got[zero] == 0).all())
+    # NaN propagates through max, and fails the bound
+    worst = float((np.abs(got - want)[~zero] / np.abs(want[~zero])).max())
     passed = (
         len(table.rows) == 126
         and elapsed < 10.0
         and csv_a == csv_b
         and nonzero >= 1
-        and worst_ref < 1e-9
+        and zeros_exact
+        and worst < 1e-13
     )
     return CheckResult(
         "scan",
         passed,
         f"126 monomials x 5 samples in {elapsed:.2f}s; byte-stable CSV: {csv_a == csv_b}; "
-        f"{nonzero} non-vanishing rows; {len(picked)} seeded of them vs per-class reference: "
-        f"worst {worst_ref:.2e} of vanish scale",
+        f"{nonzero} non-vanishing rows; vs the closed form: {int(zero.sum())} zeros exact: "
+        f"{zeros_exact}, worst {worst:.2e} relative of the others",
         measured={
             "rows": len(table.rows),
             "elapsed": elapsed,
             "nonzero_rows": nonzero,
-            "reference_rows": [r.monomial for r in picked],
-            "worst_reference_dev": worst_ref,
+            "closed_form_zeros_exact": zeros_exact,
+            "worst_closed_form_dev": worst,
         },
-        tolerance="< 10 s, byte-identical rerun, >= 1 non-vanishing, reference < 1e-9",
+        tolerance="< 10 s, byte-identical rerun, >= 1 non-vanishing, closed-form zeros exact, "
+        "others < 1e-13 relative",
     )
 
 

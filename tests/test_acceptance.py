@@ -60,6 +60,42 @@ def test_residue_engine_runs_the_contour_at_infinity_and_on_dense_rows(monkeypat
     assert seen["infinity"] > 0 and seen["dense"] > 0
 
 
+@pytest.mark.parametrize("monomial", ["x1^3*x4^2", "x4^5"])
+def test_scan_criterion_fails_on_one_cell_off_the_closed_form(monkeypatch, monomial):
+    # criterion 8 reads every cell: the nonzero cell of x1^3 x4^2 at the
+    # third sample scaled by 1 + 1e-12, or the predicted zero of x4^5 there
+    # set to 1e-300j, fails it
+    scan = ver.monomial_scan
+
+    def moved(*args):
+        table = scan(*args)
+        (row,) = [r for r in table.rows if r.monomial == monomial]
+        row.totals[2] = row.totals[2] * (1 + 1e-12) if row.totals[2] else 1e-300j
+        return table
+
+    monkeypatch.setattr(ver, "monomial_scan", moved)
+    result = ver.check_monomial_scan()
+    assert not result.passed
+    if monomial == "x1^3*x4^2":
+        assert result.measured["closed_form_zeros_exact"]
+        assert result.measured["worst_closed_form_dev"] > 1e-13
+    else:
+        assert not result.measured["closed_form_zeros_exact"]
+
+
+def test_nullity_criterion_fails_on_a_moving_line(monkeypatch):
+    # the corrected slice in place of the null families: its inner factors
+    # do not cancel, so criterion 4 reads them at about their term scale
+    from quintic_periods import catalog as cat
+
+    monkeypatch.setattr(
+        cat, "mobius_null_family", lambda zeta_index, seed: cat.paper_line_slice(1)
+    )
+    result = ver.check_mobius_nullity()
+    assert not result.passed
+    assert result.measured["worst_numerator_ratio"] == pytest.approx(1.0002, abs=1e-4)
+
+
 @pytest.mark.parametrize(
     "drop, message",
     [(None, "golden fixture missing"), ("tolerance", r"malformed \(missing tolerance\)"),

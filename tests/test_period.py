@@ -8,6 +8,7 @@ from quintic_periods import period
 from quintic_periods.catalog import (
     STANDARD_PERIOD_SAMPLES,
     ClosedFormRef,
+    LineFamilyDescriptor,
     fermat_hypersurface,
     line_families,
     mobius_null_family,
@@ -35,22 +36,8 @@ from quintic_periods.period import (
     period_of_jet,
     sweep,
 )
-from quintic_periods.verification import reference_period
 
 ZETA = zeta_value(1)
-
-
-def catalog_identity(d, exponents, s: complex) -> complex:
-    """ROADMAP item 1's identity: the period of the monomial class with
-    these exponents on the catalog family ``d`` at s, zero unless
-    e_i + e_j = 3 for d's pair (i, j)."""
-    (i, j), zeta = d.pair, zeta_value(d.zeta_index)
-    _, b, c_slot = [k for k in range(5) if k not in d.pair]
-    if exponents[i] + exponents[j] != 3:
-        return 0
-    c = root5_neg1_minus_s5(s)
-    kappa = 6 / 25 * (-1) ** (i + j) * zeta * c**-4
-    return kappa * (-zeta) ** exponents[j] * s ** exponents[b] * c ** exponents[c_slot]
 
 
 def corrected_period_closed_form(s: complex) -> complex:
@@ -242,8 +229,8 @@ class TestDiagnostics:
     @pytest.mark.parametrize("gap", [5e-8, 5e-6])
     def test_collision_is_the_site_rule(self, fermat, gap):
         # x0 = t and x1 = t - gap: at 5e-8 the two zeros are one site by
-        # ``coincides``, so the engine and the scalar oracle both refuse the
-        # pole there; at 5e-6 they are two sites and both return
+        # ``coincides``, so the engine refuses the pole there; at 5e-6 they
+        # are two sites and it returns
         base = self._line_jet(0)
         xs = (BinaryForm(1, (0.0, 1.0)), BinaryForm(1, (-gap, 1.0))) + base.x[2:]
         jet = CurveJet(base.s, xs, base.y, 1)
@@ -251,11 +238,8 @@ class TestDiagnostics:
         if gap < 1e-7:
             with pytest.raises(BaseLocusCollisionError, match=r"^pair \(0,1\) at s = 0\.1\+0j: "):
                 period_of_jet(fermat, P, jet)
-            with pytest.raises(BaseLocusCollisionError):
-                reference_period(fermat, P, jet)
         else:
             assert period_of_jet(fermat, P, jet).pair(0, 1).sites[0].pole_order == 4
-            reference_period(fermat, P, jet)
 
     def test_min_pole_separation_skips_coinciding_roots(self, fermat):
         ctx = period._SampleContext(fermat, self._line_jet(0))
@@ -653,41 +637,42 @@ class TestScan:
                 assert pair is not None and worst == max(by_row.values()) > 0
                 assert by_row[monomial] == worst
 
-    # The batched assembly against the per-class reference path
-    # (reference_integrands, then residues_at_zeros); the scan runs its quadrature
+    # The batched assembly against the catalog's closed form
+    # (LineFamilyDescriptor.monomial_period); the scan runs its quadrature
     # backend too, so its disagreement is checked as well.
 
     @staticmethod
-    def _check_against_reference(fermat, fam, samples):
+    def _check_against_closed_form(fermat, d, fam, samples):
         table = monomial_scan(fermat, fam, samples, 5)
         for k, s in enumerate(samples):
-            jet = fam.jet_at(s)
             for row in table.rows:
-                P = MultiPoly.monomial(5, 1.0, row.exponents)
-                ref = reference_period(fermat, P, jet)
-                assert abs(row.totals[k] - ref) <= 1e-12 * row.vanish_scales[k], row.monomial
+                want = d.monomial_period(row.exponents, s)
+                assert abs(row.totals[k] - want) <= 1e-13 * abs(want), row.monomial
                 # rows without any pole keep their exact zero
-                assert (row.totals[k] == 0) == (ref == 0), row.monomial
+                assert (row.totals[k] == 0) == (want == 0), row.monomial
                 assert row.max_backend_disagreements[k] < 1e-8, row.monomial
         return table
 
-    def test_corrected_slice_matches_reference(self, fermat, corrected_slice):
-        table = self._check_against_reference(fermat, corrected_slice, [0.13 + 0.04j])
+    def test_corrected_slice_matches_closed_form(self, fermat, corrected_slice):
+        d = LineFamilyDescriptor((0, 1), 1)
+        table = self._check_against_closed_form(fermat, d, corrected_slice, [0.13 + 0.04j])
         assert any(not r.vanishes for r in table.rows)
 
-    def test_seeded_catalog_line_matches_reference(self, fermat):
+    def test_seeded_catalog_line_matches_closed_form(self, fermat):
         import numpy as np
 
         rng = np.random.default_rng(5)
         descriptors = line_families()
-        fam = descriptors[int(rng.integers(len(descriptors)))].family()
+        d = descriptors[int(rng.integers(len(descriptors)))]
         samples = [complex(0.06 + 0.2 * rng.random(), 0.2 * rng.random() - 0.1) for _ in range(2)]
-        table = self._check_against_reference(fermat, fam, samples)
+        table = self._check_against_closed_form(fermat, d, d.family(), samples)
         assert any(not r.vanishes for r in table.rows)
 
-    def test_null_family_matches_reference(self, fermat):
-        table = self._check_against_reference(fermat, mobius_null_family(2, 4), [0.09j])
-        assert all(r.vanishes for r in table.rows)
+    def test_null_family_rows_are_exact_zeros(self, fermat):
+        table = monomial_scan(fermat, mobius_null_family(2, 4), [0.09j], 5)
+        for row in table.rows:
+            assert row.totals == [0j], row.monomial
+            assert row.max_backend_disagreements == [0.0], row.monomial
 
 
 class TestReduction:
@@ -899,17 +884,21 @@ class TestLocationMaps:
     def test_mixed_widths_at_infinity_match_the_scalar_oracle(self, fermat, monkeypatch):
         # pairs whose inner factors differ in degree share [1:0] in the map
         # with different numerator widths; each entry there must give the
-        # scalar oracle's residue (reference_integrands, then its residue at
-        # [1:0]: the path of verification.reference_period), the pole order
-        # deg + 2 - sum m of the pair integrand, and its exact zeros.  x0^3
-        # x1^2 composes to a low degree, so some pairs have no pole there.
-        # Every finite site of every pair must give the oracle's pole order
-        # and exact zeros too, and its residue to 1e-8 of the pair's largest.
+        # scalar oracle's residue (each pair's pair_numerator over the
+        # expanded F_j0(x(t)) F_j1(x(t)), then its residue at [1:0]), the
+        # pole order deg + 2 - sum m of the pair integrand, and its exact
+        # zeros.  x0^3 x1^2 composes to a low degree, so some pairs have no
+        # pole there.  Every finite site of every pair must give the
+        # oracle's pole order and exact zeros too, and its residue to 1e-8
+        # of the pair's largest.  The oracle is built here from the names
+        # perfbench/tracer.py keeps, until ROADMAP item 6's mpmath oracle
+        # replaces it.
+        from quintic_periods.griffiths import pair_numerator, pair_wedges
         from quintic_periods.numkernel.residues import (
+            RationalFunction,
             residue_at_infinity_analytic,
             residues_at_zeros,
         )
-        from quintic_periods.verification import reference_integrands
 
         built = self._counting(monkeypatch)
         classes = [MultiPoly.monomial(5, 1.0, e) for e in ((0, 3, 2, 0, 0), (3, 2, 0, 0, 0))]
@@ -922,11 +911,14 @@ class TestLocationMaps:
                 (site_map,) = built
                 sites = [e for e in site_map.entries if e.at_infinity and e.zero_multiplicity]
                 mixed += len({e.width for e in sites}) > 1
-                integrands = {pair: rf for pair, rf, _ in reference_integrands(fermat, P, jet)}
+                xs = jet.x_chart()
+                wedges, p_chart = pair_wedges(jet), P.compose_unipoly(xs)
+                partials = [F.compose_unipoly(xs) for F in fermat.partials]
                 for (j0, j1), c in rep.per_pair.items():
                     if c.numerator_zero:
                         continue
-                    rf = integrands[(j0, j1)]
+                    num, _ = pair_numerator(jet, j0, j1, wedges, p_chart)
+                    rf = RationalFunction(num, partials[j0] * partials[j1])
                     finite = [site for site in c.sites if not site.at_infinity]
                     refs = residues_at_zeros(rf, jet.x[j0], guard=jet.x[j1]).sites
                     refs = [ref for ref in refs if not ref.at_infinity]
@@ -1405,7 +1397,8 @@ class TestMergeSites:
 
 
 class TestCatalogIdentity:
-    """ROADMAP item 1, measured, not derived: on the catalog family
+    """ROADMAP item 1, ``LineFamilyDescriptor.monomial_period``, measured,
+    not derived: on the catalog family
     ``pair=i,j/zeta=k``, whose slots a < b < c hold 1, s and
     c = root5(-1 - s^5), the period of a monomial class is
     (6/25) (-1)^(i+j) zeta^k c^-4 [t^3] P(x(t)), and [t^3] P(x(t)) is
@@ -1421,7 +1414,7 @@ class TestCatalogIdentity:
             table = monomial_scan(fermat, d.family(), samples, 5)
             for n, s in enumerate(samples):
                 for row in table.rows:
-                    want, total = catalog_identity(d, row.exponents, s), row.totals[n]
+                    want, total = d.monomial_period(row.exponents, s), row.totals[n]
                     if want == 0:
                         assert total == 0, (d.identifier, s, row.monomial)
                         zeros += 1
@@ -1457,6 +1450,6 @@ class TestCatalogIdentity:
         exps[d.pair[1]] = 3
         exps[min(k for k in range(5) if k not in d.pair)] = 2
         P = MultiPoly.monomial(5, 1.0, tuple(exps))
-        want = catalog_identity(d, exps, s)
+        want = d.monomial_period(exps, s)
         got = period_at(fermat, P, mobius_reparam(d.family(), A), s).total
         assert abs(got - want) <= 1e-10 * abs(want), (d.identifier, s, A)

@@ -22,9 +22,6 @@ The corpus:
 * ``period_at`` of ``x1^3 x2^2`` and ``monomial_scan`` on the five
   ``mobius-null/zeta=K/seed=0`` families at the first three
   ``STANDARD_PERIOD_SAMPLES`` values;
-* ``verification.reference_period``, the scalar oracle, of ``x1^3 x2^2`` on
-  the same 55 families at the first three ``STANDARD_PERIOD_SAMPLES``
-  values;
 * ``period_of_jet`` of ``x1^3 x2^2`` on 600 jets: the tests'
   ``TestDegreeTwoJets._random_jet`` seeds 0-199, each as it stands, under
   ``t -> 1/t`` and under the tests' Moebius map;
@@ -50,7 +47,7 @@ error's class and message.  Floats are compared through their shortest
 round-trip text, so any difference in the last bit counts.
 
 Prints ``identical``, or the first record that differs (both values), then
-for each record kind (``cli``, ``period``, ``oracle``, ``scan``, ``jet seed``,
+for each record kind (``cli``, ``period``, ``scan``, ``jet seed``,
 ``dropped seed``, ``shioda seed``, ``verify``) how many of its records
 differ and their keys, then each field that differs between records present
 on both sides: in how many records, and its largest
@@ -196,10 +193,6 @@ def scan_records(key: str, table) -> list[tuple[str, dict]]:
     return out
 
 
-def oracle_records(key: str, total: complex) -> list[tuple[str, dict]]:
-    return [(key, {"total": plain(total)})]
-
-
 def verify_records(verification) -> list[tuple[str, dict]]:
     """One record per acceptance criterion: its passed flag and its measured
     numbers but the ``TIMINGS``."""
@@ -276,11 +269,6 @@ def dump(root: Path) -> None:
         for k, s in enumerate(samples):
             key = f"period {ident} s[{k}]"
             records += guarded(key, lambda: period.period_at(X, P, fam, s), report_records)
-        for k, s in enumerate(scan_samples):
-            key = f"oracle {ident} s[{k}]"
-            records += guarded(
-                key, lambda: verification.reference_period(X, P, fam.jet_at(s)), oracle_records
-            )
         key = f"scan {ident}"
         records += guarded(
             key, lambda: period.monomial_scan(X, fam, scan_samples, 5), scan_records
@@ -360,8 +348,7 @@ def field_changes(a: list, b: list) -> dict[str, tuple[int, float | None]]:
 
 def record_kind(key: str) -> str:
     """The part of the corpus a record key belongs to: ``cli``, ``period``,
-    ``oracle``, ``scan``, ``jet seed``, ``dropped seed``, ``shioda seed`` or
-    ``verify``."""
+    ``scan``, ``jet seed``, ``dropped seed``, ``shioda seed`` or ``verify``."""
     first, _, rest = key.partition(" ")
     return f"{first} seed" if rest.startswith("seed ") else first
 
